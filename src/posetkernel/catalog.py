@@ -161,7 +161,11 @@ class OmegaPlusOnePresentation(PosetPresentation):
             try:
                 n = int(literal[4:])
             except ValueError:
-                raise ValidationError(f"bad natural literal {literal!r}") from None
+                n = None
+            # Only the plain decimal spelling: no signs, spaces, underscores
+            # or non-ASCII digits.
+            if n is None or str(n) != literal[4:]:
+                raise ValidationError(f"bad natural literal {literal!r}")
             if n < 0:
                 raise ValidationError("naturals are non-negative")
             return n
@@ -222,11 +226,10 @@ class ClosedSetsPresentation(PosetPresentation):
     def waybelow_family(self, x):
         if self.punctured and min_natural(x) is None:
             return None
-        if natural_part_is_finite(x):
-            base = closed_set(x.prefix)
-            return ExplicitFamily((base,), base, label="natural-part")
-        start = min_natural(x)
         sup = natural_closure(x)
+        if natural_part_is_finite(x):
+            return ExplicitFamily((sup,), sup, label="natural-part")
+        start = min_natural(x)
         return ChainFamily(
             lambda i: truncate_naturals(x, start + i),
             sup,
@@ -353,21 +356,22 @@ def parse_closed_set_literal(literal) -> ClosedSetRep:
                             "residues", "infinity"}
     if extra:
         raise ValidationError(f"unknown closed-set fields {sorted(extra)}")
-    infinity = bool(literal.get("infinity", False))
+    infinity = literal.get("infinity", False)
+    if not isinstance(infinity, bool):
+        raise ValidationError(f"'infinity' must be true or false, "
+                              f"got {infinity!r}")
     if "finite" in literal:
         nats = literal["finite"]
         if not isinstance(nats, list) or not all(
-                isinstance(n, int) and n >= 0 for n in nats):
+                type(n) is int and n >= 0 for n in nats):
             raise ValidationError("'finite' must be a list of naturals")
         return closed_set(nats, infinity=infinity)
-    try:
-        return ClosedSetRep(frozenset(literal.get("prefix", [])),
-                            literal.get("threshold", 0),
-                            literal.get("period", 1),
-                            frozenset(literal.get("residues", [])),
-                            infinity)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad closed-set literal: {exc}") from None
+    prefix = literal.get("prefix", [])
+    residues = literal.get("residues", [])
+    if not isinstance(prefix, list) or not isinstance(residues, list):
+        raise ValidationError("'prefix' and 'residues' must be lists")
+    return ClosedSetRep(prefix, literal.get("threshold", 0),
+                        literal.get("period", 1), residues, infinity)
 
 
 def closed_set_to_literal(rep: ClosedSetRep) -> dict:

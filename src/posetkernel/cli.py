@@ -229,7 +229,8 @@ def _run_inf_law(P: PosetPresentation, scope) -> CheckReport:
     attempts = 0
     while len(instances) < want and attempts < want * 8 and len(pool) >= 2:
         attempts += 1
-        instances.append(tuple(rng.sample(pool, rng.randint(2, 3))))
+        instances.append(tuple(rng.sample(pool,
+                                          rng.randint(2, min(3, len(pool))))))
     parts = []
     skipped = 0
     for inst in instances:

@@ -7,151 +7,261 @@ intersections, finite joins are unions, infinite joins add ∞ when the union
 of the natural parts is infinite).
 
 The carrier here is the sublattice of closed sets whose natural part is
-eventually periodic: membership of n below ``threshold`` is looked up in
-``prefix``, and at or above ``threshold`` it is ``n % period in residues``.
-This class of sets is closed under finite unions and intersections, so the
-representation supports the full binary lattice structure exactly.
+eventually periodic: membership of n below ``threshold`` is bit n of the
+prefix bits, and at or above ``threshold`` it is bit ``n % period`` of the
+residue bits.  This class of sets (the unary regular languages) is closed
+under finite unions and intersections, so the representation supports the
+full binary lattice structure exactly.
 
 Closedness forces the invariant: a nonempty residue set (infinite natural
 part) requires the ∞ flag.
 
-Every constructed value is normalized to the canonical form (minimal period,
-then minimal threshold), so structural equality coincides with equality of
-the denoted sets.
+Every value is kept in the canonical form (minimal period, then minimal
+threshold), so structural equality coincides with equality of the denoted
+sets.  Binary operations align both operands on one window, the common
+threshold plus the lcm of the periods, and work on it with ``|``, ``&`` and
+``& ~``; that window is capped at ``MAX_WINDOW`` bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ClosednessViolation, ValidationError
 
+# Largest period and threshold a caller may spell out.
+MAX_LITERAL = 1 << 16
+# Largest aligned window (common threshold + lcm of the periods), in bits,
+# that a binary operation will allocate.
+MAX_WINDOW = 1 << 27
 
-@dataclass(frozen=True)
+
 class ClosedSetRep:
-    """Canonical eventually-periodic closed subset of N ∪ {∞}."""
+    """Canonical eventually-periodic closed subset of N ∪ {∞}.
 
-    prefix: frozenset = frozenset()
-    threshold: int = 0
-    period: int = 1
-    residues: frozenset = frozenset()
-    infinity: bool = False
+    ``ClosedSetRep(prefix, threshold, period, residues, infinity)`` takes
+    the naturals below ``threshold`` and the residues modulo ``period`` as
+    iterables of ints, validates them and stores the canonical form as
+    ``prefix_bits`` and ``residue_bits``.  ``prefix`` and ``residues`` are
+    frozenset views of those bits.  Instances are immutable.
+    """
 
-    def __post_init__(self):
-        prefix = frozenset(self.prefix)
-        residues = frozenset(self.residues)
-        if self.period < 1:
-            raise ValidationError(f"period must be >= 1, got {self.period}")
-        if self.threshold < 0:
-            raise ValidationError(f"threshold must be >= 0, got {self.threshold}")
-        if any(n < 0 or n >= self.threshold for n in prefix):
-            raise ValidationError("prefix entries must lie in [0, threshold)")
-        if any(r < 0 or r >= self.period for r in residues):
-            raise ValidationError("residues must lie in [0, period)")
-        if residues and not self.infinity:
+    __slots__ = ("prefix_bits", "threshold", "period", "residue_bits",
+                 "infinity", "_hash")
+
+    def __init__(self, prefix=(), threshold=0, period=1, residues=(),
+                 infinity=False):
+        self.__post_init__(prefix, threshold, period, residues, infinity)
+
+    def __post_init__(self, prefix, threshold, period, residues, infinity):
+        _check_literal_int("period", period, 1)
+        _check_literal_int("threshold", threshold, 0)
+        prefix_bits = _naturals_to_bits(
+            prefix, threshold, "prefix entries must lie in [0, threshold)")
+        residue_bits = _naturals_to_bits(
+            residues, period, "residues must lie in [0, period)")
+        if residue_bits and not infinity:
             raise ClosednessViolation(
                 "infinite natural part requires the point at infinity")
-        norm = _normal_form(prefix, self.threshold, self.period, residues)
-        prefix, threshold, period, residues = norm
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "threshold", threshold)
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "residues", residues)
+        _normalize_into(self, prefix_bits, threshold, period, residue_bits,
+                        bool(infinity))
+
+    @property
+    def prefix(self) -> frozenset:
+        return _bit_positions(self.prefix_bits)
+
+    @property
+    def residues(self) -> frozenset:
+        return _bit_positions(self.residue_bits)
 
     def __contains__(self, n: int) -> bool:
         if n < self.threshold:
-            return n in self.prefix
-        return (n % self.period) in self.residues
+            return n >= 0 and bool(self.prefix_bits >> n & 1)
+        return bool(self.residue_bits >> n % self.period & 1)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, ClosedSetRep):
+            return NotImplemented
+        return (self._hash == other._hash
+                and self.threshold == other.threshold
+                and self.period == other.period
+                and self.infinity == other.infinity
+                and self.prefix_bits == other.prefix_bits
+                and self.residue_bits == other.residue_bits)
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ClosedSetRep is immutable; cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ClosedSetRep is immutable; cannot delete {name}")
 
     def __repr__(self):
         return f"ClosedSetRep({format_closed_set(self)})"
 
 
-def _normal_form(prefix, threshold, period, residues):
-    """Minimal period, then minimal threshold; empty tail collapses to p=1."""
-    if not residues:
-        threshold = max(prefix) + 1 if prefix else 0
-        return prefix, threshold, 1, frozenset()
-    for d in range(1, period + 1):
-        if period % d:
-            continue
-        if all(len({(c + k * d) in residues for k in range(period // d)}) == 1
-               for c in range(d)):
-            residues = frozenset(c for c in range(d) if c in residues)
-            period = d
-            break
-    while threshold > 0:
-        n = threshold - 1
-        if (n in prefix) != ((n % period) in residues):
-            break
-        threshold = n
-    prefix = frozenset(n for n in prefix if n < threshold)
-    return prefix, threshold, period, residues
+def _check_literal_int(name, value, low):
+    if type(value) is not int:
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value}")
+    if value > MAX_LITERAL:
+        raise ValidationError(f"{name} {value} exceeds the cap {MAX_LITERAL}")
+
+
+def _naturals_to_bits(naturals, bound, message) -> int:
+    bits = 0
+    for n in naturals:
+        if type(n) is not int:
+            raise ValidationError(f"naturals must be integers, got {n!r}")
+        if not 0 <= n < bound:
+            raise ValidationError(message)
+        bits |= 1 << n
+    return bits
+
+
+def _bit_positions(bits: int) -> frozenset:
+    digits = bin(bits)[:1:-1]
+    return frozenset(i for i, d in enumerate(digits) if d == "1")
+
+
+def _tile(bits: int, period: int, width: int) -> int:
+    """``bits`` (a pattern of length ``period``) repeated to cover at least
+    ``width`` bits, by doubling shifts: bit n of the result is bit
+    ``n % period`` of ``bits`` for every n below ``width``."""
+    while period < width:
+        bits |= bits << period
+        period <<= 1
+    return bits
+
+
+def _prime_factors(n: int):
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            yield q
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        yield n
+
+
+def _minimal_period(period: int, bits: int):
+    """Least period of the cyclic word ``bits`` of length ``period``, with
+    the word cut to it.  The periods dividing ``period`` are the multiples of
+    the least one, so dividing out one prime at a time while the rotation by
+    the quotient fixes the word reaches it."""
+    for q in _prime_factors(period):
+        while period % q == 0:
+            d = period // q
+            mask = (1 << period) - 1
+            if (bits >> d) | ((bits << (period - d)) & mask) != bits:
+                break
+            period, bits = d, bits & ((1 << d) - 1)
+    return period, bits
+
+
+def _normalize_into(rep, prefix_bits, threshold, period, residue_bits,
+                    infinity):
+    """Store the canonical form of the given state in ``rep``: minimal
+    period, then minimal threshold; an empty tail collapses to period 1."""
+    if residue_bits:
+        period, residue_bits = _minimal_period(period, residue_bits)
+        # The threshold can drop to one past the highest natural where the
+        # prefix disagrees with the periodic tail extended downwards.
+        tail = _tile(residue_bits, period, threshold)
+        threshold = ((prefix_bits ^ tail) & ((1 << threshold) - 1)
+                     ).bit_length()
+        prefix_bits &= (1 << threshold) - 1
+    else:
+        threshold, period = prefix_bits.bit_length(), 1
+    setter = object.__setattr__
+    setter(rep, "prefix_bits", prefix_bits)
+    setter(rep, "threshold", threshold)
+    setter(rep, "period", period)
+    setter(rep, "residue_bits", residue_bits)
+    setter(rep, "infinity", infinity)
+    setter(rep, "_hash", hash((prefix_bits, threshold, period, residue_bits,
+                               infinity)))
+    return rep
+
+
+def _from_bits(prefix_bits, threshold, period, residue_bits, infinity):
+    """Canonical rep of already valid state, without the validating
+    constructor: the one path for results computed here."""
+    return _normalize_into(object.__new__(ClosedSetRep), prefix_bits,
+                           threshold, period, residue_bits, infinity)
 
 
 def closedset_normalize(rep: ClosedSetRep) -> ClosedSetRep:
     """Canonical form of a representation; idempotent by construction."""
-    return ClosedSetRep(rep.prefix, rep.threshold, rep.period, rep.residues,
-                        rep.infinity)
+    return _from_bits(rep.prefix_bits, rep.threshold, rep.period,
+                      rep.residue_bits, rep.infinity)
 
 
-def member(rep: ClosedSetRep, n: int) -> bool:
-    return n in rep
+def _naturals_below(rep: ClosedSetRep, width: int) -> int:
+    """The natural members of ``rep`` below ``width``, as bits."""
+    tail = _tile(rep.residue_bits, rep.period, width)
+    tail &= ~((1 << rep.threshold) - 1)
+    return (rep.prefix_bits | tail) & ((1 << width) - 1)
 
 
-def _window(a: ClosedSetRep, b: ClosedSetRep):
+def _aligned(a: ClosedSetRep, b: ClosedSetRep):
+    """Both operands on a common window: the common threshold, the lcm of
+    the periods, and for each operand its members below that threshold and
+    its residues modulo that lcm.  Membership at and beyond the threshold
+    is periodic with the lcm, so the window decides everything."""
     t = max(a.threshold, b.threshold)
     span = math.lcm(a.period, b.period)
-    return t, span
+    if t + span > MAX_WINDOW:
+        raise ValidationError(
+            f"window {t} + lcm {span} exceeds the cap of {MAX_WINDOW} bits")
+    mask = (1 << span) - 1
+    return (t, span,
+            _naturals_below(a, t), _tile(a.residue_bits, a.period, span) & mask,
+            _naturals_below(b, t), _tile(b.residue_bits, b.period, span) & mask)
 
 
 @lru_cache(maxsize=1 << 16)
 def closedset_leq(a: ClosedSetRep, b: ClosedSetRep) -> bool:
-    """Subset test on denotations.
-
-    Membership beyond the common threshold is periodic with the lcm of the
-    periods, so checking one aligned window decides inclusion exactly.
-    """
+    """Subset test on denotations, decided on the aligned window."""
     if a.infinity and not b.infinity:
         return False
-    t, span = _window(a, b)
-    return all(n in b for n in range(t + span) if n in a)
-
-
-def _pointwise(a, b, keep, infinity):
-    t, span = _window(a, b)
-    prefix = frozenset(n for n in range(t) if keep(n in a, n in b))
-    residues = frozenset((t + i) % span for i in range(span)
-                         if keep((t + i) in a, (t + i) in b))
-    return ClosedSetRep(prefix, t, span, residues, infinity)
+    _, _, pa, ra, pb, rb = _aligned(a, b)
+    return not (pa & ~pb) and not (ra & ~rb)
 
 
 @lru_cache(maxsize=1 << 16)
 def closedset_join(a: ClosedSetRep, b: ClosedSetRep) -> ClosedSetRep:
     """Union; closed because a finite union of closed sets is closed."""
-    return _pointwise(a, b, lambda x, y: x or y, a.infinity or b.infinity)
+    t, span, pa, ra, pb, rb = _aligned(a, b)
+    return _from_bits(pa | pb, t, span, ra | rb, a.infinity or b.infinity)
 
 
 @lru_cache(maxsize=1 << 16)
 def closedset_meet(a: ClosedSetRep, b: ClosedSetRep) -> ClosedSetRep:
     """Intersection; closed sets are stable under arbitrary intersections."""
-    return _pointwise(a, b, lambda x, y: x and y, a.infinity and b.infinity)
+    t, span, pa, ra, pb, rb = _aligned(a, b)
+    return _from_bits(pa & pb, t, span, ra & rb, a.infinity and b.infinity)
 
 
 def closed_set(naturals=(), infinity=False) -> ClosedSetRep:
     """Closed set with a finite natural part."""
-    naturals = frozenset(naturals)
+    naturals = tuple(naturals)
     threshold = max(naturals) + 1 if naturals else 0
-    return ClosedSetRep(naturals, threshold, 1, frozenset(), infinity)
+    return ClosedSetRep(naturals, threshold, 1, (), infinity)
 
 
 def periodic_set(residues, period, *, prefix=(), threshold=0,
                  infinity=True) -> ClosedSetRep:
     """Closed set whose natural part is periodic from ``threshold`` on."""
-    return ClosedSetRep(frozenset(prefix), threshold, period,
-                        frozenset(residues), infinity)
+    return ClosedSetRep(prefix, threshold, period, residues, infinity)
 
 
 EMPTY = closed_set()
@@ -162,57 +272,65 @@ ODDS = periodic_set({1}, 2)
 
 
 def is_empty(rep: ClosedSetRep) -> bool:
-    return not rep.prefix and not rep.residues and not rep.infinity
+    return not rep.prefix_bits and not rep.residue_bits and not rep.infinity
 
 
 def natural_part_is_finite(rep: ClosedSetRep) -> bool:
-    return not rep.residues
+    return not rep.residue_bits
 
 
 def finite_naturals(rep: ClosedSetRep) -> tuple:
     """The natural part as a sorted tuple; only for finite natural parts."""
-    if rep.residues:
+    if rep.residue_bits:
         raise ValidationError("natural part is infinite")
     return tuple(sorted(rep.prefix))
 
 
+def _lowest_bit(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
+
+
 def min_natural(rep: ClosedSetRep):
     """Least natural member, or None when the natural part is empty."""
-    if rep.prefix:
-        return min(rep.prefix)
-    if rep.residues:
-        return rep.threshold + min((r - rep.threshold) % rep.period
-                                   for r in rep.residues)
+    if rep.prefix_bits:
+        return _lowest_bit(rep.prefix_bits)
+    if rep.residue_bits:
+        start = rep.threshold % rep.period
+        later = rep.residue_bits >> start
+        if later:
+            return rep.threshold + _lowest_bit(later)
+        return rep.threshold + rep.period - start + _lowest_bit(
+            rep.residue_bits)
     return None
-
-
-def naturals_up_to(rep: ClosedSetRep, n: int) -> list:
-    return [m for m in range(n + 1) if m in rep]
 
 
 def truncate_naturals(rep: ClosedSetRep, n: int) -> ClosedSetRep:
     """The finite closed set {m in rep ∩ N : m <= n}."""
-    return closed_set(naturals_up_to(rep, n))
+    return _from_bits(_naturals_below(rep, n + 1), 0, 1, 0, False)
 
 
 def natural_closure(rep: ClosedSetRep) -> ClosedSetRep:
     """Closure of the natural part: itself if finite, else with ∞ attached.
 
     This is the supremum of the finite closed subsets of ``rep``'s natural
-    part, i.e. the value of the approximation kernel on ``rep``.
+    part, i.e. the value of the approximation kernel on ``rep``.  For a
+    finite natural part it is that part as a closed set without ∞.
     """
-    return ClosedSetRep(rep.prefix, rep.threshold, rep.period, rep.residues,
-                        bool(rep.residues))
+    infinity = bool(rep.residue_bits)
+    if rep.infinity == infinity:
+        return rep
+    return _from_bits(rep.prefix_bits, rep.threshold, rep.period,
+                      rep.residue_bits, infinity)
 
 
 def format_closed_set(rep: ClosedSetRep) -> str:
-    if not rep.residues:
+    if not rep.residue_bits:
         items = [str(n) for n in sorted(rep.prefix)]
         if rep.infinity:
             items.append("inf")
         return "{" + ",".join(items) + "}"
     body = f"mod {rep.period}: {sorted(rep.residues)} from {rep.threshold}"
-    if rep.prefix:
+    if rep.prefix_bits:
         body += f", prefix {sorted(rep.prefix)}"
     body += ", inf"
     return "{" + body + "}"

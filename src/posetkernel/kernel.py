@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .catalog import ClosedSetsPresentation
-from .closedsets import closed_set
+from .closedsets import closed_set, truncate_naturals
 from .core import (PosetPresentation, SubsetView, check_axiom, default_scope,
                    is_element, sample_pool)
 from .errors import (EmptyFamily, NoInfimumError, NotApproximable, PosetError,
@@ -381,7 +381,7 @@ def _confirm_finite_sublattice(P: ClosedSetsPresentation,
     rng = random.Random(scope.seed)
     count = 0
     for rep in P.sample_elements(rng, scope.count):
-        finite_part = closed_set(sorted(m for m in range(16) if m in rep))
+        finite_part = truncate_naturals(rep, 15)
         if not P.contains(finite_part):
             continue
         if not in_retract(P, finite_part):

@@ -14,18 +14,33 @@ settings.load_profile("ci")
 
 
 @st.composite
-def closed_reps(draw):
-    threshold = draw(st.integers(0, 8))
-    if threshold:
-        prefix = draw(st.frozensets(st.integers(0, threshold - 1),
-                                    max_size=threshold))
+def closed_fields(draw, max_period=6, max_threshold=8, periods=None):
+    """Raw (prefix, threshold, period, residues, infinity) fields of a
+    closed-set literal, not necessarily in canonical form.  ``periods``, when
+    given, is the list the period is drawn from."""
+    threshold = draw(st.integers(0, max_threshold))
+    prefix = _positions(draw(st.integers(0, (1 << threshold) - 1)))
+    if periods is None:
+        period = draw(st.integers(1, max_period))
     else:
-        prefix = frozenset()
-    period = draw(st.integers(1, 6))
-    residues = draw(st.frozensets(st.integers(0, period - 1),
-                                  max_size=period))
+        period = draw(st.sampled_from(periods))
+    residues = _positions(draw(st.integers(0, (1 << period) - 1)))
     infinity = draw(st.booleans()) or bool(residues)
-    return ClosedSetRep(prefix, threshold, period, residues, infinity)
+    return prefix, threshold, period, residues, infinity
+
+
+def _positions(bits):
+    return frozenset(n for n in range(bits.bit_length()) if bits >> n & 1)
+
+
+def closed_reps():
+    return closed_fields().map(lambda fields: ClosedSetRep(*fields))
+
+
+def model_member(fields, n):
+    """Membership of the natural n in the set the raw fields denote."""
+    prefix, threshold, period, residues, _ = fields
+    return n in prefix if n < threshold else n % period in residues
 
 
 def compare_window(*reps):

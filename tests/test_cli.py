@@ -88,6 +88,15 @@ class TestCheckCommand:
         assert "REFUTED" not in out
         assert "[continuous] VERIFIED" in out
 
+    @pytest.mark.parametrize("kind", ["chain_2", "antichain_2"])
+    def test_two_element_kinds_run_every_law(self, kind):
+        """The inf law samples at most as many retract elements as exist."""
+        code, out, err = run_cli(["check", kind, "--law", "all"])
+        assert code == 0
+        assert "] REFUTED" not in out
+        assert "[infima-preservation]" in out
+        assert "Traceback" not in err
+
     def test_closed_sets_continuity_refuted(self):
         code, out, _ = run_cli(["check", "closed_sets", "--law",
                                 "continuity"])
@@ -200,6 +209,31 @@ class TestAnalyzeCommand:
         code, _, err = run_cli(["analyze", "diamond", "kernel",
                                 "--element", "zz"])
         assert code == 65
+
+    @pytest.mark.parametrize("poset, literal", [
+        ("closed_sets", '{"finite": [true]}'),
+        ("closed_sets", '{"finite": [1.5]}'),
+        ("closed_sets", '{"finite": [1], "infinity": 1}'),
+        ("closed_sets", '{"prefix": [1.5], "threshold": 3, "period": 2, '
+                        '"residues": [0], "infinity": true}'),
+        ("closed_sets", '{"prefix": [], "threshold": true, "period": 2, '
+                        '"residues": [0], "infinity": true}'),
+        ("closed_sets", '{"period": 2.0, "residues": [0], "infinity": true}'),
+        ("closed_sets", '{"period": 65537, "residues": [0], '
+                        '"infinity": true}'),
+        ("closed_sets", '{"prefix": [], "threshold": 65537, "period": 1, '
+                        '"residues": [], "infinity": false}'),
+        ("closed_sets", '{"period": 2, "residues": {"0": 1}, '
+                        '"infinity": true}'),
+        ("punctured_closed_sets", '{"finite": [false]}'),
+        ("omega_plus_one", "nat:+4"),
+        ("omega_plus_one", "nat: 4"),
+    ])
+    def test_bool_float_and_oversized_literals_exit_65(self, poset, literal):
+        code, out, err = run_cli(["analyze", poset, "kernel",
+                                  "--element", literal])
+        assert code == 65
+        assert out == "" and err.startswith("input error:")
 
     def test_missing_element_usage(self):
         code, _, _ = run_cli(["analyze", "diamond", "kernel"])

@@ -1,21 +1,26 @@
 """Closed-set representation algebra, checked against plain set arithmetic
 on sound comparison windows."""
 
+import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from posetkernel import ClosedSetRep, closed_set, periodic_set
-from posetkernel.closedsets import (EMPTY, EVENS, FULL, INF_POINT, ODDS,
-                                    closedset_join, closedset_leq,
-                                    closedset_meet, closedset_normalize,
+from posetkernel.closedsets import (EMPTY, EVENS, FULL, INF_POINT,
+                                    MAX_LITERAL, ODDS, closedset_join,
+                                    closedset_leq, closedset_meet,
+                                    closedset_normalize,
                                     finite_naturals, format_closed_set,
                                     is_empty, min_natural, natural_closure,
                                     natural_part_is_finite)
 from posetkernel.errors import ClosednessViolation, ValidationError
 
-from conftest import closed_reps, compare_window
+from conftest import closed_fields, closed_reps, compare_window, model_member
+
+PRIMES = [p for p in range(50, 251)
+          if all(p % d for d in range(2, math.isqrt(p) + 1))]
 
 
 class TestNormalization:
@@ -41,6 +46,43 @@ class TestNormalization:
             ClosedSetRep(frozenset(), 0, 0, frozenset(), False)
         with pytest.raises(ValidationError):
             ClosedSetRep(frozenset(), 0, 2, frozenset({5}), True)
+
+    @pytest.mark.parametrize("fields", [
+        ({True}, 2, 1, (), False),
+        ({1.0}, 2, 1, (), False),
+        ((), 2.0, 1, (), False),
+        ((), True, 1, (), False),
+        ((), 0, True, (0,), True),
+        ((), 0, 2, (1.0,), True),
+        ((), 0, MAX_LITERAL + 1, (0,), True),
+        ((), MAX_LITERAL + 1, 1, (), False),
+    ])
+    def test_strict_integers_and_literal_caps(self, fields):
+        with pytest.raises(ValidationError):
+            ClosedSetRep(*fields)
+
+    def test_literal_caps_are_inclusive(self):
+        rep = ClosedSetRep((), MAX_LITERAL, MAX_LITERAL, (1,), True)
+        assert rep.period == MAX_LITERAL and rep.threshold == 2
+
+    @given(closed_fields(max_period=64, max_threshold=40), st.integers(1, 4),
+           st.integers(0, 20))
+    def test_equal_denotations_give_equal_reps(self, fields, factor, extra):
+        """Spelling the same set with a multiple of the period and a later
+        threshold gives an equal rep with an equal hash and equal state."""
+        rep = ClosedSetRep(*fields)
+        _, threshold, period, residues, infinity = fields
+        longer = period * factor
+        later = threshold + extra
+        other = ClosedSetRep(
+            [n for n in range(later) if model_member(fields, n)], later,
+            longer, [r for r in range(longer) if r % period in residues],
+            infinity)
+        assert other == rep and hash(other) == hash(rep)
+        assert (other.prefix_bits, other.threshold, other.period,
+                other.residue_bits, other.infinity) == \
+            (rep.prefix_bits, rep.threshold, rep.period, rep.residue_bits,
+             rep.infinity)
 
     def test_threshold_absorbed_into_tail(self):
         rep = ClosedSetRep(frozenset({0}), 1, 1, frozenset({0}), True)
@@ -126,6 +168,76 @@ class TestAlgebra:
             assert closedset_join(a, closedset_meet(a, b)) == a
             assert closedset_meet(a, closedset_join(a, b)) == a
             assert closedset_leq(a, b) == (closedset_join(a, b) == b)
+
+
+def _assert_canonical(rep):
+    """Minimal period, then minimal threshold, checked by brute force."""
+    prefix, residues = rep.prefix, rep.residues
+    assert all(n < rep.threshold for n in prefix)
+    if not residues:
+        assert rep.period == 1
+        assert rep.threshold == (max(prefix) + 1 if prefix else 0)
+        return
+    assert all(r < rep.period for r in residues) and rep.infinity
+    for d in range(1, rep.period):
+        if rep.period % d == 0:
+            assert any((r in residues) != ((r + d) % rep.period in residues)
+                       for r in range(rep.period))
+    if rep.threshold:
+        n = rep.threshold - 1
+        assert (n in prefix) != (n % rep.period in residues)
+
+
+def _check_against_model(fa, fb):
+    """Bitset results against pointwise membership of the raw literals."""
+    a, b = ClosedSetRep(*fa), ClosedSetRep(*fb)
+    join, meet = closedset_join(a, b), closedset_meet(a, b)
+    for rep in (a, b, join, meet):
+        _assert_canonical(rep)
+    assert (a.infinity, b.infinity) == (fa[4], fb[4])
+    assert join.infinity == (fa[4] or fb[4])
+    assert meet.infinity == (fa[4] and fb[4])
+    included = not fa[4] or fb[4]
+    for n in range(compare_window(a, b, join, meet)):
+        in_a, in_b = model_member(fa, n), model_member(fb, n)
+        assert (n in a) == in_a and (n in b) == in_b
+        assert (n in join) == (in_a or in_b)
+        assert (n in meet) == (in_a and in_b)
+        included = included and (in_b or not in_a)
+    assert closedset_leq(a, b) == included
+
+
+class TestBitsetDifferential:
+    @given(closed_fields(max_period=64, max_threshold=40),
+           closed_fields(max_period=64, max_threshold=40))
+    def test_periods_up_to_64(self, fa, fb):
+        _check_against_model(fa, fb)
+
+    @settings(max_examples=12, deadline=None)
+    @given(closed_fields(max_threshold=20, periods=PRIMES),
+           closed_fields(max_threshold=20, periods=PRIMES))
+    def test_prime_periods_50_to_250(self, fa, fb):
+        _check_against_model(fa, fb)
+
+    def test_large_coprime_join(self):
+        """Periods 9973 and 9967: the join has the product as its period
+        and the members the two literals give it."""
+        a = periodic_set({0, 5}, 9973, prefix={1}, threshold=3)
+        b = periodic_set({1}, 9967)
+        join = closedset_join(a, b)
+        assert join.period == 9973 * 9967 and join.infinity
+        rng = random.Random(7)
+        points = list(range(40)) + [rng.randrange(3 * join.period)
+                                    for _ in range(300)]
+        for n in points:
+            in_a = n == 1 if n < 3 else n % 9973 in (0, 5)
+            assert (n in join) == (in_a or n % 9967 == 1)
+
+    def test_window_cap(self):
+        a, b = periodic_set({0}, 65521), periodic_set({0}, 65519)
+        for op in (closedset_join, closedset_meet, closedset_leq):
+            with pytest.raises(ValidationError):
+                op(a, b)
 
 
 class TestHelpers:
