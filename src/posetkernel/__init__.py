@@ -26,8 +26,9 @@ from .families import ChainFamily, ExplicitFamily
 from .kernel import (KernelMap, QuotientStructure, RetractView,
                      adversarial_kernel, approximable_view, canonical_kernel,
                      check_approximation_laws, check_inf_preservation,
-                     check_kernel_laws, check_largest_retract,
-                     check_scott_continuity, check_waybelow_kernel_equivalence,
+                     check_inf_preservation_sampled, check_kernel_laws,
+                     check_largest_retract, check_scott_continuity,
+                     check_waybelow_kernel_equivalence,
                      in_retract, is_approximable, kernel_of,
                      quotient_structure, retract_view)
 from .oracle import (TruncatedPoset, as_finite_poset, bank_refute_waybelow,

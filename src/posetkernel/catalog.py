@@ -210,12 +210,7 @@ class ClosedSetsPresentation(PosetPresentation):
         return acc
 
     def lower_bound_exists(self, xs):
-        if not self.punctured:
-            return True
-        acc = xs[0]
-        for x in xs[1:]:
-            acc = closedset_meet(acc, x)
-        return not is_empty(acc)
+        return self.finite_inf(xs) is not NO_INFIMUM
 
     def waybelow(self, x, y) -> bool:
         if self.punctured and is_empty(x):
@@ -454,32 +449,20 @@ class LiftPresentation(PosetPresentation):
         if isinstance(fam, ExplicitFamily):
             return ExplicitFamily((BOTTOM,) + tuple(Inner(m) for m in fam.members),
                                   Inner(fam.supremum), label=fam.label)
-        return self._lift_chain(fam)
+        return self._lift_family(fam)
 
     @staticmethod
-    def _lift_chain(fam: ChainFamily) -> ChainFamily:
-        inner_dom = fam.member_dominates
-
-        def dominates(x):
-            if x is BOTTOM:
-                return True
-            return inner_dom(x.value)
-
-        return map_family(
-            fam, Inner,
-            dominates=dominates if inner_dom is not None else None,
-            image_sup=(Inner(fam.kernel_image_sup)
-                       if fam.kernel_image_sup is not None else None))
+    def _lift_family(fam, label=None):
+        return map_family(fam, Inner, label=label,
+                          dominates=lambda x, inner: (x is BOTTOM
+                                                      or inner(x.value)))
 
     def family_bank(self):
         bank = [ExplicitFamily((BOTTOM,), BOTTOM, label="bottom-singleton")]
         for fam in self.inner.family_bank():
-            if isinstance(fam, ExplicitFamily):
-                bank.append(ExplicitFamily(
-                    tuple(Inner(m) for m in fam.members),
-                    Inner(fam.supremum), label=f"lifted:{fam.label}"))
-            else:
-                bank.append(self._lift_chain(fam))
+            explicit = isinstance(fam, ExplicitFamily)
+            bank.append(self._lift_family(
+                fam, label=f"lifted:{fam.label}" if explicit else None))
         anchors = self.inner.interesting_elements()
         if anchors:
             bank.append(ExplicitFamily((BOTTOM, Inner(anchors[0])),
@@ -544,6 +527,11 @@ class DisjointSumPresentation(PosetPresentation):
             self.certified_continuous = True
         else:
             self.certified_continuous = None
+
+    @property
+    def bank_is_exhaustive(self):
+        # Directed sets live inside one component.
+        return self.left.bank_is_exhaustive and self.right.bank_is_exhaustive
 
     def _side(self, x):
         if isinstance(x, Left):
@@ -612,19 +600,9 @@ class DisjointSumPresentation(PosetPresentation):
 
     @staticmethod
     def _wrap_family(fam, wrap):
-        if isinstance(fam, ExplicitFamily):
-            return ExplicitFamily(tuple(wrap(m) for m in fam.members),
-                                  wrap(fam.supremum), label=fam.label)
-        inner_dom = fam.member_dominates
-
-        def dominates(x):
-            return isinstance(x, wrap) and inner_dom(x.value)
-
-        return map_family(
-            fam, wrap,
-            dominates=dominates if inner_dom is not None else None,
-            image_sup=(wrap(fam.kernel_image_sup)
-                       if fam.kernel_image_sup is not None else None))
+        return map_family(fam, wrap,
+                          dominates=lambda x, inner: (isinstance(x, wrap)
+                                                      and inner(x.value)))
 
     def family_bank(self):
         bank = [self._wrap_family(f, Left) for f in self.left.family_bank()]

@@ -13,8 +13,11 @@ sets as {"finite": [...], "infinity": bool} or the full
 prefix/threshold/period/residues/infinity form.  Lift elements are
 "bottom" / {"inner": LIT}; sum elements {"left": LIT} / {"right": LIT}.
 
+Law names for --law are the keys of kernel.LAWS, in the order of --law all.
+
 Exit codes: 0 no refutation, 1 some law refuted, 2 only sampling-grade
-outcomes and --strict was given, 64 usage error, 65 parse/validation error.
+outcomes and --strict was given, 64 usage error, 65 parse/validation error,
+70 internal error (an unexpected exception, reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -28,26 +31,22 @@ from dataclasses import dataclass
 from . import catalog as cat
 from .catalog import (CatalogSpec, ClosedSetsPresentation, make_catalog,
                       named_finite_poset)
-from .closedsets import EVENS, ODDS
-from .core import PosetPresentation, check_axiom
-from .errors import (NoInfimumError, NotApproximable, ParseError, PosetError,
+from .core import PosetPresentation
+from .errors import (NotApproximable, ParseError, PosetError,
                      PreconditionUnverified, ScopeUnsupported, SizeLimit,
                      UnknownName, ValidationError)
-from .kernel import (check_approximation_laws, check_inf_preservation,
-                     check_kernel_laws, check_largest_retract,
-                     check_scott_continuity,
-                     check_waybelow_kernel_equivalence, in_retract,
-                     is_approximable, kernel_of, quotient_structure,
-                     retract_view)
+from .kernel import (LAWS, in_retract, is_approximable, kernel_of,
+                     quotient_structure, retract_view)
 from .oracle import as_finite_poset, truncate
 from .reports import (DEFAULT_PAIR_SAMPLES, DEFAULT_SEED, CheckReport, Status,
-                      combine, sampled, unrefuted)
+                      sampled)
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_STRICT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_PARSE = 65
+EXIT_SOFTWARE = 70
 
 
 class UsageError(Exception):
@@ -185,77 +184,13 @@ def parse_element_arg(P: PosetPresentation, text: str):
 # Law registry
 
 
-LAW_ORDER = ("cc", "interpolation", "continuity", "subposet", "kernel",
-             "scott", "eq", "largest-retract", "laws", "inf")
-
-
 def run_law(P: PosetPresentation, law: str, scope) -> CheckReport:
-    if law == "cc":
-        return check_axiom(P, "conditionally_complete", scope)
-    if law == "interpolation":
-        return check_axiom(P, "interpolating", scope)
-    if law == "continuity":
-        return check_axiom(P, "continuous", scope)
-    if law == "subposet":
-        return check_axiom(P, "subposet", scope, view=retract_view(P))
-    if law == "kernel":
-        return check_kernel_laws(P, scope)
-    if law == "scott":
-        return check_scott_continuity(P)
-    if law == "eq":
-        return check_waybelow_kernel_equivalence(P, scope)
-    if law == "largest-retract":
-        return check_largest_retract(P, scope)
-    if law == "laws":
-        return check_approximation_laws(P, scope)
-    if law == "inf":
-        return _run_inf_law(P, scope)
-    raise UsageError(f"unknown law {law!r} (choose from "
-                     f"{', '.join(LAW_ORDER)} or all)")
-
-
-def _run_inf_law(P: PosetPresentation, scope) -> CheckReport:
-    """Kernel-of-infimum instances: the canned evens/odds pair on the full
-    closed-set lattice, then sampled retract subsets."""
-    import random
-
-    law = "infima-preservation"
-    instances = []
-    if isinstance(P, ClosedSetsPresentation) and not P.punctured:
-        instances.append((EVENS, ODDS))
-    rng = random.Random(scope.seed if scope else DEFAULT_SEED)
-    pool = [x for x in _pool(P, rng, 200) if in_retract(P, x)]
-    want = 50 if scope is None else max(10, scope.count // 10)
-    attempts = 0
-    while len(instances) < want and attempts < want * 8 and len(pool) >= 2:
-        attempts += 1
-        instances.append(tuple(rng.sample(pool,
-                                          rng.randint(2, min(3, len(pool))))))
-    parts = []
-    skipped = 0
-    for inst in instances:
-        try:
-            parts.append(check_inf_preservation(P, inst, scope))
-        except NoInfimumError:
-            skipped += 1
-    if not parts:
-        return unrefuted(law, 0, scope or sampled(),
-                         reason=f"no instances with approximable infima "
-                                f"({skipped} skipped)")
-    report = combine(law, parts, scope or sampled())
-    report.law = law
-    if report.status is not Status.REFUTED:
-        report.subreports = []
-        report.reason = (f"{len(parts)} retract subsets checked"
-                         + (f", {skipped} without an approximable infimum"
-                            if skipped else ""))
-    return report
-
-
-def _pool(P, rng, count):
-    from .core import sample_pool
-
-    return sample_pool(P, rng, count)
+    try:
+        check = LAWS[law]
+    except KeyError:
+        raise UsageError(f"unknown law {law!r} (choose from "
+                         f"{', '.join(LAWS)} or all)") from None
+    return check(P, scope)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +239,7 @@ def _print_report(report: CheckReport, render) -> None:
 
 def cmd_check(args) -> int:
     _, P = load_poset(args.poset)
-    laws = list(LAW_ORDER) if args.law == "all" else [args.law]
+    laws = list(LAWS) if args.law == "all" else [args.law]
     scope = sampled(args.seed, args.samples)
     reports = []
     for law in laws:
@@ -403,6 +338,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_at_least(low):
+    """An argparse type: a decimal integer no smaller than ``low``."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="posetkernel",
                      description="Law checks, kernels, and retracts on "
@@ -412,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run law checks")
     check.add_argument("poset", help="JSON file or catalog name")
     check.add_argument("--law", default="all")
-    check.add_argument("--samples", type=int, default=DEFAULT_PAIR_SAMPLES)
+    check.add_argument("--samples", type=_int_at_least(1),
+                       default=DEFAULT_PAIR_SAMPLES)
     check.add_argument("--seed", type=lambda s: int(s, 0),
                        default=DEFAULT_SEED)
     check.add_argument("--strict", action="store_true")
@@ -429,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     dot = sub.add_parser("export-dot", help="Hasse diagram as DOT text")
     dot.add_argument("poset")
     dot.add_argument("--waybelow", action="store_true")
-    dot.add_argument("--truncate", type=int, default=None)
+    dot.add_argument("--truncate", type=_int_at_least(0), default=None)
     dot.add_argument("--out", default=None)
     dot.set_defaults(func=cmd_export_dot)
 
@@ -459,6 +412,10 @@ def main(argv=None) -> int:
     except PosetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except Exception as exc:
+        message = f"{type(exc).__name__}: {exc}".replace("\n", " ")
+        print(f"internal error: {message}", file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 def console_entry() -> None:

@@ -26,7 +26,9 @@ from .reports import (EXHAUSTIVE, CheckReport, Scope, refuted, sampled,
 # Outcome sentinels for partial suprema / infima
 
 
-class _Outcome:
+class _Named:
+    """A sentinel compared by identity and printed as its name."""
+
     __slots__ = ("_name",)
 
     def __init__(self, name):
@@ -34,6 +36,12 @@ class _Outcome:
 
     def __repr__(self):
         return self._name
+
+
+class _Outcome(_Named):
+    """A partial supremum / infimum that is not an element."""
+
+    __slots__ = ()
 
 
 NO_SUPREMUM = _Outcome("NoSupremum")
@@ -49,41 +57,8 @@ def is_element(value) -> bool:
 # ---------------------------------------------------------------------------
 # Element payloads for the symbolic kinds
 
-
-class _Top:
-    """The point ω above all naturals in the ω+1 chain."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "omega"
-
-
-OMEGA = _Top()
-
-
-class _LiftBottom:
-    """The fresh least element added by the lift combinator."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "bottom"
-
-
-BOTTOM = _LiftBottom()
+OMEGA = _Named("omega")  # the point above all naturals in the ω+1 chain
+BOTTOM = _Named("bottom")  # the fresh least element added by the lift
 
 
 @dataclass(frozen=True)
@@ -112,6 +87,13 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _mask(indices) -> int:
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
 
 
 class FinitePoset:
@@ -248,6 +230,19 @@ def build_finite_poset(names, covers) -> FinitePoset:
     return FinitePoset(names, up)
 
 
+def induced_finite_poset(P, elems) -> FinitePoset:
+    """The order of P restricted to ``elems``, as a FinitePoset whose index
+    i is ``elems[i]`` and whose labels are the formatted elements."""
+    up = []
+    for x in elems:
+        row = 0
+        for j, y in enumerate(elems):
+            if P.leq(x, y):
+                row |= 1 << j
+        up.append(row)
+    return FinitePoset([P.format_element(e) for e in elems], up)
+
+
 # ---------------------------------------------------------------------------
 # Presentation interface
 
@@ -267,6 +262,9 @@ class PosetPresentation:
     certified_conditionally_complete = False
     certified_interpolating = False
     certified_continuous = None  # True, False, or None when unknown
+    # Whether family_bank() holds every directed subset, so that a law
+    # scanning the bank may report Verified.
+    bank_is_exhaustive = False
 
     # -- carrier -------------------------------------------------------
 
@@ -376,18 +374,12 @@ class FinitePosetPresentation(PosetPresentation):
     def leq(self, x, y) -> bool:
         return self.poset.leq(x, y)
 
-    def _mask(self, xs) -> int:
-        mask = 0
-        for x in xs:
-            mask |= 1 << x
-        return mask
-
     def finite_sup(self, xs):
-        u = self.poset.lub_of_mask(self._mask(xs))
+        u = self.poset.lub_of_mask(_mask(xs))
         return NO_SUPREMUM if u is None else u
 
     def finite_inf(self, xs):
-        v = self.poset.glb_of_mask(self._mask(xs))
+        v = self.poset.glb_of_mask(_mask(xs))
         return NO_INFIMUM if v is None else v
 
     def lower_bound_exists(self, xs):
@@ -404,18 +396,17 @@ class FinitePosetPresentation(PosetPresentation):
         return ExplicitFamily(members, x,
                               label=f"down-set({self.poset.names[x]})")
 
+    @property
+    def bank_is_exhaustive(self):
+        return len(self._bank) == len(self.poset.directed_subset_masks)
+
     @cached_property
     def _bank(self):
-        n = self.poset.n
-        if n <= 10:
-            masks = self.poset.directed_subset_masks
-        else:
-            rng = random.Random(0xD1CE)
-            seen = {}
-            for mask, top in self.poset.directed_subset_masks:
-                seen[mask] = top
-            picks = rng.sample(sorted(seen), min(len(seen), 2048))
-            masks = [(m, seen[m]) for m in picks]
+        """Every directed subset; above 10 elements a fixed random sample of
+        at most 2048 of them."""
+        masks = self.poset.directed_subset_masks
+        if self.poset.n > 10:
+            masks = random.Random(0xD1CE).sample(masks, min(len(masks), 2048))
         return [ExplicitFamily(tuple(_bits(mask)), top)
                 for mask, top in masks]
 
@@ -524,6 +515,11 @@ class SubsetView(PosetPresentation):
             return ExplicitFamily(members, fam.supremum, label=fam.label)
         return fam
 
+    @property
+    def bank_is_exhaustive(self):
+        # A directed subset inside the subset keeps its supremum there.
+        return self.parent.bank_is_exhaustive
+
     def family_bank(self):
         kept = []
         for fam in self.parent.family_bank():
@@ -619,12 +615,6 @@ def is_approximable(P: PosetPresentation, x) -> bool:
     return P.waybelow_family(x) is not None
 
 
-def approximants_family(P: PosetPresentation, x):
-    """The kind's cofinal directed family inside the approximants of x."""
-    P.require(x)
-    return P.waybelow_family(x)
-
-
 def family_dominates(P: PosetPresentation, fam, x):
     """Does some member of the family dominate x?  True / False / None.
 
@@ -648,17 +638,6 @@ def family_dominates(P: PosetPresentation, fam, x):
 # ---------------------------------------------------------------------------
 # Axiom checks
 
-LAW_ALIASES = {
-    "cc": "conditionally_complete",
-    "conditionally_complete": "conditionally_complete",
-    "interpolation": "interpolating",
-    "interpolating": "interpolating",
-    "continuity": "continuous",
-    "continuous": "continuous",
-    "subposet": "subposet",
-}
-
-
 def sample_pool(P: PosetPresentation, rng, count) -> list:
     """Deterministic element pool: the kind's interesting elements first,
     then random samples, de-duplicated."""
@@ -669,37 +648,6 @@ def sample_pool(P: PosetPresentation, rng, count) -> list:
 
 def default_scope(P: PosetPresentation) -> Scope:
     return EXHAUSTIVE if P.is_finite_kind else sampled()
-
-
-def check_axiom(P: PosetPresentation, law: str, scope: Scope | None = None,
-                view: PosetPresentation | None = None) -> CheckReport:
-    """Check one of the order axioms on the presentation.
-
-    ``law`` is one of conditionally_complete, interpolating, continuous, or
-    subposet (the latter needs ``view``, the subset whose way-below must
-    agree with the ambient one).
-    """
-    try:
-        law = LAW_ALIASES[law]
-    except KeyError:
-        raise ValidationError(f"unknown law {law!r}") from None
-    if scope is None:
-        scope = default_scope(P)
-    if scope.kind == "exhaustive" and not P.is_finite_kind:
-        raise ScopeUnsupported("exhaustive scope needs a finite carrier")
-    if law == "conditionally_complete":
-        return (_cc_exhaustive(P, scope) if scope.kind == "exhaustive"
-                else _cc_sampled(P, scope))
-    if law == "interpolating":
-        return (_interp_exhaustive(P, scope) if scope.kind == "exhaustive"
-                else _interp_sampled(P, scope))
-    if law == "continuous":
-        return (_cont_exhaustive(P, scope) if scope.kind == "exhaustive"
-                else _cont_sampled(P, scope))
-    if view is None:
-        raise ScopeUnsupported("the subposet law needs the subset view")
-    return (_subposet_exhaustive(P, scope, view) if scope.kind == "exhaustive"
-            else _subposet_sampled(P, scope, view))
 
 
 def _cc_exhaustive(P, scope):
@@ -850,15 +798,7 @@ def _subposet_exhaustive(P, scope, view):
 
     law = "subposet"
     elems = view.elements()
-    names = [P.format_element(e) for e in elems]
-    up = []
-    for x in elems:
-        row = 0
-        for j, y in enumerate(elems):
-            if P.leq(x, y):
-                row |= 1 << j
-        up.append(row)
-    induced = FinitePoset(names, up)
+    induced = induced_finite_poset(P, elems)
     for i, x in enumerate(elems):
         for j, y in enumerate(elems):
             inside = waybelow_bruteforce(induced, i, j)
@@ -897,3 +837,47 @@ def _subposet_sampled(P, scope, view):
             if ambient:
                 confirmed += 1
     return unrefuted(law, confirmed, scope)
+
+
+def _axiom(law, exhaustive, sampled_check):
+    """The checker ``(P, scope=None, *args)`` of one order axiom: the
+    exhaustive variant under an exhaustive scope (the default on finite
+    carriers), the sampled one otherwise.  ``law`` is the name its reports
+    carry; the subposet law takes one argument, the subset view."""
+
+    def check(P, scope=None, *args):
+        if scope is None:
+            scope = default_scope(P)
+        if scope.kind != "exhaustive":
+            return sampled_check(P, scope, *args)
+        if not P.is_finite_kind:
+            raise ScopeUnsupported("exhaustive scope needs a finite carrier")
+        return exhaustive(P, scope, *args)
+
+    check.law = law
+    return check
+
+
+check_conditionally_complete = _axiom("conditionally_complete",
+                                      _cc_exhaustive, _cc_sampled)
+check_interpolation = _axiom("interpolating", _interp_exhaustive,
+                             _interp_sampled)
+check_continuity = _axiom("continuous", _cont_exhaustive, _cont_sampled)
+check_subposet = _axiom("subposet", _subposet_exhaustive, _subposet_sampled)
+
+
+def check_axiom(P: PosetPresentation, law: str, scope: Scope | None = None,
+                view: PosetPresentation | None = None) -> CheckReport:
+    """Check one order axiom, named by its ``kernel.LAWS`` key (cc,
+    interpolation, continuity, subposet) or by the name its reports carry
+    (conditionally_complete, interpolating, continuous).  The subposet law
+    needs ``view``, the subset whose way-below must agree with the ambient
+    one.
+    """
+    from .kernel import LAWS  # cycle: kernel builds on core
+
+    for check in (check_conditionally_complete, check_interpolation,
+                  check_continuity, check_subposet):
+        if law == check.law or LAWS.get(law) is check:
+            return check(P, scope, *(() if view is None else (view,)))
+    raise ValidationError(f"unknown law {law!r}")

@@ -42,10 +42,6 @@ class ExplicitFamily:
     def sample_members(self, count=None):
         return list(self.members)
 
-    @property
-    def is_chain(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True, eq=False)
 class ChainFamily:
@@ -66,32 +62,32 @@ class ChainFamily:
             self._cache[key] = [self.generator(i) for i in range(count)]
         return self._cache[key]
 
-    @property
-    def is_chain(self) -> bool:
-        return True
-
 
 Family = ExplicitFamily | ChainFamily
 
 
-def map_family(fam: Family, wrap, wrap_sup=None, *,
-               dominates=None, image_sup=None, label=None) -> Family:
-    """Wrap every member (and the supremum) of a family through ``wrap``.
+def map_family(fam: Family, wrap, *, dominates, label=None) -> Family:
+    """Wrap every member, the supremum and (for a chain) the kernel-image
+    supremum of a family through ``wrap``.
 
-    Used by the lift and disjoint-sum combinators to re-export the banks of
-    their components.  ``dominates`` replaces the domination certificate of a
-    chain; it must be phrased against wrapped elements.
+    Used by the lift and disjoint-sum combinators to re-export the families
+    of their components.  ``dominates(x, inner)`` is the chain's domination
+    certificate phrased against wrapped elements, given the certificate
+    ``inner`` of the component chain; the wrapped chain has none when the
+    component chain has none.
     """
-    wrap_sup = wrap_sup or wrap
+    label = label or fam.label
     if isinstance(fam, ExplicitFamily):
         return ExplicitFamily(tuple(wrap(m) for m in fam.members),
-                              wrap_sup(fam.supremum),
-                              label=label or fam.label)
+                              wrap(fam.supremum), label=label)
+    inner = fam.member_dominates
     return ChainFamily(
         generator=lambda i, _g=fam.generator: wrap(_g(i)),
-        supremum=wrap_sup(fam.supremum),
+        supremum=wrap(fam.supremum),
         horizon=fam.horizon,
-        label=label or fam.label,
-        member_dominates=dominates,
-        kernel_image_sup=image_sup,
+        label=label,
+        member_dominates=(None if inner is None
+                          else lambda x: dominates(x, inner)),
+        kernel_image_sup=(None if fam.kernel_image_sup is None
+                          else wrap(fam.kernel_image_sup)),
     )

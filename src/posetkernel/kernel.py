@@ -8,7 +8,7 @@ with equal kernel values yields a quotient order-isomorphic to that retract.
 Each of those claims has a checker here; on finite carriers the checks are
 exhaustive, on symbolic carriers they sample and scan the family bank and
 report honestly (Unrefuted, never Verified, unless a certified closed form
-stands behind the claim).
+stands behind the claim).  ``LAWS`` maps each ``--law`` name to its checker.
 """
 
 from __future__ import annotations
@@ -18,9 +18,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .catalog import ClosedSetsPresentation
-from .closedsets import closed_set, truncate_naturals
-from .core import (PosetPresentation, SubsetView, check_axiom, default_scope,
-                   is_element, sample_pool)
+from .closedsets import EVENS, ODDS, closed_set, truncate_naturals
+from .core import (PosetPresentation, SubsetView, check_conditionally_complete,
+                   check_continuity, check_interpolation, check_subposet,
+                   _mask, default_scope, is_approximable, is_element,
+                   sample_pool)
 from .errors import (EmptyFamily, NoInfimumError, NotApproximable, PosetError,
                      PreconditionUnverified, ScopeUnsupported)
 from .families import ExplicitFamily
@@ -44,11 +46,6 @@ def kernel_of(P: PosetPresentation, x):
         raise PosetError("approximant family supremum fails to deflate; "
                          "the catalog entry is corrupt")
     return value
-
-
-def is_approximable(P: PosetPresentation, x) -> bool:
-    P.require(x)
-    return P.waybelow_family(x) is not None
 
 
 def in_retract(P: PosetPresentation, x) -> bool:
@@ -137,7 +134,7 @@ def retract_view(P: PosetPresentation) -> RetractView:
     if P.certified_conditionally_complete and P.certified_interpolating:
         return RetractView(P)
     if P.is_finite_kind:
-        report = check_axiom(P, "interpolating", EXHAUSTIVE)
+        report = check_interpolation(P, EXHAUSTIVE)
         if report.status is not Status.VERIFIED:
             raise PreconditionUnverified(
                 f"{P.name} failed exhaustive interpolation: {report.reason}")
@@ -207,17 +204,14 @@ def check_kernel_laws(P: PosetPresentation, scope: Scope | None = None,
     return unrefuted(law, total, scope)
 
 
-def check_scott_continuity(P: PosetPresentation,
-                           bank: list | None = None) -> CheckReport:
+def check_scott_continuity(P: PosetPresentation) -> CheckReport:
     """k(sup D) against sup k(D) for every bank family inside the
     approximable part; the image supremum is asserted to lie in the
-    retract."""
+    retract.  Verified only when the bank holds every directed subset."""
     law = "scott-continuity"
-    if bank is None:
-        bank = P.family_bank()
     checked = 0
     partial = 0
-    for fam in bank:
+    for fam in P.family_bank():
         members = fam.sample_members()
         if not all(P.waybelow_family(m) is not None for m in members):
             continue
@@ -266,10 +260,7 @@ def check_scott_continuity(P: PosetPresentation,
                 checked += 1
             else:
                 partial += 1
-    total = checked + partial
-    if P.is_finite_kind:
-        return verified(law, BANK, samples=total)
-    return unrefuted(law, total, BANK)
+    return _finish(law, P.bank_is_exhaustive, checked + partial, BANK)
 
 
 def check_waybelow_kernel_equivalence(P: PosetPresentation,
@@ -322,7 +313,7 @@ def check_largest_retract(P: PosetPresentation,
         retract = frozenset(i for i, e in enumerate(elems)
                             if in_retract(P, e))
         for mask in continuous_subposets_bruteforce(fp):
-            if mask & ~_mask_of(retract):
+            if mask & ~_mask(retract):
                 outside = [elems[i] for i in range(fp.n)
                            if (mask >> i) & 1 and i not in retract]
                 return refuted(law, tuple(outside),
@@ -341,13 +332,6 @@ def check_largest_retract(P: PosetPresentation,
     else:
         subs.append(_confirm_retract_continuity(P, scope))
     return combine(law, subs, scope)
-
-
-def _mask_of(indices) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
 
 
 def _refute_inf_candidate(P: ClosedSetsPresentation) -> CheckReport:
@@ -420,7 +404,6 @@ class QuotientStructure:
     presentation: PosetPresentation
     sample: tuple
     classes: tuple
-    representatives: tuple
     kernel_values: tuple
 
     def class_index_of(self, x) -> int:
@@ -462,8 +445,7 @@ def quotient_structure(P: PosetPresentation, sample) -> QuotientStructure:
             if P.leq(a, b) and P.leq(b, a):
                 raise PosetError("transported order fails antisymmetry on "
                                  "distinct classes")
-    return QuotientStructure(P, sample, classes,
-                             tuple(cls[0] for cls in classes), values)
+    return QuotientStructure(P, sample, classes, values)
 
 
 # ---------------------------------------------------------------------------
@@ -515,13 +497,53 @@ def check_inf_preservation(P: PosetPresentation, A,
     return unrefuted(law, len(pool), scope)
 
 
+def check_inf_preservation_sampled(P: PosetPresentation,
+                                   scope: Scope | None = None) -> CheckReport:
+    """check_inf_preservation over sampled retract subsets of two or three
+    elements, after the evens/odds pair on the full closed-set lattice.
+
+    Each instance is decided within ``scope`` (exhaustively on finite
+    carriers when it is None), but the instances are a sample, so a clean
+    run is Unrefuted, never Verified.
+    """
+    law = "infima-preservation"
+    outer = scope or sampled()
+    instances = []
+    if isinstance(P, ClosedSetsPresentation) and not P.punctured:
+        instances.append((EVENS, ODDS))
+    rng = random.Random(outer.seed)
+    pool = [x for x in sample_pool(P, rng, 200) if in_retract(P, x)]
+    want = max(10, outer.count // 10)
+    while len(instances) < want and len(pool) >= 2:
+        size = rng.randint(2, min(3, len(pool)))
+        instances.append(tuple(rng.sample(pool, size)))
+    parts = []
+    skipped = 0
+    for inst in instances:
+        try:
+            parts.append(check_inf_preservation(P, inst, scope))
+        except NoInfimumError:
+            skipped += 1
+    if not parts:
+        return unrefuted(law, 0, outer,
+                         reason=f"no instances with approximable infima "
+                                f"({skipped} skipped)")
+    report = combine(law, parts, outer)
+    if report.status is not Status.REFUTED:
+        report.status = Status.UNREFUTED
+        report.subreports = []
+        report.reason = (f"{len(parts)} retract subsets checked"
+                         + (f", {skipped} without an approximable infimum"
+                            if skipped else ""))
+    return report
+
+
 # ---------------------------------------------------------------------------
 # Structure laws of the approximable part
 
 
 def check_approximation_laws(P: PosetPresentation,
-                             scope: Scope | None = None,
-                             bank: list | None = None) -> CheckReport:
+                             scope: Scope | None = None) -> CheckReport:
     """The structure laws of the approximable part, one sub-report each:
 
     directed-restriction
@@ -536,19 +558,22 @@ def check_approximation_laws(P: PosetPresentation,
         way-below of the approximable part agrees with the ambient one;
     retract-approximation
         every retract element has an approximant inside the retract.
+
+    The first two scan the family bank and are Verified only when it holds
+    every directed subset; the last two exhaust finite carriers.
     """
     if scope is None:
-        scope = default_scope(P) if P.is_finite_kind else sampled()
+        scope = default_scope(P)
     rng = random.Random(scope.seed)
     pool = sample_pool(P, rng, scope.count)
     approx_pool = [x for x in pool if P.waybelow_family(x) is not None]
-    if bank is None:
-        bank = P.family_bank()
+    bank = P.family_bank()
     complete = P.is_finite_kind
 
     subs = [
-        _law_directed_restriction(P, bank, scope, complete),
-        _law_restriction_nonempty(P, bank, approx_pool, scope, complete),
+        _law_directed_restriction(P, bank, scope, P.bank_is_exhaustive),
+        _law_restriction_nonempty(P, bank, approx_pool, scope,
+                                  P.bank_is_exhaustive),
         _law_double_approximation(P, approx_pool, scope, complete),
         _law_retract_approximation(P, pool, scope, complete),
     ]
@@ -625,8 +650,7 @@ def _law_double_approximation(P, approx_pool, scope, complete):
         count += 1
     if not complete:
         view_scope = sampled(scope.seed, max(scope.count // 4, 32))
-        agreement = check_axiom(P, "subposet", view_scope,
-                                view=approximable_view(P))
+        agreement = check_subposet(P, view_scope, approximable_view(P))
         if agreement.status is Status.REFUTED:
             return refuted(law, agreement.witness,
                            f"approximable-part way-below disagrees: "
@@ -649,3 +673,22 @@ def _law_retract_approximation(P, pool, scope, complete):
                            scope)
         count += 1
     return _finish(law, complete, count, scope)
+
+
+# ---------------------------------------------------------------------------
+# The law table
+
+LAWS = {
+    "cc": check_conditionally_complete,
+    "interpolation": check_interpolation,
+    "continuity": check_continuity,
+    "subposet": lambda P, scope: check_subposet(P, scope, retract_view(P)),
+    "kernel": check_kernel_laws,
+    "scott": lambda P, scope: check_scott_continuity(P),
+    "eq": check_waybelow_kernel_equivalence,
+    "largest-retract": check_largest_retract,
+    "laws": check_approximation_laws,
+    "inf": check_inf_preservation_sampled,
+}
+"""Every law checker ``(P, scope)`` by its ``--law`` name, in the order of
+``--law all``."""

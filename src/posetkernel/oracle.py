@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (OMEGA, FinitePoset, PosetPresentation, _bits,
-                   family_dominates)
+                   family_dominates, induced_finite_poset)
 from .closedsets import closed_set
 from .errors import NotApproximable, PosetError, ScopeUnsupported, SizeLimit
 from .reports import BANK, CheckReport, EXHAUSTIVE, refuted, unrefuted, verified
@@ -228,32 +228,11 @@ def truncate(P: PosetPresentation, n: int) -> TruncatedPoset:
                     elems.append(rep)
     else:
         raise ScopeUnsupported(f"no truncation for kind {P.kind!r}")
-    names = [P.format_element(e) for e in elems]
-    up = []
-    for x in elems:
-        row = 0
-        for j, y in enumerate(elems):
-            if P.leq(x, y):
-                row |= 1 << j
-        up.append(row)
-    fp = FinitePoset(names, up)
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            if fp.leq(i, j) != P.leq(x, y):
-                raise PosetError("truncation failed to embed the order")
-    return TruncatedPoset(P, fp, tuple(elems))
+    return TruncatedPoset(P, induced_finite_poset(P, elems), tuple(elems))
 
 
 def as_finite_poset(P: PosetPresentation):
     """Materialize any finite-kind presentation as an explicit FinitePoset,
     returning it with the element list in index order."""
     elems = P.elements()
-    names = [P.format_element(e) for e in elems]
-    up = []
-    for x in elems:
-        row = 0
-        for j, y in enumerate(elems):
-            if P.leq(x, y):
-                row |= 1 << j
-        up.append(row)
-    return FinitePoset(names, up), elems
+    return induced_finite_poset(P, elems), elems

@@ -178,6 +178,44 @@ class TestFamilyBanks:
             assert is_directed(diamond, fam)
 
 
+class TestWrappedFamilies:
+    """The combinators re-export component families through map_family."""
+
+    def test_lifted_chain_keeps_its_certificates(self, lifted_punctured):
+        x = Inner(EVENS)
+        fam = lifted_punctured.waybelow_family(x)
+        assert isinstance(fam, ChainFamily)
+        assert fam.supremum == x and fam.kernel_image_sup == x
+        assert fam.member_dominates(BOTTOM)
+        assert fam.member_dominates(Inner(closed_set({0, 2})))
+        assert not fam.member_dominates(Inner(closed_set({1})))
+        assert fam.sample_members(2) == [Inner(closed_set({0})),
+                                         Inner(closed_set({0}))]
+
+    def test_lifted_explicit_family_prepends_bottom(self, lifted_punctured):
+        fam = lifted_punctured.waybelow_family(Inner(closed_set({1, 2})))
+        assert fam.members == (BOTTOM, Inner(closed_set({1, 2})))
+        assert fam.supremum == Inner(closed_set({1, 2}))
+
+    def test_lifted_bank_labels(self, lifted_punctured):
+        labels = [f.label for f in lifted_punctured.family_bank()]
+        assert labels[0] == "bottom-singleton"
+        assert "initial-segments" in labels
+        assert "lifted:three-chain" in labels
+        assert labels[-1] == "bottom-and-anchor"
+
+    def test_summed_chain_is_certified_on_its_side_only(self):
+        S = make_catalog(disjoint_sum(punctured_closed_sets(),
+                                      punctured_closed_sets()))
+        fam = S.waybelow_family(Right(EVENS))
+        assert fam.supremum == fam.kernel_image_sup == Right(EVENS)
+        assert fam.member_dominates(Right(closed_set({2})))
+        assert not fam.member_dominates(Left(closed_set({2})))
+        left_bank = [f for f in S.family_bank()
+                     if isinstance(f.supremum, Left)]
+        assert len(left_bank) == len(S.left.family_bank())
+
+
 class TestSampling:
     @pytest.mark.parametrize("P", standard_roster(), ids=lambda P: P.name)
     def test_samples_are_carrier_elements(self, P):

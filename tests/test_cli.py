@@ -85,7 +85,7 @@ class TestCheckCommand:
     def test_diamond_all_verified(self):
         code, out, _ = run_cli(["check", "diamond", "--law", "all"])
         assert code == 0
-        assert "REFUTED" not in out
+        assert "] REFUTED" not in out
         assert "[continuous] VERIFIED" in out
 
     @pytest.mark.parametrize("kind", ["chain_2", "antichain_2"])
@@ -144,6 +144,41 @@ class TestCheckCommand:
         assert run_cli(["frobnicate"])[0] == 64
         code, _, err = run_cli(["check", "closed_sets", "--law", "gibberish"])
         assert code == 64
+
+    @pytest.mark.parametrize("samples", ["-5", "0"])
+    def test_samples_below_one_is_a_usage_error(self, samples):
+        code, out, err = run_cli(["check", "closed_sets", "--law", "kernel",
+                                  "--samples", samples])
+        assert code == 64
+        assert out == ""
+        assert err == (f"usage error: argument --samples: must be at least "
+                       f"1, got {int(samples)}\n")
+
+    def test_non_integer_samples_message_unchanged(self):
+        code, _, err = run_cli(["check", "closed_sets", "--samples", "x"])
+        assert code == 64
+        assert err == "usage error: argument --samples: invalid int value: " \
+                      "'x'\n"
+
+    def test_inf_law_is_unrefuted_on_finite_kinds(self):
+        code, out, _ = run_cli(["check", "chain_2", "--law", "inf"])
+        assert code == 0
+        assert out.startswith("[infima-preservation] UNREFUTED scope=sampled(")
+
+    def test_sampled_bank_is_unrefuted(self):
+        code, out, _ = run_cli(["check", "chain_14", "--law", "scott"])
+        assert code == 0
+        assert out == "[scott-continuity] UNREFUTED scope=bank samples=2048\n"
+
+    def test_unexpected_exception_exits_70(self, monkeypatch):
+        def boom(args):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr(cli, "cmd_check", boom)
+        code, out, err = run_cli(["check", "diamond"])
+        assert code == 70
+        assert out == ""
+        assert err == "internal error: RuntimeError: boom second line\n"
 
 
 class TestAnalyzeCommand:
@@ -268,6 +303,21 @@ class TestExportDot:
                                 "--truncate", "1"])
         assert code == 0
         assert out.count("[label=") == 8
+
+    @pytest.mark.parametrize("poset, depth", [("closed_sets", "-5"),
+                                              ("omega_plus_one", "-3")])
+    def test_negative_truncate_is_a_usage_error(self, poset, depth):
+        code, out, err = run_cli(["export-dot", poset, "--truncate", depth])
+        assert code == 64
+        assert out == ""
+        assert err == (f"usage error: argument --truncate: must be at least "
+                       f"0, got {int(depth)}\n")
+
+    def test_truncate_zero(self):
+        code, out, _ = run_cli(["export-dot", "omega_plus_one",
+                                "--truncate", "0"])
+        assert code == 0
+        assert out.count("[label=") == 2
 
     def test_symbolic_without_truncate_fails(self):
         code, _, err = run_cli(["export-dot", "closed_sets"])

@@ -13,7 +13,8 @@ from posetkernel import (NO_INFIMUM, NO_SUPREMUM, OMEGA, build_finite_poset,
 from posetkernel.catalog import finite_named, standard_roster
 from posetkernel.closedsets import INF_POINT
 from posetkernel.errors import (CycleDetected, DuplicateLabel, EmptyFamily,
-                                ForeignElement, ScopeUnsupported)
+                                ForeignElement, ScopeUnsupported,
+                                ValidationError)
 from posetkernel.kernel import is_approximable
 from posetkernel.oracle import bank_refute_waybelow, truncate, \
     waybelow_bruteforce
@@ -275,6 +276,26 @@ class TestCheckAxiom:
         second = check_axiom(closed, "cc", sampled(42, 50))
         assert first.status == second.status
         assert first.samples == second.samples
+
+    @pytest.mark.parametrize("key, name", [
+        ("cc", "conditionally_complete"), ("interpolation", "interpolating"),
+        ("continuity", "continuous")])
+    def test_law_table_key_and_report_name(self, closed, key, name):
+        by_key = check_axiom(closed, key, sampled(42, 50))
+        by_name = check_axiom(closed, name, sampled(42, 50))
+        assert by_key == by_name
+        assert by_key.law == name
+
+    def test_subposet_takes_the_view(self, diamond):
+        from posetkernel.kernel import retract_view
+
+        report = check_axiom(diamond, "subposet", view=retract_view(diamond))
+        assert report.status is Status.VERIFIED
+
+    @pytest.mark.parametrize("law", ["kernel", "inf", "bogus"])
+    def test_only_order_axioms(self, closed, law):
+        with pytest.raises(ValidationError):
+            check_axiom(closed, law)
 
 
 def make_catalog_from_covers(names, covers):

@@ -1,0 +1,69 @@
+"""Byte-for-byte regression of `posetkernel check <kind> --law all` on the
+standard roster, and the law table that the output and the benchmark's
+per-law timing are keyed by.
+
+Each tests/golden/check_<kind>.txt holds the stdout of that command followed
+by a final line `exit <code>`.  The combinator kinds are read from the same
+JSON documents the benchmark runs (perfbench/kinds/*.json).  To regenerate a
+file after an intended output change, run the command and append the exit
+line; review the diff before committing it.
+"""
+
+import contextlib
+import importlib.util
+import io
+from pathlib import Path
+
+import pytest
+
+from posetkernel import cli, kernel
+from posetkernel.catalog import NAMED_FINITE_ROSTER
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+KINDS = ROOT / "perfbench" / "kinds"
+
+ROSTER = {name: name for name in NAMED_FINITE_ROSTER
+          + ("omega_plus_one", "closed_sets", "punctured_closed_sets")}
+ROSTER.update((doc.stem, str(doc)) for doc in sorted(KINDS.glob("*.json")))
+
+
+def run_check(arg) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["check", arg, "--law", "all"])
+    return out.getvalue() + f"exit {code}\n"
+
+
+def test_roster_has_sixteen_kinds():
+    assert len(ROSTER) == 16
+    assert sorted(p.name for p in GOLDEN.glob("check_*.txt")) == sorted(
+        f"check_{name}.txt" for name in ROSTER)
+
+
+@pytest.mark.parametrize("name", sorted(ROSTER))
+def test_check_all_matches_golden(name):
+    expected = (GOLDEN / f"check_{name}.txt").read_bytes()
+    assert run_check(ROSTER[name]).encode() == expected
+
+
+def test_law_table_matches_benchmark_spans():
+    """perfbench/spans.py keys its per-law timing by these names; a name
+    missing there would silently read 0."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert list(kernel.LAWS) == list(spans.LAWS)
+
+
+def test_unknown_law_names_every_law():
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(["check", "closed_sets", "--law", "gibberish"])
+    assert code == 64
+    message = err.getvalue()
+    assert message.startswith("usage error: unknown law 'gibberish'")
+    assert all(name in message for name in kernel.LAWS)
+    assert ", ".join(kernel.LAWS) + " or all" in message

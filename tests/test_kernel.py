@@ -13,7 +13,9 @@ from posetkernel.errors import (NoInfimumError, NotApproximable, PosetError,
                                 PreconditionUnverified)
 from posetkernel.kernel import (adversarial_kernel, approximable_view,
                                 check_approximation_laws,
-                                check_inf_preservation, check_kernel_laws,
+                                check_inf_preservation,
+                                check_inf_preservation_sampled,
+                                check_kernel_laws,
                                 check_largest_retract, check_scott_continuity,
                                 check_waybelow_kernel_equivalence, in_retract,
                                 is_approximable, kernel_of,
@@ -189,7 +191,8 @@ class TestScottContinuity:
         member = chain.generator(3)
         assert member.infinity
         assert kernel_of(closed, member) == closed_set(range(4))
-        report = check_scott_continuity(closed, [chain])
+        # the bank scanned by the checker holds this chain
+        report = check_scott_continuity(closed)
         assert report.status is not Status.REFUTED
 
 
@@ -322,6 +325,18 @@ class TestInfPreservation:
         report = check_inf_preservation(diamond, (1, 2))
         assert report.status is Status.VERIFIED
 
+    def test_sampled_instances_are_unrefuted_on_finite_kinds(self, diamond):
+        """Each instance is exhaustive, the choice of instances is not."""
+        report = check_inf_preservation_sampled(diamond)
+        assert report.status is Status.UNREFUTED
+        assert report.reason == "50 retract subsets checked"
+        assert report.subreports == []
+
+    def test_sampled_starts_with_evens_and_odds(self, closed):
+        report = check_inf_preservation_sampled(closed, sampled(count=100))
+        assert report.status is Status.UNREFUTED
+        assert report.reason == "10 retract subsets checked"
+
 
 class TestApproximationLaws:
     def test_all_roster_kinds_clean(self):
@@ -359,6 +374,55 @@ class TestApproximationLaws:
         sub = next(s for s in report.subreports
                    if s.law == "retract-approximation")
         assert sub.status is not Status.REFUTED
+
+
+class TestBankHonesty:
+    """Bank-driven laws are Verified only when the bank holds every
+    directed subset."""
+
+    def test_sampled_bank_reports_unrefuted(self):
+        P = make_catalog(finite_named("chain_14"))
+        assert len(P.poset.directed_subset_masks) == 16383
+        assert len(P.family_bank()) == 2048
+        assert not P.bank_is_exhaustive
+        scott = check_scott_continuity(P)
+        assert scott.status is Status.UNREFUTED
+        assert scott.samples == 2048
+        subs = {s.law: s.status
+                for s in check_approximation_laws(P).subreports}
+        assert subs == {"directed-restriction": Status.UNREFUTED,
+                        "restriction-nonempty": Status.UNREFUTED,
+                        "double-approximation": Status.VERIFIED,
+                        "retract-approximation": Status.VERIFIED}
+
+    def test_full_bank_stays_verified(self, diamond):
+        assert diamond.bank_is_exhaustive
+        assert check_scott_continuity(diamond).status is Status.VERIFIED
+        report = check_approximation_laws(diamond)
+        assert report.status is Status.VERIFIED
+        assert all(s.status is Status.VERIFIED for s in report.subreports)
+
+    def test_small_bank_above_ten_elements_is_full(self):
+        P = make_catalog(finite_named("antichain_12"))
+        assert len(P.family_bank()) == 12
+        assert P.bank_is_exhaustive
+        assert check_scott_continuity(P).status is Status.VERIFIED
+
+    def test_views_and_sums_inherit_the_bank(self, diamond, closed):
+        from posetkernel.catalog import disjoint_sum, lift
+
+        assert retract_view(diamond).bank_is_exhaustive
+        assert not retract_view(closed).bank_is_exhaustive
+        big = make_catalog(disjoint_sum(finite_named("chain_2"),
+                                        finite_named("chain_14")))
+        assert not big.bank_is_exhaustive
+        small = make_catalog(disjoint_sum(finite_named("chain_2"),
+                                          finite_named("diamond")))
+        assert small.bank_is_exhaustive
+        # the lift's bank misses directed sets such as {bottom, 0, 1}
+        lifted = make_catalog(lift(finite_named("chain_2")))
+        assert not lifted.bank_is_exhaustive
+        assert check_scott_continuity(lifted).status is Status.UNREFUTED
 
 
 class TestPreconditions:
