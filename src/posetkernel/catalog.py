@@ -72,7 +72,7 @@ from .closedsets import (ClosedSetRep, closed_set, closedset_join,
 from .core import (BOTTOM, Inner, Left, NO_INFIMUM, NO_SUPREMUM, OMEGA,
                    FinitePoset, FinitePosetPresentation, PosetPresentation,
                    Right, build_finite_poset, is_element)
-from .errors import SizeLimit, UnknownName, ValidationError
+from .errors import PosetError, SizeLimit, UnknownName, ValidationError
 from .families import ChainFamily, ExplicitFamily, map_family
 
 MAX_FINITE_SIZE = 16
@@ -777,6 +777,94 @@ def lift(inner: CatalogSpec) -> CatalogSpec:
 
 def disjoint_sum(left: CatalogSpec, right: CatalogSpec) -> CatalogSpec:
     return CatalogSpec("disjoint_sum", left=left, right=right)
+
+
+# ---------------------------------------------------------------------------
+# Poset documents
+
+
+DOCUMENT_FIELDS = {
+    "finite": ("elements", "covers"),
+    "omega_plus_one": (),
+    "closed_sets": (),
+    "punctured_closed_sets": (),
+    "lift": ("inner",),
+    "disjoint_sum": ("left", "right"),
+}
+"""Each document kind and the fields it takes besides ``kind``; the fields
+of ``lift`` and ``disjoint_sum`` are nested documents."""
+
+MAX_DOCUMENT_DEPTH = 32
+"""Lift / disjoint-sum levels a document may nest: every law check walks
+the whole nesting on each element operation."""
+
+
+def spec_from_document(raw) -> CatalogSpec:
+    """Validate a decoded JSON poset document and return its spec:
+
+        {"kind": "finite", "elements": ["a", "b"], "covers": [["a", "b"]]}
+        {"kind": "omega_plus_one"}
+        {"kind": "closed_sets"} | {"kind": "punctured_closed_sets"}
+        {"kind": "lift", "inner": DOC}
+        {"kind": "disjoint_sum", "left": DOC, "right": DOC}
+
+    Raises ValidationError for anything else."""
+    return _spec_from_document(raw, MAX_DOCUMENT_DEPTH)
+
+
+def _spec_from_document(raw, depth_left) -> CatalogSpec:
+    if not isinstance(raw, dict):
+        raise ValidationError("poset document must be a JSON object")
+    kind = raw.get("kind")
+    fields = DOCUMENT_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise ValidationError(f"unknown poset kind {kind!r}")
+    extra = set(raw) - {"kind", *fields}
+    if extra:
+        raise ValidationError(f"unknown fields {sorted(extra)}")
+    if kind == "finite":
+        return _finite_spec(raw.get("elements"), raw.get("covers", []))
+    if fields and depth_left == 0:
+        raise ValidationError(f"documents nest at most {MAX_DOCUMENT_DEPTH} "
+                              "lift/disjoint_sum levels")
+    return CatalogSpec(kind, **{field: _spec_from_document(raw.get(field),
+                                                           depth_left - 1)
+                                for field in fields})
+
+
+def _finite_spec(elements, covers) -> CatalogSpec:
+    if (not isinstance(elements, list) or not elements
+            or not all(isinstance(e, str) for e in elements)):
+        raise ValidationError("'elements' must be a nonempty list of "
+                              "label strings")
+    if not isinstance(covers, list) or not all(
+            isinstance(c, list) and len(c) == 2
+            and all(isinstance(x, str) for x in c) for c in covers):
+        raise ValidationError("'covers' must be a list of [a, b] pairs")
+    try:
+        build_finite_poset(elements, [tuple(c) for c in covers])
+    except PosetError as exc:
+        raise ValidationError(str(exc)) from None
+    return finite_explicit(elements, covers)
+
+
+def spec_to_document(spec: CatalogSpec) -> dict:
+    """The document of a spec that ``spec_from_document`` returns."""
+    if spec.kind == "finite_explicit":
+        return {"kind": "finite", "elements": list(spec.elements),
+                "covers": [list(c) for c in spec.covers]}
+    return {"kind": spec.kind,
+            **{field: spec_to_document(getattr(spec, field))
+               for field in DOCUMENT_FIELDS[spec.kind]}}
+
+
+def builtin_spec(name: str) -> CatalogSpec:
+    """The spec a built-in catalog name denotes: a symbolic kind, else a
+    named finite poset (``make_catalog`` raises UnknownName or SizeLimit
+    when the name is neither)."""
+    if DOCUMENT_FIELDS.get(name) == ():
+        return CatalogSpec(name)
+    return finite_named(name)
 
 
 def make_catalog(spec: CatalogSpec) -> PosetPresentation:

@@ -1,12 +1,7 @@
 """Command-line surface: check laws, analyze elements, export diagrams.
 
-Input posets are JSON documents (or the name of a built-in catalog entry):
-
-    {"kind": "finite", "elements": ["a", "b"], "covers": [["a", "b"]]}
-    {"kind": "omega_plus_one"}
-    {"kind": "closed_sets"} | {"kind": "punctured_closed_sets"}
-    {"kind": "lift", "inner": DOC}
-    {"kind": "disjoint_sum", "left": DOC, "right": DOC}
+Input posets are JSON documents in the format of
+``catalog.spec_from_document``, or the name of a built-in catalog entry.
 
 Element literals: finite labels as strings, "nat:<k>", "omega", and closed
 sets as {"finite": [...], "infinity": bool} or the full
@@ -26,11 +21,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import catalog as cat
-from .catalog import (CatalogSpec, ClosedSetsPresentation, make_catalog,
-                      named_finite_poset)
+from .catalog import CatalogSpec, ClosedSetsPresentation, make_catalog
 from .core import PosetPresentation
 from .errors import (NotApproximable, ParseError, PosetError,
                      PreconditionUnverified, ScopeUnsupported, SizeLimit,
@@ -57,115 +50,34 @@ class UsageError(Exception):
 # Input documents
 
 
-@dataclass
-class InputDocument:
-    """A validated, normalized poset description."""
-
-    data: dict
-
-    def to_spec(self) -> CatalogSpec:
-        return _doc_to_spec(self.data)
-
-    def serialize(self) -> str:
-        return json.dumps(self.data, sort_keys=True, separators=(", ", ": "))
-
-
-_SYMBOLIC_KINDS = ("omega_plus_one", "closed_sets", "punctured_closed_sets")
-
-
-def parse_input(text: str) -> InputDocument:
+def parse_input(text: str) -> CatalogSpec:
     """Parse and validate a poset document; errors carry positions."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno) from None
-    return InputDocument(_normalize_doc(raw))
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
+    return cat.spec_from_document(raw)
 
 
-def _normalize_doc(raw) -> dict:
-    if not isinstance(raw, dict):
-        raise ValidationError("poset document must be a JSON object")
-    kind = raw.get("kind")
-    if kind == "finite":
-        extra = set(raw) - {"kind", "elements", "covers"}
-        if extra:
-            raise ValidationError(f"unknown fields {sorted(extra)}")
-        elements = raw.get("elements")
-        covers = raw.get("covers", [])
-        if (not isinstance(elements, list) or not elements
-                or not all(isinstance(e, str) for e in elements)):
-            raise ValidationError("'elements' must be a nonempty list of "
-                                  "label strings")
-        if not isinstance(covers, list) or not all(
-                isinstance(c, list) and len(c) == 2
-                and all(isinstance(x, str) for x in c) for c in covers):
-            raise ValidationError("'covers' must be a list of [a, b] pairs")
-        try:
-            cat.build_finite_poset(elements, [tuple(c) for c in covers])
-        except PosetError as exc:
-            raise ValidationError(str(exc)) from None
-        return {"kind": "finite", "elements": list(elements),
-                "covers": [list(c) for c in covers]}
-    if kind in _SYMBOLIC_KINDS:
-        extra = set(raw) - {"kind"}
-        if extra:
-            raise ValidationError(f"unknown fields {sorted(extra)}")
-        return {"kind": kind}
-    if kind == "lift":
-        extra = set(raw) - {"kind", "inner"}
-        if extra:
-            raise ValidationError(f"unknown fields {sorted(extra)}")
-        return {"kind": "lift", "inner": _normalize_doc(raw.get("inner"))}
-    if kind == "disjoint_sum":
-        extra = set(raw) - {"kind", "left", "right"}
-        if extra:
-            raise ValidationError(f"unknown fields {sorted(extra)}")
-        return {"kind": "disjoint_sum",
-                "left": _normalize_doc(raw.get("left")),
-                "right": _normalize_doc(raw.get("right"))}
-    raise ValidationError(f"unknown poset kind {kind!r}")
-
-
-def _doc_to_spec(doc: dict) -> CatalogSpec:
-    kind = doc["kind"]
-    if kind == "finite":
-        return cat.finite_explicit(doc["elements"],
-                                   [tuple(c) for c in doc["covers"]])
-    if kind == "omega_plus_one":
-        return cat.omega_plus_one()
-    if kind == "closed_sets":
-        return cat.closed_sets()
-    if kind == "punctured_closed_sets":
-        return cat.punctured_closed_sets()
-    if kind == "lift":
-        return cat.lift(_doc_to_spec(doc["inner"]))
-    return cat.disjoint_sum(_doc_to_spec(doc["left"]),
-                            _doc_to_spec(doc["right"]))
-
-
-def document_for_builtin(name: str) -> InputDocument:
-    """The document a catalog name denotes (named finite posets are spelled
-    out as explicit cover lists)."""
-    if name in _SYMBOLIC_KINDS:
-        return InputDocument({"kind": name})
-    fp = named_finite_poset(name)
-    covers = [[fp.names[i], fp.names[j]] for i, j in fp.hasse_edges()]
-    return InputDocument({"kind": "finite", "elements": list(fp.names),
-                          "covers": covers})
-
-
-def load_poset(arg: str) -> tuple[InputDocument, PosetPresentation]:
+def load_poset(arg: str) -> PosetPresentation:
     """Resolve a file path or a built-in catalog name."""
-    if os.path.exists(arg):
-        with open(arg, "r", encoding="utf-8") as handle:
-            doc = parse_input(handle.read())
-    else:
+    if not os.path.exists(arg):
         try:
-            doc = document_for_builtin(arg)
+            return make_catalog(cat.builtin_spec(arg))
         except (UnknownName, SizeLimit):
             raise ParseError(f"{arg!r} is neither a file nor a catalog "
                              "name") from None
-    return doc, make_catalog(doc.to_spec())
+    try:
+        with open(arg, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {arg!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{arg!r} is not UTF-8 text: {exc.reason} at byte "
+                         f"{exc.start}") from None
+    return make_catalog(parse_input(text))
 
 
 def parse_element_arg(P: PosetPresentation, text: str):
@@ -173,7 +85,7 @@ def parse_element_arg(P: PosetPresentation, text: str):
     label string otherwise."""
     try:
         literal = json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         literal = text
     if isinstance(literal, (int, float)) and not isinstance(literal, bool):
         literal = text  # labels like "3" stay strings
@@ -202,13 +114,11 @@ def export_dot(P: PosetPresentation, waybelow: bool = False,
     """Hasse diagram as GraphViz text; way-below pairs (minus the reflexive
     ones) become dashed edges on request.  Node order follows the input
     order, so the bytes are stable."""
-    if P.is_finite_kind:
-        fp, elems = as_finite_poset(P)
-        wb = P.waybelow
-    elif truncate_n is not None:
+    if truncate_n is not None:
         trunc = truncate(P, truncate_n)
         fp, elems = trunc.poset, list(trunc.to_parent)
-        wb = P.waybelow
+    elif P.is_finite_kind:
+        fp, elems = as_finite_poset(P)
     else:
         raise ScopeUnsupported("symbolic kinds need --truncate <n> for "
                                "diagram export")
@@ -221,7 +131,7 @@ def export_dot(P: PosetPresentation, waybelow: bool = False,
     if waybelow:
         for i, x in enumerate(elems):
             for j, y in enumerate(elems):
-                if i != j and wb(x, y):
+                if i != j and P.waybelow(x, y):
                     lines.append(f"  n{i} -> n{j} [style=dashed];")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -238,14 +148,13 @@ def _print_report(report: CheckReport, render) -> None:
 
 
 def cmd_check(args) -> int:
-    _, P = load_poset(args.poset)
+    P = load_poset(args.poset)
     laws = list(LAWS) if args.law == "all" else [args.law]
     scope = sampled(args.seed, args.samples)
     reports = []
     for law in laws:
         try:
-            reports.append(run_law(P, law, scope if not P.is_finite_kind
-                                   else None))
+            reports.append(run_law(P, law, scope))
         except (PreconditionUnverified, ScopeUnsupported, SizeLimit) as exc:
             print(f"[{law}] SKIPPED reason={exc}")
     for report in reports:
@@ -259,7 +168,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    _, P = load_poset(args.poset)
+    P = load_poset(args.poset)
     if args.what == "kernel":
         if args.element is None:
             raise UsageError("analyze kernel needs --element")
@@ -308,7 +217,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    _, P = load_poset(args.poset)
+    P = load_poset(args.poset)
     text = export_dot(P, waybelow=args.waybelow, truncate_n=args.truncate)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

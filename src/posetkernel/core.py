@@ -165,6 +165,19 @@ class FinitePoset:
                 return v
         return None
 
+    def lubless_subset(self):
+        """The first nonempty subset, in mask order, that is bounded above
+        but has no least upper bound, as a mask; None when there is none
+        (the order is conditionally complete)."""
+        full = (1 << self.n) - 1
+        for mask in range(1, full + 1):
+            ubs = full
+            for i in _bits(mask):
+                ubs &= self.up[i]
+            if ubs and all(ubs & ~self.up[u] for u in _bits(ubs)):
+                return mask
+        return None
+
     @cached_property
     def directed_subset_masks(self):
         """All directed subsets as (mask, max_element) pairs.
@@ -415,16 +428,7 @@ class FinitePosetPresentation(PosetPresentation):
 
     @cached_property
     def certified_conditionally_complete(self):
-        n = self.poset.n
-        if n > 16:
-            return False
-        for mask in range(1, 1 << n):
-            ubs = (1 << n) - 1
-            for i in _bits(mask):
-                ubs &= self.poset.up[i]
-            if ubs and self.poset.lub_of_mask(mask) is None:
-                return False
-        return True
+        return self.poset.n <= 16 and self.poset.lubless_subset() is None
 
     def sample_elements(self, rng, count):
         return [rng.randrange(self.poset.n) for _ in range(count)]
@@ -646,25 +650,29 @@ def sample_pool(P: PosetPresentation, rng, count) -> list:
     return list(dict.fromkeys(pool))
 
 
-def default_scope(P: PosetPresentation) -> Scope:
-    return EXHAUSTIVE if P.is_finite_kind else sampled()
+def resolve_scope(P: PosetPresentation, scope: Scope | None = None) -> Scope:
+    """The scope a check of P runs over.  A finite carrier is always
+    exhausted; a symbolic one takes the given sampled scope, or
+    ``sampled()`` when none is given, and cannot be exhausted."""
+    if P.is_finite_kind:
+        return EXHAUSTIVE
+    if scope is None:
+        return sampled()
+    if scope.kind == "exhaustive":
+        raise ScopeUnsupported("exhaustive scope needs a finite carrier")
+    return scope
 
 
 def _cc_exhaustive(P, scope):
     law = "conditionally_complete"
     elems = P.elements()
-    n = len(elems)
-    if n > 16:
+    if len(elems) > 16:
         raise SizeLimit("exhaustive subset scan capped at 16 elements")
-    for mask in range(1, 1 << n):
-        members = [elems[i] for i in _bits(mask)]
-        ubs = [u for u in elems if all(P.leq(m, u) for m in members)]
-        if not ubs:
-            continue
-        if not any(all(P.leq(u, v) for v in ubs) for u in ubs):
-            return refuted(law, tuple(members),
-                           "bounded-above subset without a least upper bound",
-                           scope)
+    mask = induced_finite_poset(P, elems).lubless_subset()
+    if mask is not None:
+        return refuted(law, tuple(elems[i] for i in _bits(mask)),
+                       "bounded-above subset without a least upper bound",
+                       scope)
     return verified(law, scope, reason="all nonempty bounded subsets scanned")
 
 
@@ -841,18 +849,15 @@ def _subposet_sampled(P, scope, view):
 
 def _axiom(law, exhaustive, sampled_check):
     """The checker ``(P, scope=None, *args)`` of one order axiom: the
-    exhaustive variant under an exhaustive scope (the default on finite
-    carriers), the sampled one otherwise.  ``law`` is the name its reports
-    carry; the subposet law takes one argument, the subset view."""
+    exhaustive variant when ``resolve_scope`` exhausts P, the sampled one
+    otherwise.  ``law`` is the name its reports carry; the subposet law
+    takes one argument, the subset view."""
 
     def check(P, scope=None, *args):
-        if scope is None:
-            scope = default_scope(P)
-        if scope.kind != "exhaustive":
-            return sampled_check(P, scope, *args)
-        if not P.is_finite_kind:
-            raise ScopeUnsupported("exhaustive scope needs a finite carrier")
-        return exhaustive(P, scope, *args)
+        scope = resolve_scope(P, scope)
+        if scope.kind == "exhaustive":
+            return exhaustive(P, scope, *args)
+        return sampled_check(P, scope, *args)
 
     check.law = law
     return check

@@ -21,7 +21,7 @@ from .catalog import ClosedSetsPresentation
 from .closedsets import EVENS, ODDS, closed_set, truncate_naturals
 from .core import (PosetPresentation, SubsetView, check_conditionally_complete,
                    check_continuity, check_interpolation, check_subposet,
-                   _mask, default_scope, is_approximable, is_element,
+                   _mask, is_approximable, is_element, resolve_scope,
                    sample_pool)
 from .errors import (EmptyFamily, NoInfimumError, NotApproximable, PosetError,
                      PreconditionUnverified, ScopeUnsupported)
@@ -165,8 +165,7 @@ def check_kernel_laws(P: PosetPresentation, scope: Scope | None = None,
     if kernel is None:
         kernel = canonical_kernel(P)
     k = kernel.mapping
-    if scope is None:
-        scope = default_scope(P)
+    scope = resolve_scope(P, scope)
     if scope.kind == "exhaustive":
         xs = [x for x in P.elements() if P.waybelow_family(x) is not None]
         pairs = [(x, y) for x in xs for y in xs if P.leq(x, y)]
@@ -199,9 +198,7 @@ def check_kernel_laws(P: PosetPresentation, scope: Scope | None = None,
         if not P.leq(k(x), k(y)):
             return refuted(law, (x, y), "monotonicity fails", scope)
     total = len(xs) + len(pairs)
-    if scope.kind == "exhaustive":
-        return verified(law, scope, samples=total)
-    return unrefuted(law, total, scope)
+    return _finish(law, scope.kind == "exhaustive", total, scope)
 
 
 def check_scott_continuity(P: PosetPresentation) -> CheckReport:
@@ -268,8 +265,7 @@ def check_waybelow_kernel_equivalence(P: PosetPresentation,
                                       ) -> CheckReport:
     """v << x iff v << k(x), for approximable x."""
     law = "waybelow-kernel-equivalence"
-    if scope is None:
-        scope = default_scope(P)
+    scope = resolve_scope(P, scope)
     if scope.kind == "exhaustive":
         elems = P.elements()
         pairs = [(v, x) for v in elems for x in elems
@@ -287,9 +283,7 @@ def check_waybelow_kernel_equivalence(P: PosetPresentation,
             return refuted(law, (v, x),
                            f"v << x is {P.waybelow(v, x)} but v << k(x) is "
                            f"{not P.waybelow(v, x)}", scope)
-    if scope.kind == "exhaustive":
-        return verified(law, scope, samples=len(pairs))
-    return unrefuted(law, len(pairs), scope)
+    return _finish(law, scope.kind == "exhaustive", len(pairs), scope)
 
 
 def check_largest_retract(P: PosetPresentation,
@@ -303,9 +297,8 @@ def check_largest_retract(P: PosetPresentation,
     status stays Unrefuted there.
     """
     law = "largest-retract"
-    if scope is None:
-        scope = default_scope(P)
-    if P.is_finite_kind:
+    scope = resolve_scope(P, scope)
+    if scope.kind == "exhaustive":
         fp, elems = as_finite_poset(P)
         if fp.n > 10:
             raise ScopeUnsupported("exhaustive subset check capped at 10 "
@@ -318,13 +311,13 @@ def check_largest_retract(P: PosetPresentation,
                            if (mask >> i) & 1 and i not in retract]
                 return refuted(law, tuple(outside),
                                "a continuous subposet escapes the retract",
-                               EXHAUSTIVE)
+                               scope)
         largest = largest_continuous_subposet_bruteforce(fp)
         if largest != retract:
             return refuted(law, None,
                            "retract differs from the brute-force largest "
-                           "continuous subposet", EXHAUSTIVE)
-        return verified(law, EXHAUSTIVE)
+                           "continuous subposet", scope)
+        return verified(law, scope)
     subs = []
     if isinstance(P, ClosedSetsPresentation):
         subs.append(_refute_inf_candidate(P))
@@ -464,8 +457,7 @@ def check_inf_preservation(P: PosetPresentation, A,
         P.require(a)
         if not in_retract(P, a):
             raise PosetError(f"{P.format_element(a)} is not in the retract")
-    if scope is None:
-        scope = default_scope(P)
+    scope = resolve_scope(P, scope)
     g = P.finite_inf(A)
     if not is_element(g):
         raise NoInfimumError("the set has no infimum in the carrier")
@@ -492,9 +484,7 @@ def check_inf_preservation(P: PosetPresentation, A,
             return refuted(law, c,
                            "a retract lower bound escapes the kernel of "
                            "the infimum", scope)
-    if scope.kind == "exhaustive":
-        return verified(law, scope, samples=len(pool))
-    return unrefuted(law, len(pool), scope)
+    return _finish(law, scope.kind == "exhaustive", len(pool), scope)
 
 
 def check_inf_preservation_sampled(P: PosetPresentation,
@@ -502,9 +492,10 @@ def check_inf_preservation_sampled(P: PosetPresentation,
     """check_inf_preservation over sampled retract subsets of two or three
     elements, after the evens/odds pair on the full closed-set lattice.
 
-    Each instance is decided within ``scope`` (exhaustively on finite
-    carriers when it is None), but the instances are a sample, so a clean
-    run is Unrefuted, never Verified.
+    The instances are drawn with the seed and count of ``scope`` (or
+    ``sampled()``) on every carrier; each one is decided within
+    ``resolve_scope(P, scope)``, exhaustively on finite carriers.  The
+    instances are a sample, so a clean run is Unrefuted, never Verified.
     """
     law = "infima-preservation"
     outer = scope or sampled()
@@ -562,13 +553,12 @@ def check_approximation_laws(P: PosetPresentation,
     The first two scan the family bank and are Verified only when it holds
     every directed subset; the last two exhaust finite carriers.
     """
-    if scope is None:
-        scope = default_scope(P)
+    scope = resolve_scope(P, scope)
     rng = random.Random(scope.seed)
     pool = sample_pool(P, rng, scope.count)
     approx_pool = [x for x in pool if P.waybelow_family(x) is not None]
     bank = P.family_bank()
-    complete = P.is_finite_kind
+    complete = scope.kind == "exhaustive"
 
     subs = [
         _law_directed_restriction(P, bank, scope, P.bank_is_exhaustive),

@@ -5,10 +5,15 @@ import io
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from posetkernel import cli
-from posetkernel.catalog import make_catalog
-from posetkernel.errors import ParseError, ValidationError
+from posetkernel.catalog import (DOCUMENT_FIELDS, MAX_DOCUMENT_DEPTH,
+                                 CatalogSpec, closed_sets, disjoint_sum,
+                                 finite_explicit, lift, make_catalog,
+                                 omega_plus_one, spec_to_document,
+                                 standard_roster)
+from posetkernel.errors import ClosednessViolation, ParseError, ValidationError
 
 
 def run_cli(argv):
@@ -22,13 +27,15 @@ class TestParseInput:
     def test_symbolic_kinds(self):
         for kind in ("omega_plus_one", "closed_sets",
                      "punctured_closed_sets"):
-            doc = cli.parse_input(json.dumps({"kind": kind}))
-            assert doc.data == {"kind": kind}
+            spec = cli.parse_input(json.dumps({"kind": kind}))
+            assert spec == CatalogSpec(kind)
+            assert spec_to_document(spec) == {"kind": kind}
 
     def test_finite_document(self):
-        doc = cli.parse_input(
+        spec = cli.parse_input(
             '{"kind":"finite","elements":["a","b"],"covers":[["a","b"]]}')
-        assert doc.data["elements"] == ["a", "b"]
+        assert spec == finite_explicit(["a", "b"], [("a", "b")])
+        assert spec_to_document(spec)["elements"] == ["a", "b"]
 
     def test_cover_loop_rejected(self):
         with pytest.raises(ValidationError):
@@ -48,8 +55,9 @@ class TestParseInput:
         text = ('{"kind":"disjoint_sum",'
                 '"left":{"kind":"lift","inner":{"kind":"closed_sets"}},'
                 '"right":{"kind":"omega_plus_one"}}')
-        doc = cli.parse_input(text)
-        assert doc.data["left"]["kind"] == "lift"
+        spec = cli.parse_input(text)
+        assert spec == disjoint_sum(lift(closed_sets()), omega_plus_one())
+        assert spec_to_document(spec)["left"]["kind"] == "lift"
 
     def test_round_trip_identity(self):
         texts = (
@@ -59,8 +67,28 @@ class TestParseInput:
             '{"kind":"lift","inner":{"kind":"punctured_closed_sets"}}',
         )
         for text in texts:
-            doc = cli.parse_input(text)
-            assert cli.parse_input(doc.serialize()).data == doc.data
+            spec = cli.parse_input(text)
+            assert spec_to_document(spec) == json.loads(text)
+            assert cli.parse_input(json.dumps(spec_to_document(spec))) == spec
+
+    def test_lift_nesting_is_capped(self):
+        def lifts(depth):
+            return ('{"kind":"lift","inner":' * depth
+                    + '{"kind":"omega_plus_one"}' + "}" * depth)
+
+        spec = cli.parse_input(lifts(MAX_DOCUMENT_DEPTH))
+        for _ in range(MAX_DOCUMENT_DEPTH):
+            spec = spec.inner
+        assert spec == omega_plus_one()
+        with pytest.raises(ValidationError):
+            cli.parse_input(lifts(MAX_DOCUMENT_DEPTH + 1))
+
+    def test_json_nesting_beyond_the_decoder_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            cli.parse_input('{"kind":"lift","inner":' * 3000 + "}" * 3000)
+        P = make_catalog(closed_sets())
+        with pytest.raises(ValidationError):
+            cli.parse_element_arg(P, "[" * 3000 + "]" * 3000)
 
     def test_shorthand_closed_set_literal(self):
         P = make_catalog(cli.cat.closed_sets())
@@ -159,6 +187,42 @@ class TestCheckCommand:
         assert code == 64
         assert err == "usage error: argument --samples: invalid int value: " \
                       "'x'\n"
+
+    def test_seed_and_samples_steer_only_the_inf_law_on_finite_kinds(self):
+        """Finite kinds are exhausted; --seed/--samples pick the inf law's
+        retract subsets and nothing else."""
+        code, default, _ = run_cli(["check", "diamond", "--law", "all"])
+        code7, steered, _ = run_cli(["check", "diamond", "--law", "all",
+                                     "--seed", "7", "--samples", "300"])
+        assert code == code7 == 0
+        inf, = [line for line in steered.splitlines()
+                if line.startswith("[infima-preservation]")]
+        assert "scope=sampled(seed=0x7,count=300)" in inf
+        assert "reason=30 retract subsets checked" in inf
+        assert [line for line in steered.splitlines() if line != inf] == \
+            [line for line in default.splitlines()
+             if not line.startswith("[infima-preservation]")]
+
+    @pytest.mark.parametrize("write", [
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes(b'{"kind": "caf\xe9"}'),
+        lambda path: path.write_text('{"kind":"lift","inner":' * 600
+                                     + '{"kind":"closed_sets"}' + "}" * 600),
+        lambda path: path.write_text('{"kind":"lift","inner":' * 3000
+                                     + "}" * 3000),
+    ], ids=["directory", "not-utf8", "nested-600", "nested-3000"])
+    def test_unreadable_inputs_exit_65(self, tmp_path, write):
+        path = tmp_path / "poset.json"
+        write(path)
+        code, out, err = run_cli(["check", str(path)])
+        assert code == 65
+        assert out == "" and err.startswith("input error:")
+
+    def test_deep_element_literal_exits_65(self):
+        code, out, err = run_cli(["analyze", "closed_sets", "kernel",
+                                  "--element", "[" * 3000 + "]" * 3000])
+        assert code == 65
+        assert out == "" and err.startswith("input error:")
 
     def test_inf_law_is_unrefuted_on_finite_kinds(self):
         code, out, _ = run_cli(["check", "chain_2", "--law", "inf"])
@@ -319,6 +383,13 @@ class TestExportDot:
         assert code == 0
         assert out.count("[label=") == 2
 
+    def test_truncate_rejects_finite_kinds(self):
+        code, out, err = run_cli(["export-dot", "diamond", "--waybelow",
+                                  "--truncate", "2"])
+        assert code == 65
+        assert out == ""
+        assert err == "error: no truncation for kind 'finite'\n"
+
     def test_symbolic_without_truncate_fails(self):
         code, _, err = run_cli(["export-dot", "closed_sets"])
         assert code == 65
@@ -343,3 +414,66 @@ class TestSelftest:
         assert code == 0
         assert "10/10 criteria passed" in out
         assert out.count("PASS") == 10
+
+
+# ---------------------------------------------------------------------------
+# Every text either parses or is rejected as input (exit 65, never 70)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 70)
+    | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner,
+                                     max_size=4)),
+    max_leaves=12)
+
+labels = st.lists(st.sampled_from(["a", "b", "c", "0", "1"]), max_size=4)
+
+
+def _documents(children):
+    return st.fixed_dictionaries(
+        {"kind": st.sampled_from([*DOCUMENT_FIELDS, "matroid"])},
+        optional={"elements": labels | json_values,
+                  "covers": st.lists(labels, max_size=4) | json_values,
+                  "inner": children, "left": children, "right": children,
+                  "extra": json_values})
+
+
+documents = st.recursive(_documents(json_values), _documents, max_leaves=6)
+
+closed_literals = st.fixed_dictionaries({}, optional={
+    field: st.lists(st.integers(-2, 70), max_size=5) | json_values
+    for field in ("finite", "prefix", "residues")} | {
+    field: st.integers(-1, 70) | json_values
+    for field in ("threshold", "period", "infinity")})
+
+element_literals = st.recursive(
+    st.sampled_from(["bottom", "omega", "nat:3", "nat:-1", "nat:+4", "a",
+                     "0", "a0", "xy"]) | closed_literals | json_values,
+    lambda inner: st.dictionaries(
+        st.sampled_from(["inner", "left", "right", "bottom"]), inner,
+        min_size=1, max_size=2),
+    max_leaves=6)
+
+# ClosedSetRep rejects residues without the point at infinity with its own
+# PosetError; main reports it as an input error too (exit 65).
+INPUT_ERRORS = (ParseError, ValidationError, ClosednessViolation)
+
+
+class TestParsersRejectOnlyWithInputErrors:
+    @given(st.text(max_size=40) | json_values.map(json.dumps)
+           | documents.map(json.dumps))
+    def test_poset_documents(self, text):
+        try:
+            cli.parse_input(text)
+        except INPUT_ERRORS:
+            pass
+
+    @pytest.mark.parametrize("P", standard_roster(), ids=lambda P: P.name)
+    @given(text=st.text(max_size=20) | element_literals.map(json.dumps))
+    def test_element_literals(self, P, text):
+        try:
+            cli.parse_element_arg(P, text)
+        except INPUT_ERRORS:
+            pass

@@ -10,15 +10,17 @@ from posetkernel import (NO_INFIMUM, NO_SUPREMUM, OMEGA, build_finite_poset,
                          check_axiom, closed_set, greatest_lower_bound,
                          is_directed, least_upper_bound, leq, make_catalog,
                          waybelow)
-from posetkernel.catalog import finite_named, standard_roster
+from posetkernel.catalog import (finite_named, named_finite_poset,
+                                 random_finite_poset, standard_roster)
 from posetkernel.closedsets import INF_POINT
+from posetkernel.core import resolve_scope
 from posetkernel.errors import (CycleDetected, DuplicateLabel, EmptyFamily,
                                 ForeignElement, ScopeUnsupported,
                                 ValidationError)
 from posetkernel.kernel import is_approximable
 from posetkernel.oracle import bank_refute_waybelow, truncate, \
     waybelow_bruteforce
-from posetkernel.reports import Status, sampled
+from posetkernel.reports import EXHAUSTIVE, Status, sampled
 
 from conftest import random_presentation
 
@@ -296,6 +298,45 @@ class TestCheckAxiom:
     def test_only_order_axioms(self, closed, law):
         with pytest.raises(ValidationError):
             check_axiom(closed, law)
+
+
+class TestResolveScope:
+    @pytest.mark.parametrize("scope", [None, EXHAUSTIVE, sampled(7, 30)])
+    def test_finite_carriers_are_exhausted(self, diamond, scope):
+        assert resolve_scope(diamond, scope) is EXHAUSTIVE
+        assert check_axiom(diamond, "cc", scope).scope is EXHAUSTIVE
+
+    def test_symbolic_carriers_are_sampled(self, closed):
+        assert resolve_scope(closed) == sampled()
+        assert resolve_scope(closed, sampled(7, 30)) == sampled(7, 30)
+        with pytest.raises(ScopeUnsupported):
+            resolve_scope(closed, EXHAUSTIVE)
+
+
+def _lubless_subset_by_scan(fp):
+    """Reference: the first bounded-above subset without a least upper
+    bound, found with leq alone."""
+    elems = range(fp.n)
+    for mask in range(1, 1 << fp.n):
+        members = [i for i in elems if mask >> i & 1]
+        ubs = [u for u in elems if all(fp.leq(m, u) for m in members)]
+        if ubs and not any(all(fp.leq(u, v) for v in ubs) for u in ubs):
+            return mask
+    return None
+
+
+class TestLublessSubset:
+    @given(st.integers(1, 8), st.floats(0.1, 0.7), st.integers(0, 10**6))
+    def test_matches_the_scan(self, n, p, seed):
+        fp = random_finite_poset(n, p, seed)
+        assert fp.lubless_subset() == _lubless_subset_by_scan(fp)
+
+    def test_bowtie(self):
+        fp = build_finite_poset(["a", "b", "c", "d"],
+                                [("a", "c"), ("a", "d"), ("b", "c"),
+                                 ("b", "d")])
+        assert fp.lubless_subset() == 0b11
+        assert named_finite_poset("boolean_3").lubless_subset() is None
 
 
 def make_catalog_from_covers(names, covers):
