@@ -10,10 +10,10 @@ proofs of their rules.
 from .closedsets import (ClosedSetRep, closed_set, closedset_join,
                          closedset_leq, closedset_meet, closedset_normalize,
                          format_closed_set, periodic_set)
-from .core import (BOTTOM, NO_INFIMUM, NO_SUPREMUM, NOT_REPRESENTABLE, OMEGA,
-                   FinitePoset, FinitePosetPresentation, Inner, Left,
-                   PosetPresentation, Right, SubsetView, build_finite_poset,
-                   check_axiom, greatest_lower_bound, is_directed, is_element,
+from .core import (BOTTOM, NO_INFIMUM, NO_SUPREMUM, OMEGA, FinitePoset,
+                   FinitePosetPresentation, Inner, Left, PosetPresentation,
+                   Right, build_finite_poset, check_axiom,
+                   greatest_lower_bound, is_directed, is_element,
                    least_upper_bound, leq, waybelow)
 from .catalog import (CatalogSpec, ClosedSetsPresentation,
                       DisjointSumPresentation, LiftPresentation,
@@ -23,14 +23,13 @@ from .catalog import (CatalogSpec, ClosedSetsPresentation,
                       punctured_closed_sets, random_finite_poset,
                       standard_roster)
 from .families import ChainFamily, ExplicitFamily
-from .kernel import (KernelMap, QuotientStructure, RetractView,
-                     adversarial_kernel, approximable_view, canonical_kernel,
+from .kernel import (QuotientStructure, adversarial_kernel,
                      check_approximation_laws, check_inf_preservation,
                      check_inf_preservation_sampled, check_kernel_laws,
                      check_largest_retract, check_scott_continuity,
                      check_waybelow_kernel_equivalence,
                      in_retract, is_approximable, kernel_of,
-                     quotient_structure, retract_view)
+                     quotient_structure, retract_member)
 from .oracle import (TruncatedPoset, as_finite_poset, bank_refute_waybelow,
                      continuity_bruteforce, kernel_bruteforce,
                      largest_continuous_subposet_bruteforce, truncate,

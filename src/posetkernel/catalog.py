@@ -62,6 +62,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import closedsets as cs
 from .closedsets import (ClosedSetRep, closed_set, closedset_join,
@@ -457,14 +458,34 @@ class LiftPresentation(PosetPresentation):
                           dominates=lambda x, inner: (x is BOTTOM
                                                       or inner(x.value)))
 
+    @cached_property
+    def bank_is_exhaustive(self):
+        # Each level doubles an exhaustive bank; like a finite carrier, stop
+        # exhausting above 10 elements.
+        return self.inner.bank_is_exhaustive and len(self.elements()) <= 10
+
     def family_bank(self):
+        return self._bank
+
+    @cached_property
+    def _bank(self):
+        """{⊥}, then each lifted inner family.  A directed subset of the lift
+        is {⊥}, an inner one D, or D ∪ {⊥}; so when the inner bank holds
+        every D (all explicit), each D ∪ {⊥} follows and the bank is
+        exhaustive too.  Otherwise it ends with one ⊥-and-anchor pair."""
         bank = [ExplicitFamily((BOTTOM,), BOTTOM, label="bottom-singleton")]
+        exhaustive = self.bank_is_exhaustive
         for fam in self.inner.family_bank():
             explicit = isinstance(fam, ExplicitFamily)
-            bank.append(self._lift_family(
-                fam, label=f"lifted:{fam.label}" if explicit else None))
+            lifted = self._lift_family(
+                fam, label=f"lifted:{fam.label}" if explicit else None)
+            bank.append(lifted)
+            if exhaustive:
+                bank.append(ExplicitFamily(
+                    (BOTTOM,) + lifted.members, lifted.supremum,
+                    label=f"bottom+lifted:{fam.label}"))
         anchors = self.inner.interesting_elements()
-        if anchors:
+        if anchors and not exhaustive:
             bank.append(ExplicitFamily((BOTTOM, Inner(anchors[0])),
                                        Inner(anchors[0]),
                                        label="bottom-and-anchor"))
@@ -610,8 +631,12 @@ class DisjointSumPresentation(PosetPresentation):
         return bank
 
     def sample_elements(self, rng, count):
-        lefts = self.left.sample_elements(rng, (count + 1) // 2)
-        rights = self.right.sample_elements(rng, count // 2)
+        # An odd count takes its extra element from a side picked by rng,
+        # so one-at-a-time draws reach both sides.
+        half = count // 2
+        extra_left = count % 2 == 1 and rng.random() < 0.5
+        lefts = self.left.sample_elements(rng, half + extra_left)
+        rights = self.right.sample_elements(rng, count - half - extra_left)
         out = []
         for i in range(count):
             if i % 2 == 0 and lefts:

@@ -29,7 +29,7 @@ from .errors import (NotApproximable, ParseError, PosetError,
                      PreconditionUnverified, ScopeUnsupported, SizeLimit,
                      UnknownName, ValidationError)
 from .kernel import (LAWS, in_retract, is_approximable, kernel_of,
-                     quotient_structure, retract_view)
+                     quotient_structure, retract_member)
 from .oracle import as_finite_poset, truncate
 from .reports import (DEFAULT_PAIR_SAMPLES, DEFAULT_SEED, CheckReport, Status,
                       sampled)
@@ -185,9 +185,10 @@ def cmd_analyze(args) -> int:
         print(f"in retract: {'yes' if in_retract(P, x) else 'no'}")
         return EXIT_OK
     if args.what == "retract":
-        view = retract_view(P)
+        member = retract_member(P)
         if P.is_finite_kind:
-            members = ", ".join(P.format_element(e) for e in view.carrier())
+            members = ", ".join(P.format_element(e) for e in P.elements()
+                                if member(e))
             print(f"retract carrier: {{{members}}}")
         else:
             print("retract membership rule: x is approximable and fixed by "

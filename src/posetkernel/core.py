@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 from .errors import (CycleDetected, DuplicateLabel, EmptyFamily,
                      ForeignElement, PosetError, ScopeUnsupported, SizeLimit,
@@ -46,11 +47,10 @@ class _Outcome(_Named):
 
 NO_SUPREMUM = _Outcome("NoSupremum")
 NO_INFIMUM = _Outcome("NoInfimum")
-NOT_REPRESENTABLE = _Outcome("NotRepresentable")
 
 
 def is_element(value) -> bool:
-    """False for the NoSupremum / NoInfimum / NotRepresentable outcomes."""
+    """False for the NoSupremum / NoInfimum outcomes."""
     return not isinstance(value, _Outcome)
 
 
@@ -452,114 +452,6 @@ class FinitePosetPresentation(PosetPresentation):
             raise ValidationError(str(exc)) from None
 
 
-class SubsetView(PosetPresentation):
-    """A subset of a parent poset with order and way-below inherited.
-
-    Whether the inherited way-below really is the way-below of the subset is
-    exactly the subposet law; ``check_axiom`` tests it rather than assuming
-    it.  Suprema are taken in the parent; when the parent supremum falls
-    outside the subset the view reports NotRepresentable instead of
-    searching (finite parents fall back to an exhaustive scan).
-    """
-
-    kind = "subset_view"
-
-    def __init__(self, parent: PosetPresentation, member, name=None):
-        self.parent = parent
-        self._member = member
-        self.name = name or f"subset({parent.name})"
-        self.is_finite_kind = parent.is_finite_kind
-
-    def contains(self, x) -> bool:
-        return self.parent.contains(x) and self._member(x)
-
-    def elements(self):
-        return [e for e in self.parent.elements() if self._member(e)]
-
-    def leq(self, x, y) -> bool:
-        return self.parent.leq(x, y)
-
-    def finite_sup(self, xs):
-        s = self.parent.finite_sup(xs)
-        if not is_element(s) or self._member(s):
-            return s
-        if self.is_finite_kind:
-            ubs = [u for u in self.elements()
-                   if all(self.parent.leq(x, u) for x in xs)]
-            for u in ubs:
-                if all(self.parent.leq(u, v) for v in ubs):
-                    return u
-            return NO_SUPREMUM
-        return NOT_REPRESENTABLE
-
-    def finite_inf(self, xs):
-        g = self.parent.finite_inf(xs)
-        if not is_element(g) or self._member(g):
-            return g
-        if self.is_finite_kind:
-            lbs = [u for u in self.elements()
-                   if all(self.parent.leq(u, x) for x in xs)]
-            for u in lbs:
-                if all(self.parent.leq(v, u) for v in lbs):
-                    return u
-            return NO_INFIMUM
-        return NOT_REPRESENTABLE
-
-    def waybelow(self, x, y) -> bool:
-        return self.parent.waybelow(x, y)
-
-    def waybelow_family(self, x):
-        fam = self.parent.waybelow_family(x)
-        if fam is None:
-            return None
-        if isinstance(fam, ExplicitFamily):
-            members = tuple(m for m in fam.members if self._member(m))
-            if not members:
-                return None
-            return ExplicitFamily(members, fam.supremum, label=fam.label)
-        return fam
-
-    @property
-    def bank_is_exhaustive(self):
-        # A directed subset inside the subset keeps its supremum there.
-        return self.parent.bank_is_exhaustive
-
-    def family_bank(self):
-        kept = []
-        for fam in self.parent.family_bank():
-            if not self._member(fam.supremum):
-                continue
-            if all(self._member(m) for m in fam.sample_members()):
-                kept.append(fam)
-        return kept
-
-    def sample_elements(self, rng, count):
-        out = []
-        budget = count * 8
-        while len(out) < count and budget:
-            budget -= 1
-            for e in self.parent.sample_elements(rng, 1):
-                if self._member(e):
-                    out.append(e)
-        return out
-
-    def interesting_elements(self):
-        return [e for e in self.parent.interesting_elements()
-                if self._member(e)]
-
-    def interpolation_witness(self, x, y):
-        z = self.parent.interpolation_witness(x, y)
-        if z is not None and self._member(z):
-            return z
-        return None
-
-    def format_element(self, x) -> str:
-        return self.parent.format_element(x)
-
-    def parse_element(self, literal):
-        return self.parent.parse_element(literal)
-
-
 # ---------------------------------------------------------------------------
 # Core operations
 
@@ -572,8 +464,7 @@ def leq(P: PosetPresentation, x, y) -> bool:
 
 
 def least_upper_bound(P: PosetPresentation, elems):
-    """Supremum of a nonempty finite element set, when it exists and is
-    representable; NO_SUPREMUM / NOT_REPRESENTABLE otherwise."""
+    """Supremum of a nonempty finite element set, or NO_SUPREMUM."""
     elems = tuple(elems)
     if not elems:
         raise EmptyFamily("least_upper_bound needs a nonempty set")
@@ -801,11 +692,11 @@ def _cont_sampled(P, scope):
     return unrefuted(law, len(pool), scope)
 
 
-def _subposet_exhaustive(P, scope, view):
+def _subposet_exhaustive(P, scope, member):
     from .oracle import waybelow_bruteforce  # cycle: oracle builds on core
 
     law = "subposet"
-    elems = view.elements()
+    elems = [e for e in P.elements() if member(e)]
     induced = induced_finite_poset(P, elems)
     for i, x in enumerate(elems):
         for j, y in enumerate(elems):
@@ -818,11 +709,21 @@ def _subposet_exhaustive(P, scope, view):
     return verified(law, scope)
 
 
-def _subposet_sampled(P, scope, view):
+def _subposet_sampled(P, scope, member):
+    """Way-below pairs drawn inside the subset, probed against the bank
+    families that lie in it.  The pool is the subset's interesting elements,
+    then parent samples drawn one at a time that land in the subset."""
     law = "subposet"
     rng = random.Random(scope.seed)
-    pool = sample_pool(view, rng, scope.count)
-    bank = view.family_bank()
+    pool = [e for e in P.interesting_elements() if member(e)]
+    wanted = len(pool) + scope.count
+    budget = scope.count * 8
+    while len(pool) < wanted and budget:
+        budget -= 1
+        pool.extend(e for e in P.sample_elements(rng, 1) if member(e))
+    pool = list(dict.fromkeys(pool))
+    bank = [fam for fam in P.family_bank() if member(fam.supremum)
+            and all(member(m) for m in fam.sample_members())]
     confirmed = 0
     for _ in range(scope.count):
         if not pool:
@@ -851,7 +752,7 @@ def _axiom(law, exhaustive, sampled_check):
     """The checker ``(P, scope=None, *args)`` of one order axiom: the
     exhaustive variant when ``resolve_scope`` exhausts P, the sampled one
     otherwise.  ``law`` is the name its reports carry; the subposet law
-    takes one argument, the subset view."""
+    takes one argument, the membership predicate of the subset."""
 
     def check(P, scope=None, *args):
         scope = resolve_scope(P, scope)
@@ -872,17 +773,18 @@ check_subposet = _axiom("subposet", _subposet_exhaustive, _subposet_sampled)
 
 
 def check_axiom(P: PosetPresentation, law: str, scope: Scope | None = None,
-                view: PosetPresentation | None = None) -> CheckReport:
+                member: Callable[[object], bool] | None = None
+                ) -> CheckReport:
     """Check one order axiom, named by its ``kernel.LAWS`` key (cc,
     interpolation, continuity, subposet) or by the name its reports carry
     (conditionally_complete, interpolating, continuous).  The subposet law
-    needs ``view``, the subset whose way-below must agree with the ambient
-    one.
+    needs ``member``, the membership test of the subset whose way-below
+    must agree with the ambient one.
     """
     from .kernel import LAWS  # cycle: kernel builds on core
 
     for check in (check_conditionally_complete, check_interpolation,
                   check_continuity, check_subposet):
         if law == check.law or LAWS.get(law) is check:
-            return check(P, scope, *(() if view is None else (view,)))
+            return check(P, scope, *(() if member is None else (member,)))
     raise ValidationError(f"unknown law {law!r}")

@@ -19,15 +19,14 @@ from typing import Callable
 
 from .catalog import ClosedSetsPresentation
 from .closedsets import EVENS, ODDS, closed_set, truncate_naturals
-from .core import (PosetPresentation, SubsetView, check_conditionally_complete,
+from .core import (PosetPresentation, check_conditionally_complete,
                    check_continuity, check_interpolation, check_subposet,
                    _mask, is_approximable, is_element, resolve_scope,
                    sample_pool)
 from .errors import (EmptyFamily, NoInfimumError, NotApproximable, PosetError,
                      PreconditionUnverified, ScopeUnsupported)
 from .families import ExplicitFamily
-from .oracle import (as_finite_poset, continuous_subposets_bruteforce,
-                     largest_continuous_subposet_bruteforce)
+from .oracle import as_finite_poset, continuous_subposets_bruteforce
 from .reports import (BANK, EXHAUSTIVE, CheckReport, Scope, Status, combine,
                       refuted, sampled, unknown, unrefuted, verified)
 
@@ -56,26 +55,7 @@ def in_retract(P: PosetPresentation, x) -> bool:
     return fam is not None and fam.supremum == x
 
 
-@dataclass
-class KernelMap:
-    """A self-map of the approximable part, checkable against the kernel
-    laws.  The canonical one evaluates the approximant-supremum kernel;
-    adversarial ones exist so the harness can prove it would notice a
-    broken kernel."""
-
-    presentation: PosetPresentation
-    mapping: Callable
-    label: str = "canonical"
-
-    def __call__(self, x):
-        return self.mapping(x)
-
-
-def canonical_kernel(P: PosetPresentation) -> KernelMap:
-    return KernelMap(P, lambda x: kernel_of(P, x))
-
-
-def adversarial_kernel(P: PosetPresentation) -> KernelMap:
+def adversarial_kernel(P: PosetPresentation) -> Callable:
     """Planted self-test fixture: the identity except one element is sent
     strictly upward, so deflation must be refuted by check_kernel_laws."""
     if isinstance(P, ClosedSetsPresentation):
@@ -88,52 +68,23 @@ def adversarial_kernel(P: PosetPresentation) -> KernelMap:
             raise ScopeUnsupported(
                 f"{P.name} has no strictly comparable pair to corrupt")
         src, dst = pair
-    return KernelMap(P, lambda x: dst if x == src else x,
-                     label="adversarial")
+    return lambda x: dst if x == src else x
 
 
-def approximable_view(P: PosetPresentation) -> SubsetView:
-    """The approximable part of P as a presentation of its own."""
-    return SubsetView(P, lambda x: P.waybelow_family(x) is not None,
-                      name=f"approximable({P.name})")
-
-
-class RetractView(SubsetView):
-    """Presentation of the retract Q: approximable fixed points of the
-    kernel.  Suprema delegate to the parent (they agree with suprema taken
-    inside Q) and are asserted to land back in Q."""
-
-    def __init__(self, parent: PosetPresentation):
-        super().__init__(parent, lambda x: in_retract(parent, x),
-                         name=f"retract({parent.name})")
-        self.certified_conditionally_complete = \
-            parent.certified_conditionally_complete
-        self.certified_interpolating = parent.certified_interpolating
-        self.certified_continuous = True
-
-    def finite_sup(self, xs):
-        s = self.parent.finite_sup(xs)
-        if is_element(s) and not self._member(s):
-            raise PosetError("supremum of retract elements escaped the "
-                             "retract; the kernel is not Scott-continuous")
-        return s
-
-    def carrier(self):
-        return self.elements()
-
-
-def retract_view(P: PosetPresentation) -> RetractView:
-    """The largest continuous retract as a presentation.
+def retract_member(P: PosetPresentation) -> Callable[[object], bool]:
+    """Membership in the largest continuous retract, as a predicate.
 
     Requires the parent's axioms: certified for the symbolic catalog kinds,
     re-verified by exhaustion for finite carriers (interpolation plus a
     total kernel, which is what the construction actually consumes; random
     finite posets need not be conditionally complete, yet the construction
-    below is sound on any finite poset).
+    is sound on any finite poset).
     """
-    if P.certified_conditionally_complete and P.certified_interpolating:
-        return RetractView(P)
-    if P.is_finite_kind:
+    if not (P.certified_conditionally_complete and P.certified_interpolating):
+        if not P.is_finite_kind:
+            raise PreconditionUnverified(
+                f"{P.name}: conditional completeness and interpolation are "
+                "neither certified nor exhaustively verifiable")
         report = check_interpolation(P, EXHAUSTIVE)
         if report.status is not Status.VERIFIED:
             raise PreconditionUnverified(
@@ -142,10 +93,7 @@ def retract_view(P: PosetPresentation) -> RetractView:
             if P.waybelow_family(x) is None:
                 raise PreconditionUnverified(
                     f"{P.name} has an element without approximants")
-        return RetractView(P)
-    raise PreconditionUnverified(
-        f"{P.name}: conditional completeness and interpolation are neither "
-        "certified nor exhaustively verifiable")
+    return lambda x: in_retract(P, x)
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +106,11 @@ def _approximable_pool(P, rng, count):
 
 
 def check_kernel_laws(P: PosetPresentation, scope: Scope | None = None,
-                      kernel: KernelMap | None = None) -> CheckReport:
-    """Deflation, idempotence, and monotonicity of the kernel on the
-    approximable part."""
+                      kernel: Callable | None = None) -> CheckReport:
+    """Deflation, idempotence, and monotonicity of ``kernel`` (by default
+    the approximation kernel) on the approximable part."""
     law = "kernel-laws"
-    if kernel is None:
-        kernel = canonical_kernel(P)
-    k = kernel.mapping
+    k = kernel or (lambda x: kernel_of(P, x))
     scope = resolve_scope(P, scope)
     if scope.kind == "exhaustive":
         xs = [x for x in P.elements() if P.waybelow_family(x) is not None]
@@ -305,15 +251,17 @@ def check_largest_retract(P: PosetPresentation,
                                    "elements")
         retract = frozenset(i for i, e in enumerate(elems)
                             if in_retract(P, e))
-        for mask in continuous_subposets_bruteforce(fp):
+        passing = continuous_subposets_bruteforce(fp)
+        for mask in passing:
             if mask & ~_mask(retract):
                 outside = [elems[i] for i in range(fp.n)
                            if (mask >> i) & 1 and i not in retract]
                 return refuted(law, tuple(outside),
                                "a continuous subposet escapes the retract",
                                scope)
-        largest = largest_continuous_subposet_bruteforce(fp)
-        if largest != retract:
+        # every passing subset lies inside the retract, so the retract is
+        # the largest one exactly when it passes itself
+        if _mask(retract) not in passing:
             return refuted(law, None,
                            "retract differs from the brute-force largest "
                            "continuous subposet", scope)
@@ -639,8 +587,9 @@ def _law_double_approximation(P, approx_pool, scope, complete):
             return refuted(law, x, "no approximable approximant", scope)
         count += 1
     if not complete:
-        view_scope = sampled(scope.seed, max(scope.count // 4, 32))
-        agreement = check_subposet(P, view_scope, approximable_view(P))
+        subset_scope = sampled(scope.seed, max(scope.count // 4, 32))
+        agreement = check_subposet(
+            P, subset_scope, lambda y: P.waybelow_family(y) is not None)
         if agreement.status is Status.REFUTED:
             return refuted(law, agreement.witness,
                            f"approximable-part way-below disagrees: "
@@ -672,7 +621,7 @@ LAWS = {
     "cc": check_conditionally_complete,
     "interpolation": check_interpolation,
     "continuity": check_continuity,
-    "subposet": lambda P, scope: check_subposet(P, scope, retract_view(P)),
+    "subposet": lambda P, scope: check_subposet(P, scope, retract_member(P)),
     "kernel": check_kernel_laws,
     "scott": lambda P, scope: check_scott_continuity(P),
     "eq": check_waybelow_kernel_equivalence,

@@ -145,14 +145,19 @@ def continuous_subposets_bruteforce(fp: FinitePoset) -> list:
 
 
 def largest_continuous_subposet_bruteforce(fp: FinitePoset) -> frozenset:
-    """The unique union-maximal continuous subposet, as an index set."""
+    """The unique union-maximal continuous subposet, as an index set.
+
+    A unique maximal one exists exactly when the union of all passing
+    subsets passes itself; that union is numerically the largest mask, so
+    it passes iff it is the last one enumerated."""
     passing = continuous_subposets_bruteforce(fp)
-    maximal = [R for R in passing
-               if not any(S != R and S & R == R for S in passing)]
-    if len(maximal) != 1:
-        raise PosetError(f"expected a unique maximal continuous subposet, "
-                         f"found {len(maximal)}")
-    return frozenset(_bits(maximal[0]))
+    union = 0
+    for R in passing:
+        union |= R
+    if passing[-1] != union:
+        raise PosetError("expected a unique maximal continuous subposet; "
+                         "the union of the passing subsets does not pass")
+    return frozenset(_bits(union))
 
 
 def bank_refute_waybelow(P: PosetPresentation, x, y) -> CheckReport:

@@ -74,10 +74,6 @@ class CheckReport:
     samples: int = 0
     subreports: list["CheckReport"] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return self.status is not Status.REFUTED
-
     def describe(self, render=str) -> str:
         parts = [f"[{self.law}] {self.status.value} scope={self.scope.describe()}"]
         if self.samples:

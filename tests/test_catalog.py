@@ -5,17 +5,22 @@ import random
 
 import pytest
 
-from posetkernel import (BOTTOM, NO_SUPREMUM, OMEGA, Inner, Left, Right,
-                         closed_set, least_upper_bound, make_catalog)
-from posetkernel.catalog import (disjoint_sum, finite_named, lift,
-                                 named_finite_poset, punctured_closed_sets,
+from posetkernel import (BOTTOM, NO_INFIMUM, NO_SUPREMUM, OMEGA, Inner, Left,
+                         Right, closed_set, least_upper_bound, make_catalog)
+from posetkernel.catalog import (closed_sets, disjoint_sum, finite_explicit,
+                                 finite_named, lift, named_finite_poset,
+                                 omega_plus_one, punctured_closed_sets,
                                  random_finite_poset, standard_roster)
 from posetkernel.closedsets import EMPTY, EVENS, FULL, INF_POINT
 from posetkernel.errors import SizeLimit, UnknownName
 from posetkernel.families import ChainFamily, ExplicitFamily
-from posetkernel.kernel import is_approximable
-from posetkernel.oracle import bank_refute_waybelow
+from posetkernel.kernel import check_scott_continuity, is_approximable
+from posetkernel.oracle import as_finite_poset, bank_refute_waybelow
 from posetkernel.reports import Status
+
+
+BOWTIE = finite_explicit(["a", "b", "c", "d"],
+                         [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]])
 
 
 class TestNamedPosets:
@@ -87,15 +92,75 @@ class TestCombinators:
         assert got is BOTTOM
 
     def test_sum_of_symbolic_kinds(self):
-        from posetkernel.catalog import closed_sets, omega_plus_one
-
         P = make_catalog(disjoint_sum(omega_plus_one(), closed_sets()))
         assert P.leq(Left(2), Left(OMEGA))
         assert P.waybelow(Right(EMPTY), Right(INF_POINT))
         assert not P.waybelow(Left(OMEGA), Left(OMEGA))
 
+    def test_single_draws_on_a_sum_reach_both_sides(self):
+        # the sampled subposet law draws one element at a time
+        P = make_catalog(disjoint_sum(omega_plus_one(), closed_sets()))
+        rng = random.Random(0)
+        draws = [x for _ in range(500) for x in P.sample_elements(rng, 1)]
+        assert len(draws) == 500
+        lefts = sum(isinstance(x, Left) for x in draws)
+        assert 150 < lefts < 350
+        even = P.sample_elements(rng, 10)
+        assert sum(isinstance(x, Left) for x in even) == 5
+
+    @pytest.mark.parametrize("spec, literals, expected", [
+        (lift(finite_named("antichain_2")),
+         ({"inner": "a0"}, {"inner": "a1"}), BOTTOM),
+        (lift(BOWTIE), ({"inner": "c"}, {"inner": "d"}), NO_INFIMUM),
+        (lift(disjoint_sum(finite_named("chain_2"), finite_named("chain_2"))),
+         ({"inner": {"left": "0"}}, {"inner": {"right": "0"}}), BOTTOM),
+        (lift(lift(BOWTIE)),
+         ({"inner": {"inner": "c"}}, {"inner": {"inner": "d"}}), NO_INFIMUM),
+    ], ids=["antichain", "bowtie", "sum", "lift-of-lift"])
+    def test_lift_infimum_without_inner_infimum(self, spec, literals,
+                                                expected):
+        # bottom when the inner elements have no common lower bound at
+        # all, NoInfimum when they have several maximal ones
+        P = make_catalog(spec)
+        xs = tuple(P.parse_element(lit) for lit in literals)
+        assert P.finite_inf(xs) is expected
+
 
 class TestFamilyBanks:
+    @pytest.mark.parametrize("spec", [
+        lift(finite_named("chain_3")), lift(finite_named("antichain_2")),
+        lift(lift(finite_named("chain_2"))),
+        lift(disjoint_sum(finite_named("chain_2"), BOWTIE))],
+        ids=["chain_3", "antichain_2", "lift-of-lift", "sum"])
+    def test_finite_lift_bank_is_every_directed_subset(self, spec):
+        P = make_catalog(spec)
+        assert P.bank_is_exhaustive
+        fp, elems = as_finite_poset(P)
+        directed = {frozenset(elems[i] for i in range(fp.n) if mask >> i & 1)
+                    for mask, _ in fp.directed_subset_masks}
+        bank = [frozenset(f.members) for f in P.family_bank()]
+        assert len(bank) == len(directed)
+        assert set(bank) == directed
+        for fam in P.family_bank():
+            assert all(P.leq(m, fam.supremum) for m in fam.members)
+            assert fam.supremum in fam.members
+
+    def test_deep_lift_bank_stays_bounded(self):
+        # each exhausted lift doubles the bank, so a lift stops exhausting
+        # above 10 elements and then adds two families per level: the
+        # 32-deep lift the document parser accepts keeps 1023 + 2 * 24
+        spec = finite_named("chain_2")
+        for depth in range(1, 33):
+            spec = lift(spec)
+            if depth == 8:
+                assert make_catalog(spec).bank_is_exhaustive
+        P = make_catalog(spec)
+        assert not P.bank_is_exhaustive
+        assert len(P.family_bank()) == 1023 + 2 * 24
+        report = check_scott_continuity(P)
+        assert report.status is Status.UNREFUTED
+        assert report.samples == len(P.family_bank())
+
     @pytest.mark.parametrize("P", standard_roster(), ids=lambda P: P.name)
     def test_families_are_directed_with_dominating_sups(self, P):
         for fam in P.family_bank():

@@ -289,9 +289,10 @@ class TestCheckAxiom:
         assert by_key.law == name
 
     def test_subposet_takes_the_view(self, diamond):
-        from posetkernel.kernel import retract_view
+        from posetkernel.kernel import retract_member
 
-        report = check_axiom(diamond, "subposet", view=retract_view(diamond))
+        report = check_axiom(diamond, "subposet",
+                             member=retract_member(diamond))
         assert report.status is Status.VERIFIED
 
     @pytest.mark.parametrize("law", ["kernel", "inf", "bogus"])

@@ -7,11 +7,16 @@ by a final line `exit <code>`.  The combinator kinds are read from the same
 JSON documents the benchmark runs (perfbench/kinds/*.json).  To regenerate a
 file after an intended output change, run the command and append the exit
 line; review the diff before committing it.
+
+Two more kinds the roster misses, a lift of a finite poset and a sum with a
+finite and a symbolic side, are pinned the same way in
+tests/golden/extra_<name>.txt from the documents in ``EXTRAS``.
 """
 
 import contextlib
 import importlib.util
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -26,6 +31,16 @@ KINDS = ROOT / "perfbench" / "kinds"
 ROSTER = {name: name for name in NAMED_FINITE_ROSTER
           + ("omega_plus_one", "closed_sets", "punctured_closed_sets")}
 ROSTER.update((doc.stem, str(doc)) for doc in sorted(KINDS.glob("*.json")))
+
+CHAIN_2 = {"kind": "finite", "elements": ["0", "1"], "covers": [["0", "1"]]}
+EXTRAS = {
+    "lift_chain_3": {"kind": "lift", "inner": {
+        "kind": "finite", "elements": ["0", "1", "2"],
+        "covers": [["0", "1"], ["1", "2"]]}},
+    "disjoint_sum_chain_2_closed_sets": {
+        "kind": "disjoint_sum", "left": CHAIN_2,
+        "right": {"kind": "closed_sets"}},
+}
 
 
 def run_check(arg) -> str:
@@ -45,6 +60,14 @@ def test_roster_has_sixteen_kinds():
 def test_check_all_matches_golden(name):
     expected = (GOLDEN / f"check_{name}.txt").read_bytes()
     assert run_check(ROSTER[name]).encode() == expected
+
+
+@pytest.mark.parametrize("name", sorted(EXTRAS))
+def test_extra_kind_matches_golden(name, tmp_path):
+    doc = tmp_path / f"{name}.json"
+    doc.write_text(json.dumps(EXTRAS[name]))
+    expected = (GOLDEN / f"extra_{name}.txt").read_bytes()
+    assert run_check(str(doc)).encode() == expected
 
 
 def test_law_table_matches_benchmark_spans():

@@ -9,7 +9,7 @@ from posetkernel import OMEGA, build_finite_poset, closed_set, make_catalog
 from posetkernel.catalog import finite_named, lift, punctured_closed_sets
 from posetkernel.closedsets import FULL, INF_POINT
 from posetkernel.errors import ScopeUnsupported, SizeLimit
-from posetkernel.kernel import kernel_of, retract_view
+from posetkernel.kernel import kernel_of, retract_member
 from posetkernel.oracle import (as_finite_poset, bank_refute_waybelow,
                                 continuity_bruteforce,
                                 continuous_subposets_bruteforce,
@@ -82,6 +82,19 @@ class TestLargestSubposet:
         fp = make_catalog(finite_named(name)).poset
         assert largest_continuous_subposet_bruteforce(fp) == \
             frozenset(range(size))
+
+    def test_union_is_the_pairwise_maximum(self):
+        # the largest one is taken as the union of the passing subsets;
+        # hold it against the definition: the one passing subset that no
+        # other passing subset strictly contains
+        for seed in range(30):
+            fp = random_presentation(seed, n=seed % 7 + 1).poset
+            passing = continuous_subposets_bruteforce(fp)
+            maximal = [R for R in passing
+                       if not any(S != R and S & R == R for S in passing)]
+            assert len(maximal) == 1
+            assert largest_continuous_subposet_bruteforce(fp) == \
+                frozenset(i for i in range(fp.n) if maximal[0] >> i & 1)
 
     def test_every_subset_of_a_finite_poset_passes(self, diamond):
         # finite posets: every subset is a continuous subposet
@@ -184,7 +197,8 @@ class TestAgreementSweep:
                     assert P.waybelow(x, y) == waybelow_bruteforce(fp, x, y)
                     pairs += 1
                 assert kernel_of(P, x) == kernel_bruteforce(fp, x)
-            assert frozenset(retract_view(P).carrier()) == \
+            member = retract_member(P)
+            assert frozenset(x for x in P.elements() if member(x)) == \
                 largest_continuous_subposet_bruteforce(fp)
         assert pairs > 500
 
