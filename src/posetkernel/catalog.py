@@ -55,6 +55,12 @@ Disjoint sum
     Directed sets live inside one component (a cross pair has no upper
     bound), so order, suprema and way-below are all componentwise and cross
     pairs never relate.
+
+Carrier hooks: closed sets name their non-continuity witness {∞}, a compact
+element below each set, the evens/odds infimum instance and their retract
+rule (``continuity_counterexample``, ``compact_below``, ``inf_instances``,
+``retract_rules``); lift and sum forward their components' through the
+wrap, so the targeted checks reach every combinator of the lattice.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from . import closedsets as cs
 from .closedsets import (ClosedSetRep, closed_set, closedset_join,
@@ -141,10 +147,8 @@ class OmegaPlusOnePresentation(PosetPresentation):
         ]
 
     def sample_elements(self, rng, count):
-        out = []
-        for _ in range(count):
-            out.append(OMEGA if rng.random() < 0.15 else rng.randrange(25))
-        return out
+        return [OMEGA if rng.random() < 0.15 else rng.randrange(25)
+                for _ in range(count)]
 
     def interesting_elements(self):
         return [0, 1, 2, 3, 7, OMEGA]
@@ -197,15 +201,10 @@ class ClosedSetsPresentation(PosetPresentation):
         return closedset_leq(x, y)
 
     def finite_sup(self, xs):
-        acc = xs[0]
-        for x in xs[1:]:
-            acc = closedset_join(acc, x)
-        return acc
+        return reduce(closedset_join, xs)
 
     def finite_inf(self, xs):
-        acc = xs[0]
-        for x in xs[1:]:
-            acc = closedset_meet(acc, x)
+        acc = reduce(closedset_meet, xs)
         if self.punctured and is_empty(acc):
             return NO_INFIMUM
         return acc
@@ -230,9 +229,7 @@ class ClosedSetsPresentation(PosetPresentation):
             lambda i: truncate_naturals(x, start + i),
             sup,
             label="finite-truncations",
-            member_dominates=lambda v: (natural_part_is_finite(v)
-                                        and not v.infinity
-                                        and closedset_leq(v, x)),
+            member_dominates=lambda v: self.waybelow(v, x),
             kernel_image_sup=sup,
         )
 
@@ -240,15 +237,12 @@ class ClosedSetsPresentation(PosetPresentation):
         initial = ChainFamily(
             lambda i: closed_set(range(i + 1)), cs.FULL,
             label="initial-segments",
-            member_dominates=lambda v: (natural_part_is_finite(v)
-                                        and not v.infinity),
+            member_dominates=lambda v: self.waybelow(v, cs.FULL),
             kernel_image_sup=cs.FULL)
         evens = ChainFamily(
             lambda i: closed_set(range(0, 2 * i + 1, 2)), cs.EVENS,
             label="even-initial-segments",
-            member_dominates=lambda v: (natural_part_is_finite(v)
-                                        and not v.infinity
-                                        and closedset_leq(v, cs.EVENS)),
+            member_dominates=lambda v: self.waybelow(v, cs.EVENS),
             kernel_image_sup=cs.EVENS)
         through_inf = ChainFamily(
             lambda i: closed_set(range(i + 1), infinity=True), cs.FULL,
@@ -331,6 +325,19 @@ class ClosedSetsPresentation(PosetPresentation):
     def continuity_counterexample(self):
         return cs.INF_POINT
 
+    def compact_below(self, x):
+        finite_part = truncate_naturals(x, 15)
+        return finite_part if self.contains(finite_part) else None
+
+    def inf_instances(self):
+        # Their meet {∞} lies outside the retract; its kernel value is ∅.
+        return [] if self.punctured else [(cs.EVENS, cs.ODDS)]
+
+    def retract_rules(self):
+        return ["for closed sets: if inf is in C then the natural part of C "
+                "must be infinite"
+                + (" (and nonempty overall)" if self.punctured else "")]
+
     def format_element(self, x) -> str:
         return format_closed_set(x)
 
@@ -368,14 +375,6 @@ def parse_closed_set_literal(literal) -> ClosedSetRep:
         raise ValidationError("'prefix' and 'residues' must be lists")
     return ClosedSetRep(prefix, literal.get("threshold", 0),
                         literal.get("period", 1), residues, infinity)
-
-
-def closed_set_to_literal(rep: ClosedSetRep) -> dict:
-    if natural_part_is_finite(rep):
-        return {"finite": sorted(rep.prefix), "infinity": rep.infinity}
-    return {"prefix": sorted(rep.prefix), "threshold": rep.threshold,
-            "period": rep.period, "residues": sorted(rep.residues),
-            "infinity": rep.infinity}
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +491,8 @@ class LiftPresentation(PosetPresentation):
         return bank
 
     def sample_elements(self, rng, count):
-        out = []
-        for v in self.inner.sample_elements(rng, count):
-            out.append(BOTTOM if rng.random() < 0.12 else Inner(v))
-        return out
+        return [BOTTOM if rng.random() < 0.12 else Inner(v)
+                for v in self.inner.sample_elements(rng, count)]
 
     def interesting_elements(self):
         return [BOTTOM] + [Inner(e) for e in self.inner.interesting_elements()]
@@ -509,6 +506,19 @@ class LiftPresentation(PosetPresentation):
     def continuity_counterexample(self):
         ce = self.inner.continuity_counterexample()
         return Inner(ce) if ce is not None else None
+
+    def compact_below(self, x):
+        if x is BOTTOM:
+            return BOTTOM
+        c = self.inner.compact_below(x.value)
+        return Inner(c) if c is not None else None
+
+    def inf_instances(self):
+        return [tuple(map(Inner, inst)) for inst in self.inner.inf_instances()]
+
+    def retract_rules(self):
+        # The retract is ⊥ plus the lifted retract of the inner poset.
+        return [f"inner: {rule}" for rule in self.inner.retract_rules()]
 
     def format_element(self, x) -> str:
         if x is BOTTOM:
@@ -560,11 +570,8 @@ class DisjointSumPresentation(PosetPresentation):
         return self.right, x.value, Right
 
     def contains(self, x) -> bool:
-        if isinstance(x, Left):
-            return self.left.contains(x.value)
-        if isinstance(x, Right):
-            return self.right.contains(x.value)
-        return False
+        return (isinstance(x, (Left, Right))
+                and self._side(x)[0].contains(x.value))
 
     def elements(self):
         return ([Left(e) for e in self.left.elements()]
@@ -663,6 +670,20 @@ class DisjointSumPresentation(PosetPresentation):
         ce = self.right.continuity_counterexample()
         return Right(ce) if ce is not None else None
 
+    def compact_below(self, x):
+        comp, xv, wrap = self._side(x)
+        c = comp.compact_below(xv)
+        return wrap(c) if c is not None else None
+
+    def inf_instances(self):
+        return ([tuple(map(Left, inst)) for inst in self.left.inf_instances()]
+                + [tuple(map(Right, inst))
+                   for inst in self.right.inf_instances()])
+
+    def retract_rules(self):
+        return ([f"left: {rule}" for rule in self.left.retract_rules()]
+                + [f"right: {rule}" for rule in self.right.retract_rules()])
+
     def format_element(self, x) -> str:
         comp, xv, _ = self._side(x)
         side = "left" if isinstance(x, Left) else "right"
@@ -723,16 +744,11 @@ def named_finite_poset(name: str) -> FinitePoset:
         names, covers = _FIXED_NAMED[name]
     elif name == "boolean_3":
         names, covers = _boolean_3()
-    elif m := re.fullmatch(r"chain_(\d+)", name):
-        k = int(m.group(1))
+    elif m := re.fullmatch(r"(chain|antichain)_(\d+)", name):
+        k = int(m.group(2))
         if not 1 <= k <= MAX_FINITE_SIZE:
-            raise SizeLimit(f"chain size must be 1..{MAX_FINITE_SIZE}")
-        names, covers = _chain(k)
-    elif m := re.fullmatch(r"antichain_(\d+)", name):
-        k = int(m.group(1))
-        if not 1 <= k <= MAX_FINITE_SIZE:
-            raise SizeLimit(f"antichain size must be 1..{MAX_FINITE_SIZE}")
-        names, covers = _antichain(k)
+            raise SizeLimit(f"{m.group(1)} size must be 1..{MAX_FINITE_SIZE}")
+        names, covers = (_chain if m.group(1) == "chain" else _antichain)(k)
     else:
         raise UnknownName(f"no catalog poset named {name!r}")
     return build_finite_poset(names, covers)

@@ -23,7 +23,7 @@ import os
 import sys
 
 from . import catalog as cat
-from .catalog import CatalogSpec, ClosedSetsPresentation, make_catalog
+from .catalog import CatalogSpec, make_catalog
 from .core import PosetPresentation
 from .errors import (NotApproximable, ParseError, PosetError,
                      PreconditionUnverified, ScopeUnsupported, SizeLimit,
@@ -193,10 +193,8 @@ def cmd_analyze(args) -> int:
         else:
             print("retract membership rule: x is approximable and fixed by "
                   "the kernel (sup of its approximants)")
-            if isinstance(P, ClosedSetsPresentation):
-                print("for closed sets: if inf is in C then the natural "
-                      "part of C must be infinite"
-                      + (" (and nonempty overall)" if P.punctured else ""))
+            for rule in P.retract_rules():
+                print(rule)
         for text in args.elements or ():
             x = parse_element_arg(P, text)
             verdict = "yes" if in_retract(P, x) else "no"

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import ClosednessViolation, ValidationError
+from .errors import ValidationError
 
 # Largest period and threshold a caller may spell out.
 MAX_LITERAL = 1 << 16
@@ -62,7 +62,7 @@ class ClosedSetRep:
         residue_bits = _naturals_to_bits(
             residues, period, "residues must lie in [0, period)")
         if residue_bits and not infinity:
-            raise ClosednessViolation(
+            raise ValidationError(
                 "infinite natural part requires the point at infinity")
         _normalize_into(self, prefix_bits, threshold, period, residue_bits,
                         bool(infinity))

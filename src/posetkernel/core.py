@@ -20,8 +20,8 @@ from .errors import (CycleDetected, DuplicateLabel, EmptyFamily,
                      ForeignElement, PosetError, ScopeUnsupported, SizeLimit,
                      ValidationError)
 from .families import ChainFamily, ExplicitFamily, Family
-from .reports import (EXHAUSTIVE, CheckReport, Scope, refuted, sampled,
-                      unknown, unrefuted, verified)
+from .reports import (DEFAULT_SUBSET_SAMPLES, EXHAUSTIVE, CheckReport, Scope,
+                      refuted, sampled, unknown, unrefuted, verified)
 
 # ---------------------------------------------------------------------------
 # Outcome sentinels for partial suprema / infima
@@ -347,6 +347,18 @@ class PosetPresentation:
         """A certified witness that the poset is not continuous, if any."""
         return None
 
+    def compact_below(self, x):
+        """An element below x and way-below itself, if the kind has one."""
+        return None
+
+    def inf_instances(self) -> list:
+        """Retract subsets the ``inf`` law checks before sampled ones."""
+        return []
+
+    def retract_rules(self) -> list:
+        """The kind's retract membership rule, as lines of text."""
+        return []
+
     def format_element(self, x) -> str:
         return repr(x)
 
@@ -415,12 +427,13 @@ class FinitePosetPresentation(PosetPresentation):
 
     @cached_property
     def _bank(self):
-        """Every directed subset; above 10 elements a fixed random sample of
-        at most 2048 of them."""
+        """Every directed subset, labelled by its element names; above 10
+        elements a fixed random sample of at most 2048 of them."""
         masks = self.poset.directed_subset_masks
         if self.poset.n > 10:
             masks = random.Random(0xD1CE).sample(masks, min(len(masks), 2048))
-        return [ExplicitFamily(tuple(_bits(mask)), top)
+        return [ExplicitFamily(tuple(_bits(mask)), top, label="{" + ", ".join(
+                    map(self.format_element, _bits(mask))) + "}")
                 for mask, top in masks]
 
     def family_bank(self):
@@ -568,8 +581,6 @@ def _cc_exhaustive(P, scope):
 
 
 def _cc_sampled(P, scope):
-    from .reports import DEFAULT_SUBSET_SAMPLES
-
     law = "conditionally_complete"
     rng = random.Random(scope.seed)
     pool = sample_pool(P, rng, scope.count)

@@ -43,11 +43,6 @@ class PreconditionUnverified(PosetError):
     the presentation kind nor verifiable by exhaustion."""
 
 
-class ClosednessViolation(PosetError):
-    """An eventually-periodic set with an infinite natural part must carry
-    the point at infinity."""
-
-
 class UnknownName(PosetError):
     """No catalog entry with the given name."""
 

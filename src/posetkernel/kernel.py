@@ -17,11 +17,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .catalog import ClosedSetsPresentation
-from .closedsets import EVENS, ODDS, closed_set, truncate_naturals
 from .core import (PosetPresentation, check_conditionally_complete,
                    check_continuity, check_interpolation, check_subposet,
-                   _mask, is_approximable, is_element, resolve_scope,
+                   _bits, _mask, is_approximable, is_element, resolve_scope,
                    sample_pool)
 from .errors import (EmptyFamily, NoInfimumError, NotApproximable, PosetError,
                      PreconditionUnverified, ScopeUnsupported)
@@ -56,18 +54,16 @@ def in_retract(P: PosetPresentation, x) -> bool:
 
 
 def adversarial_kernel(P: PosetPresentation) -> Callable:
-    """Planted self-test fixture: the identity except one element is sent
-    strictly upward, so deflation must be refuted by check_kernel_laws."""
-    if isinstance(P, ClosedSetsPresentation):
-        src, dst = closed_set({0}), closed_set({0, 1})
-    else:
-        pool = P.interesting_elements()
-        pair = next(((a, b) for a in pool for b in pool
-                     if a != b and P.leq(a, b)), None)
-        if pair is None:
-            raise ScopeUnsupported(
-                f"{P.name} has no strictly comparable pair to corrupt")
-        src, dst = pair
+    """Planted self-test fixture: the identity except that the first
+    interesting element below another is sent up to it, so deflation must
+    be refuted by check_kernel_laws."""
+    pool = P.interesting_elements()
+    pair = next(((a, b) for a in pool for b in pool
+                 if a != b and P.leq(a, b)), None)
+    if pair is None:
+        raise ScopeUnsupported(
+            f"{P.name} has no strictly comparable pair to corrupt")
+    src, dst = pair
     return lambda x: dst if x == src else x
 
 
@@ -100,11 +96,6 @@ def retract_member(P: PosetPresentation) -> Callable[[object], bool]:
 # Kernel-law checkers
 
 
-def _approximable_pool(P, rng, count):
-    return [x for x in sample_pool(P, rng, count)
-            if P.waybelow_family(x) is not None]
-
-
 def check_kernel_laws(P: PosetPresentation, scope: Scope | None = None,
                       kernel: Callable | None = None) -> CheckReport:
     """Deflation, idempotence, and monotonicity of ``kernel`` (by default
@@ -117,7 +108,8 @@ def check_kernel_laws(P: PosetPresentation, scope: Scope | None = None,
         pairs = [(x, y) for x in xs for y in xs if P.leq(x, y)]
     else:
         rng = random.Random(scope.seed)
-        pool = _approximable_pool(P, rng, scope.count)
+        pool = [x for x in sample_pool(P, rng, scope.count)
+                if P.waybelow_family(x) is not None]
         if not pool:
             return unknown(law, "no approximable elements sampled", scope)
         xs = pool[:scope.count]
@@ -158,51 +150,36 @@ def check_scott_continuity(P: PosetPresentation) -> CheckReport:
         members = fam.sample_members()
         if not all(P.waybelow_family(m) is not None for m in members):
             continue
-        d0 = fam.supremum if isinstance(fam, ExplicitFamily) \
-            else P.chain_sup(fam)
+        label = fam.label or fam
+        explicit = isinstance(fam, ExplicitFamily)
+        d0 = fam.supremum if explicit else P.chain_sup(fam)
         if P.waybelow_family(d0) is None:
-            return refuted(law, fam.label or fam,
-                           "supremum of an approximable directed family "
-                           "is not approximable", BANK, samples=checked)
+            return refuted(law, label, "supremum of an approximable directed "
+                           "family is not approximable", BANK, samples=checked)
         k_sup = kernel_of(P, d0)
-        if isinstance(fam, ExplicitFamily):
-            images = tuple(kernel_of(P, m) for m in members)
-            s = P.finite_sup(images)
+        if explicit:
+            s = P.finite_sup(tuple(kernel_of(P, m) for m in members))
             if not is_element(s):
-                return refuted(law, fam.label or fam,
-                               "kernel image has no supremum", BANK,
-                               samples=checked)
-            if s != k_sup:
-                return refuted(
-                    law, fam.label or fam,
-                    f"k(sup) = {P.format_element(k_sup)} but sup of kernel "
-                    f"images = {P.format_element(s)}", BANK, samples=checked)
-            if not in_retract(P, s):
-                return refuted(law, fam.label or fam,
-                               "image supremum escapes the retract", BANK,
-                               samples=checked)
-            checked += 1
+                return refuted(law, label, "kernel image has no supremum",
+                               BANK, samples=checked)
         else:
-            for m in members:
-                if not P.leq(kernel_of(P, m), k_sup):
-                    return refuted(law, fam.label or fam,
-                                   "a kernel image escapes k(sup)", BANK,
-                                   samples=checked)
-            if fam.kernel_image_sup is not None:
-                s = fam.kernel_image_sup
-                if s != k_sup:
-                    return refuted(
-                        law, fam.label or fam,
-                        f"k(sup) = {P.format_element(k_sup)} but certified "
-                        f"image supremum = {P.format_element(s)}", BANK,
-                        samples=checked)
-                if not in_retract(P, s):
-                    return refuted(law, fam.label or fam,
-                                   "image supremum escapes the retract",
-                                   BANK, samples=checked)
-                checked += 1
-            else:
+            if not all(P.leq(kernel_of(P, m), k_sup) for m in members):
+                return refuted(law, label, "a kernel image escapes k(sup)",
+                               BANK, samples=checked)
+            s = fam.kernel_image_sup
+            if s is None:
                 partial += 1
+                continue
+        if s != k_sup:
+            what = "sup of kernel images" if explicit \
+                else "certified image supremum"
+            return refuted(law, label, f"k(sup) = {P.format_element(k_sup)} "
+                           f"but {what} = {P.format_element(s)}", BANK,
+                           samples=checked)
+        if not in_retract(P, s):
+            return refuted(law, label, "image supremum escapes the retract",
+                           BANK, samples=checked)
+        checked += 1
     return _finish(law, P.bank_is_exhaustive, checked + partial, BANK)
 
 
@@ -237,10 +214,12 @@ def check_largest_retract(P: PosetPresentation,
     """Every continuous subposet sits inside the retract.
 
     Finite carriers: exhaust all subsets against the definitional brute
-    force.  Closed-set kinds: refute the targeted candidate Q ∪ {{∞}} and
-    sample-confirm the finite-sets sublattice; universal quantification
-    over subposets of an infinite carrier is out of reach, so the overall
-    status stays Unrefuted there.
+    force.  A symbolic carrier with a certified non-continuity witness x
+    (``continuity_counterexample``): refute the targeted candidate
+    Q ∪ {x} and sample-confirm that its compact elements (``compact_below``)
+    lie in the retract Q; any other symbolic carrier: sample-confirm that Q
+    is continuous.  Universal quantification over subposets of an infinite
+    carrier is out of reach, so the overall status stays Unrefuted there.
     """
     law = "largest-retract"
     scope = resolve_scope(P, scope)
@@ -249,86 +228,99 @@ def check_largest_retract(P: PosetPresentation,
         if fp.n > 10:
             raise ScopeUnsupported("exhaustive subset check capped at 10 "
                                    "elements")
-        retract = frozenset(i for i, e in enumerate(elems)
-                            if in_retract(P, e))
+        retract = _mask(i for i, e in enumerate(elems) if in_retract(P, e))
         passing = continuous_subposets_bruteforce(fp)
         for mask in passing:
-            if mask & ~_mask(retract):
-                outside = [elems[i] for i in range(fp.n)
-                           if (mask >> i) & 1 and i not in retract]
-                return refuted(law, tuple(outside),
+            if mask & ~retract:
+                return refuted(law, tuple(elems[i]
+                                          for i in _bits(mask & ~retract)),
                                "a continuous subposet escapes the retract",
                                scope)
         # every passing subset lies inside the retract, so the retract is
         # the largest one exactly when it passes itself
-        if _mask(retract) not in passing:
+        if retract not in passing:
             return refuted(law, None,
                            "retract differs from the brute-force largest "
                            "continuous subposet", scope)
         return verified(law, scope)
-    subs = []
-    if isinstance(P, ClosedSetsPresentation):
-        subs.append(_refute_inf_candidate(P))
-        subs.append(_confirm_finite_sublattice(P, scope))
+    witness = P.continuity_counterexample()
+    if witness is None:
+        subs = [_confirm_retract_continuity(P, scope)]
     else:
-        subs.append(_confirm_retract_continuity(P, scope))
+        subs = [_refute_candidate(P, witness),
+                _confirm_compact_elements(P, scope)]
     return combine(law, subs, scope)
 
 
-def _refute_inf_candidate(P: ClosedSetsPresentation) -> CheckReport:
-    """The candidate R = Q ∪ {{∞}} is not a continuous subposet: inside R
-    the approximants of {∞} have supremum below {∞}."""
+def _refute_candidate(P: PosetPresentation, witness) -> CheckReport:
+    """The candidate R = Q ∪ {witness} is not a continuous subposet: inside
+    R the approximants of the witness have a supremum below it."""
     law = "largest-retract:candidate-beyond-retract"
-    witness = closed_set(infinity=True)
+    w = P.format_element(witness)
     fam = P.waybelow_family(witness)
     if fam is None:
-        return verified(law, BANK, reason="candidate refuted: {inf} has no "
+        return verified(law, BANK, reason=f"candidate refuted: {w} has no "
                         "approximants at all, hence none inside R")
-    members = tuple(m for m in fam.sample_members()
-                    if in_retract(P, m) or m == witness)
-    if not members:
-        return verified(law, BANK, reason="candidate refuted: no "
-                        "approximants of {inf} inside R")
-    s = P.finite_sup(members)
-    if is_element(s) and s == witness:
+    s = _sup_inside_retract(P, witness, fam)
+    if s is None:
+        return unknown(law, f"no known supremum of the approximants of {w} "
+                       "inside R", BANK)
+    if s == witness:
         return refuted(law, witness,
-                       "candidate unexpectedly continuous at {inf}", BANK)
+                       f"candidate unexpectedly continuous at {w}", BANK)
     return verified(
         law, BANK,
-        reason=f"candidate refuted: sup of approximants of {{inf}} inside R "
-               f"= {P.format_element(s)} != {{inf}}")
+        reason=f"candidate refuted: sup of approximants of {w} inside R "
+               f"= {P.format_element(s)} != {w}")
 
 
-def _confirm_finite_sublattice(P: ClosedSetsPresentation,
-                               scope: Scope) -> CheckReport:
-    """The sublattice of finite closed sets sits inside the retract."""
+def _sup_inside_retract(P: PosetPresentation, x, fam):
+    """The supremum of the approximants of x inside R = Q ∪ {x}, from x's
+    approximant family: the join of its members in R, or a chain's certified
+    ``kernel_image_sup``; None when unknown (nothing to join, no join, no
+    certificate)."""
+    if not isinstance(fam, ExplicitFamily):
+        return fam.kernel_image_sup
+    members = tuple(m for m in fam.members if m == x or in_retract(P, m))
+    s = P.finite_sup(members) if members else None
+    return s if is_element(s) else None
+
+
+def _confirm_compact_elements(P: PosetPresentation,
+                              scope: Scope) -> CheckReport:
+    """The compact elements below sampled elements sit inside the retract
+    (on closed sets: the sublattice of finite sets)."""
     law = "largest-retract:finite-sublattice"
     rng = random.Random(scope.seed)
     count = 0
-    for rep in P.sample_elements(rng, scope.count):
-        finite_part = truncate_naturals(rep, 15)
-        if not P.contains(finite_part):
+    for x in P.sample_elements(rng, scope.count):
+        c = P.compact_below(x)
+        if c is None:
             continue
-        if not in_retract(P, finite_part):
-            return refuted(law, finite_part,
-                           "finite closed set escapes the retract", scope)
+        if not in_retract(P, c):
+            return refuted(law, c, "compact element escapes the retract",
+                           scope)
         count += 1
     return unrefuted(law, count, scope)
 
 
 def _confirm_retract_continuity(P: PosetPresentation,
                                 scope: Scope) -> CheckReport:
-    """Sampled retract elements are suprema of their retract approximants."""
+    """Sampled retract elements are the suprema of their approximants
+    inside the retract (elements where that supremum is unknown are
+    skipped)."""
     law = "largest-retract:retract-is-continuous"
     rng = random.Random(scope.seed)
     count = 0
     for x in sample_pool(P, rng, scope.count):
         if not in_retract(P, x):
             continue
-        fam = P.waybelow_family(x)
-        if fam.supremum != x:
-            return refuted(law, x, "retract element is not the sup of its "
-                           "approximants", scope)
+        s = _sup_inside_retract(P, x, P.waybelow_family(x))
+        if s is None:
+            continue
+        if s != x:
+            return refuted(law, x, f"sup of its approximants inside the "
+                           f"retract = {P.format_element(s)}", scope)
         count += 1
     return unrefuted(law, count, scope)
 
@@ -363,21 +355,16 @@ def quotient_structure(P: PosetPresentation, sample) -> QuotientStructure:
     sample = tuple(dict.fromkeys(sample))
     if not sample:
         raise EmptyFamily("quotient needs a nonempty sample")
-    buckets = {}
-    order = []
+    buckets = {}  # kernel value -> its class, in order of first appearance
     for x in sample:
         P.require(x)
         fam = P.waybelow_family(x)
         if fam is None:
             raise NotApproximable(
                 f"{P.format_element(x)} has no approximants")
-        value = fam.supremum
-        if value not in buckets:
-            buckets[value] = []
-            order.append(value)
-        buckets[value].append(x)
-    classes = tuple(tuple(buckets[v]) for v in order)
-    values = tuple(order)
+        buckets.setdefault(fam.supremum, []).append(x)
+    classes = tuple(map(tuple, buckets.values()))
+    values = tuple(buckets)
     for v in values:
         if not in_retract(P, v):
             raise PosetError("a class image escapes the retract")
@@ -422,11 +409,10 @@ def check_inf_preservation(P: PosetPresentation, A,
                            f"not a lower bound of {P.format_element(a)}",
                            scope)
     if scope.kind == "exhaustive":
-        pool = [x for x in P.elements() if in_retract(P, x)]
+        pool = P.elements()
     else:
-        rng = random.Random(scope.seed)
-        pool = [x for x in sample_pool(P, rng, scope.count)
-                if in_retract(P, x)]
+        pool = sample_pool(P, random.Random(scope.seed), scope.count)
+    pool = [x for x in pool if in_retract(P, x)]
     for c in pool:
         if all(P.leq(c, a) for a in A) and not P.leq(c, candidate):
             return refuted(law, c,
@@ -437,8 +423,8 @@ def check_inf_preservation(P: PosetPresentation, A,
 
 def check_inf_preservation_sampled(P: PosetPresentation,
                                    scope: Scope | None = None) -> CheckReport:
-    """check_inf_preservation over sampled retract subsets of two or three
-    elements, after the evens/odds pair on the full closed-set lattice.
+    """check_inf_preservation over the kind's ``inf_instances``, then over
+    sampled retract subsets of two or three elements.
 
     The instances are drawn with the seed and count of ``scope`` (or
     ``sampled()``) on every carrier; each one is decided within
@@ -447,9 +433,7 @@ def check_inf_preservation_sampled(P: PosetPresentation,
     """
     law = "infima-preservation"
     outer = scope or sampled()
-    instances = []
-    if isinstance(P, ClosedSetsPresentation) and not P.punctured:
-        instances.append((EVENS, ODDS))
+    instances = list(P.inf_instances())
     rng = random.Random(outer.seed)
     pool = [x for x in sample_pool(P, rng, 200) if in_retract(P, x)]
     want = max(10, outer.count // 10)

@@ -24,15 +24,8 @@ class Status(enum.Enum):
 
     @property
     def severity(self) -> int:
-        return _SEVERITY[self]
-
-
-_SEVERITY = {
-    Status.VERIFIED: 0,
-    Status.UNREFUTED: 1,
-    Status.UNKNOWN: 2,
-    Status.REFUTED: 3,
-}
+        """Rank in declaration order, from best to worst."""
+        return list(Status).index(self)
 
 
 @dataclass(frozen=True)

@@ -269,6 +269,22 @@ class TestWrappedFamilies:
         assert "lifted:three-chain" in labels
         assert labels[-1] == "bottom-and-anchor"
 
+    @pytest.mark.parametrize("name", ["chain_3", "diamond", "antichain_2"])
+    def test_finite_bank_labels_name_their_elements(self, name):
+        F = make_catalog(finite_named(name))
+        L = make_catalog(lift(finite_named(name)))
+
+        def names(members):
+            return "{" + ", ".join(map(F.format_element, members)) + "}"
+
+        for fam in F.family_bank():
+            assert fam.label == names(fam.members)
+        assert L.family_bank()[0].label == "bottom-singleton"
+        for fam in L.family_bank()[1:]:
+            inner = [m.value for m in fam.members if m is not BOTTOM]
+            prefix = "bottom+lifted:" if BOTTOM in fam.members else "lifted:"
+            assert fam.label == prefix + names(inner)
+
     def test_summed_chain_is_certified_on_its_side_only(self):
         S = make_catalog(disjoint_sum(punctured_closed_sets(),
                                       punctured_closed_sets()))

@@ -13,7 +13,7 @@ from posetkernel.catalog import (DOCUMENT_FIELDS, MAX_DOCUMENT_DEPTH,
                                  finite_explicit, lift, make_catalog,
                                  omega_plus_one, spec_to_document,
                                  standard_roster)
-from posetkernel.errors import ClosednessViolation, ParseError, ValidationError
+from posetkernel.errors import ParseError, ValidationError
 
 
 def run_cli(argv):
@@ -334,6 +334,15 @@ class TestAnalyzeCommand:
         assert code == 65
         assert out == "" and err.startswith("input error:")
 
+    def test_residues_without_infinity_is_an_input_error(self):
+        code, out, err = run_cli(["analyze", "closed_sets", "kernel",
+                                  "--element",
+                                  '{"period":1,"residues":[0]}'])
+        assert code == 65
+        assert out == ""
+        assert err == ("input error: infinite natural part requires the "
+                       "point at infinity\n")
+
     def test_missing_element_usage(self):
         code, _, _ = run_cli(["analyze", "diamond", "kernel"])
         assert code == 64
@@ -456,9 +465,7 @@ element_literals = st.recursive(
         min_size=1, max_size=2),
     max_leaves=6)
 
-# ClosedSetRep rejects residues without the point at infinity with its own
-# PosetError; main reports it as an input error too (exit 65).
-INPUT_ERRORS = (ParseError, ValidationError, ClosednessViolation)
+INPUT_ERRORS = (ParseError, ValidationError)
 
 
 class TestParsersRejectOnlyWithInputErrors:

@@ -15,7 +15,7 @@ from posetkernel.closedsets import (EMPTY, EVENS, FULL, INF_POINT,
                                     finite_naturals, format_closed_set,
                                     is_empty, min_natural, natural_closure,
                                     natural_part_is_finite)
-from posetkernel.errors import ClosednessViolation, ValidationError
+from posetkernel.errors import ValidationError
 
 from conftest import closed_fields, closed_reps, compare_window, model_member
 
@@ -36,7 +36,7 @@ class TestNormalization:
         assert rep.period == 1 and rep.threshold == 5
 
     def test_closedness_violation(self):
-        with pytest.raises(ClosednessViolation):
+        with pytest.raises(ValidationError, match="point at infinity"):
             ClosedSetRep(frozenset(), 0, 2, frozenset({0}), False)
 
     def test_structural_validation(self):

@@ -1,16 +1,21 @@
 """Kernel, retract, quotient, and the law checkers on top of them."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
-from posetkernel import BOTTOM, OMEGA, Inner, closed_set, make_catalog
-from posetkernel.catalog import finite_named, omega_plus_one, \
-    standard_roster
+from posetkernel import (BOTTOM, OMEGA, Inner, PosetPresentation, catalog,
+                         cli, closed_set, kernel, make_catalog)
+from posetkernel.catalog import (closed_sets, disjoint_sum, finite_named, lift,
+                                 omega_plus_one, punctured_closed_sets,
+                                 standard_roster)
 from posetkernel.closedsets import EMPTY, EVENS, FULL, INF_POINT, ODDS
 from posetkernel.core import sample_pool
 from posetkernel.errors import (NoInfimumError, NotApproximable, PosetError,
                                 PreconditionUnverified)
+from posetkernel.families import ChainFamily, ExplicitFamily
 from posetkernel.kernel import (adversarial_kernel, check_approximation_laws,
                                 check_inf_preservation,
                                 check_inf_preservation_sampled,
@@ -157,8 +162,8 @@ class TestKernelLaws:
     def test_adversarial_kernel_refuted(self, closed):
         report = check_kernel_laws(closed, kernel=adversarial_kernel(closed))
         assert report.status is Status.REFUTED
-        assert "deflation" in report.reason
-        assert report.witness == closed_set({0})
+        assert report.reason == "deflation fails: k = {inf}"
+        assert report.witness == EMPTY
 
     def test_adversarial_kernel_on_finite(self, diamond):
         report = check_kernel_laws(diamond,
@@ -254,6 +259,45 @@ class TestLargestRetract:
         assert sub.status is Status.UNREFUTED
         assert sub.samples > 100
 
+    @pytest.mark.parametrize("spec", [
+        lift(closed_sets()), lift(punctured_closed_sets()),
+        disjoint_sum(finite_named("chain_2"), closed_sets())],
+        ids=["lift_closed", "lift_punctured", "sum_chain_2_closed"])
+    def test_combinators_inherit_the_targeted_checks(self, spec):
+        P = make_catalog(spec)
+        report = check_largest_retract(P)
+        assert report.status is Status.UNREFUTED
+        laws = {sub.law: sub for sub in report.subreports}
+        assert set(laws) == {"largest-retract:candidate-beyond-retract",
+                             "largest-retract:finite-sublattice"}
+        candidate = laws["largest-retract:candidate-beyond-retract"]
+        assert candidate.status is Status.VERIFIED
+        assert P.format_element(P.continuity_counterexample()) \
+            in candidate.reason
+        assert laws["largest-retract:finite-sublattice"].samples > 100
+
+    @pytest.mark.parametrize("corrupt", ["explicit", "chain"])
+    def test_retract_continuity_refutes_a_wrong_supremum(self, corrupt):
+        """7 (or omega) keeps its declared supremum, so it stays in the
+        retract, but its approximants inside the retract join below it."""
+        class Corrupt(make_catalog(omega_plus_one()).__class__):
+            def waybelow_family(self, x):
+                if corrupt == "explicit" and x == 7:
+                    return ExplicitFamily((0, 1, 2), 7)
+                if corrupt == "chain" and x is OMEGA:
+                    return ChainFamily(lambda i: i, OMEGA,
+                                       kernel_image_sup=5)
+                return super().waybelow_family(x)
+
+        P = Corrupt()
+        report = check_largest_retract(P)
+        assert report.status is Status.REFUTED
+        (sub,) = report.subreports
+        assert sub.law == "largest-retract:retract-is-continuous"
+        assert sub.witness == (7 if corrupt == "explicit" else OMEGA)
+        assert sub.reason.endswith(
+            "= " + ("2" if corrupt == "explicit" else "5"))
+
 
 class TestQuotient:
     def test_closed_four_element_sample(self, closed):
@@ -344,6 +388,20 @@ class TestInfPreservation:
         report = check_inf_preservation_sampled(closed, sampled(count=100))
         assert report.status is Status.UNREFUTED
         assert report.reason == "10 retract subsets checked"
+
+    def test_lift_starts_with_the_wrapped_evens_and_odds(self, monkeypatch):
+        P = make_catalog(lift(closed_sets()))
+        seen = []
+
+        def spy(P, A, scope=None):
+            seen.append(A)
+            return check_inf_preservation(P, A, scope)
+
+        monkeypatch.setattr(kernel, "check_inf_preservation", spy)
+        report = check_inf_preservation_sampled(P, sampled(count=100))
+        assert report.status is Status.UNREFUTED
+        assert seen[0] == (Inner(EVENS), Inner(ODDS))
+        assert len(seen) == 10
 
 
 class TestApproximationLaws:
@@ -459,3 +517,37 @@ class TestPreconditions:
             member = retract_member(P)
             assert frozenset(x for x in P.elements() if member(x)) == \
                 largest_continuous_subposet_bruteforce(fp)
+
+
+class TestLayering:
+    """The check layer knows no carrier: kernel.py and cli.py reach the
+    closed-set lattice and the combinators only through presentation
+    hooks, so a lift or a sum inherits every targeted check."""
+
+    CARRIERS = {name for name, obj in vars(catalog).items()
+                if isinstance(obj, type) and obj.__module__ == catalog.__name__
+                and issubclass(obj, PosetPresentation)}
+
+    @staticmethod
+    def tree(module):
+        return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+
+    def test_kernel_imports_no_carrier_module(self):
+        for node in ast.walk(self.tree(kernel)):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            modules = {name.rsplit(".", 1)[-1] for name in names}
+            assert not modules & {"catalog", "closedsets"}, ast.unparse(node)
+
+    @pytest.mark.parametrize("module", [kernel, cli], ids=["kernel", "cli"])
+    def test_no_carrier_class_is_named(self, module):
+        assert "ClosedSetsPresentation" in self.CARRIERS
+        for node in ast.walk(self.tree(module)):
+            name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or getattr(node, "name", None))
+            assert name not in self.CARRIERS, \
+                f"{module.__name__} names the carrier {name}"
