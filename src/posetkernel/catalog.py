@@ -76,13 +76,12 @@ from .closedsets import (ClosedSetRep, closed_set, closedset_join,
                          is_empty, min_natural, natural_closure,
                          natural_part_is_finite, periodic_set,
                          truncate_naturals)
-from .core import (BOTTOM, Inner, Left, NO_INFIMUM, NO_SUPREMUM, OMEGA,
-                   FinitePoset, FinitePosetPresentation, PosetPresentation,
-                   Right, build_finite_poset, is_element)
+from .core import (BOTTOM, FINITE_CAP, SUBSET_SCAN_CAP, Inner, Left,
+                   NO_INFIMUM, NO_SUPREMUM, OMEGA, FinitePoset,
+                   FinitePosetPresentation, PosetPresentation, Right,
+                   build_finite_poset, is_element)
 from .errors import PosetError, SizeLimit, UnknownName, ValidationError
 from .families import ChainFamily, ExplicitFamily, map_family
-
-MAX_FINITE_SIZE = 16
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +154,10 @@ class OmegaPlusOnePresentation(PosetPresentation):
 
     def interpolation_witness(self, x, y):
         return x if x is not OMEGA else None
+
+    def compact_below(self, x):
+        # every natural is way-below itself; omega is not, but 0 is below it
+        return 0 if x is OMEGA else x
 
     def format_element(self, x) -> str:
         return "omega" if x is OMEGA else str(x)
@@ -460,8 +463,9 @@ class LiftPresentation(PosetPresentation):
     @cached_property
     def bank_is_exhaustive(self):
         # Each level doubles an exhaustive bank; like a finite carrier, stop
-        # exhausting above 10 elements.
-        return self.inner.bank_is_exhaustive and len(self.elements()) <= 10
+        # exhausting above SUBSET_SCAN_CAP elements.
+        return (self.inner.bank_is_exhaustive
+                and len(self.elements()) <= SUBSET_SCAN_CAP)
 
     def family_bank(self):
         return self._bank
@@ -746,8 +750,8 @@ def named_finite_poset(name: str) -> FinitePoset:
         names, covers = _boolean_3()
     elif m := re.fullmatch(r"(chain|antichain)_(\d+)", name):
         k = int(m.group(2))
-        if not 1 <= k <= MAX_FINITE_SIZE:
-            raise SizeLimit(f"{m.group(1)} size must be 1..{MAX_FINITE_SIZE}")
+        if not 1 <= k <= FINITE_CAP:
+            raise SizeLimit(f"{m.group(1)} size must be 1..{FINITE_CAP}")
         names, covers = (_chain if m.group(1) == "chain" else _antichain)(k)
     else:
         raise UnknownName(f"no catalog poset named {name!r}")
@@ -757,8 +761,8 @@ def named_finite_poset(name: str) -> FinitePoset:
 def random_finite_poset(n: int, edge_prob: float, seed: int) -> FinitePoset:
     """Random order: a DAG by edge probability on a topological order,
     closed reflexively and transitively."""
-    if not 1 <= n <= MAX_FINITE_SIZE:
-        raise SizeLimit(f"random poset size must be 1..{MAX_FINITE_SIZE}")
+    if not 1 <= n <= FINITE_CAP:
+        raise SizeLimit(f"random poset size must be 1..{FINITE_CAP}")
     rng = random.Random(seed)
     names = [f"x{i}" for i in range(n)]
     covers = [(names[i], names[j])

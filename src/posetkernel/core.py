@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import compress
 from typing import Callable
 
 from .errors import (CycleDetected, DuplicateLabel, EmptyFamily,
@@ -81,6 +82,15 @@ class Right:
 # ---------------------------------------------------------------------------
 # Finite posets
 
+# The caps of the definitional finite oracle, in elements.  FINITE_CAP bounds
+# every scan of the 2^n subsets of a finite carrier (directed subsets,
+# brute-force way-below and continuity, conditional completeness) and so the
+# size of a finite catalog poset.  SUBSET_SCAN_CAP bounds the scans that also
+# try every subset as a candidate subposet, and the size up to which a
+# finite family bank holds every directed subset.
+FINITE_CAP = 16
+SUBSET_SCAN_CAP = 10
+
 
 def _bits(mask):
     while mask:
@@ -94,6 +104,44 @@ def _mask(indices) -> int:
     for i in indices:
         mask |= 1 << i
     return mask
+
+
+# Subset planes: a set of subsets of {0..n-1} is one 2^n-bit int whose bit m
+# stands for the subset with element mask m, so a single big-int operation
+# acts on all 2^n subsets at once.
+
+_BIT_FLAGS = bytes.maketrans(b"01", bytes((0, 1)))
+
+
+@cache
+def _subset_planes(n):
+    """``S[b]`` for b < n: the plane of the subsets that contain b.  Built on
+    first use and kept per n."""
+    planes = []
+    for b in range(n):
+        # bit m of S[b] is bit b of m: runs of 2^b zeros then 2^b ones
+        plane, width = ((1 << (1 << b)) - 1) << (1 << b), 2 << b
+        while width < 1 << n:
+            plane |= plane << width
+            width <<= 1
+        planes.append(plane)
+    return tuple(planes)
+
+
+def _none_of(n, mask):
+    """The plane of the subsets of {0..n-1} that contain no element of
+    ``mask``."""
+    planes = _subset_planes(n)
+    hit = 0
+    for b in _bits(mask):
+        hit |= planes[b]
+    return ((1 << (1 << n)) - 1) & ~hit
+
+
+def _plane_members(plane):
+    """The element masks of the subsets in a plane, ascending."""
+    flags = bin(plane)[:1:-1].encode().translate(_BIT_FLAGS)
+    return compress(range(len(flags)), flags)
 
 
 class FinitePoset:
@@ -179,24 +227,43 @@ class FinitePoset:
         return None
 
     @cached_property
-    def directed_subset_masks(self):
-        """All directed subsets as (mask, max_element) pairs.
+    def directed_planes(self):
+        """``(D, T)`` as subset planes.  ``D`` holds the directed subsets:
+        nonempty, and every pair of members has an upper bound among the
+        members.  ``T[t]`` holds the subsets whose maximum is t: they
+        contain t and lie inside its down-set.
 
         Every finite directed set contains its own maximum, which is
         therefore its supremum; the maximum is computed and checked here
         rather than assumed.
         """
-        if self.n > 16:
-            raise SizeLimit(f"directed-subset enumeration capped at 16 "
-                            f"elements, poset has {self.n}")
-        out = []
-        up = self.up
-        for mask in range(1, 1 << self.n):
-            members = list(_bits(mask))
-            if all(mask & up[i] & up[j] for i in members for j in members):
-                top = next(i for i in members if mask & ~self.down[i] == 0)
-                out.append((mask, top))
-        return out
+        n = self.n
+        if n > FINITE_CAP:
+            raise SizeLimit(f"directed-subset enumeration capped at "
+                            f"{FINITE_CAP} elements, poset has {n}")
+        S = _subset_planes(n)
+        full = (1 << n) - 1
+        unbounded = 1  # the empty subset
+        for i in range(n):
+            for j in range(i + 1, n):
+                unbounded |= S[i] & S[j] & _none_of(n, self.up[i] & self.up[j])
+        D = ((1 << (1 << n)) - 1) & ~unbounded
+        T = tuple(S[t] & _none_of(n, full & ~self.down[t]) for t in range(n))
+        topless = D
+        for plane in T:
+            topless &= ~plane
+        if topless:
+            raise PosetError("a directed subset has no maximum; the order "
+                             "is corrupt")
+        return D, T
+
+    @cached_property
+    def directed_subset_masks(self):
+        """All directed subsets as (mask, max_element) pairs in mask order,
+        read off ``directed_planes``."""
+        D, T = self.directed_planes
+        return sorted((mask, t) for t in range(self.n)
+                      for mask in _plane_members(D & T[t]))
 
     def hasse_edges(self):
         """Cover pairs (i, j): the transitive reduction of the strict order."""
@@ -427,10 +494,11 @@ class FinitePosetPresentation(PosetPresentation):
 
     @cached_property
     def _bank(self):
-        """Every directed subset, labelled by its element names; above 10
-        elements a fixed random sample of at most 2048 of them."""
+        """Every directed subset, labelled by its element names; above
+        SUBSET_SCAN_CAP elements a fixed random sample of at most 2048 of
+        them."""
         masks = self.poset.directed_subset_masks
-        if self.poset.n > 10:
+        if self.poset.n > SUBSET_SCAN_CAP:
             masks = random.Random(0xD1CE).sample(masks, min(len(masks), 2048))
         return [ExplicitFamily(tuple(_bits(mask)), top, label="{" + ", ".join(
                     map(self.format_element, _bits(mask))) + "}")
@@ -441,7 +509,8 @@ class FinitePosetPresentation(PosetPresentation):
 
     @cached_property
     def certified_conditionally_complete(self):
-        return self.poset.n <= 16 and self.poset.lubless_subset() is None
+        return (self.poset.n <= FINITE_CAP
+                and self.poset.lubless_subset() is None)
 
     def sample_elements(self, rng, count):
         return [rng.randrange(self.poset.n) for _ in range(count)]
@@ -450,6 +519,9 @@ class FinitePosetPresentation(PosetPresentation):
         return list(range(self.poset.n))
 
     def interpolation_witness(self, x, y):
+        return x
+
+    def compact_below(self, x):
         return x
 
     def format_element(self, x) -> str:
@@ -570,8 +642,9 @@ def resolve_scope(P: PosetPresentation, scope: Scope | None = None) -> Scope:
 def _cc_exhaustive(P, scope):
     law = "conditionally_complete"
     elems = P.elements()
-    if len(elems) > 16:
-        raise SizeLimit("exhaustive subset scan capped at 16 elements")
+    if len(elems) > FINITE_CAP:
+        raise SizeLimit(f"exhaustive subset scan capped at {FINITE_CAP} "
+                        "elements")
     mask = induced_finite_poset(P, elems).lubless_subset()
     if mask is not None:
         return refuted(law, tuple(elems[i] for i in _bits(mask)),

@@ -17,10 +17,10 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import (PosetPresentation, check_conditionally_complete,
-                   check_continuity, check_interpolation, check_subposet,
-                   _bits, _mask, is_approximable, is_element, resolve_scope,
-                   sample_pool)
+from .core import (SUBSET_SCAN_CAP, PosetPresentation,
+                   check_conditionally_complete, check_continuity,
+                   check_interpolation, check_subposet, _bits, _mask,
+                   is_approximable, is_element, resolve_scope, sample_pool)
 from .errors import (EmptyFamily, NoInfimumError, NotApproximable, PosetError,
                      PreconditionUnverified, ScopeUnsupported)
 from .families import ExplicitFamily
@@ -225,9 +225,9 @@ def check_largest_retract(P: PosetPresentation,
     scope = resolve_scope(P, scope)
     if scope.kind == "exhaustive":
         fp, elems = as_finite_poset(P)
-        if fp.n > 10:
-            raise ScopeUnsupported("exhaustive subset check capped at 10 "
-                                   "elements")
+        if fp.n > SUBSET_SCAN_CAP:
+            raise ScopeUnsupported(f"exhaustive subset check capped at "
+                                   f"{SUBSET_SCAN_CAP} elements")
         retract = _mask(i for i, e in enumerate(elems) if in_retract(P, e))
         passing = continuous_subposets_bruteforce(fp)
         for mask in passing:

@@ -7,6 +7,17 @@ the quantification is decidable by enumeration; the well-known consequence
 that way-below then coincides with the order on finite posets is *checked*
 as a meta-test by the suite, not assumed here.
 
+The enumeration runs on subset planes (``FinitePoset.directed_planes``): a
+set of subsets is one 2^n-bit int, bit m standing for the subset with
+element mask m, so one big-int operation of 2^n / word machine words acts
+on all 2^n subsets.  The directed subsets come out of one term per pair of
+elements, each clearing the pair's common up-set (O(n^2) terms of at most n
+operations).  One table per poset, ``avoid[x]``, holds the maxima t of the
+directed subsets that miss the up-set of x; it costs another n^2
+operations.  Then ``x << y`` fails exactly when such a t lies above y, one
+AND of n-bit masks per query, and approximants, kernels and continuity read
+the same table.
+
 For symbolic kinds, refutation scans the family bank.  A family refutes
 ``x << y`` only when its supremum dominates y and the absence of a member
 dominating x is conclusive: exhaustively for explicit families, and for
@@ -19,55 +30,47 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (OMEGA, FinitePoset, PosetPresentation, _bits,
+from .core import (FINITE_CAP, OMEGA, SUBSET_SCAN_CAP, FinitePoset,
+                   PosetPresentation, _bits, _mask, _none_of,
                    family_dominates, induced_finite_poset)
 from .closedsets import closed_set
 from .errors import NotApproximable, PosetError, ScopeUnsupported, SizeLimit
 from .reports import BANK, CheckReport, EXHAUSTIVE, refuted, unrefuted, verified
 
-_REFUTER_LIMIT = 12  # all-pairs refuter tables only below this size
+
+def _refuting_planes(fp: FinitePoset):
+    """Row by row, ``[planes[x][t] for t]``: the directed subsets with
+    maximum t that contain no element above x, as subset planes."""
+    D, T = fp.directed_planes
+    tops = [D & plane for plane in T]
+    for x in range(fp.n):
+        missing = _none_of(fp.n, fp.up[x])
+        yield [top & missing for top in tops]
 
 
-def _refuters(fp: FinitePoset):
-    """refs[x][y] = masks of directed subsets witnessing not (x << y):
-    subsets whose maximum dominates y but no member dominates x."""
-    cached = getattr(fp, "_refuter_table", None)
-    if cached is not None:
-        return cached
-    if fp.n > _REFUTER_LIMIT:
-        raise SizeLimit(f"refuter table capped at {_REFUTER_LIMIT} elements")
-    n = fp.n
-    refs = [[[] for _ in range(n)] for _ in range(n)]
-    for mask, top in fp.directed_subset_masks:
-        for y in range(n):
-            if not fp.leq(y, top):
-                continue
-            for x in range(n):
-                if mask & fp.up[x] == 0:
-                    refs[x][y].append(mask)
-    refs = [[tuple(cell) for cell in row] for row in refs]
-    fp._refuter_table = refs
-    return refs
+def _avoid(fp: FinitePoset):
+    """``avoid[x]``: the mask of the maxima of the directed subsets that
+    contain no element above x.  Built once per poset."""
+    table = fp.__dict__.get("_avoid")
+    if table is None:
+        if fp.n > FINITE_CAP:
+            raise SizeLimit(f"brute-force way-below capped at {FINITE_CAP} "
+                            "elements")
+        table = fp._avoid = tuple(_mask(t for t, plane in enumerate(row)
+                                        if plane)
+                                  for row in _refuting_planes(fp))
+    return table
 
 
 def waybelow_bruteforce(fp: FinitePoset, x: int, y: int) -> bool:
-    """x << y by quantification over all directed bounded-above subsets."""
-    if fp.n > 16:
-        raise SizeLimit("brute-force way-below capped at 16 elements")
-    if fp.n <= _REFUTER_LIMIT:
-        return not _refuters(fp)[x][y]
-    for mask, top in fp.directed_subset_masks:
-        if fp.leq(y, top) and mask & fp.up[x] == 0:
-            return False
-    return True
+    """x << y by quantification over all directed subsets: none whose
+    maximum dominates y misses the up-set of x."""
+    return _avoid(fp)[x] & fp.up[y] == 0
 
 
 def _approximants_mask(fp: FinitePoset, x: int) -> int:
-    mask = 0
-    for v in range(fp.n):
-        if waybelow_bruteforce(fp, v, x):
-            mask |= 1 << v
-    return mask
+    avoid = _avoid(fp)
+    return _mask(v for v in range(fp.n) if avoid[v] & fp.up[x] == 0)
 
 
 def kernel_bruteforce(fp: FinitePoset, x: int) -> int:
@@ -85,8 +88,9 @@ def kernel_bruteforce(fp: FinitePoset, x: int) -> int:
 def continuity_bruteforce(fp: FinitePoset) -> CheckReport:
     """Verified iff every element is the supremum of its approximants."""
     law = "continuous"
-    if fp.n > 16:
-        raise SizeLimit("brute-force continuity capped at 16 elements")
+    if fp.n > FINITE_CAP:
+        raise SizeLimit(f"brute-force continuity capped at {FINITE_CAP} "
+                        "elements")
     for x in range(fp.n):
         mask = _approximants_mask(fp, x)
         if not mask:
@@ -102,41 +106,60 @@ def continuity_bruteforce(fp: FinitePoset) -> CheckReport:
 def continuous_subposets_bruteforce(fp: FinitePoset) -> list:
     """All element subsets that are subposets (inherited way-below equals
     the internal one, both definitional) and continuous as posets in their
-    own right.  Returned as bitmasks."""
+    own right.  Returned as bitmasks.
+
+    The directed subsets of R are the directed subsets of the poset that lie
+    inside R, so x << y fails inside R exactly when one of them with a
+    maximum above y misses the up-set of x."""
     n = fp.n
-    if n > 10:
-        raise SizeLimit("subset enumeration capped at 10 elements")
-    refs = _refuters(fp)
+    if n > SUBSET_SCAN_CAP:
+        raise SizeLimit(f"subset enumeration capped at {SUBSET_SCAN_CAP} "
+                        "elements")
+    refuting = list(_refuting_planes(fp))
+    avoid = _avoid(fp)
+    # not_below[x]: the y with not (x << y), the down-set of avoid[x]
+    not_below = [0] * n
+    for x in range(n):
+        for t in _bits(avoid[x]):
+            not_below[x] |= fp.down[t]
+    approximants = [_approximants_mask(fp, x) for x in range(n)]
+    members = [list(_bits(R)) for R in range(1 << n)]
+    # inside[R] = none_of(~R), the plane of the subsets of R: those of R
+    # without its lowest element b, and each of them with b added (+ 2^b)
+    inside = [1]
     passing = []
     for R in range(1 << n):
-        members = list(_bits(R))
+        if R:
+            low = R & -R
+            rest = inside[R ^ low]
+            inside.append(rest | rest << low)
         ok = True
-        for x in members:
-            if not ok:
-                break
-            for y in members:
-                ambient = not refs[x][y]
-                internal = ambient or not any(S & ~R == 0 for S in refs[x][y])
-                if internal != ambient:
-                    ok = False
+        for x in members[R]:
+            # each y in R with not (x << y) needs a refuting directed subset
+            # inside R with a maximum t above y
+            need = not_below[x] & R
+            for t in members[avoid[x] & R]:
+                if not need:
                     break
+                if fp.down[t] & need and refuting[x][t] & inside[R]:
+                    need &= ~fp.down[t]
+            if need:
+                ok = False
+                break
         if not ok:
             continue
-        for x in members:
-            approx = [y for y in members
-                      if not any(S & ~R == 0 for S in refs[y][x])]
+        # way-below inside R is the inherited one, so the approximants of x
+        # inside R are its approximants that lie in R
+        for x in members[R]:
+            approx = approximants[x] & R
             if not approx:
                 ok = False
                 break
             ubs = R
-            for w in approx:
+            for w in members[approx]:
                 ubs &= fp.up[w]
-            least = None
-            for u in _bits(ubs):
-                if ubs & ~fp.up[u] == 0:
-                    least = u
-                    break
-            if least != x:
+            # x is the least of the upper bounds in R
+            if not ubs >> x & 1 or ubs & ~fp.up[x]:
                 ok = False
                 break
         if ok:

@@ -260,6 +260,27 @@ class TestLargestRetract:
         assert sub.samples > 100
 
     @pytest.mark.parametrize("spec", [
+        disjoint_sum(finite_named("chain_2"), closed_sets()),
+        disjoint_sum(omega_plus_one(), closed_sets())],
+        ids=["sum_chain_2_closed", "sum_omega_closed"])
+    def test_finite_sublattice_uses_every_draw_on_a_sum(self, spec):
+        # every element of a finite poset and every natural of omega+1 is
+        # way-below itself, so no draw on either side of the sum is skipped
+        report = check_largest_retract(make_catalog(spec), sampled(count=300))
+        sub = next(s for s in report.subreports
+                   if s.law.endswith("finite-sublattice"))
+        assert sub.status is Status.UNREFUTED
+        assert sub.samples == 300
+
+    @pytest.mark.parametrize("spec", [finite_named("n5"), omega_plus_one()],
+                             ids=["n5", "omega_plus_one"])
+    def test_compact_below_is_below_and_compact(self, spec):
+        P = make_catalog(spec)
+        for x in sample_pool(P, random.Random(0), 40):
+            c = P.compact_below(x)
+            assert P.leq(c, x) and P.waybelow(c, c)
+
+    @pytest.mark.parametrize("spec", [
         lift(closed_sets()), lift(punctured_closed_sets()),
         disjoint_sum(finite_named("chain_2"), closed_sets())],
         ids=["lift_closed", "lift_punctured", "sum_chain_2_closed"])

@@ -5,10 +5,13 @@ import random
 
 import pytest
 
-from posetkernel import OMEGA, build_finite_poset, closed_set, make_catalog
+from posetkernel import (OMEGA, FinitePoset, build_finite_poset, closed_set,
+                         make_catalog)
 from posetkernel.catalog import finite_named, lift, punctured_closed_sets
 from posetkernel.closedsets import FULL, INF_POINT
-from posetkernel.errors import ScopeUnsupported, SizeLimit
+from posetkernel.core import _bits
+from posetkernel.errors import (NotApproximable, PosetError, ScopeUnsupported,
+                               SizeLimit)
 from posetkernel.kernel import kernel_of, retract_member
 from posetkernel.oracle import (as_finite_poset, bank_refute_waybelow,
                                 continuity_bruteforce,
@@ -16,7 +19,7 @@ from posetkernel.oracle import (as_finite_poset, bank_refute_waybelow,
                                 kernel_bruteforce,
                                 largest_continuous_subposet_bruteforce,
                                 truncate, waybelow_bruteforce)
-from posetkernel.reports import Status
+from posetkernel.reports import EXHAUSTIVE, Status, refuted, verified
 
 from conftest import random_presentation
 
@@ -219,3 +222,145 @@ class TestAgreementSweep:
         S = make_catalog(disjoint_sum(fn("chain_2"), fn("antichain_2")))
         fp, elems = as_finite_poset(S)
         assert fp.n == 4
+
+
+# ---------------------------------------------------------------------------
+# The oracle against a pairwise reference: each directed subset found by
+# checking its member pairs one by one, each way-below pair decided by
+# scanning the directed subsets that refute it.
+
+
+def reference_directed(fp):
+    out = []
+    for mask in range(1, 1 << fp.n):
+        members = list(_bits(mask))
+        if all(mask & fp.up[i] & fp.up[j] for i in members for j in members):
+            top = next(i for i in members if mask & ~fp.down[i] == 0)
+            out.append((mask, top))
+    return out
+
+
+def reference_refuters(fp, directed):
+    """refs[x][y]: the directed subsets whose maximum dominates y and that
+    contain no element above x."""
+    refs = [[[] for _ in range(fp.n)] for _ in range(fp.n)]
+    for mask, top in directed:
+        for y in range(fp.n):
+            if fp.leq(y, top):
+                for x in range(fp.n):
+                    if mask & fp.up[x] == 0:
+                        refs[x][y].append(mask)
+    return refs
+
+
+def reference_approximants(fp, refs, x):
+    return sum(1 << v for v in range(fp.n) if not refs[v][x])
+
+
+def reference_kernel(fp, refs, x):
+    mask = reference_approximants(fp, refs, x)
+    if not mask:
+        return "no approximants"
+    u = fp.lub_of_mask(mask)
+    return "no least upper bound" if u is None else u
+
+
+def reference_continuity(fp, refs):
+    for x in range(fp.n):
+        mask = reference_approximants(fp, refs, x)
+        if not mask:
+            return refuted("continuous", fp.names[x], "no approximants",
+                           EXHAUSTIVE)
+        u = fp.lub_of_mask(mask)
+        if u != x:
+            found = "none" if u is None else fp.names[u]
+            return refuted("continuous", fp.names[x],
+                           f"sup of approximants = {found}", EXHAUSTIVE)
+    return verified("continuous", EXHAUSTIVE)
+
+
+def reference_subposets(fp, refs):
+    passing = []
+    for R in range(1 << fp.n):
+        members = list(_bits(R))
+
+        def inside(x, y):
+            return not any(S & ~R == 0 for S in refs[x][y])
+
+        if any(inside(x, y) != (not refs[x][y])
+               for x in members for y in members):
+            continue
+        for x in members:
+            approx = [y for y in members if inside(y, x)]
+            ubs = R
+            for w in approx:
+                ubs &= fp.up[w]
+            least = next((u for u in _bits(ubs) if ubs & ~fp.up[u] == 0),
+                         None)
+            if not approx or least != x:
+                break
+        else:
+            passing.append(R)
+    return passing
+
+
+def shuffled_poset(rng, n, p):
+    """A random order whose labels, and so whose indices, are not in a
+    linear extension of it."""
+    names = [f"e{k}" for k in range(n)]
+    order = rng.sample(names, n)
+    covers = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)
+              if rng.random() < p]
+    return build_finite_poset(names, covers)
+
+
+def kernel_or_error(fp, x):
+    try:
+        return kernel_bruteforce(fp, x)
+    except NotApproximable:
+        return "no approximants"
+    except PosetError:
+        return "no least upper bound"
+
+
+def assert_oracle_matches_reference(fp, directed):
+    refs = reference_refuters(fp, directed)
+    n = fp.n
+    assert fp.directed_subset_masks == directed
+    assert [[waybelow_bruteforce(fp, x, y) for y in range(n)]
+            for x in range(n)] == [[not refs[x][y] for y in range(n)]
+                                   for x in range(n)]
+    assert [kernel_or_error(fp, x) for x in range(n)] == \
+        [reference_kernel(fp, refs, x) for x in range(n)]
+    assert continuity_bruteforce(fp) == reference_continuity(fp, refs)
+    if n <= 8:
+        assert continuous_subposets_bruteforce(fp) == \
+            reference_subposets(fp, refs)
+
+
+class TestPairwiseReference:
+    CASES = [(n, p, seed) for seed, n in enumerate((1, 2, 3, 4, 5, 6, 7, 8,
+                                                    8, 9, 10, 11, 12, 12))
+             for p in (0.2, 0.5)]
+
+    @pytest.mark.parametrize("n,p,seed", CASES)
+    def test_shuffled_random_poset(self, n, p, seed):
+        fp = shuffled_poset(random.Random(seed), n, p)
+        assert_oracle_matches_reference(fp, reference_directed(fp))
+
+    @pytest.mark.parametrize("n,seed", [(n, seed) for n in range(2, 9)
+                                        for seed in range(3)])
+    def test_thinned_directed_family(self, n, seed):
+        # Way-below, kernel, continuity and the subposet scan are functions
+        # of the family of directed subsets.  On an honest finite poset that
+        # family makes every answer trivial (way-below is the order, every
+        # subset passes), so both sides are also fed the same random part of
+        # it, which makes the refuting branches fire.
+        rng = random.Random(1000 + seed)
+        fp = shuffled_poset(rng, n, 0.4)
+        keep = rng.getrandbits(1 << n)
+        D, T = FinitePoset(fp.names, fp.up).directed_planes
+        fp.__dict__["directed_planes"] = (D & keep, T)
+        directed = [(mask, top) for mask, top in reference_directed(fp)
+                    if keep >> mask & 1]
+        assert_oracle_matches_reference(fp, directed)

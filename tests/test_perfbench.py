@@ -1,0 +1,31 @@
+"""The benchmark harness still drives the library: one traced pass of the
+finite_oracle workload, run the way perfbench/run.py runs it.  The harness
+wraps library names from outside (the `directed_subset_masks` cached
+property, the oracle functions), so a refactor that renames or reshapes
+them shows up here as a failed op or a missing count."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_finite_oracle_traced_pass(tmp_path):
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path
+                                               else ""))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"),
+         "--workload", "finite_oracle", "--seed", "1", "--trace"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "ready"
+    result = json.loads(lines[-1])
+    assert len(result["ops"]) == 100
+    assert [op for op in result["ops"] if op["failed"] or op["wrong"]] == []
+    assert result["totals"]["oracle.directed_subsets_found"] > 0
