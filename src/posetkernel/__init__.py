@@ -12,7 +12,8 @@ from .closedsets import (ClosedSetRep, closed_set, closedset_join,
                          format_closed_set, periodic_set)
 from .core import (BOTTOM, NO_INFIMUM, NO_SUPREMUM, OMEGA, FinitePoset,
                    FinitePosetPresentation, Inner, Left, PosetPresentation,
-                   Right, build_finite_poset, check_axiom,
+                   Right, build_finite_poset, check_conditionally_complete,
+                   check_continuity, check_interpolation, check_subposet,
                    greatest_lower_bound, is_directed, is_element,
                    least_upper_bound, leq, waybelow)
 from .catalog import (CatalogSpec, ClosedSetsPresentation,
@@ -30,9 +31,8 @@ from .kernel import (QuotientStructure, adversarial_kernel,
                      check_waybelow_kernel_equivalence,
                      in_retract, is_approximable, kernel_of,
                      quotient_structure, retract_member)
-from .oracle import (TruncatedPoset, as_finite_poset, bank_refute_waybelow,
-                     continuity_bruteforce, kernel_bruteforce,
-                     largest_continuous_subposet_bruteforce, truncate,
+from .oracle import (bank_refute_waybelow, continuity_bruteforce,
+                     kernel_bruteforce, largest_continuous_subposet_bruteforce,
                      waybelow_bruteforce)
 from .reports import (BANK, EXHAUSTIVE, CheckReport, Scope, Status, sampled)
 

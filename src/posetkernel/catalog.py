@@ -60,7 +60,10 @@ Carrier hooks: closed sets name their non-continuity witness {∞}, a compact
 element below each set, the evens/odds infimum instance and their retract
 rule (``continuity_counterexample``, ``compact_below``, ``inf_instances``,
 ``retract_rules``); lift and sum forward their components' through the
-wrap, so the targeted checks reach every combinator of the lattice.
+wrap, so the targeted checks reach every combinator of the lattice.  The
+same holds for ``truncation``, the finite restriction ``export-dot
+--truncate`` draws: ω+1 and the closed sets cut their carriers, and lift
+and sum assemble their components' cuts up to ``MAX_TRUNCATION`` elements.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ from .closedsets import (ClosedSetRep, closed_set, closedset_join,
                          truncate_naturals)
 from .core import (BOTTOM, FINITE_CAP, SUBSET_SCAN_CAP, Inner, Left,
                    NO_INFIMUM, NO_SUPREMUM, OMEGA, FinitePoset,
-                   FinitePosetPresentation, PosetPresentation, Right,
+                   FinitePosetPresentation, PosetPresentation, Right, _bits,
                    build_finite_poset, is_element)
 from .errors import PosetError, SizeLimit, UnknownName, ValidationError
 from .families import ChainFamily, ExplicitFamily, map_family
@@ -151,6 +154,12 @@ class OmegaPlusOnePresentation(PosetPresentation):
 
     def interesting_elements(self):
         return [0, 1, 2, 3, 7, OMEGA]
+
+    def truncation(self, n):
+        """The chain {0..n, ω}."""
+        if n > 14:
+            raise SizeLimit("omega truncation capped at 14")
+        return list(range(n + 1)) + [OMEGA]
 
     def interpolation_witness(self, x, y):
         return x if x is not OMEGA else None
@@ -322,6 +331,14 @@ class ClosedSetsPresentation(PosetPresentation):
             base.insert(0, cs.EMPTY)
         return base
 
+    def truncation(self, n):
+        """The closed sets over {0..n}, without ∞ and then with it."""
+        if n > 6:
+            raise SizeLimit("closed-set truncation capped at 6")
+        reps = (closed_set(_bits(mask), infinity=inf)
+                for inf in (False, True) for mask in range(1 << (n + 1)))
+        return [rep for rep in reps if self.contains(rep)]
+
     def interpolation_witness(self, x, y):
         return x
 
@@ -382,6 +399,19 @@ def parse_closed_set_literal(literal) -> ClosedSetRep:
 
 # ---------------------------------------------------------------------------
 # Lift: a fresh bottom below an inner poset
+
+
+MAX_TRUNCATION = 512
+"""Elements a lift or sum truncation may hold.  The combinators add their
+components' truncations, so without a cap a wide sum document could ask
+for an unbounded order; two closed-set lattices cut at 6 fit."""
+
+
+def _capped(elems):
+    if len(elems) > MAX_TRUNCATION:
+        raise SizeLimit(f"truncation capped at {MAX_TRUNCATION} elements, "
+                        f"this one has {len(elems)}")
+    return elems
 
 
 class LiftPresentation(PosetPresentation):
@@ -500,6 +530,9 @@ class LiftPresentation(PosetPresentation):
 
     def interesting_elements(self):
         return [BOTTOM] + [Inner(e) for e in self.inner.interesting_elements()]
+
+    def truncation(self, n):
+        return _capped([BOTTOM] + [Inner(e) for e in self.inner.truncation(n)])
 
     def interpolation_witness(self, x, y):
         if x is BOTTOM:
@@ -661,6 +694,10 @@ class DisjointSumPresentation(PosetPresentation):
     def interesting_elements(self):
         return ([Left(e) for e in self.left.interesting_elements()]
                 + [Right(e) for e in self.right.interesting_elements()])
+
+    def truncation(self, n):
+        return _capped([Left(e) for e in self.left.truncation(n)]
+                       + [Right(e) for e in self.right.truncation(n)])
 
     def interpolation_witness(self, x, y):
         comp, xv, wrap = self._side(x)

@@ -24,13 +24,12 @@ import sys
 
 from . import catalog as cat
 from .catalog import CatalogSpec, make_catalog
-from .core import PosetPresentation
+from .core import PosetPresentation, induced_finite_poset
 from .errors import (NotApproximable, ParseError, PosetError,
                      PreconditionUnverified, ScopeUnsupported, SizeLimit,
                      UnknownName, ValidationError)
 from .kernel import (LAWS, in_retract, is_approximable, kernel_of,
                      quotient_structure, retract_member)
-from .oracle import as_finite_poset, truncate
 from .reports import (DEFAULT_PAIR_SAMPLES, DEFAULT_SEED, CheckReport, Status,
                       sampled)
 
@@ -115,13 +114,13 @@ def export_dot(P: PosetPresentation, waybelow: bool = False,
     ones) become dashed edges on request.  Node order follows the input
     order, so the bytes are stable."""
     if truncate_n is not None:
-        trunc = truncate(P, truncate_n)
-        fp, elems = trunc.poset, list(trunc.to_parent)
+        elems = P.truncation(truncate_n)
     elif P.is_finite_kind:
-        fp, elems = as_finite_poset(P)
+        elems = P.elements()
     else:
         raise ScopeUnsupported("symbolic kinds need --truncate <n> for "
                                "diagram export")
+    fp = induced_finite_poset(P, elems)
     lines = ["digraph poset {", "  rankdir=BT;"]
     for i, name in enumerate(fp.names):
         label = name.replace("\\", "\\\\").replace('"', '\\"')

@@ -15,14 +15,13 @@ import random
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import compress
-from typing import Callable
 
 from .errors import (CycleDetected, DuplicateLabel, EmptyFamily,
                      ForeignElement, PosetError, ScopeUnsupported, SizeLimit,
                      ValidationError)
 from .families import ChainFamily, ExplicitFamily, Family
-from .reports import (DEFAULT_SUBSET_SAMPLES, EXHAUSTIVE, CheckReport, Scope,
-                      refuted, sampled, unknown, unrefuted, verified)
+from .reports import (DEFAULT_SUBSET_SAMPLES, EXHAUSTIVE, Scope, refuted,
+                      sampled, unknown, unrefuted, verified)
 
 # ---------------------------------------------------------------------------
 # Outcome sentinels for partial suprema / infima
@@ -216,15 +215,22 @@ class FinitePoset:
     def lubless_subset(self):
         """The first nonempty subset, in mask order, that is bounded above
         but has no least upper bound, as a mask; None when there is none
-        (the order is conditionally complete)."""
-        full = (1 << self.n) - 1
-        for mask in range(1, full + 1):
-            ubs = full
-            for i in _bits(mask):
-                ubs &= self.up[i]
-            if ubs and all(ubs & ~self.up[u] for u in _bits(ubs)):
-                return mask
-        return None
+        (the order is conditionally complete).
+
+        Computed on subset planes: ``B[u]`` holds the subsets bounded by u,
+        and a subset has u as its least upper bound when it lies in ``B[u]``
+        and in no ``B[v]`` with v not above u."""
+        n, full = self.n, (1 << self.n) - 1
+        B = [_none_of(n, full & ~self.down[u]) for u in range(n)]
+        bounded = lubbed = 0
+        for u in range(n):
+            least = B[u]
+            for v in _bits(full & ~self.up[u]):
+                least &= ~B[v]
+            bounded |= B[u]
+            lubbed |= least
+        lubless = bounded & ~lubbed & ~1  # the empty subset is not asked
+        return (lubless & -lubless).bit_length() - 1 if lubless else None
 
     @cached_property
     def directed_planes(self):
@@ -359,6 +365,13 @@ class PosetPresentation:
 
     def elements(self) -> list:
         raise ScopeUnsupported(f"{self.name} has no element enumeration")
+
+    def truncation(self, n) -> list:
+        """The elements of a finite, order-embedded restriction of the
+        carrier at cut n.  The order transfers both ways; way-below only
+        from the carrier into the restriction, which lacks the unbounded
+        families that refute way-below pairs here."""
+        raise ScopeUnsupported(f"no truncation for kind {self.kind!r}")
 
     # -- order ---------------------------------------------------------
 
@@ -832,11 +845,11 @@ def _subposet_sampled(P, scope, member):
     return unrefuted(law, confirmed, scope)
 
 
-def _axiom(law, exhaustive, sampled_check):
+def _axiom(exhaustive, sampled_check):
     """The checker ``(P, scope=None, *args)`` of one order axiom: the
     exhaustive variant when ``resolve_scope`` exhausts P, the sampled one
-    otherwise.  ``law`` is the name its reports carry; the subposet law
-    takes one argument, the membership predicate of the subset."""
+    otherwise.  The subposet law takes one argument, the membership
+    predicate of the subset."""
 
     def check(P, scope=None, *args):
         scope = resolve_scope(P, scope)
@@ -844,31 +857,10 @@ def _axiom(law, exhaustive, sampled_check):
             return exhaustive(P, scope, *args)
         return sampled_check(P, scope, *args)
 
-    check.law = law
     return check
 
 
-check_conditionally_complete = _axiom("conditionally_complete",
-                                      _cc_exhaustive, _cc_sampled)
-check_interpolation = _axiom("interpolating", _interp_exhaustive,
-                             _interp_sampled)
-check_continuity = _axiom("continuous", _cont_exhaustive, _cont_sampled)
-check_subposet = _axiom("subposet", _subposet_exhaustive, _subposet_sampled)
-
-
-def check_axiom(P: PosetPresentation, law: str, scope: Scope | None = None,
-                member: Callable[[object], bool] | None = None
-                ) -> CheckReport:
-    """Check one order axiom, named by its ``kernel.LAWS`` key (cc,
-    interpolation, continuity, subposet) or by the name its reports carry
-    (conditionally_complete, interpolating, continuous).  The subposet law
-    needs ``member``, the membership test of the subset whose way-below
-    must agree with the ambient one.
-    """
-    from .kernel import LAWS  # cycle: kernel builds on core
-
-    for check in (check_conditionally_complete, check_interpolation,
-                  check_continuity, check_subposet):
-        if law == check.law or LAWS.get(law) is check:
-            return check(P, scope, *(() if member is None else (member,)))
-    raise ValidationError(f"unknown law {law!r}")
+check_conditionally_complete = _axiom(_cc_exhaustive, _cc_sampled)
+check_interpolation = _axiom(_interp_exhaustive, _interp_sampled)
+check_continuity = _axiom(_cont_exhaustive, _cont_sampled)
+check_subposet = _axiom(_subposet_exhaustive, _subposet_sampled)

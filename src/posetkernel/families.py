@@ -20,7 +20,8 @@ Two optional certificates make chains usable in sound refutations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .errors import EmptyFamily
@@ -39,7 +40,7 @@ class ExplicitFamily:
         if not self.members:
             raise EmptyFamily("explicit directed family must be nonempty")
 
-    def sample_members(self, count=None):
+    def sample_members(self):
         return list(self.members)
 
 
@@ -49,18 +50,17 @@ class ChainFamily:
 
     generator: Callable[[int], object]
     supremum: object
-    horizon: int = DEFAULT_CHAIN_HORIZON
     label: str = ""
     member_dominates: Callable[[object], bool] | None = None
     kernel_image_sup: object = None
-    _cache: dict = field(default_factory=dict, repr=False)
 
-    def sample_members(self, count=None):
-        count = self.horizon if count is None else min(count, self.horizon)
-        key = ("members", count)
-        if key not in self._cache:
-            self._cache[key] = [self.generator(i) for i in range(count)]
-        return self._cache[key]
+    @cached_property
+    def _members(self):
+        return [self.generator(i) for i in range(DEFAULT_CHAIN_HORIZON)]
+
+    def sample_members(self):
+        """The members at indices below DEFAULT_CHAIN_HORIZON."""
+        return self._members
 
 
 Family = ExplicitFamily | ChainFamily
@@ -84,7 +84,6 @@ def map_family(fam: Family, wrap, *, dominates, label=None) -> Family:
     return ChainFamily(
         generator=lambda i, _g=fam.generator: wrap(_g(i)),
         supremum=wrap(fam.supremum),
-        horizon=fam.horizon,
         label=label,
         member_dominates=(None if inner is None
                           else lambda x: dominates(x, inner)),

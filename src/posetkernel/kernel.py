@@ -20,11 +20,12 @@ from typing import Callable
 from .core import (SUBSET_SCAN_CAP, PosetPresentation,
                    check_conditionally_complete, check_continuity,
                    check_interpolation, check_subposet, _bits, _mask,
-                   is_approximable, is_element, resolve_scope, sample_pool)
+                   induced_finite_poset, is_approximable, is_element,
+                   resolve_scope, sample_pool)
 from .errors import (EmptyFamily, NoInfimumError, NotApproximable, PosetError,
                      PreconditionUnverified, ScopeUnsupported)
 from .families import ExplicitFamily
-from .oracle import as_finite_poset, continuous_subposets_bruteforce
+from .oracle import continuous_subposets_bruteforce
 from .reports import (BANK, EXHAUSTIVE, CheckReport, Scope, Status, combine,
                       refuted, sampled, unknown, unrefuted, verified)
 
@@ -214,8 +215,11 @@ def check_largest_retract(P: PosetPresentation,
     """Every continuous subposet sits inside the retract.
 
     Finite carriers: exhaust all subsets against the definitional brute
-    force.  A symbolic carrier with a certified non-continuity witness x
-    (``continuity_counterexample``): refute the targeted candidate
+    force.  On an honest finite poset every subset passes, so on finite
+    carriers this law cross-checks the presentation against the oracle: it
+    refutes when a declared approximant supremum leaves an element out of
+    the retract.  A symbolic carrier with a certified non-continuity
+    witness x (``continuity_counterexample``): refute the targeted candidate
     Q ∪ {x} and sample-confirm that its compact elements (``compact_below``)
     lie in the retract Q; any other symbolic carrier: sample-confirm that Q
     is continuous.  Universal quantification over subposets of an infinite
@@ -224,10 +228,11 @@ def check_largest_retract(P: PosetPresentation,
     law = "largest-retract"
     scope = resolve_scope(P, scope)
     if scope.kind == "exhaustive":
-        fp, elems = as_finite_poset(P)
-        if fp.n > SUBSET_SCAN_CAP:
+        elems = P.elements()
+        if len(elems) > SUBSET_SCAN_CAP:
             raise ScopeUnsupported(f"exhaustive subset check capped at "
                                    f"{SUBSET_SCAN_CAP} elements")
+        fp = induced_finite_poset(P, elems)
         retract = _mask(i for i, e in enumerate(elems) if in_retract(P, e))
         passing = continuous_subposets_bruteforce(fp)
         for mask in passing:

@@ -28,12 +28,9 @@ skipped, which weakens refutation power but never fabricates a refutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import (FINITE_CAP, OMEGA, SUBSET_SCAN_CAP, FinitePoset,
+from .core import (FINITE_CAP, SUBSET_SCAN_CAP, FinitePoset,
                    PosetPresentation, _bits, _mask, _none_of,
-                   family_dominates, induced_finite_poset)
-from .closedsets import closed_set
+                   family_dominates)
 from .errors import NotApproximable, PosetError, ScopeUnsupported, SizeLimit
 from .reports import BANK, CheckReport, EXHAUSTIVE, refuted, unrefuted, verified
 
@@ -210,57 +207,3 @@ def bank_refute_waybelow(P: PosetPresentation, x, y) -> CheckReport:
             scanned += 1
     return unrefuted(law, scanned, BANK)
 
-
-# ---------------------------------------------------------------------------
-# Finite truncations of symbolic kinds
-
-
-@dataclass
-class TruncatedPoset:
-    """A finite order-embedded restriction of a symbolic presentation.
-
-    The order transfers both ways across the embedding.  Way-below does
-    NOT transfer from the truncation to the parent: the truncation lacks
-    the unbounded families that kill way-below pairs upstairs, so its
-    brute force can only be used for the one-sided check
-    "parent x << y implies truncated x << y".
-    """
-
-    parent: PosetPresentation
-    poset: FinitePoset
-    to_parent: tuple
-
-    def index_of(self, element) -> int:
-        for i, e in enumerate(self.to_parent):
-            if e == element:
-                return i
-        raise NotApproximable(f"element not in the truncation")
-
-
-def truncate(P: PosetPresentation, n: int) -> TruncatedPoset:
-    """Finite restriction: closed sets over {0..n} with an optional ∞,
-    or the chain {0..n, ω}."""
-    if P.kind == "omega_plus_one":
-        if n > 14:
-            raise SizeLimit("omega truncation capped at 14")
-        elems = list(range(n + 1)) + [OMEGA]
-    elif P.kind in ("closed_sets", "punctured_closed_sets"):
-        if n > 6:
-            raise SizeLimit("closed-set truncation capped at 6")
-        elems = []
-        for inf in (False, True):
-            for mask in range(1 << (n + 1)):
-                rep = closed_set({i for i in range(n + 1)
-                                  if (mask >> i) & 1}, infinity=inf)
-                if P.contains(rep):
-                    elems.append(rep)
-    else:
-        raise ScopeUnsupported(f"no truncation for kind {P.kind!r}")
-    return TruncatedPoset(P, induced_finite_poset(P, elems), tuple(elems))
-
-
-def as_finite_poset(P: PosetPresentation):
-    """Materialize any finite-kind presentation as an explicit FinitePoset,
-    returning it with the element list in index order."""
-    elems = P.elements()
-    return induced_finite_poset(P, elems), elems

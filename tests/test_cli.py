@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -398,6 +399,34 @@ class TestExportDot:
         assert code == 65
         assert out == ""
         assert err == "error: no truncation for kind 'finite'\n"
+
+    @pytest.mark.parametrize("doc, code, nodes, err", [
+        # bottom and the 8 closed sets over {0, 1}
+        ('{"kind":"lift","inner":{"kind":"closed_sets"}}', 0, 9, ""),
+        ('{"kind":"lift","inner":{"kind":"finite","elements":["a"]}}', 65, 0,
+         "error: no truncation for kind 'finite'\n")],
+        ids=["lift_closed_sets", "lift_finite"])
+    def test_lift_forwards_its_truncation(self, tmp_path, doc, code, nodes,
+                                          err):
+        path = tmp_path / "lift.json"
+        path.write_text(doc)
+        result = run_cli(["export-dot", str(path), "--truncate", "1"])
+        assert (result[0], result[1].count("[label="), result[2]) == \
+            (code, nodes, err)
+
+    def test_wide_sum_hits_the_truncation_cap(self, tmp_path):
+        doc = {"kind": "closed_sets"}
+        for _ in range(3):
+            doc = {"kind": "disjoint_sum", "left": doc, "right": doc}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run_cli(["export-dot", str(path), "--truncate", "6"])
+        assert time.perf_counter() - start < 1
+        assert code == 65
+        assert out == ""
+        assert err == ("error: truncation capped at 512 elements, this one "
+                       "has 1024\n")
 
     def test_symbolic_without_truncate_fails(self):
         code, _, err = run_cli(["export-dot", "closed_sets"])

@@ -7,19 +7,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from posetkernel import (NO_INFIMUM, NO_SUPREMUM, OMEGA, build_finite_poset,
-                         check_axiom, closed_set, greatest_lower_bound,
-                         is_directed, least_upper_bound, leq, make_catalog,
-                         waybelow)
+                         check_conditionally_complete, check_continuity,
+                         check_interpolation, check_subposet, closed_set,
+                         greatest_lower_bound, is_directed, least_upper_bound,
+                         leq, make_catalog, waybelow)
 from posetkernel.catalog import (finite_named, named_finite_poset,
                                  random_finite_poset, standard_roster)
 from posetkernel.closedsets import INF_POINT
-from posetkernel.core import resolve_scope
+from posetkernel.core import induced_finite_poset, resolve_scope
 from posetkernel.errors import (CycleDetected, DuplicateLabel, EmptyFamily,
-                                ForeignElement, ScopeUnsupported,
-                                ValidationError)
+                                ForeignElement, ScopeUnsupported)
 from posetkernel.kernel import is_approximable
-from posetkernel.oracle import bank_refute_waybelow, truncate, \
-    waybelow_bruteforce
+from posetkernel.oracle import bank_refute_waybelow, waybelow_bruteforce
 from posetkernel.reports import EXHAUSTIVE, Status, sampled
 
 from conftest import random_presentation
@@ -136,9 +135,8 @@ class TestInfima:
     def test_punctured_no_infimum_by_lower_bound_scan(self, punctured):
         # independent oracle: scan the 16-element truncation for common
         # lower bounds of {0} and {1}; there are none
-        trunc = truncate(punctured, 1)
         a, b = closed_set({0}), closed_set({1})
-        lower = [e for e in trunc.to_parent
+        lower = [e for e in punctured.truncation(1)
                  if punctured.leq(e, a) and punctured.leq(e, b)]
         assert lower == []
         assert greatest_lower_bound(punctured, (a, b)) is NO_INFIMUM
@@ -184,9 +182,9 @@ class TestWaybelow:
         assert bank_refute_waybelow(closed, INF_POINT, INF_POINT).status \
             is Status.REFUTED
         # one-sided transfer into the truncation's brute force
-        trunc = truncate(closed, 2)
-        i, j = trunc.index_of(two), trunc.index_of(two_inf)
-        assert waybelow_bruteforce(trunc.poset, i, j)
+        elems = closed.truncation(2)
+        i, j = elems.index(two), elems.index(two_inf)
+        assert waybelow_bruteforce(induced_finite_poset(closed, elems), i, j)
 
     def test_waybelow_implies_leq_sampled(self):
         rng = random.Random(0xC0FFEE)
@@ -241,71 +239,58 @@ class TestApproximable:
 
 class TestCheckAxiom:
     def test_diamond_continuous_exhaustive(self, diamond):
-        report = check_axiom(diamond, "continuous")
+        report = check_continuity(diamond)
         assert report.status is Status.VERIFIED
         assert report.scope.kind == "exhaustive"
 
     def test_closed_sets_continuity_refuted_at_inf(self, closed):
-        report = check_axiom(closed, "continuous")
+        report = check_continuity(closed)
         assert report.status is Status.REFUTED
         assert report.witness == INF_POINT
         assert "{}" in report.reason
 
     def test_closed_sets_interpolation_certified(self, closed):
-        report = check_axiom(closed, "interpolating")
+        report = check_interpolation(closed)
         assert report.status is Status.VERIFIED
         assert "certified" in report.reason
 
     def test_conditional_completeness(self, diamond, closed):
-        assert check_axiom(diamond, "cc").status is Status.VERIFIED
-        assert check_axiom(closed, "cc").status is Status.VERIFIED
+        assert check_conditionally_complete(diamond).status \
+            is Status.VERIFIED
+        assert check_conditionally_complete(closed).status is Status.VERIFIED
 
     def test_bowtie_not_conditionally_complete(self):
         P = make_catalog_from_covers(
             ["a", "b", "c", "d"],
             [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
-        report = check_axiom(P, "conditionally_complete")
+        report = check_conditionally_complete(P)
         assert report.status is Status.REFUTED
 
     def test_exhaustive_scope_rejected_for_symbolic(self, closed):
         from posetkernel.reports import EXHAUSTIVE
 
         with pytest.raises(ScopeUnsupported):
-            check_axiom(closed, "continuous", EXHAUSTIVE)
+            check_continuity(closed, EXHAUSTIVE)
 
     def test_sampled_scope_is_deterministic(self, closed):
-        first = check_axiom(closed, "cc", sampled(42, 50))
-        second = check_axiom(closed, "cc", sampled(42, 50))
+        first = check_conditionally_complete(closed, sampled(42, 50))
+        second = check_conditionally_complete(closed, sampled(42, 50))
         assert first.status == second.status
         assert first.samples == second.samples
-
-    @pytest.mark.parametrize("key, name", [
-        ("cc", "conditionally_complete"), ("interpolation", "interpolating"),
-        ("continuity", "continuous")])
-    def test_law_table_key_and_report_name(self, closed, key, name):
-        by_key = check_axiom(closed, key, sampled(42, 50))
-        by_name = check_axiom(closed, name, sampled(42, 50))
-        assert by_key == by_name
-        assert by_key.law == name
 
     def test_subposet_takes_the_view(self, diamond):
         from posetkernel.kernel import retract_member
 
-        report = check_axiom(diamond, "subposet",
-                             member=retract_member(diamond))
+        report = check_subposet(diamond, None, retract_member(diamond))
         assert report.status is Status.VERIFIED
-
-    @pytest.mark.parametrize("law", ["kernel", "inf", "bogus"])
-    def test_only_order_axioms(self, closed, law):
-        with pytest.raises(ValidationError):
-            check_axiom(closed, law)
 
 
 class TestResolveScope:
     @pytest.mark.parametrize("scope", [None, EXHAUSTIVE, sampled(7, 30)])
     def test_finite_carriers_are_exhausted(self, diamond, scope):
         assert resolve_scope(diamond, scope) is EXHAUSTIVE
-        assert check_axiom(diamond, "cc", scope).scope is EXHAUSTIVE
+        assert check_conditionally_complete(diamond, scope).scope \
+            is EXHAUSTIVE
 
     def test_symbolic_carriers_are_sampled(self, closed):
         assert resolve_scope(closed) == sampled()

@@ -7,12 +7,13 @@ from pathlib import Path
 import pytest
 
 from posetkernel import (BOTTOM, OMEGA, Inner, PosetPresentation, catalog,
-                         cli, closed_set, kernel, make_catalog)
+                         cli, closed_set, kernel, make_catalog, oracle)
 from posetkernel.catalog import (closed_sets, disjoint_sum, finite_named, lift,
                                  omega_plus_one, punctured_closed_sets,
                                  standard_roster)
 from posetkernel.closedsets import EMPTY, EVENS, FULL, INF_POINT, ODDS
-from posetkernel.core import sample_pool
+from posetkernel.core import (FinitePosetPresentation, induced_finite_poset,
+                              sample_pool)
 from posetkernel.errors import (NoInfimumError, NotApproximable, PosetError,
                                 PreconditionUnverified)
 from posetkernel.families import ChainFamily, ExplicitFamily
@@ -24,7 +25,7 @@ from posetkernel.kernel import (adversarial_kernel, check_approximation_laws,
                                 check_waybelow_kernel_equivalence, in_retract,
                                 is_approximable, kernel_of,
                                 quotient_structure, retract_member)
-from posetkernel.oracle import as_finite_poset, bank_refute_waybelow
+from posetkernel.oracle import bank_refute_waybelow
 from posetkernel.reports import Status, sampled
 
 from conftest import random_presentation
@@ -234,6 +235,22 @@ class TestLargestRetract:
             P = make_catalog(finite_named(name))
             report = check_largest_retract(P)
             assert report.status is Status.VERIFIED, name
+
+    def test_exhaustive_law_refutes_a_supremum_below_x(self):
+        """The family of 2 in chain_3 declares supremum 1, so 2 leaves the
+        retract while the oracle finds {2} continuous."""
+        class Corrupt(FinitePosetPresentation):
+            def waybelow_family(self, x):
+                if x == 2:
+                    return ExplicitFamily((0, 1), 1)
+                return super().waybelow_family(x)
+
+        P = Corrupt(make_catalog(finite_named("chain_3")).poset)
+        report = check_largest_retract(P)
+        assert report.status is Status.REFUTED
+        assert report.scope.kind == "exhaustive"
+        assert report.witness == (2,)
+        assert report.reason == "a continuous subposet escapes the retract"
 
     def test_closed_sets_candidate_refuted(self, closed):
         report = check_largest_retract(closed)
@@ -508,7 +525,7 @@ class TestBankHonesty:
         # each D with bottom added: every directed subset of the lift
         lifted = make_catalog(lift(finite_named("chain_2")))
         assert lifted.bank_is_exhaustive
-        fp, _ = as_finite_poset(lifted)
+        fp = induced_finite_poset(lifted, lifted.elements())
         assert len(lifted.family_bank()) == len(fp.directed_subset_masks) == 7
         assert check_scott_continuity(lifted).status is Status.VERIFIED
         big_lift = make_catalog(lift(finite_named("chain_14")))
@@ -541,9 +558,9 @@ class TestPreconditions:
 
 
 class TestLayering:
-    """The check layer knows no carrier: kernel.py and cli.py reach the
-    closed-set lattice and the combinators only through presentation
-    hooks, so a lift or a sum inherits every targeted check."""
+    """The check layer knows no carrier: kernel.py, oracle.py and cli.py
+    reach the closed-set lattice and the combinators only through
+    presentation hooks, so a lift or a sum inherits every targeted check."""
 
     CARRIERS = {name for name, obj in vars(catalog).items()
                 if isinstance(obj, type) and obj.__module__ == catalog.__name__
@@ -553,8 +570,8 @@ class TestLayering:
     def tree(module):
         return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
 
-    def test_kernel_imports_no_carrier_module(self):
-        for node in ast.walk(self.tree(kernel)):
+    def assert_imports_no_carrier_module(self, module):
+        for node in ast.walk(self.tree(module)):
             if isinstance(node, ast.ImportFrom):
                 names = [node.module or ""] + [a.name for a in node.names]
             elif isinstance(node, ast.Import):
@@ -564,7 +581,34 @@ class TestLayering:
             modules = {name.rsplit(".", 1)[-1] for name in names}
             assert not modules & {"catalog", "closedsets"}, ast.unparse(node)
 
-    @pytest.mark.parametrize("module", [kernel, cli], ids=["kernel", "cli"])
+    def test_kernel_imports_no_carrier_module(self):
+        self.assert_imports_no_carrier_module(kernel)
+
+    def test_oracle_imports_no_carrier_module(self):
+        self.assert_imports_no_carrier_module(oracle)
+
+    @pytest.mark.parametrize("module", [kernel, cli, oracle],
+                             ids=["kernel", "cli", "oracle"])
+    def test_no_kind_switch(self, module):
+        """No ``.kind`` is compared against a document kind."""
+        kinds = set(catalog.DOCUMENT_FIELDS)
+        for node in ast.walk(self.tree(module)):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            if not any(isinstance(op, ast.Attribute) and op.attr == "kind"
+                       for op in operands):
+                continue
+            named = set()
+            for op in operands:
+                for leaf in [op, *getattr(op, "elts", ())]:
+                    if isinstance(leaf, ast.Constant):
+                        named.add(leaf.value)
+            assert not named & kinds, \
+                f"{module.__name__} switches on a kind: {ast.unparse(node)}"
+
+    @pytest.mark.parametrize("module", [kernel, cli, oracle],
+                             ids=["kernel", "cli", "oracle"])
     def test_no_carrier_class_is_named(self, module):
         assert "ClosedSetsPresentation" in self.CARRIERS
         for node in ast.walk(self.tree(module)):

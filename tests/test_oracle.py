@@ -5,20 +5,19 @@ import random
 
 import pytest
 
-from posetkernel import (OMEGA, FinitePoset, build_finite_poset, closed_set,
-                         make_catalog)
+from posetkernel import (BOTTOM, OMEGA, FinitePoset, Inner,
+                         build_finite_poset, closed_set, make_catalog)
 from posetkernel.catalog import finite_named, lift, punctured_closed_sets
 from posetkernel.closedsets import FULL, INF_POINT
-from posetkernel.core import _bits
+from posetkernel.core import _bits, induced_finite_poset
 from posetkernel.errors import (NotApproximable, PosetError, ScopeUnsupported,
                                SizeLimit)
 from posetkernel.kernel import kernel_of, retract_member
-from posetkernel.oracle import (as_finite_poset, bank_refute_waybelow,
-                                continuity_bruteforce,
+from posetkernel.oracle import (bank_refute_waybelow, continuity_bruteforce,
                                 continuous_subposets_bruteforce,
                                 kernel_bruteforce,
                                 largest_continuous_subposet_bruteforce,
-                                truncate, waybelow_bruteforce)
+                                waybelow_bruteforce)
 from posetkernel.reports import EXHAUSTIVE, Status, refuted, verified
 
 from conftest import random_presentation
@@ -144,47 +143,62 @@ class TestBankRefutation:
 
 class TestTruncation:
     def test_closed_sets_sizes(self, closed, punctured):
-        assert len(truncate(closed, 1).to_parent) == 8
-        assert len(truncate(closed, 2).to_parent) == 16
-        assert len(truncate(punctured, 1).to_parent) == 7
+        assert len(closed.truncation(1)) == 8
+        assert len(closed.truncation(2)) == 16
+        assert len(punctured.truncation(1)) == 7
 
     def test_order_embedding(self, closed):
-        trunc = truncate(closed, 2)
-        for i, x in enumerate(trunc.to_parent):
-            for j, y in enumerate(trunc.to_parent):
-                assert trunc.poset.leq(i, j) == closed.leq(x, y)
+        elems = closed.truncation(2)
+        fp = induced_finite_poset(closed, elems)
+        for i, x in enumerate(elems):
+            for j, y in enumerate(elems):
+                assert fp.leq(i, j) == closed.leq(x, y)
 
     def test_one_sided_transfer(self, closed):
         # parent way-below transfers INTO the truncation's brute force
-        trunc = truncate(closed, 2)
-        for x in trunc.to_parent:
-            for y in trunc.to_parent:
+        elems = closed.truncation(2)
+        fp = induced_finite_poset(closed, elems)
+        for x in elems:
+            for y in elems:
                 if closed.waybelow(x, y):
-                    assert waybelow_bruteforce(
-                        trunc.poset, trunc.index_of(x), trunc.index_of(y))
+                    assert waybelow_bruteforce(fp, elems.index(x),
+                                               elems.index(y))
 
     def test_known_nontransfer_at_inf(self, closed):
         # the truncation is finite, so {inf} is compact there, while in the
         # full lattice the initial-segment chain kills it
-        trunc = truncate(closed, 1)
-        i = trunc.index_of(INF_POINT)
-        assert waybelow_bruteforce(trunc.poset, i, i)
+        elems = closed.truncation(1)
+        i = elems.index(INF_POINT)
+        assert waybelow_bruteforce(induced_finite_poset(closed, elems), i, i)
         assert not closed.waybelow(INF_POINT, INF_POINT)
 
     def test_omega_truncation(self, omega):
-        trunc = truncate(omega, 5)
-        assert len(trunc.to_parent) == 7
-        assert trunc.to_parent[-1] is OMEGA
+        elems = omega.truncation(5)
+        assert len(elems) == 7
+        assert elems[-1] is OMEGA
 
     def test_size_limits(self, closed, omega):
         with pytest.raises(SizeLimit):
-            truncate(closed, 7)
+            closed.truncation(7)
         with pytest.raises(SizeLimit):
-            truncate(omega, 15)
+            omega.truncation(15)
 
-    def test_unsupported_kind(self, lifted_punctured):
-        with pytest.raises(ScopeUnsupported):
-            truncate(lifted_punctured, 2)
+    def test_lift_forwards_the_inner_truncation(self, lifted_punctured,
+                                                punctured):
+        elems = lifted_punctured.truncation(2)
+        inner = punctured.truncation(2)
+        assert elems == [BOTTOM] + [Inner(e) for e in inner]
+        fp = induced_finite_poset(lifted_punctured, elems)
+        for i, x in enumerate(elems):
+            for j, y in enumerate(elems):
+                assert fp.leq(i, j) == lifted_punctured.leq(x, y)
+        assert fp.leq(0, len(elems) - 1)
+
+    def test_unsupported_kind(self, diamond):
+        # a finite carrier has no cut; export-dot names its kind
+        with pytest.raises(ScopeUnsupported,
+                           match="^no truncation for kind 'finite'$"):
+            diamond.truncation(2)
 
 
 class TestAgreementSweep:
@@ -206,9 +220,11 @@ class TestAgreementSweep:
         assert pairs > 500
 
     def test_as_finite_poset_roundtrip(self):
+        # the induced poset of a finite carrier's elements is its order
         P = make_catalog(finite_named("m3"))
-        fp, elems = as_finite_poset(P)
-        assert elems == P.elements()
+        elems = P.elements()
+        fp = induced_finite_poset(P, elems)
+        assert fp.names == tuple(map(P.format_element, elems))
         for x in elems:
             for y in elems:
                 assert fp.leq(x, y) == P.leq(x, y)
@@ -220,7 +236,7 @@ class TestAgreementSweep:
         from posetkernel.catalog import disjoint_sum, finite_named as fn
 
         S = make_catalog(disjoint_sum(fn("chain_2"), fn("antichain_2")))
-        fp, elems = as_finite_poset(S)
+        fp = induced_finite_poset(S, S.elements())
         assert fp.n == 4
 
 
