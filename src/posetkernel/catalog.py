@@ -59,11 +59,12 @@ Disjoint sum
 Carrier hooks: closed sets name their non-continuity witness {∞}, a compact
 element below each set, the evens/odds infimum instance and their retract
 rule (``continuity_counterexample``, ``compact_below``, ``inf_instances``,
-``retract_rules``); lift and sum forward their components' through the
-wrap, so the targeted checks reach every combinator of the lattice.  The
-same holds for ``truncation``, the finite restriction ``export-dot
---truncate`` draws: ω+1 and the closed sets cut their carriers, and lift
-and sum assemble their components' cuts up to ``MAX_TRUNCATION`` elements.
+``retract_rules``).  The same holds for ``truncation``, the finite
+restriction ``export-dot --truncate`` draws: ω+1 and the closed sets cut
+their carriers.  Lift and sum forward every such hook through one base,
+``_Combinator``, which holds their components as ``(tag, component, wrap)``
+parts: the targeted checks reach every combinator of the lattice, and the
+cuts of the components are assembled up to ``MAX_TRUNCATION`` elements.
 """
 
 from __future__ import annotations
@@ -398,7 +399,7 @@ def parse_closed_set_literal(literal) -> ClosedSetRep:
 
 
 # ---------------------------------------------------------------------------
-# Lift: a fresh bottom below an inner poset
+# Combinators: lift and disjoint sum over wrapped component elements
 
 
 MAX_TRUNCATION = 512
@@ -414,25 +415,124 @@ def _capped(elems):
     return elems
 
 
-class LiftPresentation(PosetPresentation):
+class _Combinator(PosetPresentation):
+    """A poset built from components whose elements it wraps.
+
+    ``parts`` holds one ``(tag, component, wrap)`` per component and
+    ``points`` the combinator's own elements, each printed and parsed as
+    its name.  Every hook that only carries a question to the component of
+    an element, and its answer back, is written here once; the subclasses
+    keep the order, the approximant families and sampling."""
+
+    points = ()
+    literal_error: str
+
+    def __init__(self, *parts):
+        self.parts = parts
+        comps = [comp for _, comp, _ in parts]
+        self.name = f"{self.kind}({', '.join(c.name for c in comps)})"
+        self.is_finite_kind = all(c.is_finite_kind for c in comps)
+        self.certified_conditionally_complete = all(
+            c.certified_conditionally_complete for c in comps)
+        self.certified_interpolating = all(c.certified_interpolating
+                                           for c in comps)
+        continuous = {c.certified_continuous for c in comps}
+        self.certified_continuous = (False if False in continuous
+                                     else True if continuous == {True}
+                                     else None)
+
+    def _part(self, x):
+        """The part whose wrap x is, or None for an own point."""
+        for part in self.parts:
+            if isinstance(x, part[2]):
+                return part
+        return None
+
+    def _wrap_family(self, fam, wrap, label=None):
+        points = self.points
+        return map_family(fam, wrap, label=label,
+                          dominates=lambda x, inner: (
+                              inner(x.value) if isinstance(x, wrap)
+                              else x in points))
+
+    def contains(self, x) -> bool:
+        part = self._part(x)
+        if part is None:
+            return x in self.points
+        return part[1].contains(x.value)
+
+    def elements(self):
+        return list(self.points) + [wrap(e) for _, comp, wrap in self.parts
+                                    for e in comp.elements()]
+
+    def interesting_elements(self):
+        return list(self.points) + [wrap(e) for _, comp, wrap in self.parts
+                                    for e in comp.interesting_elements()]
+
+    def truncation(self, n):
+        return _capped(list(self.points)
+                       + [wrap(e) for _, comp, wrap in self.parts
+                          for e in comp.truncation(n)])
+
+    # An own point is its own interpolant and compact element.
+
+    def interpolation_witness(self, x, y):
+        part = self._part(x)
+        if part is None:
+            return x
+        z = part[1].interpolation_witness(x.value, y.value)
+        return None if z is None else part[2](z)
+
+    def compact_below(self, x):
+        part = self._part(x)
+        if part is None:
+            return x
+        c = part[1].compact_below(x.value)
+        return None if c is None else part[2](c)
+
+    def continuity_counterexample(self):
+        for _, comp, wrap in self.parts:
+            ce = comp.continuity_counterexample()
+            if ce is not None:
+                return wrap(ce)
+        return None
+
+    def inf_instances(self):
+        return [tuple(map(wrap, inst)) for _, comp, wrap in self.parts
+                for inst in comp.inf_instances()]
+
+    def retract_rules(self):
+        return [f"{tag}: {rule}" for tag, comp, _ in self.parts
+                for rule in comp.retract_rules()]
+
+    def format_element(self, x) -> str:
+        part = self._part(x)
+        if part is None:
+            return repr(x)
+        tag, comp, _ = part
+        return f"{tag}:{comp.format_element(x.value)}"
+
+    def parse_element(self, literal):
+        for point in self.points:
+            if literal == repr(point):
+                return point
+        if isinstance(literal, dict) and len(literal) == 1:
+            for tag, comp, wrap in self.parts:
+                if tag in literal:
+                    return wrap(comp.parse_element(literal[tag]))
+        raise ValidationError(self.literal_error)
+
+
+class LiftPresentation(_Combinator):
+    """A fresh bottom ⊥ below an inner poset."""
+
     kind = "lift"
+    points = (BOTTOM,)
+    literal_error = "lift element literal is 'bottom' or {\"inner\": ...}"
 
     def __init__(self, inner: PosetPresentation):
         self.inner = inner
-        self.name = f"lift({inner.name})"
-        self.is_finite_kind = inner.is_finite_kind
-        self.certified_conditionally_complete = \
-            inner.certified_conditionally_complete
-        self.certified_interpolating = inner.certified_interpolating
-        self.certified_continuous = inner.certified_continuous
-
-    def contains(self, x) -> bool:
-        if x is BOTTOM:
-            return True
-        return isinstance(x, Inner) and self.inner.contains(x.value)
-
-    def elements(self):
-        return [BOTTOM] + [Inner(e) for e in self.inner.elements()]
+        super().__init__(("inner", inner, Inner))
 
     def leq(self, x, y) -> bool:
         if x is BOTTOM:
@@ -482,13 +582,7 @@ class LiftPresentation(PosetPresentation):
         if isinstance(fam, ExplicitFamily):
             return ExplicitFamily((BOTTOM,) + tuple(Inner(m) for m in fam.members),
                                   Inner(fam.supremum), label=fam.label)
-        return self._lift_family(fam)
-
-    @staticmethod
-    def _lift_family(fam, label=None):
-        return map_family(fam, Inner, label=label,
-                          dominates=lambda x, inner: (x is BOTTOM
-                                                      or inner(x.value)))
+        return self._wrap_family(fam, Inner)
 
     @cached_property
     def bank_is_exhaustive(self):
@@ -510,8 +604,8 @@ class LiftPresentation(PosetPresentation):
         exhaustive = self.bank_is_exhaustive
         for fam in self.inner.family_bank():
             explicit = isinstance(fam, ExplicitFamily)
-            lifted = self._lift_family(
-                fam, label=f"lifted:{fam.label}" if explicit else None)
+            lifted = self._wrap_family(
+                fam, Inner, label=f"lifted:{fam.label}" if explicit else None)
             bank.append(lifted)
             if exhaustive:
                 bank.append(ExplicitFamily(
@@ -528,103 +622,33 @@ class LiftPresentation(PosetPresentation):
         return [BOTTOM if rng.random() < 0.12 else Inner(v)
                 for v in self.inner.sample_elements(rng, count)]
 
-    def interesting_elements(self):
-        return [BOTTOM] + [Inner(e) for e in self.inner.interesting_elements()]
 
-    def truncation(self, n):
-        return _capped([BOTTOM] + [Inner(e) for e in self.inner.truncation(n)])
+class DisjointSumPresentation(_Combinator):
+    """Two posets side by side; no element of one relates to the other."""
 
-    def interpolation_witness(self, x, y):
-        if x is BOTTOM:
-            return BOTTOM
-        z = self.inner.interpolation_witness(x.value, y.value)
-        return Inner(z) if z is not None else None
-
-    def continuity_counterexample(self):
-        ce = self.inner.continuity_counterexample()
-        return Inner(ce) if ce is not None else None
-
-    def compact_below(self, x):
-        if x is BOTTOM:
-            return BOTTOM
-        c = self.inner.compact_below(x.value)
-        return Inner(c) if c is not None else None
-
-    def inf_instances(self):
-        return [tuple(map(Inner, inst)) for inst in self.inner.inf_instances()]
-
-    def retract_rules(self):
-        # The retract is ⊥ plus the lifted retract of the inner poset.
-        return [f"inner: {rule}" for rule in self.inner.retract_rules()]
-
-    def format_element(self, x) -> str:
-        if x is BOTTOM:
-            return "bottom"
-        return f"inner:{self.inner.format_element(x.value)}"
-
-    def parse_element(self, literal):
-        if literal == "bottom" or literal == {"bottom": True}:
-            return BOTTOM
-        if isinstance(literal, dict) and set(literal) == {"inner"}:
-            return Inner(self.inner.parse_element(literal["inner"]))
-        raise ValidationError(
-            "lift element literal is 'bottom' or {\"inner\": ...}")
-
-
-# ---------------------------------------------------------------------------
-# Disjoint sum
-
-
-class DisjointSumPresentation(PosetPresentation):
     kind = "disjoint_sum"
+    literal_error = ("sum element literal is {\"left\": ...} or "
+                     "{\"right\": ...}")
 
     def __init__(self, left: PosetPresentation, right: PosetPresentation):
         self.left = left
         self.right = right
-        self.name = f"disjoint_sum({left.name}, {right.name})"
-        self.is_finite_kind = left.is_finite_kind and right.is_finite_kind
-        self.certified_conditionally_complete = (
-            left.certified_conditionally_complete
-            and right.certified_conditionally_complete)
-        self.certified_interpolating = (left.certified_interpolating
-                                        and right.certified_interpolating)
-        if left.certified_continuous is False or \
-                right.certified_continuous is False:
-            self.certified_continuous = False
-        elif left.certified_continuous and right.certified_continuous:
-            self.certified_continuous = True
-        else:
-            self.certified_continuous = None
+        super().__init__(("left", left, Left), ("right", right, Right))
 
     @property
     def bank_is_exhaustive(self):
         # Directed sets live inside one component.
         return self.left.bank_is_exhaustive and self.right.bank_is_exhaustive
 
-    def _side(self, x):
-        if isinstance(x, Left):
-            return self.left, x.value, Left
-        return self.right, x.value, Right
-
-    def contains(self, x) -> bool:
-        return (isinstance(x, (Left, Right))
-                and self._side(x)[0].contains(x.value))
-
-    def elements(self):
-        return ([Left(e) for e in self.left.elements()]
-                + [Right(e) for e in self.right.elements()])
-
     def leq(self, x, y) -> bool:
         if type(x) is not type(y):
             return False
-        comp, xv, _ = self._side(x)
-        return comp.leq(xv, y.value)
+        return self._part(x)[1].leq(x.value, y.value)
 
     def _same_side(self, xs):
-        if all(isinstance(x, Left) for x in xs):
-            return self.left, tuple(x.value for x in xs), Left
-        if all(isinstance(x, Right) for x in xs):
-            return self.right, tuple(x.value for x in xs), Right
+        for _, comp, wrap in self.parts:
+            if all(isinstance(x, wrap) for x in xs):
+                return comp, tuple(x.value for x in xs), wrap
         return None
 
     def finite_sup(self, xs):
@@ -653,26 +677,16 @@ class DisjointSumPresentation(PosetPresentation):
     def waybelow(self, x, y) -> bool:
         if type(x) is not type(y):
             return False
-        comp, xv, _ = self._side(x)
-        return comp.waybelow(xv, y.value)
+        return self._part(x)[1].waybelow(x.value, y.value)
 
     def waybelow_family(self, x):
-        comp, xv, wrap = self._side(x)
-        fam = comp.waybelow_family(xv)
-        if fam is None:
-            return None
-        return self._wrap_family(fam, wrap)
-
-    @staticmethod
-    def _wrap_family(fam, wrap):
-        return map_family(fam, wrap,
-                          dominates=lambda x, inner: (isinstance(x, wrap)
-                                                      and inner(x.value)))
+        _, comp, wrap = self._part(x)
+        fam = comp.waybelow_family(x.value)
+        return None if fam is None else self._wrap_family(fam, wrap)
 
     def family_bank(self):
-        bank = [self._wrap_family(f, Left) for f in self.left.family_bank()]
-        bank += [self._wrap_family(f, Right) for f in self.right.family_bank()]
-        return bank
+        return [self._wrap_family(fam, wrap) for _, comp, wrap in self.parts
+                for fam in comp.family_bank()]
 
     def sample_elements(self, rng, count):
         # An odd count takes its extra element from a side picked by rng,
@@ -690,53 +704,6 @@ class DisjointSumPresentation(PosetPresentation):
             elif lefts:
                 out.append(Left(lefts.pop()))
         return out
-
-    def interesting_elements(self):
-        return ([Left(e) for e in self.left.interesting_elements()]
-                + [Right(e) for e in self.right.interesting_elements()])
-
-    def truncation(self, n):
-        return _capped([Left(e) for e in self.left.truncation(n)]
-                       + [Right(e) for e in self.right.truncation(n)])
-
-    def interpolation_witness(self, x, y):
-        comp, xv, wrap = self._side(x)
-        z = comp.interpolation_witness(xv, y.value)
-        return wrap(z) if z is not None else None
-
-    def continuity_counterexample(self):
-        ce = self.left.continuity_counterexample()
-        if ce is not None:
-            return Left(ce)
-        ce = self.right.continuity_counterexample()
-        return Right(ce) if ce is not None else None
-
-    def compact_below(self, x):
-        comp, xv, wrap = self._side(x)
-        c = comp.compact_below(xv)
-        return wrap(c) if c is not None else None
-
-    def inf_instances(self):
-        return ([tuple(map(Left, inst)) for inst in self.left.inf_instances()]
-                + [tuple(map(Right, inst))
-                   for inst in self.right.inf_instances()])
-
-    def retract_rules(self):
-        return ([f"left: {rule}" for rule in self.left.retract_rules()]
-                + [f"right: {rule}" for rule in self.right.retract_rules()])
-
-    def format_element(self, x) -> str:
-        comp, xv, _ = self._side(x)
-        side = "left" if isinstance(x, Left) else "right"
-        return f"{side}:{comp.format_element(xv)}"
-
-    def parse_element(self, literal):
-        if isinstance(literal, dict) and set(literal) == {"left"}:
-            return Left(self.left.parse_element(literal["left"]))
-        if isinstance(literal, dict) and set(literal) == {"right"}:
-            return Right(self.right.parse_element(literal["right"]))
-        raise ValidationError(
-            "sum element literal is {\"left\": ...} or {\"right\": ...}")
 
 
 # ---------------------------------------------------------------------------

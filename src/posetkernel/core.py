@@ -19,7 +19,7 @@ from itertools import compress
 from .errors import (CycleDetected, DuplicateLabel, EmptyFamily,
                      ForeignElement, PosetError, ScopeUnsupported, SizeLimit,
                      ValidationError)
-from .families import ChainFamily, ExplicitFamily, Family
+from .families import ExplicitFamily, Family
 from .reports import (DEFAULT_SUBSET_SAMPLES, EXHAUSTIVE, Scope, refuted,
                       sampled, unknown, unrefuted, verified)
 
@@ -387,16 +387,6 @@ class PosetPresentation:
     def lower_bound_exists(self, xs):
         """True/False when decidable for the kind, else None."""
         return None
-
-    def chain_sup(self, chain: ChainFamily):
-        """The declared supremum of a symbolic chain, after probing that it
-        dominates the sampled members."""
-        for m in chain.sample_members():
-            if not self.leq(m, chain.supremum):
-                raise PosetError(
-                    f"declared supremum of chain {chain.label!r} does not "
-                    f"dominate a sampled member")
-        return chain.supremum
 
     # -- way-below -----------------------------------------------------
 

@@ -15,8 +15,8 @@ elements, each clearing the pair's common up-set (O(n^2) terms of at most n
 operations).  One table per poset, ``avoid[x]``, holds the maxima t of the
 directed subsets that miss the up-set of x; it costs another n^2
 operations.  Then ``x << y`` fails exactly when such a t lies above y, one
-AND of n-bit masks per query, and approximants, kernels and continuity read
-the same table.
+AND of n-bit masks per query, and approximants, kernels, continuity and the
+subposet scan read the same table.
 
 For symbolic kinds, refutation scans the family bank.  A family refutes
 ``x << y`` only when its supremum dominates y and the absence of a member
@@ -29,8 +29,8 @@ skipped, which weakens refutation power but never fabricates a refutation.
 from __future__ import annotations
 
 from .core import (FINITE_CAP, SUBSET_SCAN_CAP, FinitePoset,
-                   PosetPresentation, _bits, _mask, _none_of,
-                   family_dominates)
+                   PosetPresentation, _bits, _mask, _none_of, _plane_members,
+                   _subset_planes, family_dominates)
 from .errors import NotApproximable, PosetError, ScopeUnsupported, SizeLimit
 from .reports import BANK, CheckReport, EXHAUSTIVE, refuted, unrefuted, verified
 
@@ -100,68 +100,52 @@ def continuity_bruteforce(fp: FinitePoset) -> CheckReport:
     return verified(law, EXHAUSTIVE)
 
 
+def _supersets(n, plane):
+    """The plane of the subsets that contain some subset in ``plane``: each
+    element b in turn is added to every subset without it."""
+    for b, with_b in enumerate(_subset_planes(n)):
+        plane |= (plane & ~with_b) << (1 << b)
+    return plane
+
+
 def continuous_subposets_bruteforce(fp: FinitePoset) -> list:
     """All element subsets that are subposets (inherited way-below equals
     the internal one, both definitional) and continuous as posets in their
-    own right.  Returned as bitmasks.
+    own right.  Returned as bitmasks, ascending.
 
-    The directed subsets of R are the directed subsets of the poset that lie
+    Computed on subset planes: each condition below is the plane of the
+    subsets R it makes fail, and R passes when it is in none of them.  The
+    directed subsets of R are the directed subsets of the poset that lie
     inside R, so x << y fails inside R exactly when one of them with a
-    maximum above y misses the up-set of x."""
+    maximum above y misses the up-set of x; and way-below inside R being
+    the inherited one, the approximants of x inside R are its approximants
+    that lie in R."""
     n = fp.n
     if n > SUBSET_SCAN_CAP:
         raise SizeLimit(f"subset enumeration capped at {SUBSET_SCAN_CAP} "
                         "elements")
+    S = _subset_planes(n)
     refuting = list(_refuting_planes(fp))
     avoid = _avoid(fp)
-    # not_below[x]: the y with not (x << y), the down-set of avoid[x]
-    not_below = [0] * n
+    failing = 0
     for x in range(n):
-        for t in _bits(avoid[x]):
-            not_below[x] |= fp.down[t]
-    approximants = [_approximants_mask(fp, x) for x in range(n)]
-    members = [list(_bits(R)) for R in range(1 << n)]
-    # inside[R] = none_of(~R), the plane of the subsets of R: those of R
-    # without its lowest element b, and each of them with b added (+ 2^b)
-    inside = [1]
-    passing = []
-    for R in range(1 << n):
-        if R:
-            low = R & -R
-            rest = inside[R ^ low]
-            inside.append(rest | rest << low)
-        ok = True
-        for x in members[R]:
-            # each y in R with not (x << y) needs a refuting directed subset
-            # inside R with a maximum t above y
-            need = not_below[x] & R
-            for t in members[avoid[x] & R]:
-                if not need:
-                    break
-                if fp.down[t] & need and refuting[x][t] & inside[R]:
-                    need &= ~fp.down[t]
-            if need:
-                ok = False
-                break
-        if not ok:
-            continue
-        # way-below inside R is the inherited one, so the approximants of x
-        # inside R are its approximants that lie in R
-        for x in members[R]:
-            approx = approximants[x] & R
-            if not approx:
-                ok = False
-                break
-            ubs = R
-            for w in members[approx]:
-                ubs &= fp.up[w]
-            # x is the least of the upper bounds in R
-            if not ubs >> x & 1 or ubs & ~fp.up[x]:
-                ok = False
-                break
-        if ok:
-            passing.append(R)
-    return passing
+        # not (x << y): R holding x and y needs a refuting directed subset
+        # inside it with a maximum above y
+        for y in range(n):
+            if avoid[x] & fp.up[y]:
+                refuters = 0
+                for t in _bits(fp.up[y]):
+                    refuters |= refuting[x][t]
+                failing |= S[x] & S[y] & ~_supersets(n, refuters)
+        # x is the least upper bound in R of its approximants in R: it has
+        # one, each lies below x, and each u in R not above x misses one
+        approx = _approximants_mask(fp, x)
+        failing |= S[x] & _none_of(n, approx)
+        for v in _bits(approx & ~fp.down[x]):
+            failing |= S[x] & S[v]
+        for u in _bits(((1 << n) - 1) & ~fp.up[x]):
+            failing |= S[x] & S[u] & _none_of(n, approx & ~fp.down[u])
+    return list(_plane_members(_none_of(n, 0) & ~failing))
 
 
 def largest_continuous_subposet_bruteforce(fp: FinitePoset) -> frozenset:

@@ -7,12 +7,14 @@ import pytest
 
 from posetkernel import (BOTTOM, NO_INFIMUM, NO_SUPREMUM, OMEGA, Inner, Left,
                          Right, closed_set, least_upper_bound, make_catalog)
-from posetkernel.catalog import (closed_sets, disjoint_sum, finite_explicit,
-                                 finite_named, lift, named_finite_poset,
-                                 omega_plus_one, punctured_closed_sets,
-                                 random_finite_poset, standard_roster)
+from posetkernel.catalog import (DisjointSumPresentation, LiftPresentation,
+                                 _Combinator, closed_sets, disjoint_sum,
+                                 finite_explicit, finite_named, lift,
+                                 named_finite_poset, omega_plus_one,
+                                 punctured_closed_sets, random_finite_poset,
+                                 standard_roster)
 from posetkernel.closedsets import EMPTY, EVENS, FULL, INF_POINT
-from posetkernel.core import induced_finite_poset
+from posetkernel.core import PosetPresentation, induced_finite_poset
 from posetkernel.errors import SizeLimit, UnknownName
 from posetkernel.families import ChainFamily, ExplicitFamily
 from posetkernel.kernel import check_scott_continuity, is_approximable
@@ -297,6 +299,39 @@ class TestWrappedFamilies:
         left_bank = [f for f in S.family_bank()
                      if isinstance(f.supremum, Left)]
         assert len(left_bank) == len(S.left.family_bank())
+
+
+class TestOneForwardingPath:
+    """Lift and sum carry every component hook through ``_Combinator``, so
+    each forwarding is written once."""
+
+    FORWARDED = sorted(name for name, value in vars(_Combinator).items()
+                       if callable(value) and not name.startswith("__"))
+
+    def test_the_base_forwards_the_carrier_hooks(self):
+        assert {"contains", "elements", "truncation", "compact_below",
+                "continuity_counterexample", "inf_instances",
+                "retract_rules", "format_element", "parse_element",
+                "_wrap_family"} <= set(self.FORWARDED)
+
+    @pytest.mark.parametrize("cls", [LiftPresentation,
+                                     DisjointSumPresentation],
+                             ids=lambda cls: cls.kind)
+    def test_no_combinator_forwards_a_hook_itself(self, cls):
+        assert set(vars(cls)).isdisjoint(self.FORWARDED)
+
+    def test_flags_combine_over_the_parts(self):
+        # continuous: False if a part is False, True if all are, else None
+        unknown = PosetPresentation()
+        omega = make_catalog(omega_plus_one())
+        closed = make_catalog(closed_sets())
+        assert DisjointSumPresentation(omega, omega).certified_continuous
+        assert DisjointSumPresentation(
+            omega, unknown).certified_continuous is None
+        assert DisjointSumPresentation(
+            unknown, closed).certified_continuous is False
+        assert LiftPresentation(unknown).certified_continuous is None
+        assert LiftPresentation(closed).name == "lift(closed_sets)"
 
 
 class TestSampling:

@@ -344,6 +344,20 @@ class TestAnalyzeCommand:
         assert err == ("input error: infinite natural part requires the "
                        "point at infinity\n")
 
+    def test_bottom_is_the_one_lift_bottom_literal(self, tmp_path):
+        path = tmp_path / "lift.json"
+        path.write_text('{"kind":"lift","inner":{"kind":"omega_plus_one"}}')
+        code, out, err = run_cli(["analyze", str(path), "kernel",
+                                  "--element", "bottom"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:3] == ["element: bottom", "approximable: yes",
+                                        "kernel: bottom"]
+        code, out, err = run_cli(["analyze", str(path), "kernel",
+                                  "--element", '{"bottom": true}'])
+        assert (code, out) == (65, "")
+        assert err == ("input error: lift element literal is 'bottom' or "
+                       '{"inner": ...}\n')
+
     def test_missing_element_usage(self):
         code, _, _ = run_cli(["analyze", "diamond", "kernel"])
         assert code == 64

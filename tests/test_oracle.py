@@ -9,7 +9,7 @@ from posetkernel import (BOTTOM, OMEGA, FinitePoset, Inner,
                          build_finite_poset, closed_set, make_catalog)
 from posetkernel.catalog import finite_named, lift, punctured_closed_sets
 from posetkernel.closedsets import FULL, INF_POINT
-from posetkernel.core import _bits, induced_finite_poset
+from posetkernel.core import SUBSET_SCAN_CAP, _bits, induced_finite_poset
 from posetkernel.errors import (NotApproximable, PosetError, ScopeUnsupported,
                                SizeLimit)
 from posetkernel.kernel import kernel_of, retract_member
@@ -349,7 +349,7 @@ def assert_oracle_matches_reference(fp, directed):
     assert [kernel_or_error(fp, x) for x in range(n)] == \
         [reference_kernel(fp, refs, x) for x in range(n)]
     assert continuity_bruteforce(fp) == reference_continuity(fp, refs)
-    if n <= 8:
+    if n <= SUBSET_SCAN_CAP:
         assert continuous_subposets_bruteforce(fp) == \
             reference_subposets(fp, refs)
 
@@ -364,7 +364,8 @@ class TestPairwiseReference:
         fp = shuffled_poset(random.Random(seed), n, p)
         assert_oracle_matches_reference(fp, reference_directed(fp))
 
-    @pytest.mark.parametrize("n,seed", [(n, seed) for n in range(2, 9)
+    @pytest.mark.parametrize("n,seed", [(n, seed)
+                                        for n in range(2, SUBSET_SCAN_CAP + 1)
                                         for seed in range(3)])
     def test_thinned_directed_family(self, n, seed):
         # Way-below, kernel, continuity and the subposet scan are functions
