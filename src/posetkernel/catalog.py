@@ -555,13 +555,7 @@ class LiftPresentation(_Combinator):
         g = self.inner.finite_inf(vals)
         if is_element(g):
             return Inner(g)
-        if g is NO_INFIMUM:
-            exists = self.inner.lower_bound_exists(vals)
-            if exists is False:
-                return BOTTOM
-            if exists is True:
-                return NO_INFIMUM
-        return g
+        return NO_INFIMUM if self.inner.lower_bound_exists(vals) else BOTTOM
 
     def lower_bound_exists(self, xs):
         return True
@@ -579,9 +573,6 @@ class LiftPresentation(_Combinator):
         fam = self.inner.waybelow_family(x.value)
         if fam is None:
             return ExplicitFamily((BOTTOM,), BOTTOM, label="bottom-only")
-        if isinstance(fam, ExplicitFamily):
-            return ExplicitFamily((BOTTOM,) + tuple(Inner(m) for m in fam.members),
-                                  Inner(fam.supremum), label=fam.label)
         return self._wrap_family(fam, Inner)
 
     @cached_property
@@ -898,7 +889,13 @@ def _finite_spec(elements, covers) -> CatalogSpec:
 
 
 def spec_to_document(spec: CatalogSpec) -> dict:
-    """The document of a spec that ``spec_from_document`` returns."""
+    """The document of a spec that ``spec_from_document`` returns.  A named
+    or random finite poset is written out with its labels and its cover
+    pairs."""
+    if spec.kind in ("finite_named", "finite_random"):
+        fp = make_catalog(spec).poset
+        spec = finite_explicit(fp.names, [(fp.names[i], fp.names[j])
+                                          for i, j in fp.hasse_edges()])
     if spec.kind == "finite_explicit":
         return {"kind": "finite", "elements": list(spec.elements),
                 "covers": [list(c) for c in spec.covers]}

@@ -279,13 +279,6 @@ def natural_part_is_finite(rep: ClosedSetRep) -> bool:
     return not rep.residue_bits
 
 
-def finite_naturals(rep: ClosedSetRep) -> tuple:
-    """The natural part as a sorted tuple; only for finite natural parts."""
-    if rep.residue_bits:
-        raise ValidationError("natural part is infinite")
-    return tuple(sorted(rep.prefix))
-
-
 def _lowest_bit(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
 

@@ -384,9 +384,8 @@ class PosetPresentation:
     def finite_inf(self, xs):
         raise NotImplementedError
 
-    def lower_bound_exists(self, xs):
-        """True/False when decidable for the kind, else None."""
-        return None
+    def lower_bound_exists(self, xs) -> bool:
+        raise NotImplementedError
 
     # -- way-below -----------------------------------------------------
 
@@ -598,24 +597,18 @@ def is_approximable(P: PosetPresentation, x) -> bool:
     return P.waybelow_family(x) is not None
 
 
-def family_dominates(P: PosetPresentation, fam, x):
-    """Does some member of the family dominate x?  True / False / None.
+def family_dominates(P: PosetPresentation, fam, x) -> bool:
+    """Does some member of the family dominate x?
 
     Explicit families are decided exactly.  For chains, a sampled member
     dominating x settles True; otherwise the chain's domination certificate
-    decides, or ``x`` not being below the declared supremum certifies False.
-    Without any of these the question is left open (None) - a scan to the
-    horizon must not masquerade as a negative answer.
+    decides.
     """
     if isinstance(fam, ExplicitFamily):
         return any(P.leq(x, m) for m in fam.members)
     if any(P.leq(x, m) for m in fam.sample_members()):
         return True
-    if fam.member_dominates is not None:
-        return bool(fam.member_dominates(x))
-    if not P.leq(x, fam.supremum):
-        return False
-    return None
+    return bool(fam.member_dominates(x))
 
 
 # ---------------------------------------------------------------------------
@@ -818,17 +811,15 @@ def _subposet_sampled(P, scope, member):
         x, y = rng.choice(pool), rng.choice(pool)
         ambient = P.waybelow(x, y)
         for fam in bank:
-            if not P.leq(y, fam.supremum):
+            if not P.leq(y, fam.supremum) or family_dominates(P, fam, x):
                 continue
-            dom = family_dominates(P, fam, x)
-            if dom is False and ambient:
+            if ambient:
                 return refuted(
                     law, (x, y),
                     f"family {fam.label!r} inside the subset refutes an "
                     "ambient way-below pair", scope, samples=confirmed)
-            if dom is False and not ambient:
-                confirmed += 1
-                break
+            confirmed += 1
+            break
         else:
             if ambient:
                 confirmed += 1

@@ -5,22 +5,20 @@ monotone in the index and its supremum is *declared* by the catalog entry
 that built it; validation probes (monotonicity at sampled indices, the
 declared supremum dominating sampled members) live with the presentations.
 
-Two optional certificates make chains usable in sound refutations:
+Samples can confirm that some member dominates x but never certify that none
+does, so every chain carries two certificates:
 
 ``member_dominates``
-    closed-form decision of "some member of the chain dominates x".
-    Without it, a scan to the horizon can confirm domination but never
-    certify its absence.
+    closed-form decision of "some member of the chain dominates x";
 
 ``kernel_image_sup``
-    the known supremum of the kernel images of the members, used by the
-    Scott-continuity checker (the image of a chain under the kernel is again
-    a chain, but its supremum is not computable from samples alone).
+    the supremum of the kernel images of the members, used by the
+    Scott-continuity checker.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -51,8 +49,9 @@ class ChainFamily:
     generator: Callable[[int], object]
     supremum: object
     label: str = ""
-    member_dominates: Callable[[object], bool] | None = None
-    kernel_image_sup: object = None
+    _: KW_ONLY
+    member_dominates: Callable[[object], bool]
+    kernel_image_sup: object
 
     @cached_property
     def _members(self):
@@ -73,8 +72,7 @@ def map_family(fam: Family, wrap, *, dominates, label=None) -> Family:
     Used by the lift and disjoint-sum combinators to re-export the families
     of their components.  ``dominates(x, inner)`` is the chain's domination
     certificate phrased against wrapped elements, given the certificate
-    ``inner`` of the component chain; the wrapped chain has none when the
-    component chain has none.
+    ``inner`` of the component chain.
     """
     label = label or fam.label
     if isinstance(fam, ExplicitFamily):
@@ -85,8 +83,6 @@ def map_family(fam: Family, wrap, *, dominates, label=None) -> Family:
         generator=lambda i, _g=fam.generator: wrap(_g(i)),
         supremum=wrap(fam.supremum),
         label=label,
-        member_dominates=(None if inner is None
-                          else lambda x: dominates(x, inner)),
-        kernel_image_sup=(None if fam.kernel_image_sup is None
-                          else wrap(fam.kernel_image_sup)),
+        member_dominates=lambda x: dominates(x, inner),
+        kernel_image_sup=wrap(fam.kernel_image_sup),
     )

@@ -157,7 +157,6 @@ def check_scott_continuity(P: PosetPresentation) -> CheckReport:
     retract.  Verified only when the bank holds every directed subset."""
     law = "scott-continuity"
     checked = 0
-    partial = 0
     for fam in P.family_bank():
         members = fam.sample_members()
         if not all(P.waybelow_family(m) is not None for m in members):
@@ -179,9 +178,6 @@ def check_scott_continuity(P: PosetPresentation) -> CheckReport:
                 return refuted(law, label, "a kernel image escapes k(sup)",
                                BANK, samples=checked)
             s = fam.kernel_image_sup
-            if s is None:
-                partial += 1
-                continue
         if s != k_sup:
             what = "sup of kernel images" if explicit \
                 else "certified image supremum"
@@ -192,7 +188,7 @@ def check_scott_continuity(P: PosetPresentation) -> CheckReport:
             return refuted(law, label, "image supremum escapes the retract",
                            BANK, samples=checked)
         checked += 1
-    return _finish(law, P.bank_is_exhaustive, checked + partial, BANK)
+    return _finish(law, P.bank_is_exhaustive, checked, BANK)
 
 
 def check_waybelow_kernel_equivalence(P: PosetPresentation,
@@ -293,8 +289,8 @@ def _refute_candidate(P: PosetPresentation, witness) -> CheckReport:
 def _sup_inside_retract(P: PosetPresentation, x, fam):
     """The supremum of the approximants of x inside R = Q ∪ {x}, from x's
     approximant family: the join of its members in R, or a chain's certified
-    ``kernel_image_sup``; None when unknown (nothing to join, no join, no
-    certificate)."""
+    ``kernel_image_sup``; None when an explicit family has nothing to join
+    or no join."""
     if not isinstance(fam, ExplicitFamily):
         return fam.kernel_image_sup
     members = tuple(m for m in fam.members if m == x or in_retract(P, m))
@@ -400,6 +396,24 @@ def check_inf_preservation(P: PosetPresentation, A,
                            scope: Scope | None = None) -> CheckReport:
     """The kernel of the infimum of a retract subset is the greatest lower
     bound of that subset inside the retract (over the searchable scope)."""
+    scope = resolve_scope(P, scope)
+    return _check_inf_instance(P, A, scope, _retract_pool(P, scope))
+
+
+def _retract_pool(P: PosetPresentation, scope: Scope) -> list:
+    """The retract elements of the scope: every element when exhaustive,
+    else the sample pool."""
+    if scope.kind == "exhaustive":
+        pool = P.elements()
+    else:
+        pool = sample_pool(P, random.Random(scope.seed), scope.count)
+    return [x for x in pool if in_retract(P, x)]
+
+
+def _check_inf_instance(P: PosetPresentation, A, scope: Scope,
+                        pool) -> CheckReport:
+    """check_inf_preservation within a resolved scope, against the retract
+    lower bounds found in ``pool``."""
     law = "infima-preservation"
     A = tuple(dict.fromkeys(A))
     if not A:
@@ -408,7 +422,6 @@ def check_inf_preservation(P: PosetPresentation, A,
         P.require(a)
         if not in_retract(P, a):
             raise PosetError(f"{P.format_element(a)} is not in the retract")
-    scope = resolve_scope(P, scope)
     g = P.finite_inf(A)
     if not is_element(g):
         raise NoInfimumError("the set has no infimum in the carrier")
@@ -424,11 +437,6 @@ def check_inf_preservation(P: PosetPresentation, A,
             return refuted(law, candidate,
                            f"not a lower bound of {P.format_element(a)}",
                            scope)
-    if scope.kind == "exhaustive":
-        pool = P.elements()
-    else:
-        pool = sample_pool(P, random.Random(scope.seed), scope.count)
-    pool = [x for x in pool if in_retract(P, x)]
     for c in pool:
         if all(P.leq(c, a) for a in A) and not P.leq(c, candidate):
             return refuted(law, c,
@@ -456,11 +464,13 @@ def check_inf_preservation_sampled(P: PosetPresentation,
     while len(instances) < want and len(pool) >= 2:
         size = rng.randint(2, min(3, len(pool)))
         instances.append(tuple(rng.sample(pool, size)))
+    inner = resolve_scope(P, scope)
+    lower_bounds = _retract_pool(P, inner)
     parts = []
     skipped = 0
     for inst in instances:
         try:
-            parts.append(check_inf_preservation(P, inst, scope))
+            parts.append(_check_inf_instance(P, inst, inner, lower_bounds))
         except NoInfimumError:
             skipped += 1
     if not parts:

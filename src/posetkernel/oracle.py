@@ -19,11 +19,9 @@ AND of n-bit masks per query, and approximants, kernels, continuity and the
 subposet scan read the same table.
 
 For symbolic kinds, refutation scans the family bank.  A family refutes
-``x << y`` only when its supremum dominates y and the absence of a member
-dominating x is conclusive: exhaustively for explicit families, and for
-chains via the domination certificate or ``x`` not being below the declared
-supremum.  A chain scanned to its horizon without a conclusive answer is
-skipped, which weakens refutation power but never fabricates a refutation.
+``x << y`` when its supremum dominates y and no member dominates x: decided
+exhaustively for explicit families, and by the domination certificate for
+chains.
 """
 
 from __future__ import annotations
@@ -168,7 +166,7 @@ def bank_refute_waybelow(P: PosetPresentation, x, y) -> CheckReport:
     """Try to refute the assertion ``x << y`` against the family bank.
 
     Refuted carries the witnessing family; Unrefuted counts the families
-    that were relevant (supremum above y) and conclusively dominated x.
+    that were relevant (supremum above y) and dominated x.
     """
     if P.is_finite_kind:
         raise ScopeUnsupported("bank refutation is for symbolic kinds; "
@@ -180,14 +178,12 @@ def bank_refute_waybelow(P: PosetPresentation, x, y) -> CheckReport:
     for fam in P.family_bank():
         if not P.leq(y, fam.supremum):
             continue
-        dom = family_dominates(P, fam, x)
-        if dom is False:
+        if not family_dominates(P, fam, x):
             return refuted(
                 law, (x, y),
                 f"family {fam.label!r} has supremum above "
                 f"{P.format_element(y)} but no member dominating "
                 f"{P.format_element(x)}", BANK, samples=scanned)
-        if dom is True:
-            scanned += 1
+        scanned += 1
     return unrefuted(law, scanned, BANK)
 

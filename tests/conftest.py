@@ -4,8 +4,9 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from posetkernel import ClosedSetRep, make_catalog
-from posetkernel.catalog import (closed_sets, finite_named, finite_random,
-                                 lift, omega_plus_one, punctured_closed_sets)
+from posetkernel.catalog import (OmegaPlusOnePresentation, closed_sets,
+                                 finite_named, finite_random, lift,
+                                 omega_plus_one, punctured_closed_sets)
 
 settings.register_profile(
     "ci", derandomize=True, max_examples=100,
@@ -79,3 +80,19 @@ def lifted_punctured():
 def random_presentation(seed, n=None):
     return make_catalog(finite_random((seed % 8) + 1 if n is None else n,
                                       0.35, seed))
+
+
+def corrupt_omega(families=None, **methods):
+    """An ω+1 with some methods replaced (``methods``: name -> function of
+    self and the arguments) and the approximant families of some elements
+    overridden (``families``: element -> family)."""
+    base = OmegaPlusOnePresentation
+    families = families or {}
+
+    def waybelow_family(self, x):
+        if x in families:
+            return families[x]
+        return base.waybelow_family(self, x)
+
+    return type("CorruptOmega", (base,),
+                {"waybelow_family": waybelow_family, **methods})()

@@ -261,10 +261,11 @@ class TestWrappedFamilies:
         assert fam.sample_members()[:2] == [Inner(closed_set({0})),
                                             Inner(closed_set({0}))]
 
-    def test_lifted_explicit_family_prepends_bottom(self, lifted_punctured):
+    def test_lifted_explicit_family_wraps_each_member(self, lifted_punctured):
         fam = lifted_punctured.waybelow_family(Inner(closed_set({1, 2})))
-        assert fam.members == (BOTTOM, Inner(closed_set({1, 2})))
+        assert fam.members == (Inner(closed_set({1, 2})),)
         assert fam.supremum == Inner(closed_set({1, 2}))
+        assert fam.label == "natural-part"
 
     def test_lifted_bank_labels(self, lifted_punctured):
         labels = [f.label for f in lifted_punctured.family_bank()]

@@ -11,9 +11,9 @@ from hypothesis import given, strategies as st
 from posetkernel import cli
 from posetkernel.catalog import (DOCUMENT_FIELDS, MAX_DOCUMENT_DEPTH,
                                  CatalogSpec, closed_sets, disjoint_sum,
-                                 finite_explicit, lift, make_catalog,
-                                 omega_plus_one, spec_to_document,
-                                 standard_roster)
+                                 finite_explicit, finite_named, finite_random,
+                                 lift, make_catalog, omega_plus_one,
+                                 spec_to_document, standard_roster)
 from posetkernel.errors import ParseError, ValidationError
 
 
@@ -71,6 +71,21 @@ class TestParseInput:
             spec = cli.parse_input(text)
             assert spec_to_document(spec) == json.loads(text)
             assert cli.parse_input(json.dumps(spec_to_document(spec))) == spec
+
+    @pytest.mark.parametrize("spec", [
+        finite_named("diamond"), finite_named("boolean_3"),
+        finite_random(7, 0.4, 3),
+        disjoint_sum(finite_named("chain_2"), closed_sets())],
+        ids=["diamond", "boolean_3", "random_7", "sum_chain_2_closed"])
+    def test_finite_specs_round_trip_to_the_same_order(self, spec):
+        again = cli.parse_input(json.dumps(spec_to_document(spec)))
+        P, Q = make_catalog(spec), make_catalog(again)
+        elems = P.interesting_elements()
+        assert Q.interesting_elements() == elems
+        assert list(map(Q.format_element, elems)) \
+            == list(map(P.format_element, elems))
+        assert [[Q.leq(x, y) for y in elems] for x in elems] \
+            == [[P.leq(x, y) for y in elems] for x in elems]
 
     def test_lift_nesting_is_capped(self):
         def lifts(depth):

@@ -12,9 +12,8 @@ from posetkernel.closedsets import (EMPTY, EVENS, FULL, INF_POINT,
                                     MAX_LITERAL, ODDS, closedset_join,
                                     closedset_leq, closedset_meet,
                                     closedset_normalize,
-                                    finite_naturals, format_closed_set,
-                                    is_empty, min_natural, natural_closure,
-                                    natural_part_is_finite)
+                                    format_closed_set, is_empty, min_natural,
+                                    natural_closure, natural_part_is_finite)
 from posetkernel.errors import ValidationError
 
 from conftest import closed_fields, closed_reps, compare_window, model_member
@@ -244,14 +243,11 @@ class TestHelpers:
     def test_finite_part_helpers(self):
         rep = closed_set({1, 3}, infinity=True)
         assert natural_part_is_finite(rep)
-        assert finite_naturals(rep) == (1, 3)
         assert min_natural(rep) == 1
         assert min_natural(INF_POINT) is None
         assert min_natural(periodic_set({2}, 3, prefix={0}, threshold=1)) == 0
         assert min_natural(periodic_set({2}, 3)) == 2
         assert is_empty(EMPTY) and not is_empty(INF_POINT)
-        with pytest.raises(ValidationError):
-            finite_naturals(EVENS)
 
     def test_natural_closure(self):
         assert natural_closure(closed_set({1, 3}, True)) == closed_set({1, 3})

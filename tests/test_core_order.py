@@ -11,17 +11,19 @@ from posetkernel import (NO_INFIMUM, NO_SUPREMUM, OMEGA, build_finite_poset,
                          check_interpolation, check_subposet, closed_set,
                          greatest_lower_bound, is_directed, least_upper_bound,
                          leq, make_catalog, waybelow)
-from posetkernel.catalog import (finite_named, named_finite_poset,
-                                 random_finite_poset, standard_roster)
+from posetkernel.catalog import (OmegaPlusOnePresentation, finite_named,
+                                 named_finite_poset, random_finite_poset,
+                                 standard_roster)
 from posetkernel.closedsets import INF_POINT
 from posetkernel.core import induced_finite_poset, resolve_scope
 from posetkernel.errors import (CycleDetected, DuplicateLabel, EmptyFamily,
                                 ForeignElement, ScopeUnsupported)
+from posetkernel.families import ExplicitFamily
 from posetkernel.kernel import is_approximable
 from posetkernel.oracle import bank_refute_waybelow, waybelow_bruteforce
 from posetkernel.reports import EXHAUSTIVE, Status, sampled
 
-from conftest import random_presentation
+from conftest import corrupt_omega, random_presentation
 
 
 class TestBuildFinitePoset:
@@ -283,6 +285,34 @@ class TestCheckAxiom:
 
         report = check_subposet(diamond, None, retract_member(diamond))
         assert report.status is Status.VERIFIED
+
+
+def _with_family(fam):
+    return lambda self: OmegaPlusOnePresentation.family_bank(self) + [fam]
+
+
+class TestSampledCCRefutations:
+    """Each refutation of the sampled conditional-completeness check, on an
+    ω+1 with a corrupt supremum or bank family."""
+
+    @pytest.mark.parametrize("methods, witness, reason", [
+        ({"finite_sup": lambda self, xs: xs[0]}, (8, 2, 19),
+         "reported supremum is not an upper bound"),
+        ({"finite_sup": lambda self, xs: OMEGA}, (8, 2, 19),
+         "supremum not least: 19 is a smaller-incomparable upper bound"),
+        ({"family_bank": _with_family(
+            ExplicitFamily((0, 5), 3, label="overshoot"))}, "overshoot",
+         "declared supremum does not dominate a member"),
+        ({"family_bank": _with_family(
+            ExplicitFamily((0, 1), 5, label="loose"))}, "loose",
+         "declared supremum is not least"),
+    ], ids=["not-an-upper-bound", "not-least", "family-not-dominated",
+            "family-not-least"])
+    def test_refutes(self, methods, witness, reason):
+        report = check_conditionally_complete(corrupt_omega(**methods))
+        assert report.status is Status.REFUTED
+        assert report.witness == witness
+        assert report.reason == reason
 
 
 class TestResolveScope:

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from posetkernel import (BOTTOM, OMEGA, Inner, PosetPresentation, catalog,
-                         cli, closed_set, kernel, make_catalog, oracle)
+from posetkernel import (BOTTOM, NO_SUPREMUM, OMEGA, Inner,
+                         PosetPresentation, catalog, cli, closed_set, kernel,
+                         make_catalog, oracle)
 from posetkernel.catalog import (closed_sets, disjoint_sum, finite_named, lift,
                                  omega_plus_one, punctured_closed_sets,
                                  standard_roster)
@@ -28,7 +29,7 @@ from posetkernel.kernel import (adversarial_kernel, check_approximation_laws,
 from posetkernel.oracle import bank_refute_waybelow
 from posetkernel.reports import Status, sampled
 
-from conftest import random_presentation
+from conftest import corrupt_omega, random_presentation
 
 
 class TestKernelValues:
@@ -209,6 +210,34 @@ class TestScottContinuity:
         report = check_scott_continuity(closed)
         assert report.status is not Status.REFUTED
 
+    @pytest.mark.parametrize("families, methods, witness, reason", [
+        ({OMEGA: None}, {}, "ascending-naturals",
+         "supremum of an approximable directed family is not approximable"),
+        ({}, {"finite_sup": lambda self, xs:
+              NO_SUPREMUM if len(xs) > 1 else xs[0]},
+         "small-chain", "kernel image has no supremum"),
+        ({OMEGA: ExplicitFamily((0, 1, 2, 3), 3)}, {}, "ascending-naturals",
+         "a kernel image escapes k(sup)"),
+        ({9: ExplicitFamily((0, 1, 2), 2)}, {}, "sparse-chain",
+         "k(sup) = 2 but sup of kernel images = 5"),
+        ({}, {"family_bank": lambda self: [ChainFamily(
+            lambda i: i, OMEGA, label="ascending-naturals",
+            member_dominates=lambda v: v is not OMEGA,
+            kernel_image_sup=5)]}, "ascending-naturals",
+         "k(sup) = omega but certified image supremum = 5"),
+        ({9: ExplicitFamily(tuple(range(8)), 7),
+          7: ExplicitFamily(tuple(range(7)), 6)}, {}, "sparse-chain",
+         "image supremum escapes the retract"),
+    ], ids=["not-approximable", "no-image-supremum", "image-escapes",
+            "explicit-image-supremum", "chain-image-supremum",
+            "escapes-retract"])
+    def test_refutes_a_corrupt_omega(self, families, methods, witness,
+                                     reason):
+        report = check_scott_continuity(corrupt_omega(families, **methods))
+        assert report.status is Status.REFUTED
+        assert report.witness == witness
+        assert report.reason == reason
+
 
 class TestWaybelowKernelEquivalence:
     def test_closed_hand_instances(self, closed):
@@ -323,8 +352,10 @@ class TestLargestRetract:
                 if corrupt == "explicit" and x == 7:
                     return ExplicitFamily((0, 1, 2), 7)
                 if corrupt == "chain" and x is OMEGA:
-                    return ChainFamily(lambda i: i, OMEGA,
-                                       kernel_image_sup=5)
+                    return ChainFamily(
+                        lambda i: i, OMEGA,
+                        member_dominates=lambda v: v is not OMEGA,
+                        kernel_image_sup=5)
                 return super().waybelow_family(x)
 
         P = Corrupt()
@@ -431,11 +462,13 @@ class TestInfPreservation:
         P = make_catalog(lift(closed_sets()))
         seen = []
 
-        def spy(P, A, scope=None):
-            seen.append(A)
-            return check_inf_preservation(P, A, scope)
+        check_instance = kernel._check_inf_instance
 
-        monkeypatch.setattr(kernel, "check_inf_preservation", spy)
+        def spy(P, A, scope, pool):
+            seen.append(A)
+            return check_instance(P, A, scope, pool)
+
+        monkeypatch.setattr(kernel, "_check_inf_instance", spy)
         report = check_inf_preservation_sampled(P, sampled(count=100))
         assert report.status is Status.UNREFUTED
         assert seen[0] == (Inner(EVENS), Inner(ODDS))
