@@ -436,10 +436,8 @@ class _Combinator(PosetPresentation):
             c.certified_conditionally_complete for c in comps)
         self.certified_interpolating = all(c.certified_interpolating
                                            for c in comps)
-        continuous = {c.certified_continuous for c in comps}
-        self.certified_continuous = (False if False in continuous
-                                     else True if continuous == {True}
-                                     else None)
+        self.certified_continuous = all(c.certified_continuous
+                                        for c in comps)
 
     def _part(self, x):
         """The part whose wrap x is, or None for an own point."""

@@ -10,9 +10,10 @@ prefix/threshold/period/residues/infinity form.  Lift elements are
 
 Law names for --law are the keys of kernel.LAWS, in the order of --law all.
 
-Exit codes: 0 no refutation, 1 some law refuted, 2 only sampling-grade
-outcomes and --strict was given, 64 usage error, 65 parse/validation error,
-70 internal error (an unexpected exception, reported on one stderr line).
+Exit codes: 0 no refutation, 1 some law refuted, 2 every outcome is
+Unrefuted and --strict was given, 64 usage error, 65 parse/validation error
+or a corrupt catalog entry, 70 internal error (an unexpected exception,
+reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .reports import (DEFAULT_PAIR_SAMPLES, DEFAULT_SEED, CheckReport, Status,
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
-EXIT_STRICT_UNKNOWN = 2
+EXIT_STRICT_UNREFUTED = 2
 EXIT_USAGE = 64
 EXIT_PARSE = 65
 EXIT_SOFTWARE = 70
@@ -161,8 +162,8 @@ def cmd_check(args) -> int:
     if any(r.status is Status.REFUTED for r in reports):
         return EXIT_REFUTED
     if args.strict and reports and all(
-            r.status in (Status.UNREFUTED, Status.UNKNOWN) for r in reports):
-        return EXIT_STRICT_UNKNOWN
+            r.status is Status.UNREFUTED for r in reports):
+        return EXIT_STRICT_UNREFUTED
     return EXIT_OK
 
 
@@ -245,12 +246,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_at_least(low):
-    """An argparse type: a decimal integer no smaller than ``low``."""
+def _int_at_least(low, base=10):
+    """An argparse type: an integer no smaller than ``low``, read by
+    ``int(text, base)`` (base 0 also reads prefixed literals: 0xC0FFEE)."""
 
     def parse(text):
         try:
-            value = int(text)
+            value = int(text, base)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"invalid int value: {text!r}") from None
@@ -273,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--law", default="all")
     check.add_argument("--samples", type=_int_at_least(1),
                        default=DEFAULT_PAIR_SAMPLES)
-    check.add_argument("--seed", type=lambda s: int(s, 0),
+    check.add_argument("--seed", type=_int_at_least(0, base=0),
                        default=DEFAULT_SEED)
     check.add_argument("--strict", action="store_true")
     check.set_defaults(func=cmd_check)

@@ -21,7 +21,7 @@ from .errors import (CycleDetected, DuplicateLabel, EmptyFamily,
                      ValidationError)
 from .families import ExplicitFamily, Family
 from .reports import (DEFAULT_SUBSET_SAMPLES, EXHAUSTIVE, Scope, refuted,
-                      sampled, unknown, unrefuted, verified)
+                      sampled, unrefuted, verified)
 
 # ---------------------------------------------------------------------------
 # Outcome sentinels for partial suprema / infima
@@ -347,7 +347,8 @@ class PosetPresentation:
     is_finite_kind = False
     certified_conditionally_complete = False
     certified_interpolating = False
-    certified_continuous = None  # True, False, or None when unknown
+    # False exactly when continuity_counterexample() names a refuting point
+    certified_continuous: bool
     # Whether family_bank() holds every directed subset, so that a law
     # scanning the bank may report Verified.
     bank_is_exhaustive = False
@@ -753,23 +754,22 @@ def _cont_exhaustive(P, scope):
 def _cont_sampled(P, scope):
     law = "continuous"
     rng = random.Random(scope.seed)
-    pool = []
     ce = P.continuity_counterexample()
-    if ce is not None:
-        pool.append(ce)
+    pool = [] if ce is None else [ce]
     pool.extend(sample_pool(P, rng, scope.count))
     pool = list(dict.fromkeys(pool))[:scope.count]
+    if not P.certified_continuous:  # refuted at ce, whatever the count
+        why = ce is not None and _continuity_failure(P, ce)
+        if not why:
+            raise PosetError(f"{P.name} names no refuting counterexample; "
+                             "the catalog entry is corrupt")
+        return refuted(law, ce, why, scope, samples=len(pool) or 1)
     for x in pool:
         why = _continuity_failure(P, x)
         if why:
             return refuted(law, x, why, scope, samples=len(pool))
-    if P.certified_continuous is True:
-        return verified(law, scope, reason="certified for the kind",
-                        samples=len(pool))
-    if P.certified_continuous is False:
-        return unknown(law, "kind is certified non-continuous but no witness "
-                       "fell inside the scope", scope)
-    return unrefuted(law, len(pool), scope)
+    return verified(law, scope, reason="certified for the kind",
+                    samples=len(pool))
 
 
 def _subposet_exhaustive(P, scope, member):

@@ -19,7 +19,6 @@ DEFAULT_CHAIN_HORIZON = 64
 class Status(enum.Enum):
     VERIFIED = "VERIFIED"
     UNREFUTED = "UNREFUTED"
-    UNKNOWN = "UNKNOWN"
     REFUTED = "REFUTED"
 
     @property
@@ -96,23 +95,19 @@ def unrefuted(law, samples, scope, reason="") -> CheckReport:
     return CheckReport(law, Status.UNREFUTED, scope, samples=samples, reason=reason)
 
 
-def unknown(law, reason, scope) -> CheckReport:
-    return CheckReport(law, Status.UNKNOWN, scope, reason=reason)
-
-
 def refuted(law, witness, reason, scope, samples=0) -> CheckReport:
     return CheckReport(law, Status.REFUTED, scope, witness=witness, reason=reason,
                        samples=samples)
 
 
 def combine(law: str, parts: list[CheckReport], scope: Scope) -> CheckReport:
-    """Merge sub-reports into one, keeping the worst status."""
-    worst = max(parts, key=lambda r: r.status.severity, default=None)
-    status = worst.status if worst else Status.VERIFIED
-    report = CheckReport(law, status, scope,
+    """Merge a nonempty list of sub-reports into one, keeping the worst
+    status."""
+    worst = max(parts, key=lambda r: r.status.severity)
+    report = CheckReport(law, worst.status, scope,
                          samples=sum(p.samples for p in parts))
     report.subreports = list(parts)
-    if worst is not None and worst.status is Status.REFUTED:
+    if worst.status is Status.REFUTED:
         report.witness = worst.witness
         report.reason = f"{worst.law}: {worst.reason}"
     return report

@@ -14,7 +14,7 @@ from posetkernel.catalog import (DisjointSumPresentation, LiftPresentation,
                                  punctured_closed_sets, random_finite_poset,
                                  standard_roster)
 from posetkernel.closedsets import EMPTY, EVENS, FULL, INF_POINT
-from posetkernel.core import PosetPresentation, induced_finite_poset
+from posetkernel.core import _continuity_failure, induced_finite_poset
 from posetkernel.errors import SizeLimit, UnknownName
 from posetkernel.families import ChainFamily, ExplicitFamily
 from posetkernel.kernel import check_scott_continuity, is_approximable
@@ -24,6 +24,15 @@ from posetkernel.reports import Status
 
 BOWTIE = finite_explicit(["a", "b", "c", "d"],
                          [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]])
+F2 = finite_explicit(["0", "1"], [["0", "1"]])
+NESTED = [
+    lift(lift(closed_sets())), lift(closed_sets()), lift(omega_plus_one()),
+    lift(F2), lift(lift(lift(F2))), disjoint_sum(lift(F2), omega_plus_one()),
+    disjoint_sum(disjoint_sum(F2, omega_plus_one()),
+                 lift(punctured_closed_sets())),
+    lift(disjoint_sum(closed_sets(), F2)),
+    disjoint_sum(punctured_closed_sets(), closed_sets()),
+]
 
 
 class TestNamedPosets:
@@ -322,17 +331,37 @@ class TestOneForwardingPath:
         assert set(vars(cls)).isdisjoint(self.FORWARDED)
 
     def test_flags_combine_over_the_parts(self):
-        # continuous: False if a part is False, True if all are, else None
-        unknown = PosetPresentation()
+        # continuous exactly when every part is
         omega = make_catalog(omega_plus_one())
         closed = make_catalog(closed_sets())
-        assert DisjointSumPresentation(omega, omega).certified_continuous
-        assert DisjointSumPresentation(
-            omega, unknown).certified_continuous is None
-        assert DisjointSumPresentation(
-            unknown, closed).certified_continuous is False
-        assert LiftPresentation(unknown).certified_continuous is None
+        assert DisjointSumPresentation(omega, omega).certified_continuous \
+            is True
+        assert DisjointSumPresentation(omega, closed).certified_continuous \
+            is False
+        assert DisjointSumPresentation(closed, omega).certified_continuous \
+            is False
+        assert LiftPresentation(omega).certified_continuous is True
+        assert LiftPresentation(closed).certified_continuous is False
         assert LiftPresentation(closed).name == "lift(closed_sets)"
+
+
+class TestCarrierInvariants:
+    """What the checks take for granted of every carrier, so that each of
+    them decides: an approximable element among the interesting ones, and a
+    refuting counterexample exactly on the kinds certified non-continuous."""
+
+    CARRIERS = standard_roster() + [make_catalog(spec) for spec in NESTED]
+
+    @pytest.mark.parametrize("P", CARRIERS, ids=lambda P: P.name)
+    def test_an_interesting_element_is_approximable(self, P):
+        assert any(is_approximable(P, x) for x in P.interesting_elements())
+
+    @pytest.mark.parametrize("P", CARRIERS, ids=lambda P: P.name)
+    def test_a_counterexample_exactly_when_not_certified_continuous(self, P):
+        ce = P.continuity_counterexample()
+        assert P.certified_continuous is (ce is None)
+        if ce is not None:
+            assert _continuity_failure(P, ce)
 
 
 class TestSampling:

@@ -198,6 +198,25 @@ class TestCheckCommand:
         assert err == (f"usage error: argument --samples: must be at least "
                        f"1, got {int(samples)}\n")
 
+    def test_negative_seed_is_a_usage_error(self):
+        code, out, err = run_cli(["check", "closed_sets", "--law", "kernel",
+                                  "--seed", "-5"])
+        assert code == 64
+        assert out == ""
+        assert err == ("usage error: argument --seed: must be at least 0, "
+                       "got -5\n")
+
+    def test_non_integer_seed_is_a_usage_error(self):
+        code, _, err = run_cli(["check", "closed_sets", "--seed", "x"])
+        assert code == 64
+        assert err == "usage error: argument --seed: invalid int value: 'x'\n"
+
+    def test_hex_seed_reads_back_as_printed(self):
+        default = run_cli(["check", "omega_plus_one", "--law", "kernel"])
+        assert "seed=0xC0FFEE," in default[1]
+        assert run_cli(["check", "omega_plus_one", "--law", "kernel",
+                        "--seed", "0xC0FFEE"]) == default
+
     def test_non_integer_samples_message_unchanged(self):
         code, _, err = run_cli(["check", "closed_sets", "--samples", "x"])
         assert code == 64

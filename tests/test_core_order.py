@@ -17,7 +17,7 @@ from posetkernel.catalog import (OmegaPlusOnePresentation, finite_named,
 from posetkernel.closedsets import INF_POINT
 from posetkernel.core import induced_finite_poset, resolve_scope
 from posetkernel.errors import (CycleDetected, DuplicateLabel, EmptyFamily,
-                                ForeignElement, ScopeUnsupported)
+                                ForeignElement, PosetError, ScopeUnsupported)
 from posetkernel.families import ExplicitFamily
 from posetkernel.kernel import is_approximable
 from posetkernel.oracle import bank_refute_waybelow, waybelow_bruteforce
@@ -250,6 +250,22 @@ class TestCheckAxiom:
         assert report.status is Status.REFUTED
         assert report.witness == INF_POINT
         assert "{}" in report.reason
+
+    def test_closed_sets_refuted_at_inf_without_samples(self, closed):
+        report = check_continuity(closed, sampled(count=0))
+        assert report.status is Status.REFUTED
+        assert report.witness == INF_POINT
+
+    @pytest.mark.parametrize("counterexample", [None, 3],
+                             ids=["none", "continuous-point"])
+    def test_non_continuity_without_a_refuting_point_is_corrupt(
+            self, counterexample):
+        P = corrupt_omega(
+            certified_continuous=False,
+            continuity_counterexample=lambda self: counterexample)
+        with pytest.raises(PosetError,
+                           match="names no refuting counterexample"):
+            check_continuity(P, sampled(count=5))
 
     def test_closed_sets_interpolation_certified(self, closed):
         report = check_interpolation(closed)

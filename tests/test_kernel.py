@@ -151,6 +151,21 @@ class TestRetract:
         assert is_approximable(punctured, closed_set({5}))
 
 
+# An ω+1 whose scope holds no element at all.
+EMPTY_SCOPE = {"interesting_elements": lambda self: [],
+               "sample_elements": lambda self, rng, count: []}
+
+
+@pytest.mark.parametrize("check", [check_kernel_laws,
+                                   check_waybelow_kernel_equivalence],
+                         ids=["kernel", "eq"])
+def test_no_approximable_sample_is_unrefuted(check):
+    report = check(corrupt_omega(**EMPTY_SCOPE), sampled(count=5))
+    assert report.status is Status.UNREFUTED
+    assert report.samples == 0
+    assert report.reason == "no approximable elements sampled"
+
+
 class TestKernelLaws:
     def test_closed_sets_sampled(self, closed):
         report = check_kernel_laws(closed)
@@ -342,6 +357,15 @@ class TestLargestRetract:
         assert P.format_element(P.continuity_counterexample()) \
             in candidate.reason
         assert laws["largest-retract:finite-sublattice"].samples > 100
+
+    def test_a_candidate_without_a_supremum_inside_r_is_corrupt(self):
+        """omega's one approximant 3 leaves the retract, so R = Q ∪ {omega}
+        holds none of its approximants to join."""
+        P = corrupt_omega(families={OMEGA: ExplicitFamily((3,), OMEGA),
+                                    3: ExplicitFamily((2,), 2)},
+                          continuity_counterexample=lambda self: OMEGA)
+        with pytest.raises(PosetError, match="no supremum inside R"):
+            check_largest_retract(P, sampled(count=5))
 
     @pytest.mark.parametrize("corrupt", ["explicit", "chain"])
     def test_retract_continuity_refutes_a_wrong_supremum(self, corrupt):

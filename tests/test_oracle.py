@@ -363,6 +363,10 @@ class TestPairwiseReference:
     def test_shuffled_random_poset(self, n, p, seed):
         fp = shuffled_poset(random.Random(seed), n, p)
         assert_oracle_matches_reference(fp, reference_directed(fp))
+        if n <= SUBSET_SCAN_CAP:
+            # an honest finite poset passes as its own full subset, which
+            # the finite largest-retract check takes for granted
+            assert (1 << n) - 1 in continuous_subposets_bruteforce(fp)
 
     @pytest.mark.parametrize("n,seed", [(n, seed)
                                         for n in range(2, SUBSET_SCAN_CAP + 1)
