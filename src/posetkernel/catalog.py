@@ -80,10 +80,10 @@ from .closedsets import (ClosedSetRep, closed_set, closedset_join,
                          is_empty, min_natural, natural_closure,
                          natural_part_is_finite, periodic_set,
                          truncate_naturals)
-from .core import (BOTTOM, FINITE_CAP, SUBSET_SCAN_CAP, Inner, Left,
-                   NO_INFIMUM, NO_SUPREMUM, OMEGA, FinitePoset,
-                   FinitePosetPresentation, PosetPresentation, Right, _bits,
-                   build_finite_poset, is_element)
+from .core import (BOTTOM, FINITE_CAP, NO_INFIMUM, NO_SUPREMUM, OMEGA,
+                   FinitePoset, FinitePosetPresentation, Inner, Left,
+                   PosetPresentation, Right, _bits, build_finite_poset,
+                   is_element)
 from .errors import PosetError, SizeLimit, UnknownName, ValidationError
 from .families import ChainFamily, ExplicitFamily, map_family
 
@@ -573,35 +573,21 @@ class LiftPresentation(_Combinator):
             return ExplicitFamily((BOTTOM,), BOTTOM, label="bottom-only")
         return self._wrap_family(fam, Inner)
 
-    @cached_property
-    def bank_is_exhaustive(self):
-        # Each level doubles an exhaustive bank; like a finite carrier, stop
-        # exhausting above SUBSET_SCAN_CAP elements.
-        return (self.inner.bank_is_exhaustive
-                and len(self.elements()) <= SUBSET_SCAN_CAP)
-
     def family_bank(self):
         return self._bank
 
     @cached_property
     def _bank(self):
-        """{⊥}, then each lifted inner family.  A directed subset of the lift
-        is {⊥}, an inner one D, or D ∪ {⊥}; so when the inner bank holds
-        every D (all explicit), each D ∪ {⊥} follows and the bank is
-        exhaustive too.  Otherwise it ends with one ⊥-and-anchor pair."""
+        """{⊥}, each lifted inner family, then one ⊥-and-anchor pair: two
+        families per level.  Only a symbolic carrier's laws read it; a
+        finite lift is scanned over its directed subsets."""
         bank = [ExplicitFamily((BOTTOM,), BOTTOM, label="bottom-singleton")]
-        exhaustive = self.bank_is_exhaustive
         for fam in self.inner.family_bank():
             explicit = isinstance(fam, ExplicitFamily)
-            lifted = self._wrap_family(
-                fam, Inner, label=f"lifted:{fam.label}" if explicit else None)
-            bank.append(lifted)
-            if exhaustive:
-                bank.append(ExplicitFamily(
-                    (BOTTOM,) + lifted.members, lifted.supremum,
-                    label=f"bottom+lifted:{fam.label}"))
+            bank.append(self._wrap_family(
+                fam, Inner, label=f"lifted:{fam.label}" if explicit else None))
         anchors = self.inner.interesting_elements()
-        if anchors and not exhaustive:
+        if anchors:
             bank.append(ExplicitFamily((BOTTOM, Inner(anchors[0])),
                                        Inner(anchors[0]),
                                        label="bottom-and-anchor"))
@@ -623,11 +609,6 @@ class DisjointSumPresentation(_Combinator):
         self.left = left
         self.right = right
         super().__init__(("left", left, Left), ("right", right, Right))
-
-    @property
-    def bank_is_exhaustive(self):
-        # Directed sets live inside one component.
-        return self.left.bank_is_exhaustive and self.right.bank_is_exhaustive
 
     def leq(self, x, y) -> bool:
         if type(x) is not type(y):

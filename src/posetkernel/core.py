@@ -81,14 +81,11 @@ class Right:
 # ---------------------------------------------------------------------------
 # Finite posets
 
-# The caps of the definitional finite oracle, in elements.  FINITE_CAP bounds
-# every scan of the 2^n subsets of a finite carrier (directed subsets,
-# brute-force way-below and continuity, conditional completeness) and so the
-# size of a finite catalog poset.  SUBSET_SCAN_CAP bounds the scans that also
-# try every subset as a candidate subposet, and the size up to which a
-# finite family bank holds every directed subset.
+# The cap of the definitional finite oracle, in elements.  It bounds every
+# scan of the 2^n subsets of a finite carrier (directed subsets, brute-force
+# way-below and continuity, conditional completeness, candidate subposets
+# and the bank laws) and so the size of a finite catalog poset.
 FINITE_CAP = 16
-SUBSET_SCAN_CAP = 10
 
 
 def _bits(mask):
@@ -349,9 +346,6 @@ class PosetPresentation:
     certified_interpolating = False
     # False exactly when continuity_counterexample() names a refuting point
     certified_continuous: bool
-    # Whether family_bank() holds every directed subset, so that a law
-    # scanning the bank may report Verified.
-    bank_is_exhaustive = False
 
     # -- carrier -------------------------------------------------------
 
@@ -491,18 +485,15 @@ class FinitePosetPresentation(PosetPresentation):
         return ExplicitFamily(members, x,
                               label=f"down-set({self.poset.names[x]})")
 
-    @property
-    def bank_is_exhaustive(self):
-        return len(self._bank) == len(self.poset.directed_subset_masks)
-
     @cached_property
     def _bank(self):
-        """Every directed subset, labelled by its element names; above
-        SUBSET_SCAN_CAP elements a fixed random sample of at most 2048 of
-        them."""
+        """Every directed subset, labelled by its element names, or a fixed
+        random 2048 of them when there are more.  Only a symbolic
+        combinator reads it: the laws scan a finite carrier's directed
+        subsets as masks."""
         masks = self.poset.directed_subset_masks
-        if self.poset.n > SUBSET_SCAN_CAP:
-            masks = random.Random(0xD1CE).sample(masks, min(len(masks), 2048))
+        if len(masks) > 2048:
+            masks = random.Random(0xD1CE).sample(masks, 2048)
         return [ExplicitFamily(tuple(_bits(mask)), top, label="{" + ", ".join(
                     map(self.format_element, _bits(mask))) + "}")
                 for mask, top in masks]
@@ -625,8 +616,9 @@ def sample_pool(P: PosetPresentation, rng, count) -> list:
 
 def resolve_scope(P: PosetPresentation, scope: Scope | None = None) -> Scope:
     """The scope a check of P runs over.  A finite carrier is always
-    exhausted; a symbolic one takes the given sampled scope, or
-    ``sampled()`` when none is given, and cannot be exhausted."""
+    exhausted, the laws over directed sets included, and raises SizeLimit
+    above FINITE_CAP elements; a symbolic one takes the given sampled
+    scope, or ``sampled()`` when none is given, and cannot be exhausted."""
     if P.is_finite_kind:
         return EXHAUSTIVE
     if scope is None:
@@ -753,21 +745,20 @@ def _cont_exhaustive(P, scope):
 
 def _cont_sampled(P, scope):
     law = "continuous"
-    rng = random.Random(scope.seed)
     ce = P.continuity_counterexample()
-    pool = [] if ce is None else [ce]
-    pool.extend(sample_pool(P, rng, scope.count))
-    pool = list(dict.fromkeys(pool))[:scope.count]
     if not P.certified_continuous:  # refuted at ce, whatever the count
         why = ce is not None and _continuity_failure(P, ce)
         if not why:
             raise PosetError(f"{P.name} names no refuting counterexample; "
                              "the catalog entry is corrupt")
-        return refuted(law, ce, why, scope, samples=len(pool) or 1)
-    for x in pool:
+        return refuted(law, ce, why, scope, samples=1)
+    pool = [] if ce is None else [ce]
+    pool.extend(sample_pool(P, random.Random(scope.seed), scope.count))
+    pool = list(dict.fromkeys(pool))[:scope.count]
+    for i, x in enumerate(pool, 1):
         why = _continuity_failure(P, x)
         if why:
-            return refuted(law, x, why, scope, samples=len(pool))
+            return refuted(law, x, why, scope, samples=i)
     return verified(law, scope, reason="certified for the kind",
                     samples=len(pool))
 

@@ -5,10 +5,13 @@ the map sending x to the supremum of its approximants is a kernel: it is
 deflationary, monotone, idempotent, and preserves directed suprema.  Its
 fixed points form the largest continuous subposet, and collapsing elements
 with equal kernel values yields a quotient order-isomorphic to that retract.
-Each of those claims has a checker here; on finite carriers the checks are
-exhaustive, on symbolic carriers they sample and scan the family bank and
-report honestly (Unrefuted, never Verified, unless a certified closed form
-stands behind the claim).  ``LAWS`` maps each ``--law`` name to its checker.
+Each of those claims has a checker here.  On finite carriers every check
+is exhaustive: the laws stated over all directed sets scan the directed
+subsets as bit masks, since each one holds its maximum, and a finite
+carrier above ``core.FINITE_CAP`` elements raises SizeLimit.  On symbolic
+carriers the checks sample and scan the family bank and report honestly
+(Unrefuted, never Verified, unless a certified closed form stands behind
+the claim).  ``LAWS`` maps each ``--law`` name to its checker.
 """
 
 from __future__ import annotations
@@ -17,11 +20,10 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import (SUBSET_SCAN_CAP, PosetPresentation,
-                   check_conditionally_complete, check_continuity,
-                   check_interpolation, check_subposet, _bits, _mask,
-                   induced_finite_poset, is_approximable, is_element,
-                   resolve_scope, sample_pool)
+from .core import (PosetPresentation, check_conditionally_complete,
+                   check_continuity, check_interpolation, check_subposet,
+                   _bits, _mask, induced_finite_poset, is_approximable,
+                   is_element, resolve_scope, sample_pool)
 from .errors import (EmptyFamily, NoInfimumError, NotApproximable, PosetError,
                      PreconditionUnverified, ScopeUnsupported)
 from .families import ChainFamily, ExplicitFamily
@@ -152,43 +154,103 @@ def _chain_sup(P: PosetPresentation, chain: ChainFamily):
 
 
 def check_scott_continuity(P: PosetPresentation) -> CheckReport:
-    """k(sup D) against sup k(D) for every bank family inside the
+    """k(sup D) against sup k(D) for every bank family D inside the
     approximable part; the image supremum is asserted to lie in the
-    retract.  Verified only when the bank holds every directed subset."""
+    retract.
+
+    A finite carrier's bank is every directed subset D.  D holds its
+    maximum t, so the law at D reads: k(m) <= k(t) for each member m, and
+    k(t) lies in the retract; the scan decides that against per-element
+    masks and reports Verified.  A symbolic bank is a sample: Unrefuted."""
     law = "scott-continuity"
-    checked = 0
-    for fam in P.family_bank():
-        members = fam.sample_members()
-        if not all(P.waybelow_family(m) is not None for m in members):
-            continue
-        label = fam.label or fam
-        explicit = isinstance(fam, ExplicitFamily)
-        d0 = fam.supremum if explicit else _chain_sup(P, fam)
-        if P.waybelow_family(d0) is None:
-            return refuted(law, label, "supremum of an approximable directed "
-                           "family is not approximable", BANK, samples=checked)
-        k_sup = kernel_of(P, d0)
-        if explicit:
-            s = P.finite_sup(tuple(kernel_of(P, m) for m in members))
-            if not is_element(s):
-                return refuted(law, label, "kernel image has no supremum",
-                               BANK, samples=checked)
-        else:
-            if not all(P.leq(kernel_of(P, m), k_sup) for m in members):
-                return refuted(law, label, "a kernel image escapes k(sup)",
-                               BANK, samples=checked)
-            s = fam.kernel_image_sup
-        if s != k_sup:
-            what = "sup of kernel images" if explicit \
-                else "certified image supremum"
-            return refuted(law, label, f"k(sup) = {P.format_element(k_sup)} "
-                           f"but {what} = {P.format_element(s)}", BANK,
-                           samples=checked)
-        if not in_retract(P, s):
-            return refuted(law, label, "image supremum escapes the retract",
-                           BANK, samples=checked)
-        checked += 1
-    return _finish(law, P.bank_is_exhaustive, checked, BANK)
+    judge = lambda fam: _scott_at(P, fam)
+    if resolve_scope(P).kind != "exhaustive":
+        return _tally(law, map(judge, P.family_bank()), BANK, False,
+                      counted=True)
+    elems, fp, approx = _finite_part(P)
+    index = {e: i for i, e in enumerate(elems)}
+    kernel = {}  # index -> index of its kernel value, where it has one
+    for i in _bits(approx):
+        try:
+            kernel[i] = index[kernel_of(P, elems[i])]
+        except PosetError:
+            pass  # every subset holding i goes to the judge
+    retract = _mask(i for i, e in enumerate(elems) if in_retract(P, e))
+    below = [0] * fp.n  # the m with k(m) <= k(t), if k(t) is in the retract
+    for t, kt in kernel.items():
+        if retract >> kt & 1:
+            below[t] = _mask(m for m, km in kernel.items() if fp.leq(km, kt))
+    verdicts = _scan(P, elems, fp, judge, lambda mask, top: (
+        None if mask & ~approx else not mask & ~below[top]))
+    return _tally(law, verdicts, BANK, True, counted=True)
+
+
+def _scott_at(P: PosetPresentation, fam):
+    """The Scott-continuity verdict (see ``_scan``) at one bank family."""
+    members = fam.sample_members()
+    if not all(P.waybelow_family(m) is not None for m in members):
+        return None
+    label = fam.label or fam
+    explicit = isinstance(fam, ExplicitFamily)
+    d0 = fam.supremum if explicit else _chain_sup(P, fam)
+    if P.waybelow_family(d0) is None:
+        return label, ("supremum of an approximable directed family is not "
+                       "approximable")
+    k_sup = kernel_of(P, d0)
+    if explicit:
+        s = P.finite_sup(tuple(kernel_of(P, m) for m in members))
+        if not is_element(s):
+            return label, "kernel image has no supremum"
+    else:
+        if not all(P.leq(kernel_of(P, m), k_sup) for m in members):
+            return label, "a kernel image escapes k(sup)"
+        s = fam.kernel_image_sup
+    if s != k_sup:
+        what = "sup of kernel images" if explicit \
+            else "certified image supremum"
+        return label, (f"k(sup) = {P.format_element(k_sup)} but {what} = "
+                       f"{P.format_element(s)}")
+    if not in_retract(P, s):
+        return label, "image supremum escapes the retract"
+    return True
+
+
+def _finite_part(P: PosetPresentation):
+    """The elements of a finite carrier, their order, and the mask of the
+    approximable ones."""
+    elems = P.elements()
+    approx = _mask(i for i, e in enumerate(elems)
+                   if P.waybelow_family(e) is not None)
+    return elems, induced_finite_poset(P, elems), approx
+
+
+def _scan(P: PosetPresentation, elems, fp, judge, decide):
+    """The verdicts of a bank law over every directed subset of a finite
+    carrier, in mask order.  ``decide(mask, top)`` gives the verdict from
+    per-element masks (``top`` is the subset's maximum), or False when the
+    subset may fail; then ``judge`` sees it as a family labelled by its
+    elements and writes the refutation."""
+    for mask, top in fp.directed_subset_masks:
+        verdict = decide(mask, top)
+        if verdict is False:
+            members = tuple(elems[i] for i in _bits(mask))
+            verdict = judge(ExplicitFamily(members, elems[top], label="{" + (
+                ", ".join(map(P.format_element, members))) + "}"))
+        yield verdict
+
+
+def _tally(law, verdicts, scope, complete, counted=False):
+    """The report of a bank law from its verdicts, one per family: None
+    where the law does not apply, True where it holds, else the refutation
+    ``(witness, reason)``, which carries the count so far when ``counted``."""
+    count = 0
+    for verdict in verdicts:
+        if verdict is True:
+            count += 1
+        elif verdict:
+            return refuted(law, *verdict, scope, samples=count if counted
+                           else 0)
+    return _finish(law, complete, count, scope)
 
 
 def check_waybelow_kernel_equivalence(P: PosetPresentation,
@@ -222,23 +284,21 @@ def check_largest_retract(P: PosetPresentation,
     """Every continuous subposet sits inside the retract.
 
     Finite carriers: exhaust all subsets against the definitional brute
-    force.  On an honest finite poset every subset passes, so on finite
-    carriers this law cross-checks the presentation against the oracle: it
-    refutes when a declared approximant supremum leaves an element out of
-    the retract.  A symbolic carrier with a certified non-continuity
-    witness x (``continuity_counterexample``): refute the targeted candidate
-    Q ∪ {x} and sample-confirm that its compact elements (``compact_below``)
-    lie in the retract Q; any other symbolic carrier: sample-confirm that Q
-    is continuous.  Universal quantification over subposets of an infinite
-    carrier is out of reach, so the overall status stays Unrefuted there.
+    force, up to ``FINITE_CAP`` elements.  On an honest finite poset every
+    subset passes, so on finite carriers this law cross-checks the
+    presentation against the oracle: it refutes when a declared approximant
+    supremum leaves an element out of the retract.  A symbolic carrier
+    with a certified non-continuity witness x (``continuity_counterexample``):
+    refute the targeted candidate Q ∪ {x} and sample-confirm that its
+    compact elements (``compact_below``) lie in the retract Q; any other
+    symbolic carrier: sample-confirm that Q is continuous.  Universal
+    quantification over subposets of an infinite carrier is out of reach,
+    so the overall status stays Unrefuted there.
     """
     law = "largest-retract"
     scope = resolve_scope(P, scope)
     if scope.kind == "exhaustive":
         elems = P.elements()
-        if len(elems) > SUBSET_SCAN_CAP:
-            raise ScopeUnsupported(f"exhaustive subset check capped at "
-                                   f"{SUBSET_SCAN_CAP} elements")
         fp = induced_finite_poset(P, elems)
         retract = _mask(i for i, e in enumerate(elems) if in_retract(P, e))
         passing = continuous_subposets_bruteforce(fp)
@@ -504,20 +564,30 @@ def check_approximation_laws(P: PosetPresentation,
     retract-approximation
         every retract element has an approximant inside the retract.
 
-    The first two scan the family bank and are Verified only when it holds
-    every directed subset; the last two exhaust finite carriers.
+    On a finite carrier the first two scan every directed subset as a mask
+    (see ``check_scott_continuity``) and the last two exhaust the elements,
+    so all four can be Verified.  On a symbolic carrier the first two scan
+    the family bank and the last two sample.
     """
     scope = resolve_scope(P, scope)
     rng = random.Random(scope.seed)
     pool = sample_pool(P, rng, scope.count)
     approx_pool = [x for x in pool if P.waybelow_family(x) is not None]
-    bank = P.family_bank()
     complete = scope.kind == "exhaustive"
-
+    restrict = lambda fam: _restriction_at(P, fam)
+    meet = lambda fam: _meet_at(P, fam, approx_pool)
+    if complete:  # the pool holds every element of a finite carrier
+        elems, fp, approx = _finite_part(P)
+        restricted = _scan(P, elems, fp, restrict, lambda mask, top: (
+            bool(approx >> top & 1) if mask & approx else None))
+        met = _scan(P, elems, fp, meet, lambda mask, top: (
+            bool(mask & approx) if fp.down[top] & approx else None))
+    else:
+        bank = P.family_bank()
+        restricted, met = map(restrict, bank), map(meet, bank)
     subs = [
-        _law_directed_restriction(P, bank, scope, P.bank_is_exhaustive),
-        _law_restriction_nonempty(P, bank, approx_pool, scope,
-                                  P.bank_is_exhaustive),
+        _tally("directed-restriction", restricted, scope, complete),
+        _tally("restriction-nonempty", met, scope, complete),
         _law_double_approximation(P, approx_pool, scope, complete),
         _law_retract_approximation(P, pool, scope, complete),
     ]
@@ -529,56 +599,43 @@ def _finish(law, complete, count, scope):
         else unrefuted(law, count, scope)
 
 
-def _law_directed_restriction(P, bank, scope, complete):
-    law = "directed-restriction"
-    count = 0
-    for fam in bank:
-        members = fam.sample_members()
-        inside = [m for m in members if P.waybelow_family(m) is not None]
-        if not inside:
-            continue
-        if P.waybelow_family(fam.supremum) is None:
-            return refuted(law, fam.label or fam,
-                           "supremum of a family meeting the approximable "
-                           "part is not approximable", scope)
-        if isinstance(fam, ExplicitFamily):
-            directed = all(any(P.leq(a, c) and P.leq(b, c) for c in inside)
-                           for a in inside for b in inside)
-            if not directed:
-                return refuted(law, fam.label or fam,
-                               "restriction to the approximable part is "
-                               "not directed", scope)
-            s = P.finite_sup(tuple(inside))
-            if not is_element(s) or s != fam.supremum:
-                return refuted(law, fam.label or fam,
-                               "restricted supremum differs", scope)
-        else:
-            if len(inside) != len(members):
-                continue  # cannot restrict a chain by samples alone
-            for a, b in zip(inside, inside[1:]):
-                if not P.leq(a, b):
-                    return refuted(law, fam.label or fam,
-                                   "chain not monotone", scope)
-        count += 1
-    return _finish(law, complete, count, scope)
+def _restriction_at(P, fam):
+    """The directed-restriction verdict (see ``_scan``) at one family."""
+    members = fam.sample_members()
+    inside = [m for m in members if P.waybelow_family(m) is not None]
+    if not inside:
+        return None
+    label = fam.label or fam
+    if P.waybelow_family(fam.supremum) is None:
+        return label, ("supremum of a family meeting the approximable part "
+                       "is not approximable")
+    if isinstance(fam, ExplicitFamily):
+        directed = all(any(P.leq(a, c) and P.leq(b, c) for c in inside)
+                       for a in inside for b in inside)
+        if not directed:
+            return label, ("restriction to the approximable part is not "
+                           "directed")
+        s = P.finite_sup(tuple(inside))
+        if not is_element(s) or s != fam.supremum:
+            return label, "restricted supremum differs"
+    elif len(inside) != len(members):
+        return None  # cannot restrict a chain by samples alone
+    elif not all(P.leq(a, b) for a, b in zip(inside, inside[1:])):
+        return label, "chain not monotone"
+    return True
 
 
-def _law_restriction_nonempty(P, bank, approx_pool, scope, complete):
-    law = "restriction-nonempty"
-    count = 0
-    for fam in bank:
-        members = fam.sample_members()
-        for y in approx_pool:
-            if P.leq(y, fam.supremum):
-                if not any(P.waybelow_family(m) is not None
-                           for m in members):
-                    return refuted(
-                        law, (fam.label or fam, y),
-                        "family dominates an approximable element but "
-                        "misses the approximable part", scope)
-                count += 1
-                break
-    return _finish(law, complete, count, scope)
+def _meet_at(P, fam, approx_pool):
+    """The restriction-nonempty verdict (see ``_scan``) at one family."""
+    members = fam.sample_members()
+    for y in approx_pool:
+        if P.leq(y, fam.supremum):
+            if not any(P.waybelow_family(m) is not None for m in members):
+                return (fam.label or fam, y), (
+                    "family dominates an approximable element but misses "
+                    "the approximable part")
+            return True
+    return None
 
 
 def _law_double_approximation(P, approx_pool, scope, complete):

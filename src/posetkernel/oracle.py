@@ -16,7 +16,9 @@ operations).  One table per poset, ``avoid[x]``, holds the maxima t of the
 directed subsets that miss the up-set of x; it costs another n^2
 operations.  Then ``x << y`` fails exactly when such a t lies above y, one
 AND of n-bit masks per query, and approximants, kernels, continuity and the
-subposet scan read the same table.
+subposet scan read the same table.  Each function reaches
+``directed_planes`` before any other plane, so above ``core.FINITE_CAP``
+elements it raises SizeLimit there.
 
 For symbolic kinds, refutation scans the family bank.  A family refutes
 ``x << y`` when its supremum dominates y and no member dominates x: decided
@@ -26,10 +28,9 @@ chains.
 
 from __future__ import annotations
 
-from .core import (FINITE_CAP, SUBSET_SCAN_CAP, FinitePoset,
-                   PosetPresentation, _bits, _mask, _none_of, _plane_members,
-                   _subset_planes, family_dominates)
-from .errors import NotApproximable, PosetError, ScopeUnsupported, SizeLimit
+from .core import (FinitePoset, PosetPresentation, _bits, _mask, _none_of,
+                   _plane_members, _subset_planes, family_dominates)
+from .errors import NotApproximable, PosetError, ScopeUnsupported
 from .reports import BANK, CheckReport, EXHAUSTIVE, refuted, unrefuted, verified
 
 
@@ -48,9 +49,6 @@ def _avoid(fp: FinitePoset):
     contain no element above x.  Built once per poset."""
     table = fp.__dict__.get("_avoid")
     if table is None:
-        if fp.n > FINITE_CAP:
-            raise SizeLimit(f"brute-force way-below capped at {FINITE_CAP} "
-                            "elements")
         table = fp._avoid = tuple(_mask(t for t, plane in enumerate(row)
                                         if plane)
                                   for row in _refuting_planes(fp))
@@ -83,9 +81,6 @@ def kernel_bruteforce(fp: FinitePoset, x: int) -> int:
 def continuity_bruteforce(fp: FinitePoset) -> CheckReport:
     """Verified iff every element is the supremum of its approximants."""
     law = "continuous"
-    if fp.n > FINITE_CAP:
-        raise SizeLimit(f"brute-force continuity capped at {FINITE_CAP} "
-                        "elements")
     for x in range(fp.n):
         mask = _approximants_mask(fp, x)
         if not mask:
@@ -119,11 +114,8 @@ def continuous_subposets_bruteforce(fp: FinitePoset) -> list:
     the inherited one, the approximants of x inside R are its approximants
     that lie in R."""
     n = fp.n
-    if n > SUBSET_SCAN_CAP:
-        raise SizeLimit(f"subset enumeration capped at {SUBSET_SCAN_CAP} "
-                        "elements")
+    refuting = list(_refuting_planes(fp))  # SizeLimit before any 2^n plane
     S = _subset_planes(n)
-    refuting = list(_refuting_planes(fp))
     avoid = _avoid(fp)
     failing = 0
     for x in range(n):

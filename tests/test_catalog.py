@@ -1,23 +1,26 @@
 """Catalog presentations: fixtures, banks, combinators, and the standing
 invariant that no certified way-below rule is ever refuted by its bank."""
 
+import json
 import random
 
 import pytest
 
 from posetkernel import (BOTTOM, NO_INFIMUM, NO_SUPREMUM, OMEGA, Inner, Left,
-                         Right, closed_set, least_upper_bound, make_catalog)
+                         Right, cli, closed_set, least_upper_bound,
+                         make_catalog)
 from posetkernel.catalog import (DisjointSumPresentation, LiftPresentation,
                                  _Combinator, closed_sets, disjoint_sum,
                                  finite_explicit, finite_named, lift,
                                  named_finite_poset, omega_plus_one,
                                  punctured_closed_sets, random_finite_poset,
-                                 standard_roster)
+                                 spec_to_document, standard_roster)
 from posetkernel.closedsets import EMPTY, EVENS, FULL, INF_POINT
 from posetkernel.core import _continuity_failure, induced_finite_poset
 from posetkernel.errors import SizeLimit, UnknownName
 from posetkernel.families import ChainFamily, ExplicitFamily
-from posetkernel.kernel import check_scott_continuity, is_approximable
+from posetkernel.kernel import (check_approximation_laws,
+                                check_scott_continuity, is_approximable)
 from posetkernel.oracle import bank_refute_waybelow
 from posetkernel.reports import Status
 
@@ -145,34 +148,36 @@ class TestFamilyBanks:
         lift(disjoint_sum(finite_named("chain_2"), BOWTIE))],
         ids=["chain_3", "antichain_2", "lift-of-lift", "sum"])
     def test_finite_lift_bank_is_every_directed_subset(self, spec):
+        # the bank laws of a finite carrier scan every directed subset
         P = make_catalog(spec)
-        assert P.bank_is_exhaustive
-        elems = P.elements()
-        fp = induced_finite_poset(P, elems)
-        directed = {frozenset(elems[i] for i in range(fp.n) if mask >> i & 1)
-                    for mask, _ in fp.directed_subset_masks}
-        bank = [frozenset(f.members) for f in P.family_bank()]
-        assert len(bank) == len(directed)
-        assert set(bank) == directed
-        for fam in P.family_bank():
-            assert all(P.leq(m, fam.supremum) for m in fam.members)
-            assert fam.supremum in fam.members
+        fp = induced_finite_poset(P, P.elements())
+        count = len(fp.directed_subset_masks)
+        subs = {s.law: s for s in check_approximation_laws(P).subreports}
+        for report in (check_scott_continuity(P),
+                       subs["directed-restriction"],
+                       subs["restriction-nonempty"]):
+            assert (report.status, report.samples) == (Status.VERIFIED,
+                                                       count)
 
-    def test_deep_lift_bank_stays_bounded(self):
-        # each exhausted lift doubles the bank, so a lift stops exhausting
-        # above 10 elements and then adds two families per level: the
-        # 32-deep lift the document parser accepts keeps 1023 + 2 * 24
+    def test_deep_lift_bank_stays_bounded(self, tmp_path, capsys):
+        # a lift adds two families per level: the 32-deep lift the
+        # document parser accepts keeps 3 + 2 * 32; its 34 elements are
+        # above the directed-subset cap, so its bank laws are skipped
         spec = finite_named("chain_2")
-        for depth in range(1, 33):
+        for _ in range(32):
             spec = lift(spec)
-            if depth == 8:
-                assert make_catalog(spec).bank_is_exhaustive
         P = make_catalog(spec)
-        assert not P.bank_is_exhaustive
-        assert len(P.family_bank()) == 1023 + 2 * 24
-        report = check_scott_continuity(P)
-        assert report.status is Status.UNREFUTED
-        assert report.samples == len(P.family_bank())
+        assert len(P.family_bank()) == 67
+        for check in (check_scott_continuity, check_approximation_laws):
+            with pytest.raises(SizeLimit, match="poset has 34"):
+                check(P)
+        doc = tmp_path / "deep.json"
+        doc.write_text(json.dumps(spec_to_document(spec)))
+        assert cli.main(["check", str(doc), "--law", "all"]) == 0
+        out = capsys.readouterr().out
+        for law in ("scott", "laws"):
+            assert (f"[{law}] SKIPPED reason=directed-subset enumeration "
+                    "capped at 16 elements, poset has 34\n") in out
 
     @pytest.mark.parametrize("P", standard_roster(), ids=lambda P: P.name)
     def test_families_are_directed_with_dominating_sups(self, P):
@@ -293,11 +298,11 @@ class TestWrappedFamilies:
 
         for fam in F.family_bank():
             assert fam.label == names(fam.members)
-        assert L.family_bank()[0].label == "bottom-singleton"
-        for fam in L.family_bank()[1:]:
-            inner = [m.value for m in fam.members if m is not BOTTOM]
-            prefix = "bottom+lifted:" if BOTTOM in fam.members else "lifted:"
-            assert fam.label == prefix + names(inner)
+        bank = L.family_bank()
+        assert bank[0].label == "bottom-singleton"
+        assert [fam.label for fam in bank[1:-1]] == [
+            "lifted:" + names(fam.members) for fam in F.family_bank()]
+        assert bank[-1].label == "bottom-and-anchor"
 
     def test_summed_chain_is_certified_on_its_side_only(self):
         S = make_catalog(disjoint_sum(punctured_closed_sets(),

@@ -264,10 +264,11 @@ class TestCheckCommand:
         assert code == 0
         assert out.startswith("[infima-preservation] UNREFUTED scope=sampled(")
 
-    def test_sampled_bank_is_unrefuted(self):
+    def test_finite_bank_law_is_verified(self):
+        # every one of the 2^14 - 1 directed subsets of the chain is scanned
         code, out, _ = run_cli(["check", "chain_14", "--law", "scott"])
         assert code == 0
-        assert out == "[scott-continuity] UNREFUTED scope=bank samples=2048\n"
+        assert out == "[scott-continuity] VERIFIED scope=bank samples=16383\n"
 
     def test_unexpected_exception_exits_70(self, monkeypatch):
         def boom(args):

@@ -8,9 +8,11 @@ JSON documents the benchmark runs (perfbench/kinds/*.json).  To regenerate a
 file after an intended output change, run the command and append the exit
 line; review the diff before committing it.
 
-Two more kinds the roster misses, a lift of a finite poset and a sum with a
-finite and a symbolic side, are pinned the same way in
-tests/golden/extra_<name>.txt from the documents in ``EXTRAS``.
+Four more kinds the roster misses are pinned the same way in
+tests/golden/extra_<name>.txt from the documents in ``EXTRAS``: a lift of a
+finite poset, a sum with a finite and a symbolic side, a finite chain above
+10 elements (the directed-subset scan of the bank laws) and a sum with a
+finite lift on one side (the lift's bank as a symbolic carrier reads it).
 """
 
 import contextlib
@@ -22,7 +24,8 @@ from pathlib import Path
 import pytest
 
 from posetkernel import cli, kernel
-from posetkernel.catalog import NAMED_FINITE_ROSTER
+from posetkernel.catalog import (NAMED_FINITE_ROSTER, finite_named,
+                                 spec_to_document)
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -40,6 +43,10 @@ EXTRAS = {
     "disjoint_sum_chain_2_closed_sets": {
         "kind": "disjoint_sum", "left": CHAIN_2,
         "right": {"kind": "closed_sets"}},
+    "chain_12": spec_to_document(finite_named("chain_12")),
+    "disjoint_sum_lift_chain_2_omega_plus_one": {
+        "kind": "disjoint_sum", "left": {"kind": "lift", "inner": CHAIN_2},
+        "right": {"kind": "omega_plus_one"}},
 }
 
 

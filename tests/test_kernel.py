@@ -1,6 +1,7 @@
 """Kernel, retract, quotient, and the law checkers on top of them."""
 
 import ast
+import json
 import random
 from pathlib import Path
 
@@ -9,12 +10,13 @@ import pytest
 from posetkernel import (BOTTOM, NO_SUPREMUM, OMEGA, Inner,
                          PosetPresentation, catalog, cli, closed_set, kernel,
                          make_catalog, oracle)
-from posetkernel.catalog import (closed_sets, disjoint_sum, finite_named, lift,
+from posetkernel.catalog import (closed_sets, disjoint_sum, finite_named,
+                                 finite_random, lift, named_finite_poset,
                                  omega_plus_one, punctured_closed_sets,
                                  standard_roster)
 from posetkernel.closedsets import EMPTY, EVENS, FULL, INF_POINT, ODDS
-from posetkernel.core import (FinitePosetPresentation, induced_finite_poset,
-                              sample_pool)
+from posetkernel.core import (FinitePosetPresentation, _bits,
+                              induced_finite_poset, is_element, sample_pool)
 from posetkernel.errors import (NoInfimumError, NotApproximable, PosetError,
                                 PreconditionUnverified)
 from posetkernel.families import ChainFamily, ExplicitFamily
@@ -27,7 +29,8 @@ from posetkernel.kernel import (adversarial_kernel, check_approximation_laws,
                                 is_approximable, kernel_of,
                                 quotient_structure, retract_member)
 from posetkernel.oracle import bank_refute_waybelow
-from posetkernel.reports import Status, sampled
+from posetkernel.reports import (BANK, EXHAUSTIVE, Status, refuted, sampled,
+                                 verified)
 
 from conftest import corrupt_omega, random_presentation
 
@@ -538,26 +541,38 @@ class TestApproximationLaws:
 
 
 class TestBankHonesty:
-    """Bank-driven laws are Verified only when the bank holds every
-    directed subset."""
+    """Bank-driven laws are Verified on finite carriers, which scan every
+    directed subset, and Unrefuted on symbolic ones, whose bank is a
+    sample."""
 
-    def test_sampled_bank_reports_unrefuted(self):
+    def test_finite_carrier_scans_every_directed_subset(self):
         P = make_catalog(finite_named("chain_14"))
         assert len(P.poset.directed_subset_masks) == 16383
-        assert len(P.family_bank()) == 2048
-        assert not P.bank_is_exhaustive
+        scott = check_scott_continuity(P)
+        assert scott.status is Status.VERIFIED
+        assert scott.samples == 16383
+        subs = {s.law: (s.status, s.samples)
+                for s in check_approximation_laws(P).subreports}
+        assert subs == {"directed-restriction": (Status.VERIFIED, 16383),
+                        "restriction-nonempty": (Status.VERIFIED, 16383),
+                        "double-approximation": (Status.VERIFIED, 14),
+                        "retract-approximation": (Status.VERIFIED, 14)}
+
+    def test_sampled_bank_reports_unrefuted(self):
+        # a symbolic sum reads the finite side's bank, a fixed 2048 of its
+        # 16383 directed subsets
+        P = make_catalog(disjoint_sum(finite_named("chain_14"),
+                                      omega_plus_one()))
+        finite = [f for f in P.family_bank() if isinstance(f, ExplicitFamily)
+                  and f.label.startswith("{")]
+        assert len(finite) == 2048
         scott = check_scott_continuity(P)
         assert scott.status is Status.UNREFUTED
-        assert scott.samples == 2048
-        subs = {s.law: s.status
-                for s in check_approximation_laws(P).subreports}
-        assert subs == {"directed-restriction": Status.UNREFUTED,
-                        "restriction-nonempty": Status.UNREFUTED,
-                        "double-approximation": Status.VERIFIED,
-                        "retract-approximation": Status.VERIFIED}
+        assert scott.samples == len(P.family_bank())
+        report = check_approximation_laws(P)
+        assert report.status is Status.UNREFUTED
 
     def test_full_bank_stays_verified(self, diamond):
-        assert diamond.bank_is_exhaustive
         assert check_scott_continuity(diamond).status is Status.VERIFIED
         report = check_approximation_laws(diamond)
         assert report.status is Status.VERIFIED
@@ -566,28 +581,247 @@ class TestBankHonesty:
     def test_small_bank_above_ten_elements_is_full(self):
         P = make_catalog(finite_named("antichain_12"))
         assert len(P.family_bank()) == 12
-        assert P.bank_is_exhaustive
-        assert check_scott_continuity(P).status is Status.VERIFIED
+        scott = check_scott_continuity(P)
+        assert (scott.status, scott.samples) == (Status.VERIFIED, 12)
 
     def test_views_and_sums_inherit_the_bank(self):
-        from posetkernel.catalog import disjoint_sum, lift
-
-        big = make_catalog(disjoint_sum(finite_named("chain_2"),
-                                        finite_named("chain_14")))
-        assert not big.bank_is_exhaustive
-        small = make_catalog(disjoint_sum(finite_named("chain_2"),
-                                          finite_named("diamond")))
-        assert small.bank_is_exhaustive
-        # a finite lift's bank is {bottom}, each inner directed set D and
-        # each D with bottom added: every directed subset of the lift
+        # a lift or a sum of finite posets is a finite carrier: its laws
+        # scan its own directed subsets, whatever its bank holds
         lifted = make_catalog(lift(finite_named("chain_2")))
-        assert lifted.bank_is_exhaustive
-        fp = induced_finite_poset(lifted, lifted.elements())
-        assert len(lifted.family_bank()) == len(fp.directed_subset_masks) == 7
-        assert check_scott_continuity(lifted).status is Status.VERIFIED
-        big_lift = make_catalog(lift(finite_named("chain_14")))
-        assert not big_lift.bank_is_exhaustive
-        assert check_scott_continuity(big_lift).status is Status.UNREFUTED
+        assert len(lifted.family_bank()) == 5
+        scott = check_scott_continuity(lifted)
+        assert (scott.status, scott.samples) == (Status.VERIFIED, 7)
+        for spec in (lift(finite_named("chain_14")),
+                     disjoint_sum(finite_named("chain_2"),
+                                  finite_named("chain_14"))):
+            P = make_catalog(spec)
+            assert check_scott_continuity(P).status is Status.VERIFIED
+            assert check_approximation_laws(P).status is Status.VERIFIED
+
+
+def _directed_bank(P):
+    """Every directed subset of a finite carrier as a family labelled by
+    its elements, in mask order."""
+    elems = P.elements()
+    bank = []
+    for mask, top in induced_finite_poset(P, elems).directed_subset_masks:
+        members = tuple(elems[i] for i in _bits(mask))
+        label = "{" + ", ".join(map(P.format_element, members)) + "}"
+        bank.append(ExplicitFamily(members, elems[top], label=label))
+    return bank
+
+
+def reference_scott(P, bank):
+    """The per-family Scott-continuity loop over explicit families."""
+    law = "scott-continuity"
+    checked = 0
+    for fam in bank:
+        members = fam.members
+        if not all(P.waybelow_family(m) is not None for m in members):
+            continue
+        if P.waybelow_family(fam.supremum) is None:
+            return refuted(law, fam.label, "supremum of an approximable "
+                           "directed family is not approximable", BANK,
+                           samples=checked)
+        k_sup = kernel_of(P, fam.supremum)
+        s = P.finite_sup(tuple(kernel_of(P, m) for m in members))
+        if not is_element(s):
+            return refuted(law, fam.label, "kernel image has no supremum",
+                           BANK, samples=checked)
+        if s != k_sup:
+            return refuted(law, fam.label, f"k(sup) = "
+                           f"{P.format_element(k_sup)} but sup of kernel "
+                           f"images = {P.format_element(s)}", BANK,
+                           samples=checked)
+        if not in_retract(P, s):
+            return refuted(law, fam.label, "image supremum escapes the "
+                           "retract", BANK, samples=checked)
+        checked += 1
+    return verified(law, BANK, samples=checked)
+
+
+def reference_directed_restriction(P, bank):
+    """The per-family directed-restriction loop over explicit families."""
+    law = "directed-restriction"
+    count = 0
+    for fam in bank:
+        inside = [m for m in fam.members if P.waybelow_family(m) is not None]
+        if not inside:
+            continue
+        if P.waybelow_family(fam.supremum) is None:
+            return refuted(law, fam.label, "supremum of a family meeting the "
+                           "approximable part is not approximable",
+                           EXHAUSTIVE)
+        directed = all(any(P.leq(a, c) and P.leq(b, c) for c in inside)
+                       for a in inside for b in inside)
+        if not directed:
+            return refuted(law, fam.label, "restriction to the approximable "
+                           "part is not directed", EXHAUSTIVE)
+        s = P.finite_sup(tuple(inside))
+        if not is_element(s) or s != fam.supremum:
+            return refuted(law, fam.label, "restricted supremum differs",
+                           EXHAUSTIVE)
+        count += 1
+    return verified(law, EXHAUSTIVE, samples=count)
+
+
+def reference_restriction_nonempty(P, bank):
+    """The per-family restriction-nonempty loop, against the pool that
+    ``check_approximation_laws`` draws for an exhaustive scope."""
+    law = "restriction-nonempty"
+    pool = sample_pool(P, random.Random(EXHAUSTIVE.seed), EXHAUSTIVE.count)
+    approx_pool = [x for x in pool if P.waybelow_family(x) is not None]
+    count = 0
+    for fam in bank:
+        for y in approx_pool:
+            if P.leq(y, fam.supremum):
+                if not any(P.waybelow_family(m) is not None
+                           for m in fam.members):
+                    return refuted(law, (fam.label, y), "family dominates "
+                                   "an approximable element but misses the "
+                                   "approximable part", EXHAUSTIVE)
+                count += 1
+                break
+    return verified(law, EXHAUSTIVE, samples=count)
+
+
+class CorruptFinite(FinitePosetPresentation):
+    """A finite poset whose approximant families are overridden: ``sups``
+    maps an element to the supremum its down-set family declares, or to
+    None for an element declared without approximants."""
+
+    def __init__(self, poset, sups):
+        super().__init__(poset, name="corrupt")
+        self.sups = sups
+
+    def waybelow_family(self, x):
+        if x not in self.sups:
+            return super().waybelow_family(x)
+        if self.sups[x] is None:
+            return None
+        members = tuple(i for i in range(self.poset.n)
+                        if self.poset.leq(i, x))
+        return ExplicitFamily(members, self.sups[x], label="corrupt")
+
+
+CORRUPTIONS = ("wrong-sup", "none", "not-below")
+
+
+def _corrupt(seed, how):
+    """A seeded random poset with up to three elements corrupted: ``how``
+    is "wrong-sup" (a supremum strictly below x), "none" (no approximants),
+    "not-below" (a supremum not below x), or "mixed" (one of the three per
+    element)."""
+    rng = random.Random(seed)
+    fp = catalog.random_finite_poset(rng.randint(3, 10), 0.4, seed)
+    sups = {}
+    for x in rng.sample(range(fp.n), min(3, fp.n)):
+        kind = rng.choice(CORRUPTIONS) if how == "mixed" else how
+        if kind == "none":
+            sups[x] = None
+        else:
+            wrong = [y for y in range(fp.n) if y != x
+                     and fp.leq(y, x) == (kind == "wrong-sup")]
+            if wrong:
+                sups[x] = rng.choice(wrong)
+    return CorruptFinite(fp, sups)
+
+
+def _outcome(check):
+    try:
+        r = check()
+    except PosetError as exc:
+        return type(exc), str(exc)
+    return r.status, r.witness, r.reason, r.samples
+
+
+class TestFiniteScanReference:
+    """On finite carriers the bank laws scan the directed subsets as masks;
+    the per-family loops over every directed subset, kept here, must give
+    the same status, witness, reason and samples."""
+
+    HONEST = ([finite_random(n, p, seed) for seed, n in enumerate(range(1, 11))
+               for p in (0.2, 0.5)]
+              + [lift(finite_random(n, 0.4, n)) for n in (1, 4, 8)]
+              + [lift(lift(finite_random(5, 0.3, 1)))]
+              + [disjoint_sum(finite_random(n, 0.4, n), finite_random(9 - n,
+                                                                      0.3, 1))
+                 for n in (1, 3, 5)]
+              + [lift(disjoint_sum(finite_named("chain_2"),
+                                   finite_random(6, 0.5, 2)))])
+
+    @staticmethod
+    def assert_matches_reference(P, monkeypatch):
+        judged = []
+        for name in ("_scott_at", "_restriction_at", "_meet_at"):
+            def counted(*args, _judge=getattr(kernel, name), _name=name):
+                judged.append(_name)
+                return _judge(*args)
+            monkeypatch.setattr(kernel, name, counted)
+        bank = _directed_bank(P)
+        scott = _outcome(lambda: check_scott_continuity(P))
+        assert scott == _outcome(lambda: reference_scott(P, bank))
+        subs = {s.law: s for s in check_approximation_laws(P).subreports}
+        restricted = _outcome(lambda: subs["directed-restriction"])
+        assert restricted == _outcome(
+            lambda: reference_directed_restriction(P, bank))
+        met = _outcome(lambda: subs["restriction-nonempty"])
+        assert met == _outcome(
+            lambda: reference_restriction_nonempty(P, bank))
+        # only the first failing subset becomes a family
+        expected = [name for name, out in (("_scott_at", scott),
+                                           ("_restriction_at", restricted),
+                                           ("_meet_at", met))
+                    if out[0] is not Status.VERIFIED]
+        assert judged == expected
+        return scott[0], restricted[0], met[0]
+
+    @pytest.mark.parametrize("spec", HONEST, ids=lambda s: str(
+        catalog.spec_to_document(s))[:60])
+    def test_honest_carriers(self, spec, monkeypatch):
+        statuses = self.assert_matches_reference(make_catalog(spec),
+                                                 monkeypatch)
+        assert statuses == (Status.VERIFIED,) * 3
+
+    @pytest.mark.parametrize("how", CORRUPTIONS + ("mixed",))
+    def test_corrupt_presentations(self, how, monkeypatch):
+        seen = set()
+        for seed in range(25):
+            seen.update(self.assert_matches_reference(_corrupt(seed, how),
+                                                      monkeypatch))
+        # the corruption reaches the refuting (or raising) branches
+        assert {"wrong-sup": Status.REFUTED, "none": Status.REFUTED,
+                "not-below": PosetError, "mixed": Status.REFUTED}[how] in seen
+
+    def test_missing_approximants_fire_both_restriction_laws(self,
+                                                              monkeypatch):
+        # chain 0 < 1 < 2 whose top has no approximants: {0, 2} restricts
+        # to {0}, whose supremum is not 2, and {2} misses the approximable
+        # part below 2
+        P = CorruptFinite(named_finite_poset("chain_3"), {2: None})
+        self.assert_matches_reference(P, monkeypatch)
+        subs = {s.law: s for s in check_approximation_laws(P).subreports}
+        assert subs["directed-restriction"].witness == "{0, 2}"
+        assert subs["restriction-nonempty"].witness == ("{2}", 0)
+
+
+@pytest.mark.parametrize("spec", [
+    finite_named("chain_12"), finite_named("antichain_12"),
+    finite_named("chain_16"),
+    # random orders that are conditionally complete, so that law holds too
+    finite_random(14, 0.3, 1), finite_random(14, 0.3, 2),
+    lift(finite_named("chain_12")),
+    disjoint_sum(finite_named("chain_2"), finite_named("chain_14"))],
+    ids=lambda spec: make_catalog(spec).name)
+def test_finite_carriers_decide_every_law(spec, tmp_path, capsys):
+    doc = tmp_path / "poset.json"
+    doc.write_text(json.dumps(catalog.spec_to_document(spec)))
+    assert cli.main(["check", str(doc), "--law", "all"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 14
+    for line in lines:
+        if not line.startswith("[infima-preservation]"):
+            assert " VERIFIED scope=" in line, line
 
 
 class TestPreconditions:

@@ -2,6 +2,7 @@
 and the soundness boundaries of truncation and bank refutation."""
 
 import random
+import time
 
 import pytest
 
@@ -9,7 +10,7 @@ from posetkernel import (BOTTOM, OMEGA, FinitePoset, Inner,
                          build_finite_poset, closed_set, make_catalog)
 from posetkernel.catalog import finite_named, lift, punctured_closed_sets
 from posetkernel.closedsets import FULL, INF_POINT
-from posetkernel.core import SUBSET_SCAN_CAP, _bits, induced_finite_poset
+from posetkernel.core import _bits, induced_finite_poset
 from posetkernel.errors import (NotApproximable, PosetError, ScopeUnsupported,
                                SizeLimit)
 from posetkernel.kernel import kernel_of, retract_member
@@ -21,6 +22,10 @@ from posetkernel.oracle import (bank_refute_waybelow, continuity_bruteforce,
 from posetkernel.reports import EXHAUSTIVE, Status, refuted, verified
 
 from conftest import random_presentation
+
+# The reference subposet scan below tries every subset against every
+# directed subset in Python, so it runs up to 10 elements only.
+REFERENCE_SUBSETS_CAP = 10
 
 
 class TestWaybelowBruteforce:
@@ -103,9 +108,25 @@ class TestLargestSubposet:
         assert len(continuous_subposets_bruteforce(diamond.poset)) == 16
 
     def test_size_limit(self):
-        fp = build_finite_poset([str(i) for i in range(11)], [])
+        fp = build_finite_poset([str(i) for i in range(17)], [])
         with pytest.raises(SizeLimit):
             continuous_subposets_bruteforce(fp)
+
+    def test_every_oracle_stops_before_allocating_planes(self):
+        # 2^34-bit subset planes would take 2 GiB each: every public
+        # function must reach the cap in directed_planes first
+        calls = (lambda fp: waybelow_bruteforce(fp, 0, 1),
+                 lambda fp: kernel_bruteforce(fp, 0), continuity_bruteforce,
+                 continuous_subposets_bruteforce,
+                 largest_continuous_subposet_bruteforce)
+        start = time.perf_counter()
+        for call in calls:
+            fp = FinitePoset([str(i) for i in range(34)],
+                             [1 << i for i in range(34)])
+            with pytest.raises(SizeLimit, match="capped at 16 elements, "
+                                                "poset has 34"):
+                call(fp)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestBankRefutation:
@@ -349,7 +370,7 @@ def assert_oracle_matches_reference(fp, directed):
     assert [kernel_or_error(fp, x) for x in range(n)] == \
         [reference_kernel(fp, refs, x) for x in range(n)]
     assert continuity_bruteforce(fp) == reference_continuity(fp, refs)
-    if n <= SUBSET_SCAN_CAP:
+    if n <= REFERENCE_SUBSETS_CAP:
         assert continuous_subposets_bruteforce(fp) == \
             reference_subposets(fp, refs)
 
@@ -363,14 +384,14 @@ class TestPairwiseReference:
     def test_shuffled_random_poset(self, n, p, seed):
         fp = shuffled_poset(random.Random(seed), n, p)
         assert_oracle_matches_reference(fp, reference_directed(fp))
-        if n <= SUBSET_SCAN_CAP:
+        if n <= REFERENCE_SUBSETS_CAP:
             # an honest finite poset passes as its own full subset, which
             # the finite largest-retract check takes for granted
             assert (1 << n) - 1 in continuous_subposets_bruteforce(fp)
 
-    @pytest.mark.parametrize("n,seed", [(n, seed)
-                                        for n in range(2, SUBSET_SCAN_CAP + 1)
-                                        for seed in range(3)])
+    @pytest.mark.parametrize("n,seed", [
+        (n, seed) for n in range(2, REFERENCE_SUBSETS_CAP + 1)
+        for seed in range(3)])
     def test_thinned_directed_family(self, n, seed):
         # Way-below, kernel, continuity and the subposet scan are functions
         # of the family of directed subsets.  On an honest finite poset that
