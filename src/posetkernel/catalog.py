@@ -856,6 +856,9 @@ def _finite_spec(elements, covers) -> CatalogSpec:
             or not all(isinstance(e, str) for e in elements)):
         raise ValidationError("'elements' must be a nonempty list of "
                               "label strings")
+    if len(elements) > FINITE_CAP:
+        raise ValidationError(f"'elements' lists at most {FINITE_CAP} "
+                              f"labels, got {len(elements)}")
     if not isinstance(covers, list) or not all(
             isinstance(c, list) and len(c) == 2
             and all(isinstance(x, str) for x in c) for c in covers):

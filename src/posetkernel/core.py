@@ -81,10 +81,10 @@ class Right:
 # ---------------------------------------------------------------------------
 # Finite posets
 
-# The cap of the definitional finite oracle, in elements.  It bounds every
-# scan of the 2^n subsets of a finite carrier (directed subsets, brute-force
-# way-below and continuity, conditional completeness, candidate subposets
-# and the bank laws) and so the size of a finite catalog poset.
+# The cap of every scan of the 2^n subsets of a finite carrier (directed
+# subsets, brute-force way-below and continuity, conditional completeness,
+# candidate subposets and the bank laws), in elements; ``_subset_planes``
+# enforces it.  It also bounds the size of a finite catalog poset.
 FINITE_CAP = 16
 
 
@@ -112,7 +112,11 @@ _BIT_FLAGS = bytes.maketrans(b"01", bytes((0, 1)))
 @cache
 def _subset_planes(n):
     """``S[b]`` for b < n: the plane of the subsets that contain b.  Built on
-    first use and kept per n."""
+    first use and kept per n.  Every subset scan starts here, so above
+    FINITE_CAP elements it raises SizeLimit before any 2^n-bit plane."""
+    if n > FINITE_CAP:
+        raise SizeLimit(f"subset scan capped at {FINITE_CAP} elements, "
+                        f"poset has {n}")
     planes = []
     for b in range(n):
         # bit m of S[b] is bit b of m: runs of 2^b zeros then 2^b ones
@@ -241,9 +245,6 @@ class FinitePoset:
         rather than assumed.
         """
         n = self.n
-        if n > FINITE_CAP:
-            raise SizeLimit(f"directed-subset enumeration capped at "
-                            f"{FINITE_CAP} elements, poset has {n}")
         S = _subset_planes(n)
         full = (1 << n) - 1
         unbounded = 1  # the empty subset
@@ -367,6 +368,12 @@ class PosetPresentation:
         from the carrier into the restriction, which lacks the unbounded
         families that refute way-below pairs here."""
         raise ScopeUnsupported(f"no truncation for kind {self.kind!r}")
+
+    @cached_property
+    def poset(self) -> FinitePoset:
+        """The order of a finite carrier, index i standing for
+        ``elements()[i]``; every finite law reads this one copy."""
+        return induced_finite_poset(self, self.elements())
 
     # -- order ---------------------------------------------------------
 
@@ -616,9 +623,9 @@ def sample_pool(P: PosetPresentation, rng, count) -> list:
 
 def resolve_scope(P: PosetPresentation, scope: Scope | None = None) -> Scope:
     """The scope a check of P runs over.  A finite carrier is always
-    exhausted, the laws over directed sets included, and raises SizeLimit
-    above FINITE_CAP elements; a symbolic one takes the given sampled
-    scope, or ``sampled()`` when none is given, and cannot be exhausted."""
+    exhausted, the laws over directed sets included; a symbolic one takes
+    the given sampled scope, or ``sampled()`` when none is given, and cannot
+    be exhausted."""
     if P.is_finite_kind:
         return EXHAUSTIVE
     if scope is None:
@@ -630,12 +637,9 @@ def resolve_scope(P: PosetPresentation, scope: Scope | None = None) -> Scope:
 
 def _cc_exhaustive(P, scope):
     law = "conditionally_complete"
-    elems = P.elements()
-    if len(elems) > FINITE_CAP:
-        raise SizeLimit(f"exhaustive subset scan capped at {FINITE_CAP} "
-                        "elements")
-    mask = induced_finite_poset(P, elems).lubless_subset()
+    mask = P.poset.lubless_subset()
     if mask is not None:
+        elems = P.elements()
         return refuted(law, tuple(elems[i] for i in _bits(mask)),
                        "bounded-above subset without a least upper bound",
                        scope)

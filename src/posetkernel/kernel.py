@@ -22,8 +22,8 @@ from typing import Callable
 
 from .core import (PosetPresentation, check_conditionally_complete,
                    check_continuity, check_interpolation, check_subposet,
-                   _bits, _mask, induced_finite_poset, is_approximable,
-                   is_element, resolve_scope, sample_pool)
+                   _bits, _mask, is_approximable, is_element, resolve_scope,
+                   sample_pool)
 from .errors import (EmptyFamily, NoInfimumError, NotApproximable, PosetError,
                      PreconditionUnverified, ScopeUnsupported)
 from .families import ChainFamily, ExplicitFamily
@@ -221,7 +221,7 @@ def _finite_part(P: PosetPresentation):
     elems = P.elements()
     approx = _mask(i for i, e in enumerate(elems)
                    if P.waybelow_family(e) is not None)
-    return elems, induced_finite_poset(P, elems), approx
+    return elems, P.poset, approx
 
 
 def _scan(P: PosetPresentation, elems, fp, judge, decide):
@@ -299,9 +299,8 @@ def check_largest_retract(P: PosetPresentation,
     scope = resolve_scope(P, scope)
     if scope.kind == "exhaustive":
         elems = P.elements()
-        fp = induced_finite_poset(P, elems)
         retract = _mask(i for i, e in enumerate(elems) if in_retract(P, e))
-        passing = continuous_subposets_bruteforce(fp)
+        passing = continuous_subposets_bruteforce(P.poset)
         for mask in passing:
             if mask & ~retract:
                 return refuted(law, tuple(elems[i]

@@ -16,9 +16,9 @@ operations).  One table per poset, ``avoid[x]``, holds the maxima t of the
 directed subsets that miss the up-set of x; it costs another n^2
 operations.  Then ``x << y`` fails exactly when such a t lies above y, one
 AND of n-bit masks per query, and approximants, kernels, continuity and the
-subposet scan read the same table.  Each function reaches
-``directed_planes`` before any other plane, so above ``core.FINITE_CAP``
-elements it raises SizeLimit there.
+subposet scan read the same table.  Every plane is built from
+``core._subset_planes``, which raises SizeLimit above ``core.FINITE_CAP``
+elements.
 
 For symbolic kinds, refutation scans the family bank.  A family refutes
 ``x << y`` when its supremum dominates y and no member dominates x: decided
@@ -114,7 +114,7 @@ def continuous_subposets_bruteforce(fp: FinitePoset) -> list:
     the inherited one, the approximants of x inside R are its approximants
     that lie in R."""
     n = fp.n
-    refuting = list(_refuting_planes(fp))  # SizeLimit before any 2^n plane
+    refuting = list(_refuting_planes(fp))
     S = _subset_planes(n)
     avoid = _avoid(fp)
     failing = 0

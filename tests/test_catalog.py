@@ -19,7 +19,7 @@ from posetkernel.closedsets import EMPTY, EVENS, FULL, INF_POINT
 from posetkernel.core import _continuity_failure, induced_finite_poset
 from posetkernel.errors import SizeLimit, UnknownName
 from posetkernel.families import ChainFamily, ExplicitFamily
-from posetkernel.kernel import (check_approximation_laws,
+from posetkernel.kernel import (LAWS, check_approximation_laws,
                                 check_scott_continuity, is_approximable)
 from posetkernel.oracle import bank_refute_waybelow
 from posetkernel.reports import Status
@@ -162,22 +162,24 @@ class TestFamilyBanks:
     def test_deep_lift_bank_stays_bounded(self, tmp_path, capsys):
         # a lift adds two families per level: the 32-deep lift the
         # document parser accepts keeps 3 + 2 * 32; its 34 elements are
-        # above the directed-subset cap, so its bank laws are skipped
+        # above the subset-scan cap, so every finite scan is skipped with
+        # the one reason
         spec = finite_named("chain_2")
         for _ in range(32):
             spec = lift(spec)
         P = make_catalog(spec)
         assert len(P.family_bank()) == 67
-        for check in (check_scott_continuity, check_approximation_laws):
-            with pytest.raises(SizeLimit, match="poset has 34"):
-                check(P)
+        scans = ("cc", "subposet", "scott", "largest-retract", "laws")
+        reason = "subset scan capped at 16 elements, poset has 34"
+        for law in scans:
+            with pytest.raises(SizeLimit, match=f"^{reason}$"):
+                LAWS[law](P, None)
         doc = tmp_path / "deep.json"
         doc.write_text(json.dumps(spec_to_document(spec)))
         assert cli.main(["check", str(doc), "--law", "all"]) == 0
         out = capsys.readouterr().out
-        for law in ("scott", "laws"):
-            assert (f"[{law}] SKIPPED reason=directed-subset enumeration "
-                    "capped at 16 elements, poset has 34\n") in out
+        assert out.startswith("".join(f"[{law}] SKIPPED reason={reason}\n"
+                                      for law in scans))
 
     @pytest.mark.parametrize("P", standard_roster(), ids=lambda P: P.name)
     def test_families_are_directed_with_dominating_sups(self, P):

@@ -172,6 +172,21 @@ class TestCheckCommand:
         assert code == 0
         assert "VERIFIED" in out
 
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_finite_documents_stop_at_the_cap(self, tmp_path, n):
+        labels = [str(i) for i in range(n)]
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"kind": "finite", "elements": labels,
+                                    "covers": list(zip(labels, labels[1:]))}))
+        code, out, err = run_cli(["check", str(path), "--law", "all"])
+        if n == 16:
+            assert (code, err) == (0, "")
+            assert "] SKIPPED" not in out
+        else:
+            assert (code, out) == (65, "")
+            assert err == ("input error: 'elements' lists at most 16 labels, "
+                           "got 17\n")
+
     def test_unknown_poset_name(self):
         code, _, err = run_cli(["check", "nonesuch"])
         assert code == 65

@@ -8,11 +8,13 @@ JSON documents the benchmark runs (perfbench/kinds/*.json).  To regenerate a
 file after an intended output change, run the command and append the exit
 line; review the diff before committing it.
 
-Four more kinds the roster misses are pinned the same way in
+Five more kinds the roster misses are pinned the same way in
 tests/golden/extra_<name>.txt from the documents in ``EXTRAS``: a lift of a
 finite poset, a sum with a finite and a symbolic side, a finite chain above
-10 elements (the directed-subset scan of the bank laws) and a sum with a
-finite lift on one side (the lift's bank as a symbolic carrier reads it).
+10 elements (the directed-subset scan of the bank laws), a sum with a
+finite lift on one side (the lift's bank as a symbolic carrier reads it)
+and the 32-deep lift of a two-element chain (34 elements, so every subset
+scan stops at the cap with one reason).
 """
 
 import contextlib
@@ -36,6 +38,9 @@ ROSTER = {name: name for name in NAMED_FINITE_ROSTER
 ROSTER.update((doc.stem, str(doc)) for doc in sorted(KINDS.glob("*.json")))
 
 CHAIN_2 = {"kind": "finite", "elements": ["0", "1"], "covers": [["0", "1"]]}
+DEEP_LIFT_CHAIN_2 = CHAIN_2
+for _ in range(32):
+    DEEP_LIFT_CHAIN_2 = {"kind": "lift", "inner": DEEP_LIFT_CHAIN_2}
 EXTRAS = {
     "lift_chain_3": {"kind": "lift", "inner": {
         "kind": "finite", "elements": ["0", "1", "2"],
@@ -47,6 +52,7 @@ EXTRAS = {
     "disjoint_sum_lift_chain_2_omega_plus_one": {
         "kind": "disjoint_sum", "left": {"kind": "lift", "inner": CHAIN_2},
         "right": {"kind": "omega_plus_one"}},
+    "deep_lift_chain_2": DEEP_LIFT_CHAIN_2,
 }
 
 

@@ -3,19 +3,21 @@
 import ast
 import json
 import random
+from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 from posetkernel import (BOTTOM, NO_SUPREMUM, OMEGA, Inner,
-                         PosetPresentation, catalog, cli, closed_set, kernel,
-                         make_catalog, oracle)
+                         PosetPresentation, catalog, cli, closed_set, core,
+                         kernel, make_catalog, oracle)
 from posetkernel.catalog import (closed_sets, disjoint_sum, finite_named,
                                  finite_random, lift, named_finite_poset,
                                  omega_plus_one, punctured_closed_sets,
                                  standard_roster)
 from posetkernel.closedsets import EMPTY, EVENS, FULL, INF_POINT, ODDS
-from posetkernel.core import (FinitePosetPresentation, _bits,
+from posetkernel.core import (FinitePoset, FinitePosetPresentation, _bits,
                               induced_finite_poset, is_element, sample_pool)
 from posetkernel.errors import (NoInfimumError, NotApproximable, PosetError,
                                 PreconditionUnverified)
@@ -824,6 +826,45 @@ def test_finite_carriers_decide_every_law(spec, tmp_path, capsys):
             assert " VERIFIED scope=" in line, line
 
 
+FINITE_COMBINATORS = [lift(finite_named("chain_3")),
+                      disjoint_sum(finite_named("chain_2"),
+                                   finite_named("chain_3"))]
+
+
+class TestOneOrderPerCarrier:
+    """Every finite law reads the carrier's one cached order, ``P.poset``,
+    and so the directed subsets cached on it."""
+
+    def test_a_finite_presentation_keeps_the_order_it_was_built_from(self):
+        fp = named_finite_poset("diamond")
+        assert FinitePosetPresentation(fp).poset is fp
+
+    @pytest.mark.parametrize("spec", FINITE_COMBINATORS, ids=["lift", "sum"])
+    def test_a_combinator_order_is_built_once_and_induced(self, spec):
+        P = make_catalog(spec)
+        assert P.poset is P.poset
+        induced = induced_finite_poset(P, P.elements())
+        assert (P.poset.names, P.poset.up) == (induced.names, induced.up)
+
+    @pytest.mark.parametrize("spec", [finite_named("diamond"),
+                                      *FINITE_COMBINATORS],
+                             ids=["diamond", "lift", "sum"])
+    def test_the_laws_share_one_directed_scan(self, monkeypatch, spec):
+        built = Counter()
+        for name in ("directed_planes", "directed_subset_masks"):
+            def spy(fp, compute=vars(FinitePoset)[name].func, name=name):
+                built[name] += 1
+                return compute(fp)
+
+            prop = cached_property(spy)
+            prop.__set_name__(FinitePoset, name)
+            monkeypatch.setattr(FinitePoset, name, prop)
+        P = make_catalog(spec)
+        for law in ("scott", "laws", "largest-retract"):
+            assert kernel.LAWS[law](P, None).status is Status.VERIFIED
+        assert built == {"directed_planes": 1, "directed_subset_masks": 1}
+
+
 class TestPreconditions:
     def test_retract_view_requires_axioms(self):
         class Opaque(make_catalog(omega_plus_one()).__class__):
@@ -898,12 +939,35 @@ class TestLayering:
             assert not named & kinds, \
                 f"{module.__name__} switches on a kind: {ast.unparse(node)}"
 
+    @staticmethod
+    def names(node):
+        """The identifiers a syntax tree names: variables, attributes,
+        definitions and imports."""
+        return {getattr(leaf, "id", None) or getattr(leaf, "attr", None)
+                or getattr(leaf, "name", None) for leaf in ast.walk(node)}
+
+    def test_the_finite_order_and_the_cap_have_one_home(self):
+        """kernel.py reads a carrier's order as ``P.poset``, and a subset
+        scan stops at FINITE_CAP only in ``core._subset_planes``; the
+        finite presentation's flag keeps its own test, as it answers False
+        rather than raise."""
+        assert "induced_finite_poset" not in self.names(self.tree(kernel))
+        assert "FINITE_CAP" not in (self.names(self.tree(kernel))
+                                    | self.names(self.tree(oracle)))
+        users = set()
+        for top in self.tree(core).body:
+            scopes = ([(f"{top.name}.{getattr(node, 'name', '')}", node)
+                       for node in top.body]
+                      if isinstance(top, ast.ClassDef)
+                      else [(getattr(top, "name", "<module>"), top)])
+            users.update(where for where, node in scopes
+                         if "FINITE_CAP" in self.names(node))
+        assert users == {"<module>", "_subset_planes", "FinitePosetPresentation"
+                         ".certified_conditionally_complete"}
+
     @pytest.mark.parametrize("module", [kernel, cli, oracle],
                              ids=["kernel", "cli", "oracle"])
     def test_no_carrier_class_is_named(self, module):
         assert "ClosedSetsPresentation" in self.CARRIERS
-        for node in ast.walk(self.tree(module)):
-            name = (getattr(node, "id", None) or getattr(node, "attr", None)
-                    or getattr(node, "name", None))
-            assert name not in self.CARRIERS, \
-                f"{module.__name__} names the carrier {name}"
+        named = self.names(self.tree(module)) & self.CARRIERS
+        assert not named, f"{module.__name__} names the carriers {named}"
