@@ -65,6 +65,8 @@ their carriers.  Lift and sum forward every such hook through one base,
 ``_Combinator``, which holds their components as ``(tag, component, wrap)``
 parts: the targeted checks reach every combinator of the lattice, and the
 cuts of the components are assembled up to ``MAX_TRUNCATION`` elements.
+The closed sets also give ``kernel_value`` in the closed form above, and
+``_Combinator`` wraps the value of a component.
 """
 
 from __future__ import annotations
@@ -246,6 +248,13 @@ class ClosedSetsPresentation(PosetPresentation):
             kernel_image_sup=sup,
         )
 
+    def _kernel_value(self, x):
+        # the family's supremum in closed form; the suite holds the two
+        # against each other
+        if self.punctured and min_natural(x) is None:
+            return None
+        return natural_closure(x)
+
     def family_bank(self):
         initial = ChainFamily(
             lambda i: closed_set(range(i + 1)), cs.FULL,
@@ -288,9 +297,13 @@ class ClosedSetsPresentation(PosetPresentation):
                                            label="bottom-singleton"))
         return families
 
+    @cached_property
+    def _sample_pool(self):
+        return self.interesting_elements()
+
     def sample_elements(self, rng, count):
         out = []
-        pool = self.interesting_elements()
+        pool = self._sample_pool
         for _ in range(count):
             style = rng.random()
             if style < 0.45:
@@ -472,7 +485,19 @@ class _Combinator(PosetPresentation):
                        + [wrap(e) for _, comp, wrap in self.parts
                           for e in comp.truncation(n)])
 
-    # An own point is its own interpolant and compact element.
+    # An own point is its own kernel value, interpolant and compact element.
+
+    def _kernel_value(self, x):
+        """A wrapped element's value is its component's, wrapped; an element
+        whose component gives none has only the least own point below it
+        (the lift's bottom), or no approximant when there is none (sum)."""
+        part = self._part(x)
+        if part is None:
+            return x
+        v = part[1].kernel_value(x.value)
+        if v is None:
+            return self.points[0] if self.points else None
+        return part[2](v)
 
     def interpolation_witness(self, x, y):
         part = self._part(x)

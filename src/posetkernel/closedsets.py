@@ -20,7 +20,8 @@ Every value is kept in the canonical form (minimal period, then minimal
 threshold), so structural equality coincides with equality of the denoted
 sets.  Binary operations align both operands on one window, the common
 threshold plus the lcm of the periods, and work on it with ``|``, ``&`` and
-``& ~``; that window is capped at ``MAX_WINDOW`` bits.
+``& ~``; that window is capped at ``MAX_WINDOW`` bits.  Inclusion takes no
+window when a side has a finite natural part.
 """
 
 from __future__ import annotations
@@ -230,8 +231,15 @@ def _aligned(a: ClosedSetRep, b: ClosedSetRep):
 
 @lru_cache(maxsize=1 << 16)
 def closedset_leq(a: ClosedSetRep, b: ClosedSetRep) -> bool:
-    """Subset test on denotations, decided on the aligned window."""
+    """Subset test on denotations.  A finite natural part is compared with
+    the members of ``b`` below its threshold; an infinite one is never
+    inside a finite one; two infinite ones are decided on the aligned
+    window."""
     if a.infinity and not b.infinity:
+        return False
+    if not a.residue_bits:
+        return not a.prefix_bits & ~_naturals_below(b, a.threshold)
+    if not b.residue_bits:
         return False
     _, _, pa, ra, pb, rb = _aligned(a, b)
     return not (pa & ~pb) and not (ra & ~rb)

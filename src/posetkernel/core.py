@@ -399,6 +399,28 @@ class PosetPresentation:
         supremum declared; None exactly when x has no approximants."""
         raise NotImplementedError
 
+    def kernel_value(self, x):
+        """The supremum of the approximants of x, or None when x has none.
+
+        Memoized per presentation, keyed by the element: presentations are
+        immutable and every element payload is hashable.  A carrier with a
+        closed form overrides ``_kernel_value``; by default it is the
+        declared supremum of ``waybelow_family(x)``."""
+        memo = self._kernel_values
+        try:
+            return memo[x]
+        except KeyError:
+            value = memo[x] = self._kernel_value(x)
+            return value
+
+    @cached_property
+    def _kernel_values(self):
+        return {}
+
+    def _kernel_value(self, x):
+        fam = self.waybelow_family(x)
+        return None if fam is None else fam.supremum
+
     def family_bank(self) -> list:
         return []
 
@@ -593,7 +615,7 @@ def waybelow(P: PosetPresentation, x, y) -> bool:
 def is_approximable(P: PosetPresentation, x) -> bool:
     """Whether something is way-below x (x has a nonempty approximant set)."""
     P.require(x)
-    return P.waybelow_family(x) is not None
+    return P.kernel_value(x) is not None
 
 
 def family_dominates(P: PosetPresentation, fam, x) -> bool:
@@ -728,10 +750,9 @@ def _interp_sampled(P, scope):
 
 def _continuity_failure(P, x):
     """Reason string if x is not the supremum of its approximants."""
-    fam = P.waybelow_family(x)
-    if fam is None:
+    k = P.kernel_value(x)
+    if k is None:
         return "no approximants"
-    k = fam.supremum
     if k != x:
         return (f"sup of approximants = {P.format_element(k)} != "
                 f"{P.format_element(x)}")
@@ -772,7 +793,9 @@ def _subposet_exhaustive(P, scope, member):
 
     law = "subposet"
     elems = [e for e in P.elements() if member(e)]
-    induced = induced_finite_poset(P, elems)
+    # on an honest carrier the subset is the whole carrier: reuse its order
+    induced = P.poset if len(elems) == P.poset.n \
+        else induced_finite_poset(P, elems)
     for i, x in enumerate(elems):
         for j, y in enumerate(elems):
             inside = waybelow_bruteforce(induced, i, j)

@@ -41,6 +41,9 @@ class ExplicitFamily:
     def sample_members(self):
         return list(self.members)
 
+    def iter_members(self):
+        return iter(self.members)
+
 
 @dataclass(frozen=True, eq=False)
 class ChainFamily:
@@ -60,6 +63,11 @@ class ChainFamily:
     def sample_members(self):
         """The members at indices below DEFAULT_CHAIN_HORIZON."""
         return self._members
+
+    def iter_members(self):
+        """The same members, generated one at a time and not kept, so a
+        scan that stops at its first witness builds no more of them."""
+        return map(self.generator, range(DEFAULT_CHAIN_HORIZON))
 
 
 Family = ExplicitFamily | ChainFamily

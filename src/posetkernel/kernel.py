@@ -33,15 +33,14 @@ from .reports import (BANK, EXHAUSTIVE, CheckReport, Scope, Status, combine,
 
 
 def kernel_of(P: PosetPresentation, x):
-    """Supremum of the approximants of x, computed as the declared supremum
-    of the kind's cofinal approximant family."""
+    """Supremum of the approximants of x, as the presentation's
+    ``kernel_value``, checked to deflate."""
     P.require(x)
-    fam = P.waybelow_family(x)
-    if fam is None:
+    value = P.kernel_value(x)
+    if value is None:
         raise NotApproximable(
             f"{P.format_element(x)} has no approximants; the kernel is "
             "undefined there")
-    value = fam.supremum
     if not P.leq(value, x):
         raise PosetError("approximant family supremum fails to deflate; "
                          "the catalog entry is corrupt")
@@ -52,8 +51,7 @@ def in_retract(P: PosetPresentation, x) -> bool:
     """Membership in the largest continuous retract: x is approximable and
     fixed by the kernel."""
     P.require(x)
-    fam = P.waybelow_family(x)
-    return fam is not None and fam.supremum == x
+    return P.kernel_value(x) == x
 
 
 def adversarial_kernel(P: PosetPresentation) -> Callable:
@@ -89,7 +87,7 @@ def retract_member(P: PosetPresentation) -> Callable[[object], bool]:
             raise PreconditionUnverified(
                 f"{P.name} failed exhaustive interpolation: {report.reason}")
         for x in P.elements():
-            if P.waybelow_family(x) is None:
+            if P.kernel_value(x) is None:
                 raise PreconditionUnverified(
                     f"{P.name} has an element without approximants")
     return lambda x: in_retract(P, x)
@@ -107,12 +105,12 @@ def check_kernel_laws(P: PosetPresentation, scope: Scope | None = None,
     k = kernel or (lambda x: kernel_of(P, x))
     scope = resolve_scope(P, scope)
     if scope.kind == "exhaustive":
-        xs = [x for x in P.elements() if P.waybelow_family(x) is not None]
+        xs = [x for x in P.elements() if P.kernel_value(x) is not None]
         pairs = [(x, y) for x in xs for y in xs if P.leq(x, y)]
     else:
         rng = random.Random(scope.seed)
         pool = [x for x in sample_pool(P, rng, scope.count)
-                if P.waybelow_family(x) is not None]
+                if P.kernel_value(x) is not None]
         if not pool:
             return unrefuted(law, 0, scope, "no approximable elements sampled")
         xs = pool[:scope.count]
@@ -123,7 +121,7 @@ def check_kernel_laws(P: PosetPresentation, scope: Scope | None = None,
                 pairs.append((x, y))
             else:
                 s = P.finite_sup((x, y))
-                if is_element(s) and P.waybelow_family(s) is not None:
+                if is_element(s) and P.kernel_value(s) is not None:
                     pairs.append((x, s))
     for x in xs:
         kx = k(x)
@@ -188,12 +186,12 @@ def check_scott_continuity(P: PosetPresentation) -> CheckReport:
 def _scott_at(P: PosetPresentation, fam):
     """The Scott-continuity verdict (see ``_scan``) at one bank family."""
     members = fam.sample_members()
-    if not all(P.waybelow_family(m) is not None for m in members):
+    if not all(P.kernel_value(m) is not None for m in members):
         return None
     label = fam.label or fam
     explicit = isinstance(fam, ExplicitFamily)
     d0 = fam.supremum if explicit else _chain_sup(P, fam)
-    if P.waybelow_family(d0) is None:
+    if P.kernel_value(d0) is None:
         return label, ("supremum of an approximable directed family is not "
                        "approximable")
     k_sup = kernel_of(P, d0)
@@ -220,7 +218,7 @@ def _finite_part(P: PosetPresentation):
     approximable ones."""
     elems = P.elements()
     approx = _mask(i for i, e in enumerate(elems)
-                   if P.waybelow_family(e) is not None)
+                   if P.kernel_value(e) is not None)
     return elems, P.poset, approx
 
 
@@ -262,11 +260,11 @@ def check_waybelow_kernel_equivalence(P: PosetPresentation,
     if scope.kind == "exhaustive":
         elems = P.elements()
         pairs = [(v, x) for v in elems for x in elems
-                 if P.waybelow_family(x) is not None]
+                 if P.kernel_value(x) is not None]
     else:
         rng = random.Random(scope.seed)
         pool = sample_pool(P, rng, scope.count)
-        approx = [x for x in pool if P.waybelow_family(x) is not None]
+        approx = [x for x in pool if P.kernel_value(x) is not None]
         if not approx:
             return unrefuted(law, 0, scope, "no approximable elements sampled")
         pairs = [(rng.choice(pool), rng.choice(approx))
@@ -425,11 +423,11 @@ def quotient_structure(P: PosetPresentation, sample) -> QuotientStructure:
     buckets = {}  # kernel value -> its class, in order of first appearance
     for x in sample:
         P.require(x)
-        fam = P.waybelow_family(x)
-        if fam is None:
+        value = P.kernel_value(x)
+        if value is None:
             raise NotApproximable(
                 f"{P.format_element(x)} has no approximants")
-        buckets.setdefault(fam.supremum, []).append(x)
+        buckets.setdefault(value, []).append(x)
     classes = tuple(map(tuple, buckets.values()))
     values = tuple(buckets)
     for v in values:
@@ -480,7 +478,7 @@ def _check_inf_instance(P: PosetPresentation, A, scope: Scope,
     g = P.finite_inf(A)
     if not is_element(g):
         raise NoInfimumError("the set has no infimum in the carrier")
-    if P.waybelow_family(g) is None:
+    if P.kernel_value(g) is None:
         raise NoInfimumError("the infimum lies outside the approximable "
                              "part; no representable approximable infimum")
     candidate = kernel_of(P, g)
@@ -571,7 +569,7 @@ def check_approximation_laws(P: PosetPresentation,
     scope = resolve_scope(P, scope)
     rng = random.Random(scope.seed)
     pool = sample_pool(P, rng, scope.count)
-    approx_pool = [x for x in pool if P.waybelow_family(x) is not None]
+    approx_pool = [x for x in pool if P.kernel_value(x) is not None]
     complete = scope.kind == "exhaustive"
     restrict = lambda fam: _restriction_at(P, fam)
     meet = lambda fam: _meet_at(P, fam, approx_pool)
@@ -601,11 +599,11 @@ def _finish(law, complete, count, scope):
 def _restriction_at(P, fam):
     """The directed-restriction verdict (see ``_scan``) at one family."""
     members = fam.sample_members()
-    inside = [m for m in members if P.waybelow_family(m) is not None]
+    inside = [m for m in members if P.kernel_value(m) is not None]
     if not inside:
         return None
     label = fam.label or fam
-    if P.waybelow_family(fam.supremum) is None:
+    if P.kernel_value(fam.supremum) is None:
         return label, ("supremum of a family meeting the approximable part "
                        "is not approximable")
     if isinstance(fam, ExplicitFamily):
@@ -629,7 +627,7 @@ def _meet_at(P, fam, approx_pool):
     members = fam.sample_members()
     for y in approx_pool:
         if P.leq(y, fam.supremum):
-            if not any(P.waybelow_family(m) is not None for m in members):
+            if not any(P.kernel_value(m) is not None for m in members):
                 return (fam.label or fam, y), (
                     "family dominates an approximable element but misses "
                     "the approximable part")
@@ -641,17 +639,14 @@ def _law_double_approximation(P, approx_pool, scope, complete):
     law = "double-approximation"
     count = 0
     for x in approx_pool[:scope.count]:
-        fam = P.waybelow_family(x)
-        witnesses = [m for m in fam.sample_members()
-                     if P.waybelow_family(m) is not None
-                     and P.waybelow(m, x)]
-        if not witnesses:
+        if not any(P.kernel_value(m) is not None and P.waybelow(m, x)
+                   for m in P.waybelow_family(x).iter_members()):
             return refuted(law, x, "no approximable approximant", scope)
         count += 1
     if not complete:
         subset_scope = sampled(scope.seed, max(scope.count // 4, 32))
         agreement = check_subposet(
-            P, subset_scope, lambda y: P.waybelow_family(y) is not None)
+            P, subset_scope, lambda y: P.kernel_value(y) is not None)
         if agreement.status is Status.REFUTED:
             return refuted(law, agreement.witness,
                            f"approximable-part way-below disagrees: "
@@ -666,10 +661,8 @@ def _law_retract_approximation(P, pool, scope, complete):
     for x in pool:
         if not in_retract(P, x):
             continue
-        fam = P.waybelow_family(x)
-        witnesses = [m for m in fam.sample_members()
-                     if in_retract(P, m) and P.waybelow(m, x)]
-        if not witnesses:
+        if not any(in_retract(P, m) and P.waybelow(m, x)
+                   for m in P.waybelow_family(x).iter_members()):
             return refuted(law, x, "no approximant inside the retract",
                            scope)
         count += 1

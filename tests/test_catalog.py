@@ -10,7 +10,8 @@ from posetkernel import (BOTTOM, NO_INFIMUM, NO_SUPREMUM, OMEGA, Inner, Left,
                          Right, cli, closed_set, least_upper_bound,
                          make_catalog)
 from posetkernel.catalog import (DisjointSumPresentation, LiftPresentation,
-                                 _Combinator, closed_sets, disjoint_sum,
+                                 OmegaPlusOnePresentation, _Combinator,
+                                 closed_sets, disjoint_sum,
                                  finite_explicit, finite_named, lift,
                                  named_finite_poset, omega_plus_one,
                                  punctured_closed_sets, random_finite_poset,
@@ -20,10 +21,12 @@ from posetkernel.core import _continuity_failure, induced_finite_poset
 from posetkernel.errors import SizeLimit, UnknownName
 from posetkernel.families import ChainFamily, ExplicitFamily
 from posetkernel.kernel import (LAWS, check_approximation_laws,
-                                check_scott_continuity, is_approximable)
+                                check_scott_continuity, in_retract,
+                                is_approximable, kernel_of)
 from posetkernel.oracle import bank_refute_waybelow
 from posetkernel.reports import Status
 
+from conftest import corrupt_omega
 
 BOWTIE = finite_explicit(["a", "b", "c", "d"],
                          [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]])
@@ -329,7 +332,7 @@ class TestOneForwardingPath:
         assert {"contains", "elements", "truncation", "compact_below",
                 "continuity_counterexample", "inf_instances",
                 "retract_rules", "format_element", "parse_element",
-                "_wrap_family"} <= set(self.FORWARDED)
+                "_kernel_value", "_wrap_family"} <= set(self.FORWARDED)
 
     @pytest.mark.parametrize("cls", [LiftPresentation,
                                      DisjointSumPresentation],
@@ -369,6 +372,56 @@ class TestCarrierInvariants:
         assert P.certified_continuous is (ce is None)
         if ce is not None:
             assert _continuity_failure(P, ce)
+
+
+class TestKernelValue:
+    """``kernel_value`` is the declared supremum of ``waybelow_family``, in
+    closed form on the closed sets and through the one combinator rule on
+    lifts and sums, and it is memoized per presentation."""
+
+    CARRIERS = TestCarrierInvariants.CARRIERS
+
+    @pytest.mark.parametrize("P", CARRIERS, ids=lambda P: P.name)
+    def test_agrees_with_the_family_supremum(self, P):
+        pool = P.interesting_elements() + P.sample_elements(
+            random.Random(5), 120)
+        for x in pool:
+            fam = P.waybelow_family(x)
+            expected = None if fam is None else fam.supremum
+            assert P.kernel_value(x) == expected, P.format_element(x)
+
+    def test_a_second_call_reads_the_memo(self):
+        calls = []
+
+        class Counting(OmegaPlusOnePresentation):
+            def waybelow_family(self, x):
+                calls.append(x)
+                return super().waybelow_family(x)
+
+        P = Counting()
+        L = LiftPresentation(P)
+        assert P.kernel_value(OMEGA) is OMEGA
+        assert P.kernel_value(OMEGA) is OMEGA
+        assert L.kernel_value(Inner(3)) == Inner(3)
+        assert L.kernel_value(Inner(3)) == Inner(3)
+        assert calls == [OMEGA, 3]
+        assert Counting().kernel_value(OMEGA) is OMEGA
+        assert calls == [OMEGA, 3, OMEGA]  # the memo is per presentation
+
+    def test_a_double_that_overrides_only_the_family_keeps_its_kernel(self):
+        P = corrupt_omega(families={3: ExplicitFamily((0, 1, 2), 2)})
+        assert P.kernel_value(3) == 2
+        assert kernel_of(P, 3) == 2
+        assert not in_retract(P, 3)
+        assert LiftPresentation(P).kernel_value(Inner(3)) == Inner(2)
+        assert _continuity_failure(P, 3) == "sup of approximants = 2 != 3"
+
+    def test_a_component_without_approximants(self, punctured):
+        assert punctured.kernel_value(INF_POINT) is None
+        assert LiftPresentation(punctured).kernel_value(Inner(INF_POINT)) \
+            is BOTTOM
+        assert DisjointSumPresentation(punctured, punctured).kernel_value(
+            Left(INF_POINT)) is None
 
 
 class TestSampling:

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from posetkernel import ClosedSetRep, closed_set, periodic_set
 from posetkernel.closedsets import (EMPTY, EVENS, FULL, INF_POINT,
-                                    MAX_LITERAL, ODDS, closedset_join,
+                                    MAX_LITERAL, ODDS, _aligned,
+                                    closedset_join,
                                     closedset_leq, closedset_meet,
                                     closedset_normalize,
                                     format_closed_set, is_empty, min_natural,
@@ -237,6 +238,77 @@ class TestBitsetDifferential:
         for op in (closedset_join, closedset_meet, closedset_leq):
             with pytest.raises(ValidationError):
                 op(a, b)
+
+
+@st.composite
+def _finite_fields(draw, max_threshold=40):
+    """Raw fields of a closed set with a finite natural part, with or
+    without infinity."""
+    threshold = draw(st.integers(0, max_threshold))
+    bits = draw(st.integers(0, (1 << threshold) - 1))
+    prefix = frozenset(n for n in range(threshold) if bits >> n & 1)
+    return prefix, threshold, 1, frozenset(), draw(st.booleans())
+
+
+_periodic_fields = closed_fields(max_period=64, max_threshold=40).filter(
+    lambda fields: fields[3])
+
+
+def _windowed_leq(a, b):
+    """Inclusion decided on the aligned window of both operands, the rule
+    that only two periodic operands still take."""
+    if a.infinity and not b.infinity:
+        return False
+    _, _, pa, ra, pb, rb = _aligned(a, b)
+    return not (pa & ~pb) and not (ra & ~rb)
+
+
+class TestLeqWithoutAWindow:
+    """``closedset_leq`` compares a finite natural part with the members
+    of the other operand below its threshold, and never puts an infinite
+    natural part inside a finite one; both branches are held against the
+    pointwise model and the aligned window."""
+
+    @staticmethod
+    def check(fa, fb):
+        a, b = ClosedSetRep(*fa), ClosedSetRep(*fb)
+        expected = (not fa[4] or fb[4]) and all(
+            not model_member(fa, n) or model_member(fb, n)
+            for n in range(compare_window(a, b)))
+        # uncached, so the branch itself runs
+        assert closedset_leq.__wrapped__(a, b) == expected
+        assert _windowed_leq(a, b) == expected
+
+    @given(_finite_fields(), _periodic_fields)
+    def test_finite_against_periodic(self, fa, fb):
+        self.check(fa, fb)
+
+    @given(_periodic_fields, _finite_fields())
+    def test_periodic_against_finite(self, fa, fb):
+        self.check(fa, fb)
+
+    @given(_finite_fields(), _finite_fields())
+    def test_finite_against_finite(self, fa, fb):
+        self.check(fa, fb)
+
+    @pytest.mark.parametrize("a, b, expected", [
+        (closed_set({0, 2, 4}), EVENS, True),
+        (closed_set({0, 2, 4}, True), EVENS, True),
+        (closed_set({0, 3}), EVENS, False),
+        (INF_POINT, ODDS, True),
+        (EMPTY, periodic_set({0}, 65521), True),
+        (closed_set({0, 65521}), periodic_set({0}, 65521), True),
+        (closed_set({1, 7, 10}),
+         periodic_set({1}, 3, prefix={1, 7}, threshold=9), True),
+        (closed_set({4}), periodic_set({1}, 3, prefix={1, 7}, threshold=9),
+         False),
+        (EVENS, closed_set(range(40), True), False),
+        (EVENS, closed_set(range(40)), False),
+        (periodic_set({0}, 65521), closed_set({0}, True), False),
+    ])
+    def test_examples(self, a, b, expected):
+        assert closedset_leq.__wrapped__(a, b) is expected
+        assert _windowed_leq(a, b) is expected
 
 
 class TestHelpers:

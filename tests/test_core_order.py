@@ -302,6 +302,14 @@ class TestCheckAxiom:
         report = check_subposet(diamond, None, retract_member(diamond))
         assert report.status is Status.VERIFIED
 
+    @pytest.mark.parametrize("name", ["diamond", "n5", "fence_4"])
+    def test_subposet_of_a_proper_subset_reads_its_own_order(self, name):
+        # the carrier's order is reused only for the whole carrier; the
+        # subset without element 0 is indexed from its own first element
+        P = make_catalog(finite_named(name))
+        report = check_subposet(P, None, lambda x: x != 0)
+        assert report.status is Status.VERIFIED
+
 
 def _with_family(fam):
     return lambda self: OmegaPlusOnePresentation.family_bank(self) + [fam]

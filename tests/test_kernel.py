@@ -846,10 +846,10 @@ class TestOneOrderPerCarrier:
         induced = induced_finite_poset(P, P.elements())
         assert (P.poset.names, P.poset.up) == (induced.names, induced.up)
 
-    @pytest.mark.parametrize("spec", [finite_named("diamond"),
-                                      *FINITE_COMBINATORS],
-                             ids=["diamond", "lift", "sum"])
-    def test_the_laws_share_one_directed_scan(self, monkeypatch, spec):
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Counts of the directed-scan builds, spied on as
+        ``perfbench/spans.py`` does."""
         built = Counter()
         for name in ("directed_planes", "directed_subset_masks"):
             def spy(fp, compute=vars(FinitePoset)[name].func, name=name):
@@ -859,10 +859,24 @@ class TestOneOrderPerCarrier:
             prop = cached_property(spy)
             prop.__set_name__(FinitePoset, name)
             monkeypatch.setattr(FinitePoset, name, prop)
+        return built
+
+    @pytest.mark.parametrize("spec", [finite_named("diamond"),
+                                      *FINITE_COMBINATORS],
+                             ids=["diamond", "lift", "sum"])
+    def test_the_laws_share_one_directed_scan(self, built, spec):
         P = make_catalog(spec)
         for law in ("scott", "laws", "largest-retract"):
             assert kernel.LAWS[law](P, None).status is Status.VERIFIED
         assert built == {"directed_planes": 1, "directed_subset_masks": 1}
+
+    @pytest.mark.parametrize("kind", ["chain_16", "chain_12", "boolean_3",
+                                      "diamond"])
+    def test_check_all_builds_the_directed_planes_once(self, built, kind,
+                                                       capsys):
+        # the subposet law's subset is the whole carrier, so it reads P.poset
+        assert cli.main(["check", kind, "--law", "all"]) == 0
+        assert built["directed_planes"] == 1
 
 
 class TestPreconditions:
@@ -964,6 +978,19 @@ class TestLayering:
                          if "FINITE_CAP" in self.names(node))
         assert users == {"<module>", "_subset_planes", "FinitePosetPresentation"
                          ".certified_conditionally_complete"}
+
+    @pytest.mark.parametrize("module", [kernel, core],
+                             ids=["kernel", "core"])
+    def test_kernel_values_come_from_the_hook(self, module):
+        """Whether x is approximable, and its kernel value, are read from
+        ``kernel_value``; no family is built to be compared with None."""
+        for node in ast.walk(self.tree(module)):
+            if (isinstance(node, ast.Compare)
+                    and isinstance(node.left, ast.Call)
+                    and "waybelow_family" in self.names(node.left.func)):
+                assert not any(isinstance(c, ast.Constant)
+                               and c.value is None
+                               for c in node.comparators), ast.unparse(node)
 
     @pytest.mark.parametrize("module", [kernel, cli, oracle],
                              ids=["kernel", "cli", "oracle"])

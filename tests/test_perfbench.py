@@ -29,3 +29,23 @@ def test_finite_oracle_traced_pass(tmp_path):
     assert len(result["ops"]) == 100
     assert [op for op in result["ops"] if op["failed"] or op["wrong"]] == []
     assert result["totals"]["oracle.directed_subsets_found"] > 0
+
+
+def test_traced_check_reads_the_kernel_hook(tmp_path):
+    """A traced `check closed_sets --law all` still reaches the closed-set
+    cache, and asks for approximant families only where members are read:
+    the kernel values come from `kernel_value`."""
+    out = tmp_path / "totals.json"
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PERFBENCH_TRACE_OUT=str(out),
+               PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path
+                                               else ""))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "entry.py"), "check",
+         "closed_sets", "--law", "all"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    totals = json.loads(out.read_text(encoding="utf-8"))
+    assert totals["closedsets.cache_hits"] > 0
+    assert totals["catalog.waybelow_family_calls"] < 1000
