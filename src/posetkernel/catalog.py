@@ -64,24 +64,29 @@ restriction ``export-dot --truncate`` draws: ω+1 and the closed sets cut
 their carriers.  Lift and sum forward every such hook through one base,
 ``_Combinator``, which holds their components as ``(tag, component, wrap)``
 parts: the targeted checks reach every combinator of the lattice, and the
-cuts of the components are assembled up to ``MAX_TRUNCATION`` elements.
-The closed sets also give ``kernel_value`` in the closed form above, and
-``_Combinator`` wraps the value of a component.
+cuts and the element lists of the components are assembled up to
+``MAX_ELEMENTS`` elements.  The closed sets also give ``kernel_value`` in
+the closed form above, and ``_Combinator`` wraps the value of a component.
+``order_codes`` gives each element of a list an int code whose bit
+inclusion is the order: the closed sets in closed form (their naturals on
+one window, and ∞), the combinators by a bit per part above their
+components' codes.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
 from . import closedsets as cs
-from .closedsets import (ClosedSetRep, closed_set, closedset_join,
-                         closedset_leq, closedset_meet, format_closed_set,
-                         is_empty, min_natural, natural_closure,
-                         natural_part_is_finite, periodic_set,
-                         truncate_naturals)
+from .closedsets import (ClosedSetRep, _naturals_below, closed_set,
+                         closedset_join, closedset_leq, closedset_meet,
+                         format_closed_set, is_empty, min_natural,
+                         natural_closure, natural_part_is_finite,
+                         periodic_set, truncate_naturals)
 from .core import (BOTTOM, FINITE_CAP, NO_INFIMUM, NO_SUPREMUM, OMEGA,
                    FinitePoset, FinitePosetPresentation, Inner, Left,
                    PosetPresentation, Right, _bits, build_finite_poset,
@@ -214,6 +219,19 @@ class ClosedSetsPresentation(PosetPresentation):
 
     def leq(self, x, y) -> bool:
         return closedset_leq(x, y)
+
+    def order_codes(self, xs):
+        """In closed form: bit n of a code says whether the natural n is a
+        member, for n below one window w (the largest threshold plus the
+        lcm of the periods), and bit w whether ∞ is.  From the largest
+        threshold on, membership repeats with the lcm, so the window
+        decides inclusion.  Codes of more than ``MAX_WINDOW`` bits in all
+        fall back to the pairwise default."""
+        w = max((x.threshold for x in xs), default=0) + math.lcm(
+            *(x.period for x in xs))
+        if w * len(xs) > cs.MAX_WINDOW:
+            return super().order_codes(xs)
+        return [_naturals_below(x, w) | x.infinity << w for x in xs]
 
     def finite_sup(self, xs):
         return reduce(closedset_join, xs)
@@ -415,15 +433,16 @@ def parse_closed_set_literal(literal) -> ClosedSetRep:
 # Combinators: lift and disjoint sum over wrapped component elements
 
 
-MAX_TRUNCATION = 512
-"""Elements a lift or sum truncation may hold.  The combinators add their
-components' truncations, so without a cap a wide sum document could ask
-for an unbounded order; two closed-set lattices cut at 6 fit."""
+MAX_ELEMENTS = 512
+"""Elements a lift or sum enumeration or truncation may hold.  The
+combinators add up their components' elements, so without a cap a wide sum
+document could ask for an unbounded order; two closed-set lattices cut at 6
+fit."""
 
 
-def _capped(elems):
-    if len(elems) > MAX_TRUNCATION:
-        raise SizeLimit(f"truncation capped at {MAX_TRUNCATION} elements, "
+def _capped(elems, what):
+    if len(elems) > MAX_ELEMENTS:
+        raise SizeLimit(f"{what} capped at {MAX_ELEMENTS} elements, "
                         f"this one has {len(elems)}")
     return elems
 
@@ -473,8 +492,9 @@ class _Combinator(PosetPresentation):
         return part[1].contains(x.value)
 
     def elements(self):
-        return list(self.points) + [wrap(e) for _, comp, wrap in self.parts
-                                    for e in comp.elements()]
+        return _capped(list(self.points)
+                       + [wrap(e) for _, comp, wrap in self.parts
+                          for e in comp.elements()], "element enumeration")
 
     def interesting_elements(self):
         return list(self.points) + [wrap(e) for _, comp, wrap in self.parts
@@ -483,7 +503,20 @@ class _Combinator(PosetPresentation):
     def truncation(self, n):
         return _capped(list(self.points)
                        + [wrap(e) for _, comp, wrap in self.parts
-                          for e in comp.truncation(n)])
+                          for e in comp.truncation(n)], "truncation")
+
+    def order_codes(self, xs):
+        """Part k's elements carry bit k, with their component's codes
+        shifted above the part bits.  An own point has code 0, below every
+        code: the lift's bottom is its least element."""
+        shift = len(self.parts)
+        codes = [0] * len(xs)
+        for bit, (_, comp, wrap) in enumerate(self.parts):
+            where = [i for i, x in enumerate(xs) if isinstance(x, wrap)]
+            inner = comp.order_codes([xs[i].value for i in where])
+            for i, code in zip(where, inner):
+                codes[i] = code << shift | 1 << bit
+        return codes
 
     # An own point is its own kernel value, interpolant and compact element.
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import compress
+from operator import or_
 
 from .errors import (CycleDetected, DuplicateLabel, EmptyFamily,
                      ForeignElement, PosetError, ScopeUnsupported, SizeLimit,
@@ -380,6 +381,15 @@ class PosetPresentation:
     def leq(self, x, y) -> bool:
         raise NotImplementedError
 
+    def order_codes(self, xs) -> list:
+        """Int codes of the elements ``xs``: ``xs[i] <= xs[j]`` exactly when
+        ``codes[i] & ~codes[j] == 0``, so one int test decides the order
+        of two listed elements.  By default the code of x is its down-set
+        within ``xs`` as a bit mask, from pairwise ``leq``; a carrier with
+        a closed form overrides it."""
+        return [_mask(j for j, y in enumerate(xs) if self.leq(y, x))
+                for x in xs]
+
     def finite_sup(self, xs):
         raise NotImplementedError
 
@@ -669,28 +679,36 @@ def _cc_exhaustive(P, scope):
 
 
 def _cc_sampled(P, scope):
+    """Sampled subsets of the pool, each with its reported supremum held
+    against the pool's upper bounds of it, then the bank families against
+    a probe pool.  The upper bounds are found by order codes
+    (``P.order_codes``) and each is confirmed with ``leq`` before it
+    refutes."""
     law = "conditionally_complete"
     rng = random.Random(scope.seed)
     pool = sample_pool(P, rng, scope.count)
+    codes = P.order_codes(pool)
     checked = 0
     for _ in range(min(scope.count, DEFAULT_SUBSET_SAMPLES)):
         size = rng.randint(2, 4)
         if len(pool) < size:
             break
-        subset = rng.sample(pool, size)
-        s = P.finite_sup(tuple(subset))
+        picks = rng.sample(range(len(pool)), size)  # as rng.sample(pool, size)
+        subset = tuple(pool[i] for i in picks)
+        s = P.finite_sup(subset)
         if is_element(s):
             if not all(P.leq(a, s) for a in subset):
-                return refuted(law, tuple(subset),
+                return refuted(law, subset,
                                "reported supremum is not an upper bound",
                                scope, samples=checked)
-            for u in pool:
-                if all(P.leq(a, u) for a in subset) and not P.leq(s, u):
-                    return refuted(
-                        law, tuple(subset),
-                        f"supremum not least: {P.format_element(u)} is a "
-                        "smaller-incomparable upper bound", scope,
-                        samples=checked)
+            u = _escaping_bound(P, subset, s, pool,
+                                codes, reduce(or_, (codes[i] for i in picks)))
+            if u is not None:
+                return refuted(
+                    law, subset,
+                    f"supremum not least: {P.format_element(u)} is a "
+                    "smaller-incomparable upper bound", scope,
+                    samples=checked)
         checked += 1
     for fam in P.family_bank():
         members = fam.sample_members()
@@ -699,17 +717,32 @@ def _cc_sampled(P, scope):
                            "declared supremum does not dominate a member",
                            scope, samples=checked)
         if isinstance(fam, ExplicitFamily):
-            for u in sample_pool(P, rng, 64):
-                if all(P.leq(m, u) for m in members) and not P.leq(fam.supremum, u):
-                    return refuted(law, fam.label or fam,
-                                   "declared supremum is not least", scope,
-                                   samples=checked)
+            probe = sample_pool(P, rng, 64)
+            coded = P.order_codes([*members, *probe])
+            bound = reduce(or_, coded[:len(members)], 0)
+            if _escaping_bound(P, members, fam.supremum, probe,
+                               coded[len(members):], bound) is not None:
+                return refuted(law, fam.label or fam,
+                               "declared supremum is not least", scope,
+                               samples=checked)
         checked += 1
     if P.certified_conditionally_complete:
         return verified(law, scope,
                         reason="certified for the kind; probes consistent",
                         samples=checked)
     return unrefuted(law, checked, scope)
+
+
+def _escaping_bound(P, xs, s, pool, codes, bound):
+    """The first element of ``pool`` above every element of ``xs`` but not
+    above ``s``, or None.  ``codes`` are the order codes of ``pool`` and
+    ``bound`` the union of the codes of ``xs``; ``leq`` confirms a candidate
+    before it is returned."""
+    for u, code in zip(pool, codes):
+        if (not bound & ~code and not P.leq(s, u)
+                and all(P.leq(a, u) for a in xs)):
+            return u
+    return None
 
 
 def _interp_exhaustive(P, scope):

@@ -3,21 +3,25 @@ invariant that no certified way-below rule is ever refuted by its bank."""
 
 import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from posetkernel import (BOTTOM, NO_INFIMUM, NO_SUPREMUM, OMEGA, Inner, Left,
-                         Right, cli, closed_set, least_upper_bound,
-                         make_catalog)
-from posetkernel.catalog import (DisjointSumPresentation, LiftPresentation,
-                                 OmegaPlusOnePresentation, _Combinator,
-                                 closed_sets, disjoint_sum,
+                         PosetPresentation, Right, cli, closed_set,
+                         closedsets, least_upper_bound, make_catalog)
+from posetkernel.catalog import (MAX_DOCUMENT_DEPTH, DisjointSumPresentation,
+                                 LiftPresentation, OmegaPlusOnePresentation,
+                                 _Combinator, closed_sets, disjoint_sum,
                                  finite_explicit, finite_named, lift,
                                  named_finite_poset, omega_plus_one,
                                  punctured_closed_sets, random_finite_poset,
                                  spec_to_document, standard_roster)
-from posetkernel.closedsets import EMPTY, EVENS, FULL, INF_POINT
-from posetkernel.core import _continuity_failure, induced_finite_poset
+from posetkernel.closedsets import (EMPTY, EVENS, FULL, INF_POINT,
+                                    periodic_set)
+from posetkernel.core import (_continuity_failure, induced_finite_poset,
+                              sample_pool)
 from posetkernel.errors import SizeLimit, UnknownName
 from posetkernel.families import ChainFamily, ExplicitFamily
 from posetkernel.kernel import (LAWS, check_approximation_laws,
@@ -26,8 +30,9 @@ from posetkernel.kernel import (LAWS, check_approximation_laws,
 from posetkernel.oracle import bank_refute_waybelow
 from posetkernel.reports import Status
 
-from conftest import corrupt_omega
+from conftest import closed_reps, corrupt_omega
 
+ROOT = Path(__file__).resolve().parents[1]
 BOWTIE = finite_explicit(["a", "b", "c", "d"],
                          [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]])
 F2 = finite_explicit(["0", "1"], [["0", "1"]])
@@ -332,7 +337,8 @@ class TestOneForwardingPath:
         assert {"contains", "elements", "truncation", "compact_below",
                 "continuity_counterexample", "inf_instances",
                 "retract_rules", "format_element", "parse_element",
-                "_kernel_value", "_wrap_family"} <= set(self.FORWARDED)
+                "_kernel_value", "_wrap_family",
+                "order_codes"} <= set(self.FORWARDED)
 
     @pytest.mark.parametrize("cls", [LiftPresentation,
                                      DisjointSumPresentation],
@@ -422,6 +428,88 @@ class TestKernelValue:
             is BOTTOM
         assert DisjointSumPresentation(punctured, punctured).kernel_value(
             Left(INF_POINT)) is None
+
+
+def _deep_lift():
+    spec = finite_named("chain_2")
+    for _ in range(MAX_DOCUMENT_DEPTH):
+        spec = lift(spec)
+    return make_catalog(spec)
+
+
+def _perfbench_kinds():
+    return [cli.load_poset(str(path))
+            for path in sorted((ROOT / "perfbench" / "kinds").glob("*.json"))]
+
+
+class TestOrderCodes:
+    """``order_codes`` decides the order of a list of elements by bit
+    inclusion: each implementation (the pairwise default, the closed form
+    of the closed sets, the combinator rule) gives the order of the
+    pairwise default."""
+
+    CARRIERS = (TestCarrierInvariants.CARRIERS + _perfbench_kinds()
+                + [_deep_lift()])
+
+    @staticmethod
+    def relation(codes):
+        return {(i, j) for i, a in enumerate(codes)
+                for j, b in enumerate(codes) if not a & ~b}
+
+    def assert_decides_the_order(self, P, xs):
+        codes = P.order_codes(xs)
+        assert len(codes) == len(xs)
+        assert self.relation(codes) == self.relation(
+            PosetPresentation.order_codes(P, xs))
+        assert self.relation(codes) == {
+            (i, j) for i, x in enumerate(xs) for j, y in enumerate(xs)
+            if P.leq(x, y)}
+
+    @pytest.mark.parametrize("P", CARRIERS, ids=lambda P: P.name[:60])
+    def test_on_the_sample_pools(self, P):
+        self.assert_decides_the_order(
+            P, sample_pool(P, random.Random(11), 100))
+
+    @given(st.lists(closed_reps(), max_size=10))
+    def test_on_closed_sets(self, xs):
+        for P in (make_catalog(closed_sets()),
+                  make_catalog(punctured_closed_sets())):
+            ys = [x for x in xs if P.contains(x)]
+            self.assert_decides_the_order(P, ys)
+            self.assert_decides_the_order(LiftPresentation(P),
+                                          [BOTTOM] + [Inner(y) for y in ys])
+
+    def test_the_closed_forms(self, closed):
+        # window 2 (threshold 1 plus period 1); bit 2 is infinity
+        assert closed.order_codes([INF_POINT, EMPTY, closed_set({0})]) == \
+            [0b100, 0b000, 0b001]
+        # the lift's bottom is 0, the inner codes sit above the part bit
+        assert LiftPresentation(closed).order_codes(
+            [BOTTOM, Inner(EMPTY), Inner(INF_POINT)]) == [0, 0b1, 0b101]
+        assert DisjointSumPresentation(closed, closed).order_codes(
+            [Left(EMPTY), Right(EMPTY), Right(INF_POINT)]) == \
+            [0b01, 0b10, 0b1010]
+
+    def test_codes_above_the_window_cap_fall_back_to_the_default(
+            self, closed, monkeypatch):
+        xs = [EVENS, periodic_set({1}, 3), closed_set({0, 7}, True),
+              INF_POINT]
+        window = 8 + 6  # the largest threshold, plus the lcm of 2 and 3
+        calls = []
+        default = PosetPresentation.order_codes
+
+        def spy(self, ys):
+            calls.append(len(ys))
+            return default(self, ys)
+
+        monkeypatch.setattr(PosetPresentation, "order_codes", spy)
+        for cap, fallbacks in ((window * len(xs), []),
+                               (window * len(xs) - 1, [len(xs)])):
+            monkeypatch.setattr(closedsets, "MAX_WINDOW", cap)
+            calls.clear()
+            self.assert_decides_the_order(closed, xs)
+            # the spy also serves the pairwise reference once
+            assert calls == fallbacks + [len(xs)]
 
 
 class TestSampling:

@@ -10,11 +10,13 @@ from hypothesis import given, strategies as st
 
 from posetkernel import cli
 from posetkernel.catalog import (DOCUMENT_FIELDS, MAX_DOCUMENT_DEPTH,
-                                 CatalogSpec, closed_sets, disjoint_sum,
-                                 finite_explicit, finite_named, finite_random,
-                                 lift, make_catalog, omega_plus_one,
-                                 spec_to_document, standard_roster)
+                                 MAX_ELEMENTS, CatalogSpec, closed_sets,
+                                 disjoint_sum, finite_explicit, finite_named,
+                                 finite_random, lift, make_catalog,
+                                 omega_plus_one, spec_to_document,
+                                 standard_roster)
 from posetkernel.errors import ParseError, ValidationError
+from posetkernel.kernel import LAWS
 
 
 def run_cli(argv):
@@ -508,6 +510,50 @@ class TestExportDot:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("digraph poset {")
+
+
+def _chain_sum_tree(n):
+    """A balanced disjoint_sum tree of chain_16 documents, n elements in
+    all."""
+    if n == 16:
+        return spec_to_document(finite_named("chain_16"))
+    half = _chain_sum_tree(n // 2)
+    return {"kind": "disjoint_sum", "left": half, "right": half}
+
+
+class TestCombinatorElementCap:
+    """A lift or sum lists at most ``MAX_ELEMENTS`` elements, so a wide
+    document of finite parts is refused rather than checked at any width."""
+
+    REASON = "element enumeration capped at 512 elements, this one has 1024"
+
+    @pytest.fixture
+    def wide(self, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(_chain_sum_tree(1024)))
+        return str(path)
+
+    def test_check_skips_every_law(self, wide):
+        start = time.perf_counter()
+        code, out, err = run_cli(["check", wide, "--law", "all"])
+        assert time.perf_counter() - start < 2
+        assert (code, err) == (0, "")
+        assert out == "".join(f"[{law}] SKIPPED reason={self.REASON}\n"
+                              for law in LAWS)
+
+    @pytest.mark.parametrize("argv", [["export-dot"],
+                                      ["export-dot", "--waybelow"],
+                                      ["analyze", "retract"]],
+                             ids=["export-dot", "export-dot-waybelow",
+                                  "analyze-retract"])
+    def test_export_and_analyze_exit_65(self, wide, argv):
+        assert run_cli([argv[0], wide, *argv[1:]]) == (
+            65, "", f"error: {self.REASON}\n")
+
+    def test_the_cap_admits_512_elements(self, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(_chain_sum_tree(MAX_ELEMENTS)))
+        assert len(cli.load_poset(str(path)).elements()) == MAX_ELEMENTS
 
 
 class TestSelftest:

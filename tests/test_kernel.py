@@ -17,9 +17,12 @@ from posetkernel.catalog import (closed_sets, disjoint_sum, finite_named,
                                  omega_plus_one, punctured_closed_sets,
                                  standard_roster)
 from posetkernel.closedsets import EMPTY, EVENS, FULL, INF_POINT, ODDS
+from posetkernel.closedsets import closedset_join
 from posetkernel.core import (FinitePoset, FinitePosetPresentation, _bits,
-                              induced_finite_poset, is_element, sample_pool)
-from posetkernel.errors import (NoInfimumError, NotApproximable, PosetError,
+                              induced_finite_poset, is_element,
+                              resolve_scope, sample_pool)
+from posetkernel.errors import (EmptyFamily, ForeignElement, NoInfimumError,
+                                NotApproximable, PosetError,
                                 PreconditionUnverified)
 from posetkernel.families import ChainFamily, ExplicitFamily
 from posetkernel.kernel import (adversarial_kernel, check_approximation_laws,
@@ -31,8 +34,9 @@ from posetkernel.kernel import (adversarial_kernel, check_approximation_laws,
                                 is_approximable, kernel_of,
                                 quotient_structure, retract_member)
 from posetkernel.oracle import bank_refute_waybelow
-from posetkernel.reports import (BANK, EXHAUSTIVE, Status, refuted, sampled,
-                                 verified)
+from posetkernel.reports import (BANK, DEFAULT_SUBSET_SAMPLES, EXHAUSTIVE,
+                                 Status, combine, refuted, sampled,
+                                 unrefuted, verified)
 
 from conftest import corrupt_omega, random_presentation
 
@@ -471,6 +475,10 @@ class TestInfPreservation:
         with pytest.raises(PosetError):
             check_inf_preservation(closed, (INF_POINT,))
 
+    def test_rejects_a_foreign_element_before_reading_codes(self, closed):
+        with pytest.raises(ForeignElement, match="^3 is not an element"):
+            check_inf_preservation(closed, (EVENS, 3))
+
     def test_finite_exhaustive(self, diamond):
         report = check_inf_preservation(diamond, (1, 2))
         assert report.status is Status.VERIFIED
@@ -493,9 +501,9 @@ class TestInfPreservation:
 
         check_instance = kernel._check_inf_instance
 
-        def spy(P, A, scope, pool):
+        def spy(P, A, scope, pool, codes):
             seen.append(A)
-            return check_instance(P, A, scope, pool)
+            return check_instance(P, A, scope, pool, codes)
 
         monkeypatch.setattr(kernel, "_check_inf_instance", spy)
         report = check_inf_preservation_sampled(P, sampled(count=100))
@@ -805,6 +813,213 @@ class TestFiniteScanReference:
         subs = {s.law: s for s in check_approximation_laws(P).subreports}
         assert subs["directed-restriction"].witness == "{0, 2}"
         assert subs["restriction-nonempty"].witness == ("{2}", 0)
+
+
+def reference_cc_sampled(P, scope):
+    """The sampled conditional-completeness probe with pairwise bound
+    tests: each pool element is held against each subset member by
+    ``leq``."""
+    law = "conditionally_complete"
+    scope = resolve_scope(P, scope)
+    rng = random.Random(scope.seed)
+    pool = sample_pool(P, rng, scope.count)
+    checked = 0
+    for _ in range(min(scope.count, DEFAULT_SUBSET_SAMPLES)):
+        size = rng.randint(2, 4)
+        if len(pool) < size:
+            break
+        subset = rng.sample(pool, size)
+        s = P.finite_sup(tuple(subset))
+        if is_element(s):
+            if not all(P.leq(a, s) for a in subset):
+                return refuted(law, tuple(subset),
+                               "reported supremum is not an upper bound",
+                               scope, samples=checked)
+            for u in pool:
+                if all(P.leq(a, u) for a in subset) and not P.leq(s, u):
+                    return refuted(
+                        law, tuple(subset),
+                        f"supremum not least: {P.format_element(u)} is a "
+                        "smaller-incomparable upper bound", scope,
+                        samples=checked)
+        checked += 1
+    for fam in P.family_bank():
+        members = fam.sample_members()
+        if not all(P.leq(m, fam.supremum) for m in members):
+            return refuted(law, fam.label or fam,
+                           "declared supremum does not dominate a member",
+                           scope, samples=checked)
+        if isinstance(fam, ExplicitFamily):
+            for u in sample_pool(P, rng, 64):
+                if all(P.leq(m, u) for m in members) \
+                        and not P.leq(fam.supremum, u):
+                    return refuted(law, fam.label or fam,
+                                   "declared supremum is not least", scope,
+                                   samples=checked)
+        checked += 1
+    if P.certified_conditionally_complete:
+        return verified(law, scope,
+                        reason="certified for the kind; probes consistent",
+                        samples=checked)
+    return unrefuted(law, checked, scope)
+
+
+def reference_inf_instance(P, A, scope, pool):
+    """One infima-preservation instance with the pairwise lower-bound
+    scan."""
+    law = "infima-preservation"
+    A = tuple(dict.fromkeys(A))
+    if not A:
+        raise EmptyFamily("need a nonempty retract subset")
+    for a in A:
+        P.require(a)
+        if not in_retract(P, a):
+            raise PosetError(f"{P.format_element(a)} is not in the retract")
+    g = P.finite_inf(A)
+    if not is_element(g):
+        raise NoInfimumError("the set has no infimum in the carrier")
+    if P.kernel_value(g) is None:
+        raise NoInfimumError("the infimum lies outside the approximable "
+                             "part; no representable approximable infimum")
+    candidate = kernel_of(P, g)
+    if not in_retract(P, candidate):
+        return refuted(law, candidate, "kernel of the infimum escapes the "
+                       "retract", scope)
+    for a in A:
+        if not P.leq(candidate, a):
+            return refuted(law, candidate,
+                           f"not a lower bound of {P.format_element(a)}",
+                           scope)
+    for c in pool:
+        if all(P.leq(c, a) for a in A) and not P.leq(c, candidate):
+            return refuted(law, c,
+                           "a retract lower bound escapes the kernel of "
+                           "the infimum", scope)
+    return (verified(law, scope, samples=len(pool))
+            if scope.kind == "exhaustive" else
+            unrefuted(law, len(pool), scope))
+
+
+def reference_inf_sampled(P, scope=None):
+    """``check_inf_preservation_sampled`` over the pairwise instance
+    check."""
+    law = "infima-preservation"
+    outer = scope or sampled()
+    instances = list(P.inf_instances())
+    rng = random.Random(outer.seed)
+    pool = [x for x in sample_pool(P, rng, 200) if in_retract(P, x)]
+    want = max(10, outer.count // 10)
+    while len(instances) < want and len(pool) >= 2:
+        size = rng.randint(2, min(3, len(pool)))
+        instances.append(tuple(rng.sample(pool, size)))
+    inner = resolve_scope(P, scope)
+    lower_bounds = kernel._retract_pool(P, inner)
+    parts = []
+    skipped = 0
+    for inst in instances:
+        try:
+            parts.append(reference_inf_instance(P, inst, inner,
+                                                lower_bounds))
+        except NoInfimumError:
+            skipped += 1
+    if not parts:
+        return unrefuted(law, 0, outer,
+                         reason=f"no instances with approximable infima "
+                                f"({skipped} skipped)")
+    report = combine(law, parts, outer)
+    if report.status is not Status.REFUTED:
+        report.status = Status.UNREFUTED
+        report.subreports = []
+        report.reason = (f"{len(parts)} retract subsets checked"
+                         + (f", {skipped} without an approximable infimum"
+                            if skipped else ""))
+    return report
+
+
+class SupPlusNatural(catalog.ClosedSetsPresentation):
+    """Closed sets whose reported supremum adds a natural: an upper bound,
+    but not the least one."""
+
+    def finite_sup(self, xs):
+        return closedset_join(super().finite_sup(xs), closed_set({30}))
+
+
+class KernelDropsALowerBound(catalog.ClosedSetsPresentation):
+    """Closed sets whose kernel sends {0, 1} to {1}, dropping the retract
+    lower bound {0} of the instance ({0, 1, 2}, {0, 1, 3}) checked first."""
+
+    def _kernel_value(self, x):
+        if x == closed_set({0, 1}):
+            return closed_set({1})
+        return super()._kernel_value(x)
+
+    def inf_instances(self):
+        return [(closed_set({0, 1, 2}), closed_set({0, 1, 3}))]
+
+
+SYMBOLIC = [omega_plus_one(), closed_sets(), punctured_closed_sets(),
+            lift(punctured_closed_sets()),
+            disjoint_sum(omega_plus_one(), closed_sets())]
+
+
+class TestPoolScanReference:
+    """The sampled ``cc`` and ``inf`` laws find the pool's bounds by order
+    codes; the pairwise loops, kept here, must give the same status,
+    witness, reason and samples."""
+
+    SCOPES = [sampled(seed, count) for seed in (0, 1, 7, 11)
+              for count in (3, 40, 500)]
+
+    @staticmethod
+    def assert_matches_reference(P, scope):
+        cc = _outcome(lambda: core.check_conditionally_complete(P, scope))
+        assert cc == _outcome(lambda: reference_cc_sampled(P, scope))
+        inf = _outcome(lambda: check_inf_preservation_sampled(P, scope))
+        assert inf == _outcome(lambda: reference_inf_sampled(P, scope))
+        return cc, inf
+
+    @pytest.mark.parametrize("spec", SYMBOLIC,
+                             ids=lambda spec: make_catalog(spec).name)
+    def test_symbolic_kinds(self, spec):
+        P = make_catalog(spec)
+        for scope in self.SCOPES:
+            self.assert_matches_reference(P, scope)
+
+    @pytest.mark.parametrize("methods", [
+        {"finite_sup": lambda self, xs: xs[0]},
+        {"finite_sup": lambda self, xs: OMEGA},
+        {"family_bank": lambda self: catalog.OmegaPlusOnePresentation
+         .family_bank(self) + [ExplicitFamily((0, 5), 3, label="over")]},
+        {"family_bank": lambda self: catalog.OmegaPlusOnePresentation
+         .family_bank(self) + [ExplicitFamily((0, 1), 5, label="loose")]},
+    ], ids=["not-an-upper-bound", "not-least", "family-not-dominated",
+            "family-not-least"])
+    def test_corrupt_omega(self, methods):
+        P = corrupt_omega(**methods)
+        for scope in [None, *self.SCOPES]:
+            cc, _ = self.assert_matches_reference(P, scope)
+        assert cc[0] is Status.REFUTED
+
+    def test_a_supremum_that_adds_a_natural(self):
+        P = SupPlusNatural()
+        for scope in self.SCOPES:
+            cc, _ = self.assert_matches_reference(P, scope)
+            if scope.count >= 40:
+                assert cc[0] is Status.REFUTED
+                assert cc[2].startswith("supremum not least: ")
+
+    def test_a_kernel_that_drops_a_retract_lower_bound(self):
+        P = KernelDropsALowerBound()
+        for scope in self.SCOPES:
+            _, inf = self.assert_matches_reference(P, scope)
+            assert inf[:3] == (Status.REFUTED, closed_set({0}),
+                               "infima-preservation: a retract lower bound "
+                               "escapes the kernel of the infimum")
+        A = P.inf_instances()[0]
+        scope = resolve_scope(P, None)
+        assert _outcome(lambda: check_inf_preservation(P, A)) == _outcome(
+            lambda: reference_inf_instance(P, A, scope,
+                                           kernel._retract_pool(P, scope)))
 
 
 @pytest.mark.parametrize("spec", [

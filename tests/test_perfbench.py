@@ -49,3 +49,22 @@ def test_traced_check_reads_the_kernel_hook(tmp_path):
     totals = json.loads(out.read_text(encoding="utf-8"))
     assert totals["closedsets.cache_hits"] > 0
     assert totals["catalog.waybelow_family_calls"] < 1000
+
+
+def test_traced_cc_tests_bounds_by_order_codes(tmp_path):
+    """The sampled `cc` law finds the pool's upper bounds by order codes,
+    not by one `closedset_leq` per pool element and subset member (51,627
+    calls when it did)."""
+    out = tmp_path / "totals.json"
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PERFBENCH_TRACE_OUT=str(out),
+               PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path
+                                               else ""))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "entry.py"), "check",
+         "closed_sets", "--law", "cc"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    totals = json.loads(out.read_text(encoding="utf-8"))
+    assert totals["closedsets.leq_calls"] < 10_000
