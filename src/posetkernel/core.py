@@ -431,6 +431,10 @@ class PosetPresentation:
         fam = self.waybelow_family(x)
         return None if fam is None else fam.supremum
 
+    @cached_property
+    def _scope_pools(self):
+        return {}  # (seed, count) -> (pool, rng state after the draw)
+
     def family_bank(self) -> list:
         return []
 
@@ -653,6 +657,23 @@ def sample_pool(P: PosetPresentation, rng, count) -> list:
     return list(dict.fromkeys(pool))
 
 
+def scope_pool(P: PosetPresentation, scope: Scope):
+    """The elements a law over ``scope`` reads, and the rng it draws on
+    with.  Exhaustive: every element, no rng.  Sampled: a copy of the pool
+    that ``Random(seed)`` draws, made once per presentation and (seed,
+    count), and a fresh rng in the state that draw left it in."""
+    if scope.kind == "exhaustive":
+        return P.elements(), None
+    key = scope.seed, scope.count
+    if key not in P._scope_pools:
+        rng = random.Random(scope.seed)
+        P._scope_pools[key] = sample_pool(P, rng, scope.count), rng.getstate()
+    pool, state = P._scope_pools[key]
+    rng = random.Random()
+    rng.setstate(state)
+    return list(pool), rng
+
+
 def resolve_scope(P: PosetPresentation, scope: Scope | None = None) -> Scope:
     """The scope a check of P runs over.  A finite carrier is always
     exhausted, the laws over directed sets included; a symbolic one takes
@@ -685,8 +706,7 @@ def _cc_sampled(P, scope):
     (``P.order_codes``) and each is confirmed with ``leq`` before it
     refutes."""
     law = "conditionally_complete"
-    rng = random.Random(scope.seed)
-    pool = sample_pool(P, rng, scope.count)
+    pool, rng = scope_pool(P, scope)
     codes = P.order_codes(pool)
     checked = 0
     for _ in range(min(scope.count, DEFAULT_SUBSET_SAMPLES)):
@@ -759,8 +779,7 @@ def _interp_exhaustive(P, scope):
 
 def _interp_sampled(P, scope):
     law = "interpolating"
-    rng = random.Random(scope.seed)
-    pool = sample_pool(P, rng, scope.count)
+    pool, rng = scope_pool(P, scope)
     checked = 0
     for _ in range(scope.count):
         x, y = rng.choice(pool), rng.choice(pool)
@@ -811,7 +830,7 @@ def _cont_sampled(P, scope):
                              "the catalog entry is corrupt")
         return refuted(law, ce, why, scope, samples=1)
     pool = [] if ce is None else [ce]
-    pool.extend(sample_pool(P, random.Random(scope.seed), scope.count))
+    pool.extend(scope_pool(P, scope)[0])
     pool = list(dict.fromkeys(pool))[:scope.count]
     for i, x in enumerate(pool, 1):
         why = _continuity_failure(P, x)

@@ -6,19 +6,20 @@ deflationary, monotone, idempotent, and preserves directed suprema.  Its
 fixed points form the largest continuous subposet, and collapsing elements
 with equal kernel values yields a quotient order-isomorphic to that retract.
 Each of those claims has a checker here.  On finite carriers every check
-is exhaustive: the laws stated over all directed sets scan the directed
-subsets as bit masks, since each one holds its maximum, and a finite
-carrier above ``core.FINITE_CAP`` elements raises SizeLimit.  On symbolic
-carriers the checks sample and scan the family bank and report honestly
-(Unrefuted, never Verified, unless a certified closed form stands behind
-the claim).  ``LAWS`` maps each ``--law`` name to its checker.
+but ``inf`` is exhaustive (``inf`` samples the retract subsets it decides):
+the laws stated over all directed sets scan the directed subsets as bit
+masks, since each one holds its maximum, and a finite carrier above
+``core.FINITE_CAP`` elements raises SizeLimit.  On symbolic carriers the
+checks sample and scan the family bank and report honestly (Unrefuted,
+never Verified, unless a certified closed form stands behind the claim).
+``LAWS`` maps each ``--law`` name to its checker.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain
 from operator import and_
 from typing import Callable
@@ -26,7 +27,7 @@ from typing import Callable
 from .core import (PosetPresentation, check_conditionally_complete,
                    check_continuity, check_interpolation, check_subposet,
                    _bits, _mask, is_approximable, is_element, resolve_scope,
-                   sample_pool)
+                   scope_pool)
 from .errors import (EmptyFamily, NoInfimumError, NotApproximable, PosetError,
                      PreconditionUnverified, ScopeUnsupported)
 from .families import ChainFamily, ExplicitFamily
@@ -107,19 +108,17 @@ def check_kernel_laws(P: PosetPresentation, scope: Scope | None = None,
     law = "kernel-laws"
     k = kernel or (lambda x: kernel_of(P, x))
     scope = resolve_scope(P, scope)
+    pool, rng = scope_pool(P, scope)
+    xs = [x for x in pool if P.kernel_value(x) is not None]
     if scope.kind == "exhaustive":
-        xs = [x for x in P.elements() if P.kernel_value(x) is not None]
         pairs = [(x, y) for x in xs for y in xs if P.leq(x, y)]
     else:
-        rng = random.Random(scope.seed)
-        pool = [x for x in sample_pool(P, rng, scope.count)
-                if P.kernel_value(x) is not None]
-        if not pool:
+        if not xs:
             return unrefuted(law, 0, scope, "no approximable elements sampled")
-        xs = pool[:scope.count]
+        approx, xs = xs, xs[:scope.count]
         pairs = []
         for _ in range(scope.count):
-            x, y = rng.choice(pool), rng.choice(pool)
+            x, y = rng.choice(approx), rng.choice(approx)
             if P.leq(x, y):
                 pairs.append((x, y))
             else:
@@ -260,20 +259,18 @@ def check_waybelow_kernel_equivalence(P: PosetPresentation,
     """v << x iff v << k(x), for approximable x."""
     law = "waybelow-kernel-equivalence"
     scope = resolve_scope(P, scope)
+    pool, rng = scope_pool(P, scope)
+    approx = [x for x in pool if P.kernel_value(x) is not None]
     if scope.kind == "exhaustive":
-        elems = P.elements()
-        pairs = [(v, x) for v in elems for x in elems
-                 if P.kernel_value(x) is not None]
+        pairs = [(v, x) for v in pool for x in approx]
     else:
-        rng = random.Random(scope.seed)
-        pool = sample_pool(P, rng, scope.count)
-        approx = [x for x in pool if P.kernel_value(x) is not None]
         if not approx:
             return unrefuted(law, 0, scope, "no approximable elements sampled")
         pairs = [(rng.choice(pool), rng.choice(approx))
                  for _ in range(scope.count)]
+    k = cache(lambda x: kernel_of(P, x))  # a raise is not kept: it recurs
     for v, x in pairs:
-        if P.waybelow(v, x) != P.waybelow(v, kernel_of(P, x)):
+        if P.waybelow(v, x) != P.waybelow(v, k(x)):
             return refuted(law, (v, x),
                            f"v << x is {P.waybelow(v, x)} but v << k(x) is "
                            f"{not P.waybelow(v, x)}", scope)
@@ -378,9 +375,8 @@ def _confirm_retract_continuity(P: PosetPresentation,
     inside the retract (elements where that supremum is unknown are
     skipped)."""
     law = "largest-retract:retract-is-continuous"
-    rng = random.Random(scope.seed)
     count = 0
-    for x in sample_pool(P, rng, scope.count):
+    for x in scope_pool(P, scope)[0]:
         if not in_retract(P, x):
             continue
         s = _sup_inside_retract(P, x, P.waybelow_family(x))
@@ -458,13 +454,8 @@ def check_inf_preservation(P: PosetPresentation, A,
 
 
 def _retract_pool(P: PosetPresentation, scope: Scope) -> list:
-    """The retract elements of the scope: every element when exhaustive,
-    else the sample pool."""
-    if scope.kind == "exhaustive":
-        pool = P.elements()
-    else:
-        pool = sample_pool(P, random.Random(scope.seed), scope.count)
-    return [x for x in pool if in_retract(P, x)]
+    """The retract elements of the scope's pool (``scope_pool``)."""
+    return [x for x in scope_pool(P, scope)[0] if in_retract(P, x)]
 
 
 def _coded(P: PosetPresentation, pool, instances) -> dict:
@@ -527,8 +518,8 @@ def check_inf_preservation_sampled(P: PosetPresentation,
     law = "infima-preservation"
     outer = scope or sampled()
     instances = list(P.inf_instances())
-    rng = random.Random(outer.seed)
-    pool = [x for x in sample_pool(P, rng, 200) if in_retract(P, x)]
+    pool, rng = scope_pool(P, sampled(outer.seed, 200))
+    pool = [x for x in pool if in_retract(P, x)]
     want = max(10, outer.count // 10)
     while len(instances) < want and len(pool) >= 2:
         size = rng.randint(2, min(3, len(pool)))
@@ -585,13 +576,12 @@ def check_approximation_laws(P: PosetPresentation,
     the family bank and the last two sample.
     """
     scope = resolve_scope(P, scope)
-    rng = random.Random(scope.seed)
-    pool = sample_pool(P, rng, scope.count)
+    pool = scope_pool(P, scope)[0]
     approx_pool = [x for x in pool if P.kernel_value(x) is not None]
     complete = scope.kind == "exhaustive"
     restrict = lambda fam: _restriction_at(P, fam)
     meet = lambda fam: _meet_at(P, fam, approx_pool)
-    if complete:  # the pool holds every element of a finite carrier
+    if complete:
         elems, fp, approx = _finite_part(P)
         restricted = _scan(P, elems, fp, restrict, lambda mask, top: (
             bool(approx >> top & 1) if mask & approx else None))

@@ -20,10 +20,11 @@ from posetkernel.closedsets import EMPTY, EVENS, FULL, INF_POINT, ODDS
 from posetkernel.closedsets import closedset_join
 from posetkernel.core import (FinitePoset, FinitePosetPresentation, _bits,
                               induced_finite_poset, is_element,
-                              resolve_scope, sample_pool)
+                              resolve_scope, sample_pool, scope_pool)
 from posetkernel.errors import (EmptyFamily, ForeignElement, NoInfimumError,
                                 NotApproximable, PosetError,
-                                PreconditionUnverified)
+                                PreconditionUnverified, ScopeUnsupported,
+                                SizeLimit)
 from posetkernel.families import ChainFamily, ExplicitFamily
 from posetkernel.kernel import (adversarial_kernel, check_approximation_laws,
                                 check_inf_preservation,
@@ -34,9 +35,9 @@ from posetkernel.kernel import (adversarial_kernel, check_approximation_laws,
                                 is_approximable, kernel_of,
                                 quotient_structure, retract_member)
 from posetkernel.oracle import bank_refute_waybelow
-from posetkernel.reports import (BANK, DEFAULT_SUBSET_SAMPLES, EXHAUSTIVE,
-                                 Status, combine, refuted, sampled,
-                                 unrefuted, verified)
+from posetkernel.reports import (BANK, DEFAULT_SEED, DEFAULT_SUBSET_SAMPLES,
+                                 EXHAUSTIVE, Status, combine, refuted,
+                                 sampled, unrefuted, verified)
 
 from conftest import corrupt_omega, random_presentation
 
@@ -913,7 +914,10 @@ def reference_inf_sampled(P, scope=None):
         size = rng.randint(2, min(3, len(pool)))
         instances.append(tuple(rng.sample(pool, size)))
     inner = resolve_scope(P, scope)
-    lower_bounds = kernel._retract_pool(P, inner)
+    lower_bounds = [x for x in (
+        P.elements() if inner.kind == "exhaustive"
+        else sample_pool(P, random.Random(inner.seed), inner.count))
+        if in_retract(P, x)]
     parts = []
     skipped = 0
     for inst in instances:
@@ -1020,6 +1024,82 @@ class TestPoolScanReference:
         assert _outcome(lambda: check_inf_preservation(P, A)) == _outcome(
             lambda: reference_inf_instance(P, A, scope,
                                            kernel._retract_pool(P, scope)))
+
+
+def _described(P, law, scope):
+    """The lines ``check`` prints for one law, or its SKIPPED reason."""
+    try:
+        report = cli.run_law(P, law, scope)
+    except (PreconditionUnverified, ScopeUnsupported, SizeLimit) as exc:
+        return [f"SKIPPED reason={exc}"]
+    return [r.describe(P.format_element)
+            for r in [report, *report.subreports]]
+
+
+class TestScopePool:
+    """``core.scope_pool`` draws each (seed, count) pool once per
+    presentation and hands every law a copy of it and an rng in the state
+    the draw left, so a law reads what it would draw alone."""
+
+    def test_check_all_draws_each_pool_once(self, monkeypatch, capsys):
+        fresh = random.Random(DEFAULT_SEED).getstate()
+        draws = Counter()
+
+        def spy(P, rng, count):
+            draws[rng.getstate() == fresh, count] += 1
+            return sample_pool(P, rng, count)
+
+        monkeypatch.setattr(core, "sample_pool", spy)
+        assert cli.main(["check", "closed_sets", "--law", "all"]) == 1
+        capsys.readouterr()
+        # one pool of 500 and the 200 that inf draws its subsets from; the
+        # rest are the cc law's bank probes, which continue its rng
+        assert draws[True, 500] == draws[True, 200] == 1
+        assert set(draws) == {(True, 500), (True, 200), (False, 64)}
+
+    @pytest.mark.parametrize("spec", [
+        finite_named("diamond"), finite_named("antichain_3"),
+        lift(finite_named("chain_3")),
+        disjoint_sum(finite_named("chain_2"), finite_named("n5"))],
+        ids=lambda spec: make_catalog(spec).name)
+    def test_an_exhaustive_pool_draws_nothing(self, spec, monkeypatch):
+        P = make_catalog(spec)
+
+        def never(self, rng, count):
+            raise AssertionError("an exhaustive pool drew an element")
+
+        for cls in {type(P), FinitePosetPresentation}:
+            monkeypatch.setattr(cls, "sample_elements", never)
+        assert scope_pool(P, EXHAUSTIVE) == (P.elements(), None)
+        # the laws that read the pool of a finite carrier draw nothing
+        for law in ("kernel", "eq", "laws"):
+            assert kernel.LAWS[law](P, None).status is Status.VERIFIED
+
+    def test_callers_cannot_change_the_memo(self):
+        P = make_catalog(closed_sets())
+        scope = sampled(7, 50)
+        rng = random.Random(7)
+        expected = sample_pool(P, rng, 50), rng.getstate()
+        pool, rng = scope_pool(P, scope)
+        assert (pool, rng.getstate()) == expected
+        pool.clear()
+        rng.random()
+        again, resumed = scope_pool(P, scope)
+        assert (again, resumed.getstate()) == expected
+        assert resumed is not rng
+
+    @pytest.mark.parametrize("index", range(len(standard_roster())),
+                             ids=[P.name for P in standard_roster()])
+    def test_shared_pools_change_no_report(self, index):
+        """``--law all`` on one presentation reports what each law reports
+        on a presentation of its own."""
+        for scope in [sampled(seed, count) for seed in (0, 7)
+                      for count in (50, 500)]:
+            P = standard_roster()[index]
+            shared = [_described(P, law, scope) for law in kernel.LAWS]
+            alone = [_described(standard_roster()[index], law, scope)
+                     for law in kernel.LAWS]
+            assert shared == alone
 
 
 @pytest.mark.parametrize("spec", [
@@ -1193,6 +1273,19 @@ class TestLayering:
                          if "FINITE_CAP" in self.names(node))
         assert users == {"<module>", "_subset_planes", "FinitePosetPresentation"
                          ".certified_conditionally_complete"}
+
+    def test_the_pool_draw_has_one_home(self):
+        """kernel.py takes its element pools from ``core.scope_pool`` and
+        never draws one itself; besides that home, only the subposet law,
+        the compact-element probe and the finite bank's sample build their
+        own rng."""
+        assert "sample_pool" not in self.names(self.tree(kernel))
+        builders = {node.name for module in (core, kernel)
+                    for node in ast.walk(self.tree(module))
+                    if isinstance(node, ast.FunctionDef)
+                    and "Random" in self.names(node)}
+        assert builders == {"scope_pool", "_subposet_sampled", "_bank",
+                            "_confirm_compact_elements"}
 
     @pytest.mark.parametrize("module", [kernel, core],
                              ids=["kernel", "core"])
