@@ -15,12 +15,13 @@ import io
 import json
 import time
 from dataclasses import dataclass
+from functools import cache
 
 from . import cli
 from .catalog import (NAMED_FINITE_ROSTER, finite_named, finite_random,
                       make_catalog, spec_to_document, standard_roster)
 from .closedsets import EMPTY, EVENS, INF_POINT, ODDS, closed_set
-from .core import sample_pool
+from .core import scope_pool
 from .kernel import (adversarial_kernel, check_approximation_laws,
                      check_inf_preservation_sampled, check_kernel_laws,
                      check_largest_retract, check_scott_continuity,
@@ -57,6 +58,13 @@ def _result(ident, title, fn) -> CriterionResult:
         passed = False
     seconds = time.perf_counter() - start
     return CriterionResult(ident, title, passed, detail, seconds)
+
+
+@cache
+def _roster() -> dict:
+    """``standard_roster()`` by name, built once, so the criteria share each
+    presentation and the pools and kernel values it memoizes."""
+    return {P.name: P for P in standard_roster()}
 
 
 def _run_cli(argv):
@@ -110,7 +118,7 @@ def criterion_2(quick: bool = False) -> str:
     assert code == 1, f"exit code {code}, expected 1"
     assert "REFUTED" in text and "witness={inf}" in text, text
     assert "sup of approximants = {}" in text, text
-    C = make_catalog(cli.cat.closed_sets())
+    C = _roster()["closed_sets"]
     assert kernel_of(C, INF_POINT) == EMPTY
     return "continuity refuted at {inf} with kernel {} and exit code 1"
 
@@ -120,7 +128,7 @@ def criterion_2(quick: bool = False) -> str:
 
 
 def criterion_3(quick: bool = False) -> str:
-    P = make_catalog(cli.cat.punctured_closed_sets())
+    P = _roster()["punctured_closed_sets"]
     assert not is_approximable(P, INF_POINT), "{inf} must not be approximable"
     rng = random.Random(DEFAULT_SEED)
     count = 0
@@ -147,7 +155,7 @@ def criterion_3(quick: bool = False) -> str:
 def criterion_4(quick: bool = False) -> str:
     scope = sampled(DEFAULT_SEED, 100 if quick else 500)
     kinds = 0
-    for P in standard_roster():
+    for P in _roster().values():
         laws = check_kernel_laws(P, scope)
         equiv = check_waybelow_kernel_equivalence(P, scope)
         scott = check_scott_continuity(P)
@@ -167,11 +175,11 @@ def criterion_4(quick: bool = False) -> str:
 
 def criterion_5(quick: bool = False) -> str:
     for name in NAMED_FINITE_ROSTER:
-        P = make_catalog(finite_named(name))
+        P = _roster()[name]
         report = check_largest_retract(P)
         assert report.status is Status.VERIFIED, \
             f"{name}: {report.describe(P.format_element)}"
-    C = make_catalog(cli.cat.closed_sets())
+    C = _roster()["closed_sets"]
     report = check_largest_retract(C)
     assert report.status is not Status.REFUTED, \
         report.describe(C.format_element)
@@ -191,7 +199,7 @@ def criterion_5(quick: bool = False) -> str:
 def criterion_6(quick: bool = False) -> str:
     scope = sampled(DEFAULT_SEED, 200)
     kinds = 0
-    for P in standard_roster():
+    for P in _roster().values():
         report = check_approximation_laws(P, scope)
         subs = {s.law: s for s in report.subreports}
         for law in ("double-approximation", "retract-approximation"):
@@ -206,7 +214,7 @@ def criterion_6(quick: bool = False) -> str:
 
 
 def criterion_7(quick: bool = False) -> str:
-    C = make_catalog(cli.cat.closed_sets())
+    C = _roster()["closed_sets"]
     glb = C.finite_inf((EVENS, ODDS))
     assert glb == INF_POINT, C.format_element(glb)
     assert kernel_of(C, glb) == EMPTY
@@ -224,17 +232,16 @@ def criterion_7(quick: bool = False) -> str:
 
 
 def criterion_8(quick: bool = False) -> str:
-    C = make_catalog(cli.cat.closed_sets())
+    C = _roster()["closed_sets"]
     sample = (INF_POINT, EMPTY, closed_set({1}, infinity=True),
               closed_set({1}))
     qs = quotient_structure(C, sample)
     assert len(qs.classes) == 2, f"{len(qs.classes)} classes"
     assert qs.kernel_values == (EMPTY, closed_set({1})), qs.kernel_values
-    rng = random.Random(DEFAULT_SEED)
     count = 200 if not quick else 50
-    for P in (C, make_catalog(cli.cat.lift(cli.cat.punctured_closed_sets()))):
-        pool = [x for x in sample_pool(P, rng, count * 2)
-                if is_approximable(P, x)][:count]
+    for P in (C, _roster()["lift(punctured_closed_sets)"]):
+        pool, _ = scope_pool(P, sampled(DEFAULT_SEED, count * 2))
+        pool = [x for x in pool if is_approximable(P, x)][:count]
         qs = quotient_structure(P, pool)
         for x in pool:
             assert qs.image_of(x) == kernel_of(P, x), \
@@ -247,7 +254,7 @@ def criterion_8(quick: bool = False) -> str:
 
 
 def criterion_9(quick: bool = False) -> str:
-    C = make_catalog(cli.cat.closed_sets())
+    C = _roster()["closed_sets"]
     report = check_kernel_laws(C, kernel=adversarial_kernel(C))
     assert report.status is Status.REFUTED, "adversarial kernel slipped by"
     assert "deflation" in report.reason, report.reason
@@ -275,11 +282,11 @@ def criterion_10(quick: bool = False) -> str:
         spec = cli.parse_input(text)
         again = cli.parse_input(json.dumps(spec_to_document(spec)))
         assert again == spec, f"round-trip drift on {text}"
-    P = make_catalog(finite_named("diamond"))
+    P = _roster()["diamond"]
     first = cli.export_dot(P, waybelow=True)
     second = cli.export_dot(P, waybelow=True)
     assert first == second and first.encode() == second.encode()
-    C = make_catalog(cli.cat.closed_sets())
+    C = _roster()["closed_sets"]
     t1 = cli.export_dot(C, truncate_n=1)
     assert t1 == cli.export_dot(C, truncate_n=1)
     assert t1.count("[label=") == 8, "truncate 1 must have 8 nodes"

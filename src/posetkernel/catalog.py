@@ -65,8 +65,9 @@ their carriers.  Lift and sum forward every such hook through one base,
 ``_Combinator``, which holds their components as ``(tag, component, wrap)``
 parts: the targeted checks reach every combinator of the lattice, and the
 cuts and the element lists of the components are assembled up to
-``MAX_ELEMENTS`` elements.  The closed sets also give ``kernel_value`` in
-the closed form above, and ``_Combinator`` wraps the value of a component.
+``MAX_ELEMENTS`` elements.  It writes their order once, by the two rules
+above.  The closed sets also give ``kernel_value`` in the closed form
+above, and ``_Combinator`` wraps the value of a component.
 ``order_codes`` gives each element of a list an int code whose bit
 inclusion is the order: the closed sets in closed form (their naturals on
 one window, and ∞), the combinators by a bit per part above their
@@ -403,7 +404,7 @@ class ClosedSetsPresentation(PosetPresentation):
 
 def parse_closed_set_literal(literal) -> ClosedSetRep:
     """Closed-set literal: {"finite": [...], "infinity": b} or the full
-    prefix/threshold/period/residues/infinity form."""
+    prefix/threshold/period/residues/infinity form, not both."""
     if not isinstance(literal, dict):
         raise ValidationError(f"closed-set literal must be an object, "
                               f"got {literal!r}")
@@ -416,6 +417,10 @@ def parse_closed_set_literal(literal) -> ClosedSetRep:
         raise ValidationError(f"'infinity' must be true or false, "
                               f"got {infinity!r}")
     if "finite" in literal:
+        mixed = set(literal) - {"finite", "infinity"}
+        if mixed:
+            raise ValidationError(f"'finite' cannot be combined with "
+                                  f"{sorted(mixed)}")
         nats = literal["finite"]
         if not isinstance(nats, list) or not all(
                 type(n) is int and n >= 0 for n in nats):
@@ -452,15 +457,17 @@ class _Combinator(PosetPresentation):
 
     ``parts`` holds one ``(tag, component, wrap)`` per component and
     ``points`` the combinator's own elements, each printed and parsed as
-    its name.  Every hook that only carries a question to the component of
-    an element, and its answer back, is written here once; the subclasses
-    keep the order, the approximant families and sampling."""
+    its name.  Every hook is written here once, the order by one rule: an
+    own point (the lift's ⊥) is the least element, and two elements relate
+    only in one part, as the component relates their values.  The
+    subclasses keep only their banks and their sampling."""
 
     points = ()
     literal_error: str
 
     def __init__(self, *parts):
         self.parts = parts
+        self._parts_by_wrap = {part[2]: part for part in parts}
         comps = [comp for _, comp, _ in parts]
         self.name = f"{self.kind}({', '.join(c.name for c in comps)})"
         self.is_finite_kind = all(c.is_finite_kind for c in comps)
@@ -473,10 +480,15 @@ class _Combinator(PosetPresentation):
 
     def _part(self, x):
         """The part whose wrap x is, or None for an own point."""
-        for part in self.parts:
-            if isinstance(x, part[2]):
-                return part
-        return None
+        return self._parts_by_wrap.get(type(x))
+
+    def _same_side(self, xs):
+        """(component, values, wrap) of xs all in one part, else None."""
+        wrap = type(xs[0])
+        part = self._parts_by_wrap.get(wrap)
+        if part is None or any(type(x) is not wrap for x in xs):
+            return None
+        return part[1], tuple(x.value for x in xs), wrap
 
     def _wrap_family(self, fam, wrap, label=None):
         points = self.points
@@ -505,6 +517,51 @@ class _Combinator(PosetPresentation):
                        + [wrap(e) for _, comp, wrap in self.parts
                           for e in comp.truncation(n)], "truncation")
 
+    def leq(self, x, y) -> bool:
+        part = self._parts_by_wrap.get(type(x))  # _part inline: a hot path
+        if part is None:
+            return True
+        return type(y) is part[2] and part[1].leq(x.value, y.value)
+
+    def waybelow(self, x, y) -> bool:
+        part = self._parts_by_wrap.get(type(x))
+        if part is None:
+            return True
+        return type(y) is part[2] and part[1].waybelow(x.value, y.value)
+
+    def finite_sup(self, xs):
+        wrapped = [x for x in xs if type(x) in self._parts_by_wrap]
+        if not wrapped:
+            return self.points[0]
+        side = self._same_side(wrapped)
+        if side is None:
+            return NO_SUPREMUM
+        comp, vals, wrap = side
+        s = comp.finite_sup(vals)
+        return wrap(s) if is_element(s) else s
+
+    def finite_inf(self, xs):
+        for x in xs:
+            if type(x) not in self._parts_by_wrap:
+                return x
+        side = self._same_side(xs)
+        if side is None:
+            return NO_INFIMUM
+        comp, vals, wrap = side
+        g = comp.finite_inf(vals)
+        if is_element(g):
+            return wrap(g)
+        # No lower bound at all in the component leaves only the own points.
+        if self.points and not comp.lower_bound_exists(vals):
+            return self.points[0]
+        return g
+
+    def lower_bound_exists(self, xs):
+        if self.points:
+            return True
+        side = self._same_side(xs)
+        return side is not None and side[0].lower_bound_exists(side[1])
+
     def order_codes(self, xs):
         """Part k's elements carry bit k, with their component's codes
         shifted above the part bits.  An own point has code 0, below every
@@ -518,12 +575,27 @@ class _Combinator(PosetPresentation):
                 codes[i] = code << shift | 1 << bit
         return codes
 
-    # An own point is its own kernel value, interpolant and compact element.
+    # An own point is its own approximant, kernel value, interpolant and
+    # compact element.
+
+    def waybelow_family(self, x):
+        """A wrapped element's family is its component's, wrapped; an
+        element whose component gives none has only the least own point
+        below it (the lift's bottom), or no approximant when there is none
+        (sum)."""
+        part = self._part(x)
+        if part is None:
+            return ExplicitFamily((x,), x, label=repr(x))
+        fam = part[1].waybelow_family(x.value)
+        if fam is not None:
+            return self._wrap_family(fam, part[2])
+        if not self.points:
+            return None
+        least = self.points[0]
+        return ExplicitFamily((least,), least, label=f"{least!r}-only")
 
     def _kernel_value(self, x):
-        """A wrapped element's value is its component's, wrapped; an element
-        whose component gives none has only the least own point below it
-        (the lift's bottom), or no approximant when there is none (sum)."""
+        """The supremum of ``waybelow_family``, from the component's."""
         part = self._part(x)
         if part is None:
             return x
@@ -590,47 +662,6 @@ class LiftPresentation(_Combinator):
         self.inner = inner
         super().__init__(("inner", inner, Inner))
 
-    def leq(self, x, y) -> bool:
-        if x is BOTTOM:
-            return True
-        if y is BOTTOM:
-            return False
-        return self.inner.leq(x.value, y.value)
-
-    def finite_sup(self, xs):
-        proper = [x.value for x in xs if x is not BOTTOM]
-        if not proper:
-            return BOTTOM
-        s = self.inner.finite_sup(tuple(proper))
-        return Inner(s) if is_element(s) else s
-
-    def finite_inf(self, xs):
-        if any(x is BOTTOM for x in xs):
-            return BOTTOM
-        vals = tuple(x.value for x in xs)
-        g = self.inner.finite_inf(vals)
-        if is_element(g):
-            return Inner(g)
-        return NO_INFIMUM if self.inner.lower_bound_exists(vals) else BOTTOM
-
-    def lower_bound_exists(self, xs):
-        return True
-
-    def waybelow(self, x, y) -> bool:
-        if x is BOTTOM:
-            return True
-        if y is BOTTOM:
-            return False
-        return self.inner.waybelow(x.value, y.value)
-
-    def waybelow_family(self, x):
-        if x is BOTTOM:
-            return ExplicitFamily((BOTTOM,), BOTTOM, label="bottom")
-        fam = self.inner.waybelow_family(x.value)
-        if fam is None:
-            return ExplicitFamily((BOTTOM,), BOTTOM, label="bottom-only")
-        return self._wrap_family(fam, Inner)
-
     def family_bank(self):
         return self._bank
 
@@ -667,50 +698,6 @@ class DisjointSumPresentation(_Combinator):
         self.left = left
         self.right = right
         super().__init__(("left", left, Left), ("right", right, Right))
-
-    def leq(self, x, y) -> bool:
-        if type(x) is not type(y):
-            return False
-        return self._part(x)[1].leq(x.value, y.value)
-
-    def _same_side(self, xs):
-        for _, comp, wrap in self.parts:
-            if all(isinstance(x, wrap) for x in xs):
-                return comp, tuple(x.value for x in xs), wrap
-        return None
-
-    def finite_sup(self, xs):
-        side = self._same_side(xs)
-        if side is None:
-            return NO_SUPREMUM
-        comp, vals, wrap = side
-        s = comp.finite_sup(vals)
-        return wrap(s) if is_element(s) else s
-
-    def finite_inf(self, xs):
-        side = self._same_side(xs)
-        if side is None:
-            return NO_INFIMUM
-        comp, vals, wrap = side
-        g = comp.finite_inf(vals)
-        return wrap(g) if is_element(g) else g
-
-    def lower_bound_exists(self, xs):
-        side = self._same_side(xs)
-        if side is None:
-            return False
-        comp, vals, _ = side
-        return comp.lower_bound_exists(vals)
-
-    def waybelow(self, x, y) -> bool:
-        if type(x) is not type(y):
-            return False
-        return self._part(x)[1].waybelow(x.value, y.value)
-
-    def waybelow_family(self, x):
-        _, comp, wrap = self._part(x)
-        fam = comp.waybelow_family(x.value)
-        return None if fam is None else self._wrap_family(fam, wrap)
 
     def family_bank(self):
         return [self._wrap_family(fam, wrap) for _, comp, wrap in self.parts

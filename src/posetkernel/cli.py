@@ -168,6 +168,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    # Every literal is parsed before anything is printed, so an input error
+    # (exit 65) leaves stdout empty.
     P = load_poset(args.poset)
     if args.what == "kernel":
         if args.element is None:
@@ -184,6 +186,7 @@ def cmd_analyze(args) -> int:
         print(f"kernel: {P.format_element(k)}")
         print(f"in retract: {'yes' if in_retract(P, x) else 'no'}")
         return EXIT_OK
+    elems = [parse_element_arg(P, text) for text in args.elements or ()]
     if args.what == "retract":
         member = retract_member(P)
         if P.is_finite_kind:
@@ -195,14 +198,12 @@ def cmd_analyze(args) -> int:
                   "the kernel (sup of its approximants)")
             for rule in P.retract_rules():
                 print(rule)
-        for text in args.elements or ():
-            x = parse_element_arg(P, text)
+        for x in elems:
             verdict = "yes" if in_retract(P, x) else "no"
             print(f"in retract {P.format_element(x)}: {verdict}")
         return EXIT_OK
-    if not args.elements:
+    if not elems:
         raise UsageError("analyze quotient needs --elements")
-    elems = [parse_element_arg(P, text) for text in args.elements]
     try:
         qs = quotient_structure(P, elems)
     except NotApproximable as exc:

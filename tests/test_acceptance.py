@@ -5,8 +5,11 @@ Each criterion prints its pass/fail line; the same matrix backs
 and asserted here.
 """
 
+from collections import Counter
+
 import pytest
 
+from posetkernel import acceptance, core
 from posetkernel.acceptance import CRITERIA, _result
 
 TIME_BOUNDS = {
@@ -31,3 +34,26 @@ def test_criterion(ident, title, fn):
     assert result.passed, result.detail
     assert result.seconds < TIME_BOUNDS[ident], \
         f"{ident} took {result.seconds:.2f}s, bound {TIME_BOUNDS[ident]}s"
+
+
+def test_the_criteria_share_one_roster(monkeypatch):
+    """The criteria take their presentations from one ``standard_roster()``,
+    so no presentation draws the same sampled pool twice."""
+    draws = Counter()
+    draw = core.sample_pool
+
+    def counted(P, rng, count):
+        draws[id(P), count] += 1
+        return draw(P, rng, count)
+
+    monkeypatch.setattr(core, "sample_pool", counted)
+    acceptance._roster.cache_clear()
+    for ident, _, fn in CRITERIA:
+        if ident not in ("C1", "C10"):  # no draws; C10 runs the CLI
+            fn(quick=False)
+    roster = acceptance._roster().values()
+    assert draws and {P for P, _ in draws} <= {id(P) for P in roster}
+    assert max(draws.values()) == 1, draws
+    # C4's one pool of 500 on each symbolic kind
+    assert sum(count == 500 for _, count in draws) == sum(
+        not P.is_finite_kind for P in roster)

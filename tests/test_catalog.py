@@ -3,6 +3,7 @@ invariant that no certified way-below rule is ever refuted by its bank."""
 
 import json
 import random
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from posetkernel.catalog import (MAX_DOCUMENT_DEPTH, DisjointSumPresentation,
 from posetkernel.closedsets import (EMPTY, EVENS, FULL, INF_POINT,
                                     periodic_set)
 from posetkernel.core import (_continuity_failure, induced_finite_poset,
-                              sample_pool)
+                              is_element, sample_pool)
 from posetkernel.errors import SizeLimit, UnknownName
 from posetkernel.families import ChainFamily, ExplicitFamily
 from posetkernel.kernel import (LAWS, check_approximation_laws,
@@ -338,7 +339,9 @@ class TestOneForwardingPath:
                 "continuity_counterexample", "inf_instances",
                 "retract_rules", "format_element", "parse_element",
                 "_kernel_value", "_wrap_family",
-                "order_codes"} <= set(self.FORWARDED)
+                "order_codes", "leq", "waybelow", "finite_sup", "finite_inf",
+                "lower_bound_exists", "waybelow_family",
+                "_same_side"} <= set(self.FORWARDED)
 
     @pytest.mark.parametrize("cls", [LiftPresentation,
                                      DisjointSumPresentation],
@@ -532,3 +535,183 @@ class TestSampling:
         one = P.sample_elements(random.Random(9), 30)
         two = P.sample_elements(random.Random(9), 30)
         assert one == two
+
+
+# The order hooks lift and sum kept one copy each of before ``_Combinator``
+# wrote them once; a combinator component is asked through these as well,
+# so the reference never reaches the shared rule.
+
+
+def _reference(P, name):
+    """The reference hook ``name`` of a lift or sum, else P's own method."""
+    if isinstance(P, (LiftPresentation, DisjointSumPresentation)):
+        return partial(REFERENCE_HOOKS[name], P)
+    return getattr(P, name)
+
+
+def _reference_sum_part(P, x):
+    return (P.left, Left) if isinstance(x, Left) else (P.right, Right)
+
+
+def _reference_same_side(P, xs):
+    for comp, wrap in ((P.left, Left), (P.right, Right)):
+        if all(isinstance(x, wrap) for x in xs):
+            return comp, tuple(x.value for x in xs), wrap
+    return None
+
+
+def reference_leq(P, x, y):
+    if isinstance(P, LiftPresentation):
+        if x is BOTTOM:
+            return True
+        if y is BOTTOM:
+            return False
+        return _reference(P.inner, "leq")(x.value, y.value)
+    if type(x) is not type(y):
+        return False
+    comp, _ = _reference_sum_part(P, x)
+    return _reference(comp, "leq")(x.value, y.value)
+
+
+def reference_waybelow(P, x, y):
+    if isinstance(P, LiftPresentation):
+        if x is BOTTOM:
+            return True
+        if y is BOTTOM:
+            return False
+        return _reference(P.inner, "waybelow")(x.value, y.value)
+    if type(x) is not type(y):
+        return False
+    comp, _ = _reference_sum_part(P, x)
+    return _reference(comp, "waybelow")(x.value, y.value)
+
+
+def reference_finite_sup(P, xs):
+    if isinstance(P, LiftPresentation):
+        proper = [x.value for x in xs if x is not BOTTOM]
+        if not proper:
+            return BOTTOM
+        s = _reference(P.inner, "finite_sup")(tuple(proper))
+        return Inner(s) if is_element(s) else s
+    side = _reference_same_side(P, xs)
+    if side is None:
+        return NO_SUPREMUM
+    comp, vals, wrap = side
+    s = _reference(comp, "finite_sup")(vals)
+    return wrap(s) if is_element(s) else s
+
+
+def reference_finite_inf(P, xs):
+    if isinstance(P, LiftPresentation):
+        if any(x is BOTTOM for x in xs):
+            return BOTTOM
+        vals = tuple(x.value for x in xs)
+        g = _reference(P.inner, "finite_inf")(vals)
+        if is_element(g):
+            return Inner(g)
+        return (NO_INFIMUM if _reference(P.inner, "lower_bound_exists")(vals)
+                else BOTTOM)
+    side = _reference_same_side(P, xs)
+    if side is None:
+        return NO_INFIMUM
+    comp, vals, wrap = side
+    g = _reference(comp, "finite_inf")(vals)
+    return wrap(g) if is_element(g) else g
+
+
+def reference_lower_bound_exists(P, xs):
+    if isinstance(P, LiftPresentation):
+        return True
+    side = _reference_same_side(P, xs)
+    if side is None:
+        return False
+    comp, vals, _ = side
+    return _reference(comp, "lower_bound_exists")(vals)
+
+
+def reference_waybelow_family(P, x):
+    if isinstance(P, LiftPresentation):
+        if x is BOTTOM:
+            return ExplicitFamily((BOTTOM,), BOTTOM, label="bottom")
+        fam = _reference(P.inner, "waybelow_family")(x.value)
+        if fam is None:
+            return ExplicitFamily((BOTTOM,), BOTTOM, label="bottom-only")
+        return P._wrap_family(fam, Inner)
+    comp, wrap = _reference_sum_part(P, x)
+    fam = _reference(comp, "waybelow_family")(x.value)
+    return None if fam is None else P._wrap_family(fam, wrap)
+
+
+REFERENCE_HOOKS = {
+    "leq": reference_leq, "waybelow": reference_waybelow,
+    "finite_sup": reference_finite_sup, "finite_inf": reference_finite_inf,
+    "lower_bound_exists": reference_lower_bound_exists,
+    "waybelow_family": reference_waybelow_family,
+}
+
+
+def _family_key(fam):
+    if fam is None:
+        return None
+    return (type(fam), tuple(fam.sample_members()), fam.supremum, fam.label)
+
+
+class TestCombinatorOrderReference:
+    """``_Combinator`` writes the order of lift and sum once; the per-class
+    hooks they kept before, above, must answer the same on every pair and
+    on 2- and 3-element tuples of sample pools."""
+
+    # The bowtie's pairs {c, d} have lower bounds but no infimum.
+    CARRIERS = ([P for P in standard_roster() if isinstance(P, _Combinator)]
+                + [make_catalog(spec) for spec in NESTED] + [_deep_lift()]
+                + [make_catalog(disjoint_sum(BOWTIE, lift(BOWTIE)))])
+
+    @staticmethod
+    def pool(P, seed):
+        return P.interesting_elements() + sample_pool(
+            P, random.Random(seed), 60)
+
+    @pytest.mark.parametrize("P", CARRIERS, ids=lambda P: P.name[:60])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_the_one_rule_answers_as_the_per_class_hooks(self, P, seed):
+        xs = self.pool(P, seed)
+        for x in xs:
+            assert _family_key(P.waybelow_family(x)) == _family_key(
+                reference_waybelow_family(P, x)), P.format_element(x)
+        tuples = [(x, y) for x in xs for y in xs]
+        tuples += [tuple(random.Random(seed + i).sample(xs, 3))
+                   for i in range(300)]
+        for t in tuples:
+            if len(t) == 2:
+                assert P.leq(*t) is reference_leq(P, *t)
+                assert P.waybelow(*t) is reference_waybelow(P, *t)
+            assert P.finite_sup(t) == reference_finite_sup(P, t)
+            assert P.finite_inf(t) == reference_finite_inf(P, t)
+            assert (P.lower_bound_exists(t)
+                    is reference_lower_bound_exists(P, t))
+
+    def test_the_pools_reach_every_case_of_the_rule(self):
+        """Bottom, cross-part pairs, a punctured component with an element
+        without approximants and a pair without a lower bound, and lower
+        bounds without an infimum."""
+        lifted = make_catalog(lift(punctured_closed_sets()))
+        summed = make_catalog(disjoint_sum(punctured_closed_sets(),
+                                           closed_sets()))
+        bowties = make_catalog(disjoint_sum(BOWTIE, lift(BOWTIE)))
+        c, d = (bowties.parse_element({"right": {"inner": v}})
+                for v in "cd")
+        assert {c, d} <= set(self.pool(bowties, 0))
+        assert reference_finite_inf(bowties, (c, d)) is NO_INFIMUM
+        xs = self.pool(lifted, 0)
+        assert BOTTOM in xs and Inner(INF_POINT) in xs
+        assert reference_waybelow_family(lifted, Inner(INF_POINT)).label \
+            == "bottom-only"
+        zero, one = Inner(closed_set({0})), Inner(closed_set({1}))
+        assert zero in xs and one in xs
+        assert reference_finite_inf(lifted, (zero, one)) is BOTTOM
+        ys = self.pool(summed, 0)
+        assert Left(INF_POINT) in ys and Right(EMPTY) in ys
+        assert reference_waybelow_family(summed, Left(INF_POINT)) is None
+        assert not reference_leq(summed, Right(EMPTY), Left(INF_POINT))
+        assert not reference_lower_bound_exists(
+            summed, (Left(closed_set({0})), Left(closed_set({1}))))

@@ -414,6 +414,38 @@ class TestAnalyzeCommand:
         code, _, _ = run_cli(["analyze", "diamond", "kernel"])
         assert code == 64
 
+    @pytest.mark.parametrize("argv", [
+        ["diamond", "retract", "--elements", "a", "zz"],
+        ["diamond", "retract", "--elements", "zz", "a"],
+        ["closed_sets", "retract", "--elements", '{"finite": [1]}',
+         '{"finite": [-1]}'],
+        ["lift(closed_sets)", "retract", "--elements", "bottom", "top"],
+        ["diamond", "quotient", "--elements", "a", "zz"],
+        ["diamond", "kernel", "--element", "zz"],
+    ], ids=["retract-finite", "retract-first", "retract-symbolic",
+            "retract-lift", "quotient", "kernel"])
+    def test_an_input_error_prints_nothing_on_stdout(self, tmp_path, argv):
+        poset, *rest = argv
+        if poset == "lift(closed_sets)":
+            poset = str(tmp_path / "lift.json")
+            with open(poset, "w", encoding="utf-8") as handle:
+                json.dump(spec_to_document(lift(closed_sets())), handle)
+        code, out, err = run_cli(["analyze", poset, *rest])
+        assert (code, out) == (65, "")
+        assert err.startswith("input error:")
+
+    def test_a_finite_closed_set_literal_takes_no_periodic_fields(self):
+        code, out, err = run_cli([
+            "analyze", "closed_sets", "kernel", "--element",
+            '{"finite": [1], "prefix": [0], "threshold": 1, "period": 3}'])
+        assert (code, out) == (65, "")
+        assert err == ("input error: 'finite' cannot be combined with "
+                       "['period', 'prefix', 'threshold']\n")
+        for field, value in (("residues", []), ("threshold", 0)):
+            with pytest.raises(ValidationError, match=field):
+                cli.parse_element_arg(make_catalog(closed_sets()), json.dumps(
+                    {"finite": [], "infinity": True, field: value}))
+
 
 class TestExportDot:
     def test_diamond_hasse(self):

@@ -68,3 +68,30 @@ def test_traced_cc_tests_bounds_by_order_codes(tmp_path):
     assert proc.returncode == 0, proc.stderr
     totals = json.loads(out.read_text(encoding="utf-8"))
     assert totals["closedsets.leq_calls"] < 10_000
+
+
+def test_the_tracer_wraps_the_combinator_order_hooks(tmp_path):
+    """The tracer wraps the hooks it finds in ``vars()`` of each
+    presentation class; lift and sum inherit theirs from one base, so the
+    per-layer counts stay whole only while the names they resolve to on
+    both classes are the tracer's wrappers."""
+    script = """
+import spans
+from posetkernel.catalog import DisjointSumPresentation, LiftPresentation
+tracer = spans.install()
+wrapper = tracer.span("catalog.waybelow", len).__code__
+for cls in (LiftPresentation, DisjointSumPresentation):
+    for name in ("waybelow", "waybelow_family", "finite_sup", "finite_inf"):
+        assert getattr(cls, name).__code__ is wrapper, (cls.kind, name)
+print("wrapped")
+"""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(
+                   [str(ROOT / "perfbench"), str(ROOT / "src")]
+                   + ([path] if path else [])))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "wrapped\n"
