@@ -14,7 +14,6 @@ import contextlib
 import io
 import json
 import time
-from dataclasses import dataclass
 from functools import cache
 
 from . import cli
@@ -30,17 +29,17 @@ from .kernel import (adversarial_kernel, check_approximation_laws,
 from .oracle import (kernel_bruteforce, largest_continuous_subposet_bruteforce,
                      waybelow_bruteforce)
 from .reports import DEFAULT_SEED, Status, sampled
+from .values import Record, assign
 
 import random
 
 
-@dataclass
-class CriterionResult:
-    ident: str
-    title: str
-    passed: bool
-    detail: str
-    seconds: float
+class CriterionResult(Record):
+    __slots__ = _fields = ("ident", "title", "passed", "detail", "seconds")
+
+    def __init__(self, ident: str, title: str, passed: bool, detail: str,
+                 seconds: float):
+        assign(self, locals())
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"

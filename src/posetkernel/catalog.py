@@ -79,7 +79,6 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
 from functools import cached_property, reduce
 
 from . import closedsets as cs
@@ -94,6 +93,7 @@ from .core import (BOTTOM, FINITE_CAP, NO_INFIMUM, NO_SUPREMUM, OMEGA,
                    is_element)
 from .errors import PosetError, SizeLimit, UnknownName, ValidationError
 from .families import ChainFamily, ExplicitFamily, map_family
+from .values import Frozen, assign
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,7 @@ class OmegaPlusOnePresentation(PosetPresentation):
                            member_dominates=lambda v: v is not OMEGA,
                            kernel_image_sup=OMEGA)
 
-    def family_bank(self):
+    def _bank(self):
         return [
             self._naturals_chain(),
             ExplicitFamily((0,), 0, label="zero"),
@@ -274,7 +274,7 @@ class ClosedSetsPresentation(PosetPresentation):
             return None
         return natural_closure(x)
 
-    def family_bank(self):
+    def _bank(self):
         initial = ChainFamily(
             lambda i: closed_set(range(i + 1)), cs.FULL,
             label="initial-segments",
@@ -662,10 +662,6 @@ class LiftPresentation(_Combinator):
         self.inner = inner
         super().__init__(("inner", inner, Inner))
 
-    def family_bank(self):
-        return self._bank
-
-    @cached_property
     def _bank(self):
         """{⊥}, each lifted inner family, then one ⊥-and-anchor pair: two
         families per level.  Only a symbolic carrier's laws read it; a
@@ -699,7 +695,7 @@ class DisjointSumPresentation(_Combinator):
         self.right = right
         super().__init__(("left", left, Left), ("right", right, Right))
 
-    def family_bank(self):
+    def _bank(self):
         return [self._wrap_family(fam, wrap) for _, comp, wrap in self.parts
                 for fam in comp.family_bank()]
 
@@ -794,20 +790,18 @@ def random_finite_poset(n: int, edge_prob: float, seed: int) -> FinitePoset:
 # Specs and the catalog constructor
 
 
-@dataclass(frozen=True)
-class CatalogSpec:
+class CatalogSpec(Frozen):
     """Serializable description of a catalog presentation."""
 
-    kind: str
-    name: str | None = None
-    n: int = 0
-    edge_prob: float = 0.3
-    seed: int = 0
-    elements: tuple = ()
-    covers: tuple = ()
-    inner: "CatalogSpec | None" = None
-    left: "CatalogSpec | None" = None
-    right: "CatalogSpec | None" = None
+    __slots__ = _fields = ("kind", "name", "n", "edge_prob", "seed",
+                           "elements", "covers", "inner", "left", "right")
+
+    def __init__(self, kind: str, name: str | None = None, n: int = 0,
+                 edge_prob: float = 0.3, seed: int = 0, elements: tuple = (),
+                 covers: tuple = (), inner: CatalogSpec | None = None,
+                 left: CatalogSpec | None = None,
+                 right: CatalogSpec | None = None):
+        assign(self, locals())
 
 
 def finite_named(name: str) -> CatalogSpec:

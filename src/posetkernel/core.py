@@ -12,9 +12,8 @@ checks report Unrefuted rather than Verified.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from itertools import compress
+from itertools import chain, compress
 from operator import or_
 
 from .errors import (CycleDetected, DuplicateLabel, EmptyFamily,
@@ -23,6 +22,7 @@ from .errors import (CycleDetected, DuplicateLabel, EmptyFamily,
 from .families import ExplicitFamily, Family
 from .reports import (DEFAULT_SUBSET_SAMPLES, EXHAUSTIVE, Scope, refuted,
                       sampled, unrefuted, verified)
+from .values import Frozen, set_field
 
 # ---------------------------------------------------------------------------
 # Outcome sentinels for partial suprema / infima
@@ -62,21 +62,36 @@ OMEGA = _Named("omega")  # the point above all naturals in the ω+1 chain
 BOTTOM = _Named("bottom")  # the fresh least element added by the lift
 
 
-@dataclass(frozen=True)
-class Inner:
+class _Wrap(Frozen):
+    """One element of a component, tagged by the class that wraps it; two
+    wraps are equal only when their classes and values are."""
+
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value):
+        set_field(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
+
+
+class Inner(_Wrap):
     """A non-bottom element of a lifted poset."""
 
-    value: object
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Left:
-    value: object
+class Left(_Wrap):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Right:
-    value: object
+class Right(_Wrap):
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +451,16 @@ class PosetPresentation:
         return {}  # (seed, count) -> (pool, rng state after the draw)
 
     def family_bank(self) -> list:
+        """The curated directed families with declared suprema, built by
+        the carrier's ``_bank`` hook once per presentation.  Every law reads
+        this one list, so no caller may change it."""
+        return self._family_bank
+
+    @cached_property
+    def _family_bank(self):
+        return self._bank()
+
+    def _bank(self) -> list:
         return []
 
     # -- sampling and presentation-specific extras ----------------------
@@ -528,7 +553,6 @@ class FinitePosetPresentation(PosetPresentation):
         return ExplicitFamily(members, x,
                               label=f"down-set({self.poset.names[x]})")
 
-    @cached_property
     def _bank(self):
         """Every directed subset, labelled by its element names, or a fixed
         random 2048 of them when there are more.  Only a symbolic
@@ -540,9 +564,6 @@ class FinitePosetPresentation(PosetPresentation):
         return [ExplicitFamily(tuple(_bits(mask)), top, label="{" + ", ".join(
                     map(self.format_element, _bits(mask))) + "}")
                 for mask, top in masks]
-
-    def family_bank(self):
-        return self._bank
 
     @cached_property
     def certified_conditionally_complete(self):
@@ -862,7 +883,11 @@ def _subposet_exhaustive(P, scope, member):
 def _subposet_sampled(P, scope, member):
     """Way-below pairs drawn inside the subset, probed against the bank
     families that lie in it.  The pool is the subset's interesting elements,
-    then parent samples drawn one at a time that land in the subset."""
+    then parent samples drawn one at a time that land in the subset.  The
+    order codes (``P.order_codes``) of the pool, the bank suprema and the
+    sampled bank members decide ``y <= supremum`` and whether a sampled
+    member dominates x; ``leq`` and ``family_dominates`` confirm a family
+    before it refutes."""
     law = "subposet"
     rng = random.Random(scope.seed)
     pool = [e for e in P.interesting_elements() if member(e)]
@@ -874,16 +899,40 @@ def _subposet_sampled(P, scope, member):
     pool = list(dict.fromkeys(pool))
     bank = [fam for fam in P.family_bank() if member(fam.supremum)
             and all(member(m) for m in fam.sample_members())]
+    listed = list(dict.fromkeys(chain(
+        pool, (fam.supremum for fam in bank),
+        *(fam.sample_members() for fam in bank))))
+    code = dict(zip(listed, P.order_codes(listed))).__getitem__
+    pool_codes = list(map(code, pool))
+    coded_bank = [(fam, code(fam.supremum),
+                   list(map(code, fam.sample_members()))) for fam in bank]
+    dominated = {}  # (pool index, bank index) -> family_dominates
+
+    def dominates(i, f):
+        key = i, f
+        if key not in dominated:
+            fam, _, members = coded_bank[f]
+            cx = pool_codes[i]
+            dominated[key] = any(not cx & ~m for m in members) or (
+                not isinstance(fam, ExplicitFamily)
+                and bool(fam.member_dominates(pool[i])))
+        return dominated[key]
+
+    indices = range(len(pool))
     confirmed = 0
     for _ in range(scope.count):
         if not pool:
             break
-        x, y = rng.choice(pool), rng.choice(pool)
+        i, j = rng.choice(indices), rng.choice(indices)  # as rng.choice(pool)
+        x, y = pool[i], pool[j]
+        cy = pool_codes[j]
         ambient = P.waybelow(x, y)
-        for fam in bank:
-            if not P.leq(y, fam.supremum) or family_dominates(P, fam, x):
+        for f, (fam, sup, _) in enumerate(coded_bank):
+            if cy & ~sup or dominates(i, f):
                 continue
             if ambient:
+                if not P.leq(y, fam.supremum) or family_dominates(P, fam, x):
+                    continue
                 return refuted(
                     law, (x, y),
                     f"family {fam.label!r} inside the subset refutes an "

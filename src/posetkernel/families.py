@@ -18,25 +18,24 @@ does, so every chain carries two certificates:
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
-from typing import Callable
 
 from .errors import EmptyFamily
 from .reports import DEFAULT_CHAIN_HORIZON
+from .values import Frozen, assign, set_field
 
 
-@dataclass(frozen=True)
-class ExplicitFamily:
+class ExplicitFamily(Frozen):
     """A finite directed set with its supremum (= its maximum) declared."""
 
-    members: tuple
-    supremum: object
-    label: str = ""
+    __slots__ = _fields = ("members", "supremum", "label")
 
-    def __post_init__(self):
-        if not self.members:
+    def __init__(self, members: tuple, supremum, label: str = ""):
+        if not members:
             raise EmptyFamily("explicit directed family must be nonempty")
+        set_field(self, "members", members)
+        set_field(self, "supremum", supremum)
+        set_field(self, "label", label)
 
     def sample_members(self):
         return list(self.members)
@@ -45,16 +44,20 @@ class ExplicitFamily:
         return iter(self.members)
 
 
-@dataclass(frozen=True, eq=False)
-class ChainFamily:
-    """A symbolic monotone chain ``i -> generator(i)`` with declared supremum."""
+class ChainFamily(Frozen):
+    """A symbolic monotone chain ``i -> generator(i)`` with declared supremum.
 
-    generator: Callable[[int], object]
-    supremum: object
-    label: str = ""
-    _: KW_ONLY
-    member_dominates: Callable[[object], bool]
-    kernel_image_sup: object
+    Compared and hashed by identity: its generator and certificate are
+    functions."""
+
+    _fields = ("generator", "supremum", "label", "member_dominates",
+               "kernel_image_sup")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, generator, supremum, label: str = "", *,
+                 member_dominates, kernel_image_sup):
+        assign(self, locals())
 
     @cached_property
     def _members(self):

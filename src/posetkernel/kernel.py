@@ -18,11 +18,10 @@ never Verified, unless a certified closed form stands behind the claim).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import cache, reduce
 from itertools import chain
 from operator import and_
-from typing import Callable
 
 from .core import (PosetPresentation, check_conditionally_complete,
                    check_continuity, check_interpolation, check_subposet,
@@ -34,6 +33,7 @@ from .families import ChainFamily, ExplicitFamily
 from .oracle import continuous_subposets_bruteforce
 from .reports import (BANK, EXHAUSTIVE, CheckReport, Scope, Status, combine,
                       refuted, sampled, unrefuted, verified)
+from .values import Record, assign
 
 
 def kernel_of(P: PosetPresentation, x):
@@ -393,21 +393,23 @@ def _confirm_retract_continuity(P: PosetPresentation,
 # Quotient by equal kernel values
 
 
-@dataclass
-class QuotientStructure:
+class QuotientStructure(Record):
     """A finite sample of the approximable part, partitioned by kernel
     value, with the induced bijection onto retract elements."""
 
-    presentation: PosetPresentation
-    sample: tuple
-    classes: tuple
-    kernel_values: tuple
+    _fields = ("presentation", "sample", "classes", "kernel_values")
+
+    def __init__(self, presentation: PosetPresentation, sample: tuple,
+                 classes: tuple, kernel_values: tuple):
+        assign(self, locals())
+        self._class_of = {x: i for i, cls in enumerate(classes) for x in cls}
 
     def class_index_of(self, x) -> int:
-        for i, cls in enumerate(self.classes):
-            if x in cls:
-                return i
-        raise NotApproximable("element not in the sampled carrier")
+        try:
+            return self._class_of[x]
+        except KeyError:
+            raise NotApproximable("element not in the sampled carrier") \
+                from None
 
     def image_of(self, x):
         """f(class of x), which must equal the kernel value of x."""
@@ -432,11 +434,13 @@ def quotient_structure(P: PosetPresentation, sample) -> QuotientStructure:
     for v in values:
         if not in_retract(P, v):
             raise PosetError("a class image escapes the retract")
-    for i, a in enumerate(values):
-        for b in values[i + 1:]:
-            if P.leq(a, b) and P.leq(b, a):
-                raise PosetError("transported order fails antisymmetry on "
-                                 "distinct classes")
+    # Equal order codes mean a <= b and b <= a; leq confirms before raising.
+    first = {}  # order code -> the first class value with it
+    for b, code in zip(values, P.order_codes(values)):
+        a = first.setdefault(code, b)
+        if a is not b and P.leq(a, b) and P.leq(b, a):
+            raise PosetError("transported order fails antisymmetry on "
+                             "distinct classes")
     return QuotientStructure(P, sample, classes, values)
 
 

@@ -8,7 +8,8 @@ verify; a clean sampled run is reported as Unrefuted with its sample count.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+
+from .values import Frozen, Record, assign
 
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_PAIR_SAMPLES = 500
@@ -27,13 +28,14 @@ class Status(enum.Enum):
         return list(Status).index(self)
 
 
-@dataclass(frozen=True)
-class Scope:
+class Scope(Frozen):
     """Where a check looked: everything, a seeded sample, or the family bank."""
 
-    kind: str  # "exhaustive" | "sampled" | "bank"
-    seed: int = DEFAULT_SEED
-    count: int = DEFAULT_PAIR_SAMPLES
+    __slots__ = _fields = ("kind", "seed", "count")
+
+    def __init__(self, kind: str, seed: int = DEFAULT_SEED,
+                 count: int = DEFAULT_PAIR_SAMPLES):
+        assign(self, locals())  # kind: "exhaustive" | "sampled" | "bank"
 
     def describe(self) -> str:
         if self.kind == "sampled":
@@ -49,22 +51,24 @@ def sampled(seed: int = DEFAULT_SEED, count: int = DEFAULT_PAIR_SAMPLES) -> Scop
     return Scope("sampled", seed=seed, count=count)
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record):
     """Outcome of one law check.
 
     ``witness`` carries concrete elements only for refutations; ``samples``
     counts the cases a sampling run actually exercised.  Aggregate checks
-    store their per-law outcomes in ``subreports`` and take the worst status.
+    store their per-law outcomes in ``subreports`` (a new list when none is
+    given) and take the worst status.
     """
 
-    law: str
-    status: Status
-    scope: Scope
-    witness: object = None
-    reason: str = ""
-    samples: int = 0
-    subreports: list["CheckReport"] = field(default_factory=list)
+    __slots__ = _fields = ("law", "status", "scope", "witness", "reason",
+                           "samples", "subreports")
+
+    def __init__(self, law: str, status: Status, scope: Scope,
+                 witness=None, reason: str = "", samples: int = 0,
+                 subreports: list[CheckReport] | None = None):
+        if subreports is None:
+            subreports = []
+        assign(self, locals())
 
     def describe(self, render=str) -> str:
         parts = [f"[{self.law}] {self.status.value} scope={self.scope.describe()}"]

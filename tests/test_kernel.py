@@ -437,6 +437,25 @@ class TestQuotient:
             for x in pool:
                 assert qs.image_of(x) == kernel_of(P, x), P.name
 
+    def test_mutually_below_class_values_fail_antisymmetry(self):
+        """An ω+1 whose order also puts 1 below 0 (a preorder, so its
+        pairwise order codes agree): the classes {0} and {1} have distinct
+        values that are each below the other."""
+        def leq(self, x, y):
+            return catalog.OmegaPlusOnePresentation.leq(
+                self, 0 if x == 1 else x, 0 if y == 1 else y)
+
+        P = corrupt_omega(leq=leq)
+        assert quotient_structure(P, (0, 2)).kernel_values == (0, 2)
+        with pytest.raises(PosetError, match="fails antisymmetry"):
+            quotient_structure(P, (2, 0, 1))
+
+    def test_an_element_outside_the_sample_has_no_class(self, closed):
+        qs = quotient_structure(closed, (EVENS, closed_set({1})))
+        assert qs.class_index_of(closed_set({1})) == 1
+        with pytest.raises(NotApproximable):
+            qs.image_of(ODDS)
+
     def test_transported_order_reflects(self, closed):
         rng = random.Random(9)
         pool = [x for x in sample_pool(closed, rng, 60)]
@@ -1024,6 +1043,136 @@ class TestPoolScanReference:
         assert _outcome(lambda: check_inf_preservation(P, A)) == _outcome(
             lambda: reference_inf_instance(P, A, scope,
                                            kernel._retract_pool(P, scope)))
+
+
+def reference_subposet_sampled(P, scope, member):
+    """The sampled subposet law with pairwise bank tests: ``leq`` against
+    each family's supremum and ``family_dominates`` for every pair."""
+    law = "subposet"
+    rng = random.Random(scope.seed)
+    pool = [e for e in P.interesting_elements() if member(e)]
+    wanted = len(pool) + scope.count
+    budget = scope.count * 8
+    while len(pool) < wanted and budget:
+        budget -= 1
+        pool.extend(e for e in P.sample_elements(rng, 1) if member(e))
+    pool = list(dict.fromkeys(pool))
+    bank = [fam for fam in P.family_bank() if member(fam.supremum)
+            and all(member(m) for m in fam.sample_members())]
+    confirmed = 0
+    for _ in range(scope.count):
+        if not pool:
+            break
+        x, y = rng.choice(pool), rng.choice(pool)
+        ambient = P.waybelow(x, y)
+        for fam in bank:
+            if not P.leq(y, fam.supremum) or core.family_dominates(P, fam, x):
+                continue
+            if ambient:
+                return refuted(
+                    law, (x, y),
+                    f"family {fam.label!r} inside the subset refutes an "
+                    "ambient way-below pair", scope, samples=confirmed)
+            confirmed += 1
+            break
+        else:
+            if ambient:
+                confirmed += 1
+    return unrefuted(law, confirmed, scope)
+
+
+def _nested():
+    from test_catalog import NESTED
+    return NESTED
+
+
+class TestSubposetCodesReference:
+    """The sampled subposet law decides its bank tests by order codes; the
+    pairwise loop, kept here, must give the same status, witness, reason
+    and samples, for the retract and for the approximable part that the
+    double-approximation law hands it."""
+
+    SCOPES = [sampled(seed, count) for seed in (0, 7)
+              for count in (3, 40, 500)]
+
+    def assert_matches_reference(self, P):
+        members = {"retract": retract_member(P),
+                   "approximable": lambda y: P.kernel_value(y) is not None}
+        outcomes = []
+        for scope in self.SCOPES:
+            for name, member in members.items():
+                got = _outcome(lambda: core._subposet_sampled(P, scope,
+                                                              member))
+                want = _outcome(lambda: reference_subposet_sampled(
+                    P, scope, member))
+                assert got == want, (P.name, scope, name)
+                outcomes.append(got)
+        return outcomes
+
+    @pytest.mark.parametrize("P", standard_roster(), ids=lambda P: P.name)
+    def test_roster(self, P):
+        self.assert_matches_reference(P)
+
+    @pytest.mark.parametrize("spec", _nested(),
+                             ids=lambda spec: make_catalog(spec).name)
+    def test_nested_documents(self, spec):
+        self.assert_matches_reference(make_catalog(spec))
+
+    def test_elements_beyond_the_sampled_members(self):
+        """Naturals above the 64 sampled members of the ascending chain:
+        only its certificate says that a member dominates them."""
+        P = corrupt_omega(
+            interesting_elements=lambda self: [0, 3, 100, 250, OMEGA])
+        self.assert_matches_reference(P)
+
+    def test_a_family_that_refutes_an_ambient_waybelow_pair(self):
+        # a family declared to reach ω whose members stop at 2: it refutes
+        # every way-below pair n << m with n above 2
+        P = corrupt_omega(family_bank=lambda self: catalog
+                          .OmegaPlusOnePresentation.family_bank(self)
+                          + [ExplicitFamily((0, 1, 2), OMEGA, label="short")])
+        outcomes = self.assert_matches_reference(P)
+        for scope, (status, witness, reason, _) in zip(
+                [s for s in self.SCOPES for _ in range(2)], outcomes):
+            if scope.count >= 40:
+                assert status is Status.REFUTED
+                assert witness[0] > 2 and P.waybelow(*witness)
+                assert reason == ("family 'short' inside the subset refutes "
+                                  "an ambient way-below pair")
+
+    def test_codes_that_disagree_with_leq_never_refute(self):
+        """Codes relating nothing but equal elements make every family
+        look like a refuter; ``leq`` and ``family_dominates`` overrule
+        them."""
+        P = corrupt_omega(order_codes=lambda self, xs: [
+            1 << i for i in range(len(xs))])
+        for scope in self.SCOPES:
+            report = core._subposet_sampled(P, scope, lambda y: True)
+            assert report.status is Status.UNREFUTED
+
+
+def test_check_all_builds_each_bank_once(monkeypatch, capsys):
+    """``family_bank()`` builds a presentation's bank once, however many
+    laws read it; a sum builds each side's bank once too."""
+    built = Counter()
+    for cls in {type(P) for P in standard_roster()}:
+        hook = cls._bank
+
+        def counted(self, _hook=hook):
+            built[self.name] += 1
+            return _hook(self)
+
+        monkeypatch.setattr(cls, "_bank", counted)
+    kind = Path(__file__).resolve().parents[1] / "perfbench" / "kinds"
+    for arg, parts in [
+            ("closed_sets", {"closed_sets"}),
+            (str(kind / "disjoint_sum_omega_plus_one_closed_sets.json"),
+             {"omega_plus_one", "closed_sets",
+              "disjoint_sum(omega_plus_one, closed_sets)"})]:
+        built.clear()
+        assert cli.main(["check", arg, "--law", "all"]) == 1
+        capsys.readouterr()
+        assert built == dict.fromkeys(parts, 1)
 
 
 def _described(P, law, scope):
