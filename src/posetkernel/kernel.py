@@ -106,7 +106,7 @@ def check_kernel_laws(P: PosetPresentation, scope: Scope | None = None,
     """Deflation, idempotence, and monotonicity of ``kernel`` (by default
     the approximation kernel) on the approximable part."""
     law = "kernel-laws"
-    k = kernel or (lambda x: kernel_of(P, x))
+    k = cache(kernel or (lambda x: kernel_of(P, x)))  # a raise is not kept
     scope = resolve_scope(P, scope)
     pool, rng = scope_pool(P, scope)
     xs = [x for x in pool if P.kernel_value(x) is not None]

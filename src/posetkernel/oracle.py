@@ -11,14 +11,15 @@ The enumeration runs on subset planes (``FinitePoset.directed_planes``): a
 set of subsets is one 2^n-bit int, bit m standing for the subset with
 element mask m, so one big-int operation of 2^n / word machine words acts
 on all 2^n subsets.  The directed subsets come out of one term per pair of
-elements, each clearing the pair's common up-set (O(n^2) terms of at most n
-operations).  One table per poset, ``avoid[x]``, holds the maxima t of the
-directed subsets that miss the up-set of x; it costs another n^2
-operations.  Then ``x << y`` fails exactly when such a t lies above y, one
-AND of n-bit masks per query, and approximants, kernels, continuity and the
-subposet scan read the same table.  Every plane is built from
-``core._subset_planes``, which raises SizeLimit above ``core.FINITE_CAP``
-elements.
+elements, the subsets that hold both and miss the pair's common up-set:
+O(n^2) full-width ANDs and ORs, with the plane of each distinct common
+up-set built once, by n doubling shifts.  One table per poset, ``avoid[x]``,
+holds the maxima t of the directed subsets that miss the up-set of x; it
+costs another n^2 operations.  Then ``x << y`` fails exactly when such a t
+lies above y, one AND of n-bit masks per query, and approximants, kernels,
+continuity and the subposet scan read the same table.  Every plane is built
+from ``core._subset_planes``, which raises SizeLimit above
+``core.FINITE_CAP`` elements.
 
 For symbolic kinds, refutation scans the family bank.  A family refutes
 ``x << y`` when its supremum dominates y and no member dominates x: decided
@@ -27,6 +28,8 @@ chains.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .core import (FinitePoset, PosetPresentation, _bits, _mask, _none_of,
                    _plane_members, _subset_planes, family_dominates)
@@ -117,6 +120,7 @@ def continuous_subposets_bruteforce(fp: FinitePoset) -> list:
     refuting = list(_refuting_planes(fp))
     S = _subset_planes(n)
     avoid = _avoid(fp)
+    none_of = cache(lambda mask: _none_of(n, mask))
     failing = 0
     for x in range(n):
         # not (x << y): R holding x and y needs a refuting directed subset
@@ -130,12 +134,12 @@ def continuous_subposets_bruteforce(fp: FinitePoset) -> list:
         # x is the least upper bound in R of its approximants in R: it has
         # one, each lies below x, and each u in R not above x misses one
         approx = _approximants_mask(fp, x)
-        failing |= S[x] & _none_of(n, approx)
+        failing |= S[x] & none_of(approx)
         for v in _bits(approx & ~fp.down[x]):
             failing |= S[x] & S[v]
         for u in _bits(((1 << n) - 1) & ~fp.up[x]):
-            failing |= S[x] & S[u] & _none_of(n, approx & ~fp.down[u])
-    return list(_plane_members(_none_of(n, 0) & ~failing))
+            failing |= S[x] & S[u] & none_of(approx & ~fp.down[u])
+    return _plane_members(_none_of(n, 0) & ~failing)
 
 
 def largest_continuous_subposet_bruteforce(fp: FinitePoset) -> frozenset:

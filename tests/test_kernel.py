@@ -192,6 +192,20 @@ class TestKernelLaws:
         assert report.reason == "deflation fails: k = {inf}"
         assert report.witness == EMPTY
 
+    def test_kernel_read_once_per_element(self, closed, monkeypatch):
+        """Deflation, idempotence and monotonicity read one kernel value per
+        distinct element: the sampled closed-set check touches 578."""
+        calls = []
+
+        def counted(P, x, _kernel_of=kernel.kernel_of):
+            calls.append(x)
+            return _kernel_of(P, x)
+
+        monkeypatch.setattr(kernel, "kernel_of", counted)
+        report = check_kernel_laws(closed)
+        assert report.status is Status.UNREFUTED
+        assert len(calls) == len(set(calls)) <= 578
+
     def test_adversarial_kernel_on_finite(self, diamond):
         report = check_kernel_laws(diamond,
                                    kernel=adversarial_kernel(diamond))

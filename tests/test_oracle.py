@@ -3,6 +3,8 @@ and the soundness boundaries of truncation and bank refutation."""
 
 import random
 import time
+import tracemalloc
+from itertools import compress
 
 import pytest
 
@@ -10,7 +12,8 @@ from posetkernel import (BOTTOM, OMEGA, FinitePoset, Inner,
                          build_finite_poset, closed_set, make_catalog)
 from posetkernel.catalog import finite_named, lift, punctured_closed_sets
 from posetkernel.closedsets import FULL, INF_POINT
-from posetkernel.core import _bits, induced_finite_poset
+from posetkernel.core import (FINITE_CAP, _bits, _none_of, _plane_members,
+                              _subset_planes, induced_finite_poset)
 from posetkernel.errors import (NotApproximable, PosetError, ScopeUnsupported,
                                SizeLimit)
 from posetkernel.kernel import kernel_of, retract_member
@@ -406,3 +409,102 @@ class TestPairwiseReference:
         directed = [(mask, top) for mask, top in reference_directed(fp)
                     if keep >> mask & 1]
         assert_oracle_matches_reference(fp, directed)
+
+
+# ---------------------------------------------------------------------------
+# The subset-plane helpers against their earlier, plainer forms: the
+# complement of the union of the element planes for ``_none_of``, a
+# slot-by-slot read of the binary digits for ``_plane_members``, and every
+# pair term built afresh for ``directed_planes``.  They reach n = 16, where
+# the pairwise reference above would be too slow.
+
+_REFERENCE_FLAGS = bytes.maketrans(b"01", bytes((0, 1)))
+
+
+def reference_none_of(n, mask):
+    planes = _subset_planes(n)
+    hit = 0
+    for b in _bits(mask):
+        hit |= planes[b]
+    return ((1 << (1 << n)) - 1) & ~hit
+
+
+def reference_plane_members(plane):
+    flags = bin(plane)[:1:-1].encode().translate(_REFERENCE_FLAGS)
+    return list(compress(range(len(flags)), flags))
+
+
+def reference_directed_planes(fp):
+    n = fp.n
+    S = _subset_planes(n)
+    full = (1 << n) - 1
+    unbounded = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            unbounded |= S[i] & S[j] & reference_none_of(n, fp.up[i] & fp.up[j])
+    D = ((1 << (1 << n)) - 1) & ~unbounded
+    T = tuple(S[t] & reference_none_of(n, full & ~fp.down[t])
+              for t in range(n))
+    return D, T
+
+
+def reference_directed_masks(D, T):
+    return sorted((mask, t) for t in range(len(T))
+                  for mask in reference_plane_members(D & T[t]))
+
+
+class TestPlaneHelpers:
+    @pytest.mark.parametrize("n", range(FINITE_CAP + 1))
+    def test_none_of_and_members(self, n):
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        for mask in [0, full] + [rng.getrandbits(n) for _ in range(12)]:
+            assert _none_of(n, mask) == reference_none_of(n, mask)
+        width = 1 << n
+        for plane in [0, (1 << width) - 1, 1, 1 << (width - 1),
+                      rng.getrandbits(width),
+                      rng.getrandbits(width) & rng.getrandbits(width)
+                      & rng.getrandbits(width)]:
+            assert _plane_members(plane) == reference_plane_members(plane)
+
+    @staticmethod
+    def assert_matches(fp):
+        D, T = reference_directed_planes(fp)
+        assert fp.directed_planes == (D, T)
+        assert fp.directed_subset_masks == reference_directed_masks(D, T)
+
+    @pytest.mark.parametrize("n,p", [(n, p) for n in range(13, FINITE_CAP + 1)
+                                     for p in (0.15, 0.3)])
+    def test_random_poset(self, n, p):
+        self.assert_matches(shuffled_poset(random.Random(n), n, p))
+
+    @pytest.mark.parametrize("name", ("chain_16", "antichain_16"))
+    def test_extremes(self, name):
+        self.assert_matches(make_catalog(finite_named(name)).poset)
+
+    @pytest.mark.parametrize("n", (13, FINITE_CAP))
+    def test_thinned_directed_family(self, n):
+        rng = random.Random(2000 + n)
+        fp = shuffled_poset(rng, n, 0.3)
+        keep = rng.getrandbits(1 << n)
+        D, T = reference_directed_planes(fp)
+        fp.__dict__["directed_planes"] = (D & keep, T)
+        assert fp.directed_subset_masks == reference_directed_masks(D & keep,
+                                                                    T)
+
+    def test_cap_before_any_plane(self):
+        # a 17-element plane is 2^17 bits, 16 KiB: the calls must raise
+        # having allocated less than that
+        fp = FinitePoset([str(i) for i in range(FINITE_CAP + 1)],
+                         [1 << i for i in range(FINITE_CAP + 1)])
+        for call in (lambda: _none_of(FINITE_CAP + 1, 0),
+                     lambda: fp.directed_planes):
+            tracemalloc.start()
+            try:
+                with pytest.raises(SizeLimit, match="capped at 16 elements, "
+                                                    "poset has 17"):
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 14
