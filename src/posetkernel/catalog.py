@@ -82,10 +82,10 @@ import re
 from functools import cached_property, reduce
 
 from . import closedsets as cs
-from .closedsets import (ClosedSetRep, _naturals_below, closed_set,
-                         closedset_join, closedset_leq, closedset_meet,
-                         format_closed_set, is_empty, min_natural,
-                         natural_closure, natural_part_is_finite,
+from .closedsets import (ClosedSetRep, _from_bits, _naturals_below,
+                         closed_set, closedset_join, closedset_leq,
+                         closedset_meet, format_closed_set, is_empty,
+                         min_natural, natural_closure, natural_part_is_finite,
                          periodic_set, truncate_naturals)
 from .core import (BOTTOM, FINITE_CAP, NO_INFIMUM, NO_SUPREMUM, OMEGA,
                    FinitePoset, FinitePosetPresentation, Inner, Left,
@@ -321,26 +321,28 @@ class ClosedSetsPresentation(PosetPresentation):
         return self.interesting_elements()
 
     def sample_elements(self, rng, count):
+        # Each set is built from the bits of the naturals drawn, which are
+        # valid by construction, so no literal is checked.
         out = []
         pool = self._sample_pool
         for _ in range(count):
             style = rng.random()
             if style < 0.45:
-                size = rng.randint(0, 4)
-                nats = frozenset(rng.randrange(12) for _ in range(size))
-                rep = closed_set(nats, infinity=rng.random() < 0.35)
+                nats = 0
+                for _ in range(rng.randint(0, 4)):
+                    nats |= 1 << rng.randrange(12)
+                rep = _from_bits(nats, 0, 1, 0, rng.random() < 0.35)
             elif style < 0.85:
                 p = rng.randint(1, 4)
-                rs = frozenset(q for q in range(p) if rng.random() < 0.5)
-                if not rs:
-                    rs = frozenset({rng.randrange(p)})
+                rs = sum(1 << q for q in range(p) if rng.random() < 0.5)
+                rs = rs or 1 << rng.randrange(p)
                 t = rng.randint(0, 4)
-                pref = frozenset(m for m in range(t) if rng.random() < 0.4)
-                rep = periodic_set(rs, p, prefix=pref, threshold=t)
+                pref = sum(1 << m for m in range(t) if rng.random() < 0.4)
+                rep = _from_bits(pref, t, p, rs, True)
             else:
                 rep = rng.choice(pool)
             if self.punctured and is_empty(rep):
-                rep = closed_set({rng.randrange(8)})
+                rep = _from_bits(1 << rng.randrange(8), 0, 1, 0, False)
             out.append(rep)
         return out
 

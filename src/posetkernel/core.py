@@ -472,7 +472,7 @@ class PosetPresentation:
 
     @cached_property
     def _scope_pools(self):
-        return {}  # (seed, count) -> (pool, rng state after the draw)
+        return {}  # (seed, count) -> (draw, pool, rng state after the draw)
 
     def family_bank(self) -> list:
         """The curated directed families with declared suprema, built by
@@ -697,23 +697,33 @@ def family_dominates(P: PosetPresentation, fam, x) -> bool:
 def sample_pool(P: PosetPresentation, rng, count) -> list:
     """Deterministic element pool: the kind's interesting elements first,
     then random samples, de-duplicated."""
-    pool = list(P.interesting_elements())
-    pool.extend(P.sample_elements(rng, count))
-    return list(dict.fromkeys(pool))
+    return _pool(P, P.sample_elements(rng, count))
+
+
+def _pool(P: PosetPresentation, draw) -> list:
+    return list(dict.fromkeys([*P.interesting_elements(), *draw]))
+
+
+def scope_draw(P: PosetPresentation, scope: Scope):
+    """The draw behind a sampled scope, made once per presentation and
+    (seed, count): ``P.sample_elements(Random(seed), count)`` as drawn,
+    repeats included, its pool (``sample_pool``) and the state the draw left
+    the rng in.  Callers must not change the lists."""
+    key = scope.seed, scope.count
+    if key not in P._scope_pools:
+        rng = random.Random(scope.seed)
+        draw = P.sample_elements(rng, scope.count)
+        P._scope_pools[key] = draw, _pool(P, draw), rng.getstate()
+    return P._scope_pools[key]
 
 
 def scope_pool(P: PosetPresentation, scope: Scope):
     """The elements a law over ``scope`` reads, and the rng it draws on
     with.  Exhaustive: every element, no rng.  Sampled: a copy of the pool
-    that ``Random(seed)`` draws, made once per presentation and (seed,
-    count), and a fresh rng in the state that draw left it in."""
+    of ``scope_draw`` and a fresh rng in the state that draw left it in."""
     if scope.kind == "exhaustive":
         return P.elements(), None
-    key = scope.seed, scope.count
-    if key not in P._scope_pools:
-        rng = random.Random(scope.seed)
-        P._scope_pools[key] = sample_pool(P, rng, scope.count), rng.getstate()
-    pool, state = P._scope_pools[key]
+    _, pool, state = scope_draw(P, scope)
     rng = random.Random()
     rng.setstate(state)
     return list(pool), rng

@@ -17,7 +17,6 @@ never Verified, unless a certified closed form stands behind the claim).
 
 from __future__ import annotations
 
-import random
 from collections.abc import Callable
 from functools import cache, reduce
 from itertools import chain
@@ -26,7 +25,7 @@ from operator import and_
 from .core import (PosetPresentation, check_conditionally_complete,
                    check_continuity, check_interpolation, check_subposet,
                    _bits, _mask, is_approximable, is_element, resolve_scope,
-                   scope_pool)
+                   scope_draw, scope_pool)
 from .errors import (EmptyFamily, NoInfimumError, NotApproximable, PosetError,
                      PreconditionUnverified, ScopeUnsupported)
 from .families import ChainFamily, ExplicitFamily
@@ -356,9 +355,8 @@ def _confirm_compact_elements(P: PosetPresentation,
     """The compact elements below sampled elements sit inside the retract
     (on closed sets: the sublattice of finite sets)."""
     law = "largest-retract:finite-sublattice"
-    rng = random.Random(scope.seed)
     count = 0
-    for x in P.sample_elements(rng, scope.count):
+    for x in scope_draw(P, scope)[0]:
         c = P.compact_below(x)
         if c is None:
             continue

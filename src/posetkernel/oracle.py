@@ -16,8 +16,9 @@ O(n^2) full-width ANDs and ORs, with the plane of each distinct common
 up-set built once, by n doubling shifts.  One table per poset, ``avoid[x]``,
 holds the maxima t of the directed subsets that miss the up-set of x; it
 costs another n^2 operations.  Then ``x << y`` fails exactly when such a t
-lies above y, one AND of n-bit masks per query, and approximants, kernels,
-continuity and the subposet scan read the same table.  Every plane is built
+lies above y, one AND of n-bit masks per query.  The approximants of each
+x are read off that table once per poset, into ``approximants[x]``, which
+kernels, continuity and the subposet scan share.  Every plane is built
 from ``core._subset_planes``, which raises SizeLimit above
 ``core.FINITE_CAP`` elements.
 
@@ -64,14 +65,21 @@ def waybelow_bruteforce(fp: FinitePoset, x: int, y: int) -> bool:
     return _avoid(fp)[x] & fp.up[y] == 0
 
 
-def _approximants_mask(fp: FinitePoset, x: int) -> int:
-    avoid = _avoid(fp)
-    return _mask(v for v in range(fp.n) if avoid[v] & fp.up[x] == 0)
+def _approximants(fp: FinitePoset):
+    """``approximants[x]``: the mask of the v with v << x, read off
+    ``avoid``.  Built once per poset."""
+    table = fp.__dict__.get("_approximants")
+    if table is None:
+        avoid = _avoid(fp)
+        table = fp._approximants = tuple(
+            _mask(v for v in range(fp.n) if avoid[v] & up == 0)
+            for up in fp.up)
+    return table
 
 
 def kernel_bruteforce(fp: FinitePoset, x: int) -> int:
     """Least upper bound of the definitional approximants of x."""
-    mask = _approximants_mask(fp, x)
+    mask = _approximants(fp)[x]
     if not mask:
         raise NotApproximable(f"{fp.names[x]!r} has no approximants")
     u = fp.lub_of_mask(mask)
@@ -84,8 +92,7 @@ def kernel_bruteforce(fp: FinitePoset, x: int) -> int:
 def continuity_bruteforce(fp: FinitePoset) -> CheckReport:
     """Verified iff every element is the supremum of its approximants."""
     law = "continuous"
-    for x in range(fp.n):
-        mask = _approximants_mask(fp, x)
+    for x, mask in enumerate(_approximants(fp)):
         if not mask:
             return refuted(law, fp.names[x], "no approximants", EXHAUSTIVE)
         u = fp.lub_of_mask(mask)
@@ -120,6 +127,7 @@ def continuous_subposets_bruteforce(fp: FinitePoset) -> list:
     refuting = list(_refuting_planes(fp))
     S = _subset_planes(n)
     avoid = _avoid(fp)
+    approximants = _approximants(fp)
     none_of = cache(lambda mask: _none_of(n, mask))
     failing = 0
     for x in range(n):
@@ -133,7 +141,7 @@ def continuous_subposets_bruteforce(fp: FinitePoset) -> list:
                 failing |= S[x] & S[y] & ~_supersets(n, refuters)
         # x is the least upper bound in R of its approximants in R: it has
         # one, each lies below x, and each u in R not above x misses one
-        approx = _approximants_mask(fp, x)
+        approx = approximants[x]
         failing |= S[x] & none_of(approx)
         for v in _bits(approx & ~fp.down[x]):
             failing |= S[x] & S[v]

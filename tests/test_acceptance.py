@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from posetkernel import acceptance, core
+from posetkernel import acceptance, core, kernel
 from posetkernel.acceptance import CRITERIA, _result
 
 TIME_BOUNDS = {
@@ -40,13 +40,15 @@ def test_the_criteria_share_one_roster(monkeypatch):
     """The criteria take their presentations from one ``standard_roster()``,
     so no presentation draws the same sampled pool twice."""
     draws = Counter()
-    draw = core.sample_pool
+    draw = core.scope_draw
 
-    def counted(P, rng, count):
-        draws[id(P), count] += 1
-        return draw(P, rng, count)
+    def counted(P, scope):
+        if (scope.seed, scope.count) not in P._scope_pools:
+            draws[id(P), scope.count] += 1
+        return draw(P, scope)
 
-    monkeypatch.setattr(core, "sample_pool", counted)
+    for module in (core, kernel):
+        monkeypatch.setattr(module, "scope_draw", counted)
     acceptance._roster.cache_clear()
     for ident, _, fn in CRITERIA:
         if ident not in ("C1", "C10"):  # no draws; C10 runs the CLI

@@ -536,6 +536,48 @@ class TestSampling:
         two = P.sample_elements(random.Random(9), 30)
         assert one == two
 
+    @pytest.mark.parametrize("spec", [closed_sets(), punctured_closed_sets()],
+                             ids=["closed_sets", "punctured_closed_sets"])
+    def test_closed_set_samples_match_the_literal_built_sampler(self, spec):
+        """The closed-set sampler builds each set from bits; it makes the
+        rng calls of the sampler that built them through the validating
+        constructors, so it draws the same sets and leaves the same
+        state."""
+        P = make_catalog(spec)
+        for seed in range(60):
+            for count in (1, 2, 7, 50):
+                rng, ref = random.Random(seed), random.Random(seed)
+                assert P.sample_elements(rng, count) == \
+                    reference_closed_samples(P, ref, count)
+                assert rng.getstate() == ref.getstate()
+
+
+def reference_closed_samples(P, rng, count):
+    """``ClosedSetsPresentation.sample_elements`` through ``closed_set``
+    and ``periodic_set``, as it was before it built sets from bits."""
+    out = []
+    pool = P.interesting_elements()
+    for _ in range(count):
+        style = rng.random()
+        if style < 0.45:
+            size = rng.randint(0, 4)
+            nats = frozenset(rng.randrange(12) for _ in range(size))
+            rep = closed_set(nats, infinity=rng.random() < 0.35)
+        elif style < 0.85:
+            p = rng.randint(1, 4)
+            rs = frozenset(q for q in range(p) if rng.random() < 0.5)
+            if not rs:
+                rs = frozenset({rng.randrange(p)})
+            t = rng.randint(0, 4)
+            pref = frozenset(m for m in range(t) if rng.random() < 0.4)
+            rep = periodic_set(rs, p, prefix=pref, threshold=t)
+        else:
+            rep = rng.choice(pool)
+        if P.punctured and closedsets.is_empty(rep):
+            rep = closed_set({rng.randrange(8)})
+        out.append(rep)
+    return out
+
 
 # The order hooks lift and sum kept one copy each of before ``_Combinator``
 # wrote them once; a combinator component is asked through these as well,

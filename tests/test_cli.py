@@ -1,12 +1,18 @@
 """CLI contract: parsing, round-trips, command output, DOT, exit codes."""
 
+import argparse
 import contextlib
+import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from posetkernel import cli
 from posetkernel.catalog import (DOCUMENT_FIELDS, MAX_DOCUMENT_DEPTH,
@@ -17,6 +23,7 @@ from posetkernel.catalog import (DOCUMENT_FIELDS, MAX_DOCUMENT_DEPTH,
                                  standard_roster)
 from posetkernel.errors import ParseError, ValidationError
 from posetkernel.kernel import LAWS
+from posetkernel.reports import DEFAULT_PAIR_SAMPLES, DEFAULT_SEED
 
 
 def run_cli(argv):
@@ -655,3 +662,199 @@ class TestParsersRejectOnlyWithInputErrors:
             cli.parse_element_arg(P, text)
         except INPUT_ERRORS:
             pass
+
+
+# ---------------------------------------------------------------------------
+# The command line reads argv as the argparse parser it replaced did
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise cli.UsageError(message)
+
+
+def _int_at_least(low, base=10):
+    def parse(text):
+        try:
+            value = int(text, base)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser ``cli.parse_args`` replaced: the reference for
+    what it accepts, the values it gives and its error messages."""
+    parser = _Parser(prog="posetkernel",
+                     description="Law checks, kernels, and retracts on "
+                                 "poset presentations.")
+    sub = parser.add_subparsers(dest="command")
+
+    check = sub.add_parser("check", help="run law checks")
+    check.add_argument("poset", help="JSON file or catalog name")
+    check.add_argument("--law", default="all")
+    check.add_argument("--samples", type=_int_at_least(1),
+                       default=DEFAULT_PAIR_SAMPLES)
+    check.add_argument("--seed", type=_int_at_least(0, base=0),
+                       default=DEFAULT_SEED)
+    check.add_argument("--strict", action="store_true")
+
+    analyze = sub.add_parser("analyze", help="kernel / retract / quotient "
+                                             "of specific elements")
+    analyze.add_argument("poset")
+    analyze.add_argument("what", choices=("kernel", "retract", "quotient"))
+    analyze.add_argument("--element")
+    analyze.add_argument("--elements", nargs="*")
+
+    dot = sub.add_parser("export-dot", help="Hasse diagram as DOT text")
+    dot.add_argument("poset")
+    dot.add_argument("--waybelow", action="store_true")
+    dot.add_argument("--truncate", type=_int_at_least(0), default=None)
+    dot.add_argument("--out", default=None)
+
+    selftest = sub.add_parser("selftest", help="run the acceptance matrix")
+    group = selftest.add_mutually_exclusive_group()
+    group.add_argument("--quick", action="store_true")
+    group.add_argument("--full", action="store_true")
+    return parser
+
+
+def reference_parse(argv):
+    """("ok", values), ("help", None) or ("error", message) by argparse."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            values = vars(build_parser().parse_args(argv))
+    except cli.UsageError as exc:
+        return "error", str(exc)
+    except SystemExit:
+        return "help", None
+    if values["command"] is None:
+        return "error", ("a command is required (check, analyze, export-dot, "
+                         "selftest)")
+    return "ok", values
+
+
+def new_parse(argv):
+    try:
+        return "ok", vars(cli.parse_args(argv))
+    except cli.UsageError as exc:
+        return "error", str(exc)
+    except cli._Help:
+        return "help", None
+
+
+COMMANDS = ["check", "analyze", "export-dot", "selftest"]
+OPTIONS = ["--law", "--samples", "--seed", "--strict", "--element",
+           "--elements", "--waybelow", "--truncate", "--out", "--quick",
+           "--full", "--help"]
+# every prefix of every option, ambiguous ones included
+OPTION_WORDS = sorted({opt[:k] for opt in OPTIONS
+                       for k in range(3, len(opt) + 1)}
+                      | {"--", "-", "-h", "-hh", "-hx", "-x", "--x", "--="})
+VALUES = ["0", "1", "7", "-5", "x", "0xC0FFEE", "0x7", "010", "1_0", " 3",
+          "-0.5", "", "a b", "-x y", "all", "kernel", "inf", "retract",
+          "quotient", "diamond", "closed_sets", "chain_2", "omega",
+          "frobnicate"]
+words = st.one_of(st.sampled_from(COMMANDS), st.sampled_from(OPTION_WORDS),
+                  st.sampled_from(VALUES),
+                  st.builds(lambda opt, value: f"{opt}={value}",
+                            st.sampled_from(OPTION_WORDS),
+                            st.sampled_from(VALUES)))
+argvs = st.one_of(
+    st.lists(words, max_size=6),
+    st.builds(lambda command, rest: [command, *rest],
+              st.sampled_from(COMMANDS), st.lists(words, max_size=8)),
+    st.builds(lambda head, run, tail: ["analyze", *head, "--elements", *run,
+                                       *tail],
+              st.lists(words, max_size=2),
+              st.lists(st.sampled_from(VALUES), max_size=4),
+              st.lists(words, max_size=3)))
+
+
+class TestArgv:
+    @settings(max_examples=500)
+    @given(argvs)
+    def test_the_parser_reads_argv_as_argparse_did(self, argv):
+        assert new_parse(argv) == reference_parse(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "diamond", "--law=kernel", "--sa", "-5"],
+        ["check", "--samples", "0", "diamond"],
+        ["check", "--seed=x", "diamond"],
+        ["check"], ["analyze", "diamond"], ["frobnicate"],
+        ["check", "diamond", "extra"], ["check", "diamond", "--law"],
+        ["check", "diamond", "--s", "3"],
+        ["selftest", "--quick", "--full"],
+        ["analyze", "diamond", "--elements", "a", "b", "quotient"],
+        ["analyze", "diamond", "quotient", "--elements"],
+        ["export-dot", "omega_plus_one", "--tr=3", "--w", "--o", "x.dot"],
+        ["check", "--", "diamond"], ["check", "diamond", "--", "--law"],
+        ["--x", "check", "diamond"], ["check", "diamond", "--strict=1"],
+        ["check", "-hx"], [], ["--"], ["-5"],
+    ])
+    def test_examples(self, argv):
+        assert new_parse(argv) == reference_parse(argv)
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"],
+                                      ["check", "-h"], ["analyze", "--help"],
+                                      ["export-dot", "x", "-hh"],
+                                      ["selftest", "--h"]])
+    def test_help_prints_and_exits_0(self, argv):
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        command = argv[0] if argv[0] in COMMANDS else "<command>"
+        assert out.startswith(f"usage: posetkernel {command} ")
+
+    @pytest.mark.parametrize("command, options", [
+        ("check", ["--law", "--samples", "--seed", "--strict"]),
+        ("analyze", ["--element", "--elements"]),
+        ("export-dot", ["--waybelow", "--truncate", "--out"]),
+        ("selftest", ["--quick", "--full"])])
+    def test_the_help_names_every_option(self, command, options):
+        assert f"\n  {command} " in run_cli(["-h"])[1]
+        usage = run_cli([command, "-h"])[1].splitlines()[0].split()
+        assert [word.strip("[]") for word in usage
+                if word.startswith("[--")] == options
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+ATEXIT_PROBE = ("import atexit, gc, sys\n"
+                "atexit.register(lambda: print('frozen', gc.get_freeze_count()"
+                " > 0, file=sys.stderr))\n"
+                "from posetkernel.cli import console_entry\n"
+                "console_entry()\n")
+
+
+class TestConsoleEntry:
+    """``console_entry`` is the process: the stdout bytes and exit code of
+    in-process ``main``, and a frozen heap at exit."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check", "diamond", "--law", "all"], 0),
+        (["check", "closed_sets", "--law", "continuity"], 1),
+        (["frobnicate"], 64),
+        (["check", "<directory>"], 65),
+    ], ids=["diamond", "closed_sets", "frobnicate", "unreadable"])
+    def test_the_process_answers_as_main(self, tmp_path, argv, code):
+        argv = [str(tmp_path) if word == "<directory>" else word
+                for word in argv]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-c", ATEXIT_PROBE, *argv],
+                              env=env, capture_output=True, timeout=60)
+        expected = run_cli(argv)
+        assert (proc.returncode, proc.stdout.decode()) == expected[:2]
+        assert expected[0] == code
+        assert proc.stderr.decode() == expected[2] + "frozen True\n"
+
+    def test_main_leaves_gc_alone(self):
+        """Only the process entry freezes the heap; ``main`` runs in-process
+        in tests and in the acceptance matrix."""
+        before = gc.get_freeze_count()
+        assert run_cli(["check", "diamond", "--law", "kernel"])[0] == 0
+        assert gc.get_freeze_count() == before and gc.isenabled()

@@ -1207,18 +1207,23 @@ class TestScopePool:
     def test_check_all_draws_each_pool_once(self, monkeypatch, capsys):
         fresh = random.Random(DEFAULT_SEED).getstate()
         draws = Counter()
+        draw = catalog.ClosedSetsPresentation.sample_elements
 
         def spy(P, rng, count):
             draws[rng.getstate() == fresh, count] += 1
-            return sample_pool(P, rng, count)
+            return draw(P, rng, count)
 
-        monkeypatch.setattr(core, "sample_pool", spy)
+        monkeypatch.setattr(catalog.ClosedSetsPresentation, "sample_elements",
+                            spy)
         assert cli.main(["check", "closed_sets", "--law", "all"]) == 1
         capsys.readouterr()
-        # one pool of 500 and the 200 that inf draws its subsets from; the
-        # rest are the cc law's bank probes, which continue its rng
+        # one pool of 500, which the compact-element probe reads too, and the
+        # 200 that inf draws its subsets from; the rest are the cc law's bank
+        # probes, which continue its rng, and the subposet law's draws of
+        # one element at a time
         assert draws[True, 500] == draws[True, 200] == 1
-        assert set(draws) == {(True, 500), (True, 200), (False, 64)}
+        assert set(draws) == {(True, 500), (True, 200), (False, 64),
+                              (True, 1), (False, 1)}
 
     @pytest.mark.parametrize("spec", [
         finite_named("diamond"), finite_named("antichain_3"),
@@ -1438,17 +1443,17 @@ class TestLayering:
                          ".certified_conditionally_complete"}
 
     def test_the_pool_draw_has_one_home(self):
-        """kernel.py takes its element pools from ``core.scope_pool`` and
-        never draws one itself; besides that home, only the subposet law,
-        the compact-element probe and the finite bank's sample build their
-        own rng."""
+        """kernel.py takes its element pools and draws from
+        ``core.scope_pool`` and ``core.scope_draw`` and never draws one
+        itself; besides that home, only the subposet law and the finite
+        bank's sample build their own rng."""
         assert "sample_pool" not in self.names(self.tree(kernel))
         builders = {node.name for module in (core, kernel)
                     for node in ast.walk(self.tree(module))
                     if isinstance(node, ast.FunctionDef)
                     and "Random" in self.names(node)}
-        assert builders == {"scope_pool", "_subposet_sampled", "_bank",
-                            "_confirm_compact_elements"}
+        assert builders == {"scope_draw", "scope_pool", "_subposet_sampled",
+                            "_bank"}
 
     @pytest.mark.parametrize("module", [kernel, core],
                              ids=["kernel", "core"])

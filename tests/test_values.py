@@ -27,11 +27,13 @@ from posetkernel.reports import (DEFAULT_CHAIN_HORIZON, DEFAULT_PAIR_SAMPLES,
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_the_import_path_is_free_of_dataclasses():
+def test_the_import_path_is_free_of_dataclasses_and_argparse():
     """The CLI and the acceptance matrix import neither ``dataclasses`` nor
-    ``inspect``, which it pulls in, even without site packages."""
+    ``inspect``, which it pulls in, nor ``argparse`` and the ``gettext``
+    and ``locale`` it brings, even without site packages."""
     script = ("import sys, posetkernel.cli, posetkernel.acceptance; "
-              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+              "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext',"
+              " 'locale'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
