@@ -10,10 +10,10 @@ prefix/threshold/period/residues/infinity form.  Lift elements are
 
 Law names for --law are the keys of kernel.LAWS, in the order of --law all.
 
-Exit codes: 0 no refutation, 1 some law refuted, 2 every outcome is
-Unrefuted and --strict was given, 64 usage error, 65 parse/validation error
-or a corrupt catalog entry, 70 internal error (an unexpected exception,
-reported on one stderr line).
+Exit codes: 0 no refutation, 1 some law refuted, 2 no law Verified (each
+was Unrefuted or skipped) and --strict was given, 64 usage error, 65
+parse/validation error or a corrupt catalog entry, 70 internal error (an
+unexpected exception, reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -163,9 +163,8 @@ def cmd_check(args) -> int:
         _print_report(report, P.format_element)
     if any(r.status is Status.REFUTED for r in reports):
         return EXIT_REFUTED
-    if args.strict and reports and all(
-            r.status is Status.UNREFUTED for r in reports):
-        return EXIT_STRICT_UNREFUTED
+    if args.strict and not any(r.status is Status.VERIFIED for r in reports):
+        return EXIT_STRICT_UNREFUTED  # a skipped law is no verification
     return EXIT_OK
 
 
@@ -372,11 +371,13 @@ def _read(label, read, word):
 
 def _value(label, read, words, arity=1):
     """The value of an option or positional from its words: the first "--"
-    among them is dropped, and a one-value slot left with no word is an
-    empty list, as argparse has it."""
+    among them is dropped, as argparse has it, and a one-value slot left
+    with no word is refused (argparse gave it an empty list)."""
     words = list(words)
     if "--" in words:
         words.remove("--")
+    if arity == 1 and not words:
+        raise UsageError(f"argument {label}: expected one argument")
     values = [_read(label, read, word) for word in words]
     return values[0] if arity == 1 and len(values) == 1 else values
 

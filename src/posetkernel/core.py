@@ -97,10 +97,9 @@ class Right(_Wrap):
 # ---------------------------------------------------------------------------
 # Finite posets
 
-# The cap of every scan of the 2^n subsets of a finite carrier (directed
-# subsets, brute-force way-below and continuity, conditional completeness,
-# candidate subposets and the bank laws), in elements; ``_subset_planes``
-# enforces it.  It also bounds the size of a finite catalog poset.
+# The cap of every scan of the 2^n subsets of a finite poset (the oracle and
+# the finite family bank; ``_subset_planes`` enforces it), and of the size
+# of a finite catalog poset or document.  No law scans subsets.
 FINITE_CAP = 16
 
 
@@ -244,26 +243,6 @@ class FinitePoset:
             if lbs & ~self.down[v] == 0:
                 return v
         return None
-
-    def lubless_subset(self):
-        """The first nonempty subset, in mask order, that is bounded above
-        but has no least upper bound, as a mask; None when there is none
-        (the order is conditionally complete).
-
-        Computed on subset planes: ``B[u]`` holds the subsets bounded by u,
-        and a subset has u as its least upper bound when it lies in ``B[u]``
-        and in no ``B[v]`` with v not above u."""
-        n, full = self.n, (1 << self.n) - 1
-        B = [_none_of(n, full & ~self.down[u]) for u in range(n)]
-        bounded = lubbed = 0
-        for u in range(n):
-            least = B[u]
-            for v in _bits(full & ~self.up[u]):
-                least &= ~B[v]
-            bounded |= B[u]
-            lubbed |= least
-        lubless = bounded & ~lubbed & ~1  # the empty subset is not asked
-        return (lubless & -lubless).bit_length() - 1 if lubless else None
 
     @cached_property
     def directed_planes(self):
@@ -579,9 +558,8 @@ class FinitePosetPresentation(PosetPresentation):
 
     def _bank(self):
         """Every directed subset, labelled by its element names, or a fixed
-        random 2048 of them when there are more.  Only a symbolic
-        combinator reads it: the laws scan a finite carrier's directed
-        subsets as masks."""
+        random 2048 of them when there are more; only a symbolic combinator
+        reads it."""
         masks = self.poset.directed_subset_masks
         if len(masks) > 2048:
             masks = random.Random(0xD1CE).sample(masks, 2048)
@@ -591,8 +569,7 @@ class FinitePosetPresentation(PosetPresentation):
 
     @cached_property
     def certified_conditionally_complete(self):
-        return (self.poset.n <= FINITE_CAP
-                and self.poset.lubless_subset() is None)
+        return _lubless_pair(self.poset) is None
 
     def sample_elements(self, rng, count):
         return [rng.randrange(self.poset.n) for _ in range(count)]
@@ -745,13 +722,27 @@ def resolve_scope(P: PosetPresentation, scope: Scope | None = None) -> Scope:
 
 def _cc_exhaustive(P, scope):
     law = "conditionally_complete"
-    mask = P.poset.lubless_subset()
-    if mask is not None:
+    pair = _lubless_pair(P.poset)
+    if pair is not None:
         elems = P.elements()
-        return refuted(law, tuple(elems[i] for i in _bits(mask)),
+        return refuted(law, tuple(elems[i] for i in pair),
                        "bounded-above subset without a least upper bound",
                        scope)
     return verified(law, scope, reason="all nonempty bounded subsets scanned")
+
+
+def _lubless_pair(fp: FinitePoset):
+    """The first pair (i, j) in mask order that is bounded above but has no
+    least upper bound, or None: then every bounded finite set has one, as
+    {a, b, ...} has the upper bounds of {a ∨ b, ...}.  The least-element
+    test runs once per distinct set of upper bounds."""
+    least = cache(lambda ubs: any(not ubs & ~fp.up[u] for u in _bits(ubs)))
+    for j in range(fp.n):
+        for i in range(j):
+            ubs = fp.up[i] & fp.up[j]
+            if ubs and not least(ubs):
+                return i, j
+    return None
 
 
 def _cc_sampled(P, scope):
@@ -896,20 +887,17 @@ def _cont_sampled(P, scope):
 
 
 def _subposet_exhaustive(P, scope, member):
-    from .oracle import waybelow_bruteforce  # cycle: oracle builds on core
-
+    """Inside a finite subset way-below is the inherited order (a directed
+    set holds its maximum), so that is what the ambient one must be."""
     law = "subposet"
-    elems = [e for e in P.elements() if member(e)]
-    # on an honest carrier the subset is the whole carrier: reuse its order
-    induced = P.poset if len(elems) == P.poset.n \
-        else induced_finite_poset(P, elems)
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            inside = waybelow_bruteforce(induced, i, j)
-            ambient = P.waybelow(x, y)
-            if inside != ambient:
-                return refuted(law, (x, y),
-                               f"way-below inside the subset = {inside}, "
+    elems, fp = P.elements(), P.poset
+    inside = [i for i, e in enumerate(elems) if member(e)]
+    for i in inside:
+        for j in inside:
+            ordered, ambient = fp.leq(i, j), P.waybelow(elems[i], elems[j])
+            if ordered != ambient:
+                return refuted(law, (elems[i], elems[j]),
+                               f"way-below inside the subset = {ordered}, "
                                f"ambient = {ambient}", scope)
     return verified(law, scope)
 

@@ -7,12 +7,12 @@ fixed points form the largest continuous subposet, and collapsing elements
 with equal kernel values yields a quotient order-isomorphic to that retract.
 Each of those claims has a checker here.  On finite carriers every check
 but ``inf`` is exhaustive (``inf`` samples the retract subsets it decides):
-the laws stated over all directed sets scan the directed subsets as bit
-masks, since each one holds its maximum, and a finite carrier above
-``core.FINITE_CAP`` elements raises SizeLimit.  On symbolic carriers the
-checks sample and scan the family bank and report honestly (Unrefuted,
-never Verified, unless a certified closed form stands behind the claim).
-``LAWS`` maps each ``--law`` name to its checker.
+a finite directed set is its maximum t plus a subset of the down-set of t,
+so the laws stated over all directed sets are decided from per-element
+masks, at any size.  On symbolic carriers the checks sample and scan the
+family bank and report honestly (Unrefuted, never Verified, unless a
+certified closed form stands behind the claim).  ``LAWS`` maps each
+``--law`` name to its checker.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .core import (PosetPresentation, check_conditionally_complete,
 from .errors import (EmptyFamily, NoInfimumError, NotApproximable, PosetError,
                      PreconditionUnverified, ScopeUnsupported)
 from .families import ChainFamily, ExplicitFamily
-from .oracle import continuous_subposets_bruteforce
 from .reports import (BANK, EXHAUSTIVE, CheckReport, Scope, Status, combine,
                       refuted, sampled, unrefuted, verified)
 from .values import Record, assign
@@ -159,33 +158,30 @@ def check_scott_continuity(P: PosetPresentation) -> CheckReport:
 
     A finite carrier's bank is every directed subset D.  D holds its
     maximum t, so the law at D reads: k(m) <= k(t) for each member m, and
-    k(t) lies in the retract; the scan decides that against per-element
-    masks and reports Verified.  A symbolic bank is a sample: Unrefuted."""
+    k(t) lies in the retract, so D fails where a pair {m, t} in it fails
+    (``_decided``), and the law is Verified.  A symbolic bank: Unrefuted."""
     law = "scott-continuity"
     judge = lambda fam: _scott_at(P, fam)
     if resolve_scope(P).kind != "exhaustive":
-        return _tally(law, map(judge, P.family_bank()), BANK, False,
-                      counted=True)
+        return _tally(law, map(judge, P.family_bank()), BANK, counted=True)
     elems, fp, approx = _finite_part(P)
-    index = {e: i for i, e in enumerate(elems)}
-    kernel = {}  # index -> index of its kernel value, where it has one
+    kernel = {}  # index -> its kernel value, where it has one
     for i in _bits(approx):
         try:
-            kernel[i] = index[kernel_of(P, elems[i])]
+            kernel[i] = kernel_of(P, elems[i])
         except PosetError:
-            pass  # every subset holding i goes to the judge
-    retract = _mask(i for i, e in enumerate(elems) if in_retract(P, e))
-    below = [0] * fp.n  # the m with k(m) <= k(t), if k(t) is in the retract
-    for t, kt in kernel.items():
-        if retract >> kt & 1:
-            below[t] = _mask(m for m, km in kernel.items() if fp.leq(km, kt))
-    verdicts = _scan(P, elems, fp, judge, lambda mask, top: (
-        None if mask & ~approx else not mask & ~below[top]))
-    return _tally(law, verdicts, BANK, True, counted=True)
+            pass  # every pair holding i goes to the judge
+    failing = {}  # t -> the m below t at which {m, t} fails
+    for t in _bits(approx):
+        kt = kernel.get(t)
+        holds = kt is not None and in_retract(P, kt)
+        failing[t] = _mask(m for m in _bits(fp.down[t] & approx) if not (
+            holds and m in kernel and P.leq(kernel[m], kt)))
+    return _decided(P, law, judge, failing, approx, approx, BANK, counted=True)
 
 
 def _scott_at(P: PosetPresentation, fam):
-    """The Scott-continuity verdict (see ``_scan``) at one bank family."""
+    """The Scott-continuity verdict (see ``_tally``) at one bank family."""
     members = fam.sample_members()
     if not all(P.kernel_value(m) is not None for m in members):
         return None
@@ -223,25 +219,43 @@ def _finite_part(P: PosetPresentation):
     return elems, P.poset, approx
 
 
-def _scan(P: PosetPresentation, elems, fp, judge, decide):
-    """The verdicts of a bank law over every directed subset of a finite
-    carrier, in mask order.  ``decide(mask, top)`` gives the verdict from
-    per-element masks (``top`` is the subset's maximum), or False when the
-    subset may fail; then ``judge`` sees it as a family labelled by its
-    elements and writes the refutation."""
-    for mask, top in fp.directed_subset_masks:
-        verdict = decide(mask, top)
-        if verdict is False:
-            members = tuple(elems[i] for i in _bits(mask))
-            verdict = judge(ExplicitFamily(members, elems[top], label="{" + (
-                ", ".join(map(P.format_element, members))) + "}"))
-        yield verdict
+def _decided(P: PosetPresentation, law, judge, failing, tops, within, scope,
+             counted=False):
+    """A bank law on a finite carrier, over the directed subsets inside
+    ``within`` with maximum in ``tops``.  One with maximum t fails when it
+    holds an m in ``failing[t]``, and then so does {m, t}, so ``judge``
+    refutes at the first such pair in mask order.  The subsets are counted:
+    all, or those before the refuting one when ``counted``."""
+    elems, fp = P.elements(), P.poset
+    for mask, top in sorted((1 << t | 1 << m, t) for t, bad in failing.items()
+                            for m in _bits(bad)):
+        members = tuple(elems[i] for i in _bits(mask))
+        verdict = judge(ExplicitFamily(members, elems[top], label="{" + (
+            ", ".join(map(P.format_element, members))) + "}"))
+        if verdict and verdict is not True:
+            return refuted(law, *verdict, scope, samples=_count_directed(
+                fp, tops, within, mask) if counted else 0)
+    return verified(law, scope, samples=_count_directed(fp, tops, within))
 
 
-def _tally(law, verdicts, scope, complete, counted=False):
-    """The report of a bank law from its verdicts, one per family: None
-    where the law does not apply, True where it holds, else the refutation
-    ``(witness, reason)``, which carries the count so far when ``counted``."""
+def _count_directed(fp, tops, within, bound=None):
+    """How many directed subsets t ∪ X (X inside the rest of the down-set
+    of t) lie inside ``within``, with t in ``tops``, below ``bound``: above
+    some bit b, 1 in ``bound`` and 0 in t ∪ X, they agree, and X is open."""
+    bound = 1 << fp.n if bound is None else bound
+    total = 0
+    for t in _bits(tops & within):
+        rest = fp.down[t] & within & ~(1 << t)
+        for b in _bits(bound & ~(1 << t)):
+            if not (bound ^ 1 << t) & (-2 << b) & ~rest:
+                total += 1 << (rest & ((1 << b) - 1)).bit_count()
+    return total
+
+
+def _tally(law, verdicts, scope, counted=False):
+    """A law over a symbolic bank from its verdicts, one per family: None
+    where it does not apply, True where it holds, else the refutation
+    ``(witness, reason)``, with the count so far when ``counted``."""
     count = 0
     for verdict in verdicts:
         if verdict is True:
@@ -249,7 +263,7 @@ def _tally(law, verdicts, scope, complete, counted=False):
         elif verdict:
             return refuted(law, *verdict, scope, samples=count if counted
                            else 0)
-    return _finish(law, complete, count, scope)
+    return unrefuted(law, count, scope)
 
 
 def check_waybelow_kernel_equivalence(P: PosetPresentation,
@@ -280,11 +294,11 @@ def check_largest_retract(P: PosetPresentation,
                           scope: Scope | None = None) -> CheckReport:
     """Every continuous subposet sits inside the retract.
 
-    Finite carriers: exhaust all subsets against the definitional brute
-    force, up to ``FINITE_CAP`` elements.  On an honest finite poset every
-    subset passes, so on finite carriers this law cross-checks the
-    presentation against the oracle: it refutes when a declared approximant
-    supremum leaves an element out of the retract.  A symbolic carrier
+    Finite carriers: every subset of a finite poset is a continuous
+    subposet (its way-below is its order), so the law cross-checks the
+    presentation: it refutes at the singleton of the first element that a
+    declared approximant supremum leaves out of the retract.  A symbolic
+    carrier
     with a certified non-continuity witness x (``continuity_counterexample``):
     refute the targeted candidate Q ∪ {x} and sample-confirm that its
     compact elements (``compact_below``) lie in the retract Q; any other
@@ -295,17 +309,10 @@ def check_largest_retract(P: PosetPresentation,
     law = "largest-retract"
     scope = resolve_scope(P, scope)
     if scope.kind == "exhaustive":
-        elems = P.elements()
-        retract = _mask(i for i, e in enumerate(elems) if in_retract(P, e))
-        passing = continuous_subposets_bruteforce(P.poset)
-        for mask in passing:
-            if mask & ~retract:
-                return refuted(law, tuple(elems[i]
-                                          for i in _bits(mask & ~retract)),
-                               "a continuous subposet escapes the retract",
-                               scope)
-        # a finite poset passes as its own full subset, so the retract is
-        # the full set here
+        for x in P.elements():
+            if not in_retract(P, x):
+                return refuted(law, (x,), "a continuous subposet escapes "
+                               "the retract", scope)
         return verified(law, scope)
     witness = P.continuity_counterexample()
     if witness is None:
@@ -572,10 +579,11 @@ def check_approximation_laws(P: PosetPresentation,
     retract-approximation
         every retract element has an approximant inside the retract.
 
-    On a finite carrier the first two scan every directed subset as a mask
-    (see ``check_scott_continuity``) and the last two exhaust the elements,
-    so all four can be Verified.  On a symbolic carrier the first two scan
-    the family bank and the last two sample.
+    On a finite carrier a directed subset with maximum t outside the
+    approximable part fails the first at a pair {m, t} with m inside and
+    the second at {t} (``_decided``), and the last two exhaust the
+    elements: all four can be Verified.  On a symbolic carrier the first
+    two scan the family bank and the last two sample.
     """
     scope = resolve_scope(P, scope)
     pool = scope_pool(P, scope)[0]
@@ -584,20 +592,21 @@ def check_approximation_laws(P: PosetPresentation,
     restrict = lambda fam: _restriction_at(P, fam)
     meet = lambda fam: _meet_at(P, fam, approx_pool)
     if complete:
-        elems, fp, approx = _finite_part(P)
-        restricted = _scan(P, elems, fp, restrict, lambda mask, top: (
-            bool(approx >> top & 1) if mask & approx else None))
-        met = _scan(P, elems, fp, meet, lambda mask, top: (
-            bool(mask & approx) if fp.down[top] & approx else None))
+        _, fp, approx = _finite_part(P)
+        full = (1 << fp.n) - 1
+        outside = list(_bits(full & ~approx))
+        restricted = _decided(P, "directed-restriction", restrict, {
+            t: fp.down[t] & approx for t in outside}, approx, full, scope)
+        met = _decided(P, "restriction-nonempty", meet, {
+            t: 1 << t for t in outside if fp.down[t] & approx}, approx, full,
+            scope)
     else:
         bank = P.family_bank()
-        restricted, met = map(restrict, bank), map(meet, bank)
-    subs = [
-        _tally("directed-restriction", restricted, scope, complete),
-        _tally("restriction-nonempty", met, scope, complete),
-        _law_double_approximation(P, approx_pool, scope, complete),
-        _law_retract_approximation(P, pool, scope, complete),
-    ]
+        restricted = _tally("directed-restriction", map(restrict, bank), scope)
+        met = _tally("restriction-nonempty", map(meet, bank), scope)
+    subs = [restricted, met,
+            _law_double_approximation(P, approx_pool, scope, complete),
+            _law_retract_approximation(P, pool, scope, complete)]
     return combine("approximation-laws", subs, scope)
 
 
@@ -607,7 +616,7 @@ def _finish(law, complete, count, scope):
 
 
 def _restriction_at(P, fam):
-    """The directed-restriction verdict (see ``_scan``) at one family."""
+    """The directed-restriction verdict (see ``_tally``) at one family."""
     members = fam.sample_members()
     inside = [m for m in members if P.kernel_value(m) is not None]
     if not inside:
@@ -633,7 +642,7 @@ def _restriction_at(P, fam):
 
 
 def _meet_at(P, fam, approx_pool):
-    """The restriction-nonempty verdict (see ``_scan``) at one family."""
+    """The restriction-nonempty verdict (see ``_tally``) at one family."""
     members = fam.sample_members()
     for y in approx_pool:
         if P.leq(y, fam.supremum):

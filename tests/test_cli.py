@@ -8,11 +8,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from posetkernel import cli
 from posetkernel.catalog import (DOCUMENT_FIELDS, MAX_DOCUMENT_DEPTH,
@@ -580,6 +581,13 @@ class TestCombinatorElementCap:
         assert out == "".join(f"[{law}] SKIPPED reason={self.REASON}\n"
                               for law in LAWS)
 
+    def test_strict_counts_a_skipped_law_as_no_verification(self, wide):
+        """Skipped laws verify nothing, so with ``--strict`` they exit 2,
+        as an all-Unrefuted run does."""
+        code, out, err = run_cli(["check", wide, "--law", "all", "--strict"])
+        assert (code, err) == (2, "")
+        assert out.count("] SKIPPED reason=") == len(LAWS)
+
     @pytest.mark.parametrize("argv", [["export-dot"],
                                       ["export-dot", "--waybelow"],
                                       ["analyze", "retract"]],
@@ -673,6 +681,17 @@ class _Parser(argparse.ArgumentParser):
         raise cli.UsageError(message)
 
 
+class _One(argparse.Action):
+    """Store a one-value slot.  argparse drops the first "--" among a slot's
+    words and stores an empty list when none is left (``--law=--``); the
+    CLI refuses that as a usage error, so the reference does too."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == []:
+            raise argparse.ArgumentError(self, "expected one argument")
+        setattr(namespace, self.dest, values)
+
+
 def _int_at_least(low, base=10):
     def parse(text):
         try:
@@ -690,33 +709,36 @@ def _int_at_least(low, base=10):
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse parser ``cli.parse_args`` replaced: the reference for
-    what it accepts, the values it gives and its error messages."""
+    what it accepts, the values it gives and its error messages, except
+    that a one-value slot left empty is refused (``_One``)."""
     parser = _Parser(prog="posetkernel",
                      description="Law checks, kernels, and retracts on "
                                  "poset presentations.")
     sub = parser.add_subparsers(dest="command")
 
     check = sub.add_parser("check", help="run law checks")
-    check.add_argument("poset", help="JSON file or catalog name")
-    check.add_argument("--law", default="all")
-    check.add_argument("--samples", type=_int_at_least(1),
+    check.add_argument("poset", action=_One, help="JSON file or catalog name")
+    check.add_argument("--law", action=_One, default="all")
+    check.add_argument("--samples", action=_One, type=_int_at_least(1),
                        default=DEFAULT_PAIR_SAMPLES)
-    check.add_argument("--seed", type=_int_at_least(0, base=0),
+    check.add_argument("--seed", action=_One, type=_int_at_least(0, base=0),
                        default=DEFAULT_SEED)
     check.add_argument("--strict", action="store_true")
 
     analyze = sub.add_parser("analyze", help="kernel / retract / quotient "
                                              "of specific elements")
-    analyze.add_argument("poset")
-    analyze.add_argument("what", choices=("kernel", "retract", "quotient"))
-    analyze.add_argument("--element")
+    analyze.add_argument("poset", action=_One)
+    analyze.add_argument("what", action=_One,
+                         choices=("kernel", "retract", "quotient"))
+    analyze.add_argument("--element", action=_One)
     analyze.add_argument("--elements", nargs="*")
 
     dot = sub.add_parser("export-dot", help="Hasse diagram as DOT text")
-    dot.add_argument("poset")
+    dot.add_argument("poset", action=_One)
     dot.add_argument("--waybelow", action="store_true")
-    dot.add_argument("--truncate", type=_int_at_least(0), default=None)
-    dot.add_argument("--out", default=None)
+    dot.add_argument("--truncate", action=_One, type=_int_at_least(0),
+                     default=None)
+    dot.add_argument("--out", action=_One, default=None)
 
     selftest = sub.add_parser("selftest", help="run the acceptance matrix")
     group = selftest.add_mutually_exclusive_group()
@@ -758,7 +780,7 @@ OPTION_WORDS = sorted({opt[:k] for opt in OPTIONS
                        for k in range(3, len(opt) + 1)}
                       | {"--", "-", "-h", "-hh", "-hx", "-x", "--x", "--="})
 VALUES = ["0", "1", "7", "-5", "x", "0xC0FFEE", "0x7", "010", "1_0", " 3",
-          "-0.5", "", "a b", "-x y", "all", "kernel", "inf", "retract",
+          "-0.5", "", "--", "a b", "-x y", "all", "kernel", "inf", "retract",
           "quotient", "diamond", "closed_sets", "chain_2", "omega",
           "frobnicate"]
 words = st.one_of(st.sampled_from(COMMANDS), st.sampled_from(OPTION_WORDS),
@@ -797,6 +819,11 @@ class TestArgv:
         ["check", "--", "diamond"], ["check", "diamond", "--", "--law"],
         ["--x", "check", "diamond"], ["check", "diamond", "--strict=1"],
         ["check", "-hx"], [], ["--"], ["-5"],
+        ["check", "diamond", "--law=--"], ["check", "diamond", "--samples=--"],
+        ["analyze", "diamond", "kernel", "--element=--"],
+        ["export-dot", "diamond", "--out=--"],
+        ["analyze", "diamond", "--", "--"],
+        ["check", "--law=--"], ["analyze", "diamond", "--", "--", "x"],
     ])
     def test_examples(self, argv):
         assert new_parse(argv) == reference_parse(argv)
@@ -821,6 +848,32 @@ class TestArgv:
         usage = run_cli([command, "-h"])[1].splitlines()[0].split()
         assert [word.strip("[]") for word in usage
                 if word.startswith("[--")] == options
+
+
+# The argv words above, an option given "=--", a bare "--" and an empty
+# word.  The poset is always diamond, and every number among the words is
+# at most 10, so a run of main stays cheap whatever --samples reads.
+MAIN_WORDS = st.one_of(words, st.sampled_from(["--", ""]),
+                       st.sampled_from(OPTIONS).map(lambda opt: f"{opt}=--"))
+
+
+class TestMainExits:
+    @settings(max_examples=300)
+    @given(st.sampled_from(["check", "analyze", "export-dot"]),
+           st.lists(MAIN_WORDS, max_size=4))
+    @example("check", ["--law=--"])
+    @example("check", ["--samples=--"])
+    @example("analyze", ["kernel", "--element=--"])
+    @example("analyze", ["--", "--"])
+    def test_every_argv_ends_in_a_documented_exit(self, command, rest):
+        """Whatever the words, ``main`` answers with an exit of the README
+        table, never 70, and prints no traceback.  It runs in a fresh
+        directory, as ``--out`` may write a file."""
+        argv = [command, "diamond", *rest]
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+            code, out, err = run_cli(argv)
+        assert code in (0, 1, 2, 64, 65), (argv, err)
+        assert "Traceback" not in out + err
 
 
 SRC = Path(cli.__file__).resolve().parents[1]

@@ -15,7 +15,8 @@ from posetkernel.catalog import (OmegaPlusOnePresentation, finite_named,
                                  named_finite_poset, random_finite_poset,
                                  standard_roster)
 from posetkernel.closedsets import INF_POINT
-from posetkernel.core import induced_finite_poset, resolve_scope
+from posetkernel.core import (FinitePosetPresentation, induced_finite_poset,
+                              resolve_scope)
 from posetkernel.errors import (CycleDetected, DuplicateLabel, EmptyFamily,
                                 ForeignElement, PosetError, ScopeUnsupported)
 from posetkernel.families import ExplicitFamily
@@ -353,30 +354,68 @@ class TestResolveScope:
             resolve_scope(closed, EXHAUSTIVE)
 
 
-def _lubless_subset_by_scan(fp):
+def _lubless_subset_by_scan(fp, size=None):
     """Reference: the first bounded-above subset without a least upper
-    bound, found with leq alone."""
+    bound (of ``size`` elements, when given), found with leq alone."""
     elems = range(fp.n)
     for mask in range(1, 1 << fp.n):
         members = [i for i in elems if mask >> i & 1]
+        if size is not None and len(members) != size:
+            continue
         ubs = [u for u in elems if all(fp.leq(m, u) for m in members)]
         if ubs and not any(all(fp.leq(u, v) for v in ubs) for u in ubs):
             return mask
     return None
 
 
+def _cc_witness(fp):
+    """The mask of the witness that the exhaustive cc law refutes at, or
+    None when it verifies; the presentation's flag must agree."""
+    P = FinitePosetPresentation(fp)
+    report = check_conditionally_complete(P)
+    assert P.certified_conditionally_complete is (
+        report.status is Status.VERIFIED)
+    if report.status is Status.VERIFIED:
+        return None
+    assert report.reason == ("bounded-above subset without a least upper "
+                             "bound")
+    return sum(1 << i for i in report.witness)
+
+
 class TestLublessSubset:
+    """A finite order is conditionally complete exactly when every bounded
+    pair has a join, so the cc law refutes at the first lubless pair in
+    mask order."""
+
     @given(st.integers(1, 8), st.floats(0.1, 0.7), st.integers(0, 10**6))
     def test_matches_the_scan(self, n, p, seed):
         fp = random_finite_poset(n, p, seed)
-        assert fp.lubless_subset() == _lubless_subset_by_scan(fp)
+        first = _lubless_subset_by_scan(fp)
+        witness = _cc_witness(fp)
+        assert (witness is None) is (first is None)
+        if witness is not None:
+            assert witness == _lubless_subset_by_scan(fp, size=2)
+            assert first <= witness
 
     def test_bowtie(self):
         fp = build_finite_poset(["a", "b", "c", "d"],
                                 [("a", "c"), ("a", "d"), ("b", "c"),
                                  ("b", "d")])
-        assert fp.lubless_subset() == 0b11
-        assert named_finite_poset("boolean_3").lubless_subset() is None
+        assert _cc_witness(fp) == 0b11
+        assert _cc_witness(named_finite_poset("boolean_3")) is None
+
+    def test_a_lubless_triple_is_reported_by_a_pair(self):
+        """Atoms a, b, c with pairwise joins, and two incomparable upper
+        bounds u, v of those joins: {a, b, c} is the first lubless subset,
+        and the law names the first lubless pair, {c, a ∨ b}."""
+        names = ["a", "b", "c", "ab", "ac", "bc", "u", "v"]
+        covers = [(x, x + y) for x, y in ("ab", "ac", "bc")] + [
+            (y, x + y) for x, y in ("ab", "ac", "bc")] + [
+            (j, top) for j in ("ab", "ac", "bc") for top in "uv"]
+        fp = build_finite_poset(names, covers)
+        assert _lubless_subset_by_scan(fp) == 0b111
+        assert _cc_witness(fp) == _lubless_subset_by_scan(fp, size=2) \
+            == 0b1100
 
 
 def make_catalog_from_covers(names, covers):

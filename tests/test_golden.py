@@ -11,10 +11,10 @@ line; review the diff before committing it.
 Five more kinds the roster misses are pinned the same way in
 tests/golden/extra_<name>.txt from the documents in ``EXTRAS``: a lift of a
 finite poset, a sum with a finite and a symbolic side, a finite chain above
-10 elements (the directed-subset scan of the bank laws), a sum with a
+10 elements (the directed-subset counts of the bank laws), a sum with a
 finite lift on one side (the lift's bank as a symbolic carrier reads it)
-and the 32-deep lift of a two-element chain (34 elements, so every subset
-scan stops at the cap with one reason).
+and the 32-deep lift of a two-element chain (34 elements, above the
+subset-scan cap, every law decided all the same).
 """
 
 import contextlib

@@ -4,10 +4,11 @@ import ast
 import json
 import random
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, reduce
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posetkernel import (BOTTOM, NO_SUPREMUM, OMEGA, Inner,
                          PosetPresentation, catalog, cli, closed_set, core,
@@ -19,8 +20,9 @@ from posetkernel.catalog import (closed_sets, disjoint_sum, finite_named,
 from posetkernel.closedsets import EMPTY, EVENS, FULL, INF_POINT, ODDS
 from posetkernel.closedsets import closedset_join
 from posetkernel.core import (FinitePoset, FinitePosetPresentation, _bits,
-                              induced_finite_poset, is_element,
-                              resolve_scope, sample_pool, scope_pool)
+                              _mask, _none_of, induced_finite_poset,
+                              is_element, resolve_scope, sample_pool,
+                              scope_pool)
 from posetkernel.errors import (EmptyFamily, ForeignElement, NoInfimumError,
                                 NotApproximable, PosetError,
                                 PreconditionUnverified, ScopeUnsupported,
@@ -585,7 +587,7 @@ class TestApproximationLaws:
 
 
 class TestBankHonesty:
-    """Bank-driven laws are Verified on finite carriers, which scan every
+    """Bank-driven laws are Verified on finite carriers, which decide every
     directed subset, and Unrefuted on symbolic ones, whose bank is a
     sample."""
 
@@ -630,7 +632,7 @@ class TestBankHonesty:
 
     def test_views_and_sums_inherit_the_bank(self):
         # a lift or a sum of finite posets is a finite carrier: its laws
-        # scan its own directed subsets, whatever its bank holds
+        # decide its own directed subsets, whatever its bank holds
         lifted = make_catalog(lift(finite_named("chain_2")))
         assert len(lifted.family_bank()) == 5
         scott = check_scott_continuity(lifted)
@@ -780,7 +782,7 @@ def _outcome(check):
 
 
 class TestFiniteScanReference:
-    """On finite carriers the bank laws scan the directed subsets as masks;
+    """On finite carriers the bank laws are decided from per-element masks;
     the per-family loops over every directed subset, kept here, must give
     the same status, witness, reason and samples."""
 
@@ -812,7 +814,7 @@ class TestFiniteScanReference:
         met = _outcome(lambda: subs["restriction-nonempty"])
         assert met == _outcome(
             lambda: reference_restriction_nonempty(P, bank))
-        # only the first failing subset becomes a family
+        # only the first failing pair becomes a family
         expected = [name for name, out in (("_scott_at", scott),
                                            ("_restriction_at", restricted),
                                            ("_meet_at", met))
@@ -847,6 +849,247 @@ class TestFiniteScanReference:
         subs = {s.law: s for s in check_approximation_laws(P).subreports}
         assert subs["directed-restriction"].witness == "{0, 2}"
         assert subs["restriction-nonempty"].witness == ("{2}", 0)
+
+
+def _nested():
+    from test_catalog import NESTED
+    return NESTED
+
+
+# ---------------------------------------------------------------------------
+# The plane-scan law paths that the per-element masks replaced: the finite
+# laws over directed sets listed every directed subset, conditional
+# completeness scanned subset planes, and the subposet and largest-retract
+# laws asked the brute-force oracle.  Kept as the reference.
+
+
+def reference_plane_scan(P, elems, fp, judge, decide):
+    """The verdicts of a bank law over every directed subset, in mask
+    order: ``decide(mask, top)`` from per-element masks, the judge where it
+    says False."""
+    for mask, top in fp.directed_subset_masks:
+        verdict = decide(mask, top)
+        if verdict is False:
+            members = tuple(elems[i] for i in _bits(mask))
+            verdict = judge(ExplicitFamily(members, elems[top], label="{" + (
+                ", ".join(map(P.format_element, members))) + "}"))
+        yield verdict
+
+
+def reference_tally(law, verdicts, scope, counted=False):
+    count = 0
+    for verdict in verdicts:
+        if verdict is True:
+            count += 1
+        elif verdict:
+            return refuted(law, *verdict, scope, samples=count if counted
+                           else 0)
+    return verified(law, scope, samples=count)
+
+
+def reference_lubless_subset(fp):
+    """The first nonempty bounded subset without a least upper bound, in
+    mask order, from the planes of the subsets bounded by each u."""
+    n, full = fp.n, (1 << fp.n) - 1
+    B = [_none_of(n, full & ~fp.down[u]) for u in range(n)]
+    bounded = lubbed = 0
+    for u in range(n):
+        least = B[u]
+        for v in _bits(full & ~fp.up[u]):
+            least &= ~B[v]
+        bounded |= B[u]
+        lubbed |= least
+    lubless = bounded & ~lubbed & ~1
+    return (lubless & -lubless).bit_length() - 1 if lubless else None
+
+
+def reference_cc_scan(P):
+    law = "conditionally_complete"
+    mask = reference_lubless_subset(P.poset)
+    if mask is not None:
+        elems = P.elements()
+        return refuted(law, tuple(elems[i] for i in _bits(mask)),
+                       "bounded-above subset without a least upper bound",
+                       EXHAUSTIVE)
+    return verified(law, EXHAUSTIVE,
+                    reason="all nonempty bounded subsets scanned")
+
+
+def reference_subposet_oracle(P):
+    law = "subposet"
+    member = retract_member(P)
+    elems = [e for e in P.elements() if member(e)]
+    induced = P.poset if len(elems) == P.poset.n \
+        else induced_finite_poset(P, elems)
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            inside = oracle.waybelow_bruteforce(induced, i, j)
+            ambient = P.waybelow(x, y)
+            if inside != ambient:
+                return refuted(law, (x, y),
+                               f"way-below inside the subset = {inside}, "
+                               f"ambient = {ambient}", EXHAUSTIVE)
+    return verified(law, EXHAUSTIVE)
+
+
+def reference_scott_scan(P):
+    elems, fp, approx = kernel._finite_part(P)
+    index = {e: i for i, e in enumerate(elems)}
+    values = {}
+    for i in _bits(approx):
+        try:
+            values[i] = index[kernel_of(P, elems[i])]
+        except PosetError:
+            pass
+    retract = _mask(i for i, e in enumerate(elems) if in_retract(P, e))
+    below = [0] * fp.n
+    for t, kt in values.items():
+        if retract >> kt & 1:
+            below[t] = _mask(m for m, km in values.items()
+                             if fp.leq(km, kt))
+    verdicts = reference_plane_scan(
+        P, elems, fp, lambda fam: kernel._scott_at(P, fam),
+        lambda mask, top: (None if mask & ~approx
+                           else not mask & ~below[top]))
+    return reference_tally("scott-continuity", verdicts, BANK, counted=True)
+
+
+def reference_largest_retract_oracle(P):
+    law = "largest-retract"
+    elems = P.elements()
+    retract = _mask(i for i, e in enumerate(elems) if in_retract(P, e))
+    for mask in oracle.continuous_subposets_bruteforce(P.poset):
+        if mask & ~retract:
+            return refuted(law, tuple(elems[i]
+                                      for i in _bits(mask & ~retract)),
+                           "a continuous subposet escapes the retract",
+                           EXHAUSTIVE)
+    return verified(law, EXHAUSTIVE)
+
+
+def reference_laws_scan(P):
+    pool = P.elements()
+    approx_pool = [x for x in pool if P.kernel_value(x) is not None]
+    elems, fp, approx = kernel._finite_part(P)
+    restricted = reference_plane_scan(
+        P, elems, fp, lambda fam: kernel._restriction_at(P, fam),
+        lambda mask, top: (bool(approx >> top & 1) if mask & approx
+                           else None))
+    met = reference_plane_scan(
+        P, elems, fp, lambda fam: kernel._meet_at(P, fam, approx_pool),
+        lambda mask, top: (bool(mask & approx) if fp.down[top] & approx
+                           else None))
+    subs = [
+        reference_tally("directed-restriction", restricted, EXHAUSTIVE),
+        reference_tally("restriction-nonempty", met, EXHAUSTIVE),
+        kernel._law_double_approximation(P, approx_pool, EXHAUSTIVE, True),
+        kernel._law_retract_approximation(P, pool, EXHAUSTIVE, True),
+    ]
+    return combine("approximation-laws", subs, EXHAUSTIVE)
+
+
+PLANE_SCAN_REFERENCE = {
+    "cc": reference_cc_scan,
+    "subposet": reference_subposet_oracle,
+    "scott": reference_scott_scan,
+    "largest-retract": reference_largest_retract_oracle,
+    "laws": reference_laws_scan,
+}
+
+
+def _report_outcomes(check):
+    """(status, witness, reason, samples) of a report and of each of its
+    sub-reports, or the error it raised."""
+    try:
+        report = check()
+    except PosetError as exc:
+        return type(exc), str(exc)
+    return [(r.status, r.witness, r.reason, r.samples)
+            for r in [report, *report.subreports]]
+
+
+class TestPlaneScanReference:
+    """The five finite laws decided from per-element masks give the status,
+    witness, reason and samples of the plane scans they replaced."""
+
+    RANDOM = [finite_random(4 + seed % 7, (0.2, 0.35, 0.5)[seed % 3], seed)
+              for seed in range(30)]
+
+    @staticmethod
+    def assert_matches_reference(P):
+        outcomes = {}
+        for law, reference in PLANE_SCAN_REFERENCE.items():
+            got = _report_outcomes(lambda: kernel.LAWS[law](P, None))
+            assert got == _report_outcomes(lambda: reference(P)), law
+            outcomes[law] = got
+        return outcomes
+
+    @pytest.mark.parametrize("spec", [
+        *map(finite_named, catalog.NAMED_FINITE_ROSTER),
+        disjoint_sum(finite_named("chain_2"), finite_named("chain_2")),
+        *(spec for spec in _nested() if make_catalog(spec).is_finite_kind)],
+        ids=lambda spec: make_catalog(spec).name)
+    def test_finite_roster_and_nested_documents(self, spec):
+        outcomes = self.assert_matches_reference(make_catalog(spec))
+        assert all(got[0][0] is Status.VERIFIED for got in outcomes.values())
+
+    def test_random_posets(self):
+        incomplete = 0
+        for spec in self.RANDOM:
+            outcomes = self.assert_matches_reference(make_catalog(spec))
+            incomplete += outcomes["cc"][0][0] is Status.REFUTED
+        assert incomplete >= 5
+
+    @pytest.mark.parametrize("how", CORRUPTIONS + ("mixed",))
+    def test_corrupt_presentations(self, how):
+        seen = Counter()
+        for seed in range(25):
+            for law, got in self.assert_matches_reference(
+                    _corrupt(seed, how)).items():
+                seen[law, got[0] if isinstance(got, tuple)
+                     else got[0][0]] += 1
+        # each corruption reaches a refuting (or raising) branch
+        assert seen["largest-retract", Status.REFUTED]
+        assert seen[{"wrong-sup": ("scott", Status.REFUTED),
+                     "none": ("laws", Status.REFUTED),
+                     "not-below": ("scott", PosetError),
+                     "mixed": ("laws", Status.REFUTED)}[how]]
+
+    def test_a_waybelow_that_is_not_the_order(self):
+        """A finite poset whose way-below drops the pairs below its top:
+        inside a finite subset way-below is the order, so the subposet law
+        refutes at the first such pair, as the oracle does."""
+        class Dropped(FinitePosetPresentation):
+            def waybelow(self, x, y):
+                return self.poset.leq(x, y) and (x == y or y != top)
+
+        refuting = 0
+        for seed in range(12):
+            fp = catalog.random_finite_poset(3 + seed % 6, 0.4, seed)
+            top = max(range(fp.n), key=lambda y: fp.down[y].bit_count())
+            P = Dropped(fp)
+            outcomes = self.assert_matches_reference(P)
+            refuted_here = outcomes["subposet"][0][0] is Status.REFUTED
+            assert refuted_here is (fp.down[top] != 1 << top)
+            refuting += refuted_here
+        assert refuting >= 10
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 9), st.floats(0.1, 0.7), st.integers(0, 10**6),
+           st.data())
+    def test_directed_counts_match_the_listing(self, n, p, seed, data):
+        """``_count_directed`` counts what the directed-subset listing
+        holds: inside ``within``, maximum in ``tops``, mask below
+        ``bound``."""
+        fp = catalog.random_finite_poset(n, p, seed)
+        within, tops = (data.draw(st.integers(0, (1 << n) - 1))
+                        for _ in range(2))
+        bound = data.draw(st.integers(0, 1 << n))
+        listed = [mask for mask, top in fp.directed_subset_masks
+                  if not mask & ~within and tops >> top & 1]
+        assert kernel._count_directed(fp, tops, within) == len(listed)
+        assert kernel._count_directed(fp, tops, within, bound) == sum(
+            mask < bound for mask in listed)
 
 
 def reference_cc_sampled(P, scope):
@@ -1095,11 +1338,6 @@ def reference_subposet_sampled(P, scope, member):
     return unrefuted(law, confirmed, scope)
 
 
-def _nested():
-    from test_catalog import NESTED
-    return NESTED
-
-
 class TestSubposetCodesReference:
     """The sampled subposet law decides its bank tests by order codes; the
     pairwise loop, kept here, must give the same status, witness, reason
@@ -1276,7 +1514,13 @@ class TestScopePool:
     # random orders that are conditionally complete, so that law holds too
     finite_random(14, 0.3, 1), finite_random(14, 0.3, 2),
     lift(finite_named("chain_12")),
-    disjoint_sum(finite_named("chain_2"), finite_named("chain_14"))],
+    disjoint_sum(finite_named("chain_2"), finite_named("chain_14")),
+    # above the subset-scan cap: the 34-element deep lift and a balanced
+    # 256-element sum tree of chain_16
+    pytest.param(reduce(lambda spec, _: lift(spec), range(32),
+                        finite_named("chain_2")), id="deep_lift_chain_2"),
+    pytest.param(reduce(lambda spec, _: disjoint_sum(spec, spec), range(4),
+                        finite_named("chain_16")), id="sum_tree_256")],
     ids=lambda spec: make_catalog(spec).name)
 def test_finite_carriers_decide_every_law(spec, tmp_path, capsys):
     doc = tmp_path / "poset.json"
@@ -1296,7 +1540,8 @@ FINITE_COMBINATORS = [lift(finite_named("chain_3")),
 
 class TestOneOrderPerCarrier:
     """Every finite law reads the carrier's one cached order, ``P.poset``,
-    and so the directed subsets cached on it."""
+    and none lists the directed subsets: they are decided from
+    per-element masks of that order."""
 
     def test_a_finite_presentation_keeps_the_order_it_was_built_from(self):
         fp = named_finite_poset("diamond")
@@ -1327,19 +1572,17 @@ class TestOneOrderPerCarrier:
     @pytest.mark.parametrize("spec", [finite_named("diamond"),
                                       *FINITE_COMBINATORS],
                              ids=["diamond", "lift", "sum"])
-    def test_the_laws_share_one_directed_scan(self, built, spec):
+    def test_the_laws_list_no_directed_subset(self, built, spec):
         P = make_catalog(spec)
         for law in ("scott", "laws", "largest-retract"):
             assert kernel.LAWS[law](P, None).status is Status.VERIFIED
-        assert built == {"directed_planes": 1, "directed_subset_masks": 1}
+        assert built == {}
 
     @pytest.mark.parametrize("kind", ["chain_16", "chain_12", "boolean_3",
                                       "diamond"])
-    def test_check_all_builds_the_directed_planes_once(self, built, kind,
-                                                       capsys):
-        # the subposet law's subset is the whole carrier, so it reads P.poset
+    def test_check_all_builds_no_directed_planes(self, built, kind, capsys):
         assert cli.main(["check", kind, "--law", "all"]) == 0
-        assert built["directed_planes"] == 1
+        assert built == {}
 
 
 class TestPreconditions:
@@ -1379,7 +1622,7 @@ class TestLayering:
     def tree(module):
         return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
 
-    def assert_imports_no_carrier_module(self, module):
+    def assert_imports_none_of(self, module, forbidden):
         for node in ast.walk(self.tree(module)):
             if isinstance(node, ast.ImportFrom):
                 names = [node.module or ""] + [a.name for a in node.names]
@@ -1388,13 +1631,20 @@ class TestLayering:
             else:
                 continue
             modules = {name.rsplit(".", 1)[-1] for name in names}
-            assert not modules & {"catalog", "closedsets"}, ast.unparse(node)
+            assert not modules & forbidden, ast.unparse(node)
 
     def test_kernel_imports_no_carrier_module(self):
-        self.assert_imports_no_carrier_module(kernel)
+        self.assert_imports_none_of(kernel, {"catalog", "closedsets"})
 
     def test_oracle_imports_no_carrier_module(self):
-        self.assert_imports_no_carrier_module(oracle)
+        self.assert_imports_none_of(oracle, {"catalog", "closedsets"})
+
+    @pytest.mark.parametrize("module", [kernel, core], ids=["kernel", "core"])
+    def test_the_law_path_imports_no_oracle(self, module):
+        """The laws decide finite carriers by theorems, not by the brute
+        force, so the oracle stays an independent cross-check: only the
+        acceptance matrix, the tests and the benchmark reach it."""
+        self.assert_imports_none_of(module, {"oracle"})
 
     @pytest.mark.parametrize("module", [kernel, cli, oracle],
                              ids=["kernel", "cli", "oracle"])
@@ -1425,9 +1675,8 @@ class TestLayering:
 
     def test_the_finite_order_and_the_cap_have_one_home(self):
         """kernel.py reads a carrier's order as ``P.poset``, and a subset
-        scan stops at FINITE_CAP only in ``core._subset_planes``; the
-        finite presentation's flag keeps its own test, as it answers False
-        rather than raise."""
+        scan stops at FINITE_CAP only in ``core._subset_planes``; no law
+        scans subsets."""
         assert "induced_finite_poset" not in self.names(self.tree(kernel))
         assert "FINITE_CAP" not in (self.names(self.tree(kernel))
                                     | self.names(self.tree(oracle)))
@@ -1439,8 +1688,7 @@ class TestLayering:
                       else [(getattr(top, "name", "<module>"), top)])
             users.update(where for where, node in scopes
                          if "FINITE_CAP" in self.names(node))
-        assert users == {"<module>", "_subset_planes", "FinitePosetPresentation"
-                         ".certified_conditionally_complete"}
+        assert users == {"<module>", "_subset_planes"}
 
     def test_the_pool_draw_has_one_home(self):
         """kernel.py takes its element pools and draws from

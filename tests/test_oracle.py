@@ -106,9 +106,25 @@ class TestLargestSubposet:
             assert largest_continuous_subposet_bruteforce(fp) == \
                 frozenset(i for i in range(fp.n) if maximal[0] >> i & 1)
 
-    def test_every_subset_of_a_finite_poset_passes(self, diamond):
-        # finite posets: every subset is a continuous subposet
-        assert len(continuous_subposets_bruteforce(diamond.poset)) == 16
+    @pytest.mark.parametrize("seed", range(30))
+    def test_every_subset_of_a_finite_poset_passes(self, seed):
+        # finite posets: every subset is a continuous subposet, which the
+        # largest-retract law takes as given
+        n = 1 + seed % REFERENCE_SUBSETS_CAP
+        fp = random_presentation(seed, n=n).poset
+        assert continuous_subposets_bruteforce(fp) == list(range(1 << fp.n))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_waybelow_is_the_order_on_induced_subposets(self, seed):
+        """Inside any subset of a finite poset way-below is the inherited
+        order, which the subposet law takes as given."""
+        rng = random.Random(seed)
+        P = random_presentation(seed, n=rng.randint(1, 12))
+        elems = [x for x in P.elements() if rng.random() < 0.6] or [0]
+        fp = induced_finite_poset(P, elems)
+        for i, x in enumerate(elems):
+            for j, y in enumerate(elems):
+                assert waybelow_bruteforce(fp, i, j) == P.leq(x, y)
 
     def test_size_limit(self):
         fp = build_finite_poset([str(i) for i in range(17)], [])
