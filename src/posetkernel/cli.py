@@ -12,8 +12,9 @@ Law names for --law are the keys of kernel.LAWS, in the order of --law all.
 
 Exit codes: 0 no refutation, 1 some law refuted, 2 no law Verified (each
 was Unrefuted or skipped) and --strict was given, 64 usage error, 65
-parse/validation error or a corrupt catalog entry, 70 internal error (an
-unexpected exception, reported on one stderr line).
+parse/validation error, a corrupt catalog entry or an --out file that cannot
+be written, 70 internal error (an unexpected exception, reported on one
+stderr line).
 """
 
 from __future__ import annotations
@@ -220,11 +221,15 @@ def cmd_analyze(args) -> int:
 def cmd_export_dot(args) -> int:
     P = load_poset(args.poset)
     text = export_dot(P, waybelow=args.waybelow, truncate_n=args.truncate)
-    if args.out:
+    if args.out is None:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {args.out!r}: {exc.strerror}") \
+            from None
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from functools import cache, cached_property, reduce
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from operator import or_
 
 from .errors import (CycleDetected, DuplicateLabel, EmptyFamily,
@@ -255,19 +255,21 @@ class FinitePoset:
         therefore its supremum; the maximum is computed and checked here
         rather than assumed.
         """
-        n, up = self.n, self.up
+        n, up, down = self.n, self.up, self.down
         S = _subset_planes(n)
         full = (1 << n) - 1
         none_of = cache(lambda mask: _none_of(n, mask))
         unbounded = 1  # the empty subset
         for i in range(n):
-            # the subsets holding i and some j > i with no common upper bound
+            # the subsets holding i and some j > i with no common upper
+            # bound.  A j comparable with i is skipped: the common up-set
+            # then holds i or j, so the term misses every subset with both.
             row = 0
-            for j in range(i + 1, n):
+            for j in _bits(full & ~(up[i] | down[i]) & -(2 << i)):
                 row |= S[j] & none_of(up[i] & up[j])
             unbounded |= S[i] & row
         D = ((1 << (1 << n)) - 1) & ~unbounded
-        T = tuple(S[t] & none_of(full & ~self.down[t]) for t in range(n))
+        T = tuple(S[t] & none_of(full & ~down[t]) for t in range(n))
         topless = D
         for plane in T:
             topless &= ~plane
@@ -278,15 +280,17 @@ class FinitePoset:
 
     @cached_property
     def directed_subset_masks(self):
-        """All directed subsets as (mask, max_element) pairs in mask order,
-        read off ``directed_planes``: the members of ``D & T[t]`` for each
-        t, merged by mask."""
-        D, T = self.directed_planes
-        pairs = []
-        for t, plane in enumerate(T):
-            pairs += zip(_plane_members(D & plane), repeat(t))
-        pairs.sort()
-        return pairs
+        """The masks of all directed subsets, ascending: the members of the
+        plane ``D`` of ``directed_planes``, which has checked that each of
+        them has a maximum.  ``max_of_mask`` names it."""
+        return _plane_members(self.directed_planes[0])
+
+    def max_of_mask(self, mask):
+        """The member of ``mask`` whose down-set holds ``mask``, or None."""
+        for t in _bits(mask):
+            if mask & ~self.down[t] == 0:
+                return t
+        return None
 
     def hasse_edges(self):
         """Cover pairs (i, j): the transitive reduction of the strict order."""
@@ -559,13 +563,16 @@ class FinitePosetPresentation(PosetPresentation):
     def _bank(self):
         """Every directed subset, labelled by its element names, or a fixed
         random 2048 of them when there are more; only a symbolic combinator
-        reads it."""
-        masks = self.poset.directed_subset_masks
+        reads it.  The supremum of each family is its maximum, found only
+        for the families kept."""
+        fp = self.poset
+        masks = fp.directed_subset_masks
         if len(masks) > 2048:
             masks = random.Random(0xD1CE).sample(masks, 2048)
-        return [ExplicitFamily(tuple(_bits(mask)), top, label="{" + ", ".join(
-                    map(self.format_element, _bits(mask))) + "}")
-                for mask, top in masks]
+        return [ExplicitFamily(tuple(_bits(mask)), fp.max_of_mask(mask),
+                               label="{" + ", ".join(map(
+                                   self.format_element, _bits(mask))) + "}")
+                for mask in masks]
 
     @cached_property
     def certified_conditionally_complete(self):
@@ -728,7 +735,8 @@ def _cc_exhaustive(P, scope):
         return refuted(law, tuple(elems[i] for i in pair),
                        "bounded-above subset without a least upper bound",
                        scope)
-    return verified(law, scope, reason="all nonempty bounded subsets scanned")
+    return verified(law, scope,
+                    reason="every bounded pair has a least upper bound")
 
 
 def _lubless_pair(fp: FinitePoset):

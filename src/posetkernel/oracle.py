@@ -13,9 +13,11 @@ element mask m, so one big-int operation of 2^n / word machine words acts
 on all 2^n subsets.  The directed subsets come out of one term per pair of
 elements, the subsets that hold both and miss the pair's common up-set:
 O(n^2) full-width ANDs and ORs, with the plane of each distinct common
-up-set built once, by n doubling shifts.  One table per poset, ``avoid[x]``,
-holds the maxima t of the directed subsets that miss the up-set of x; it
-costs another n^2 operations.  Then ``x << y`` fails exactly when such a t
+up-set built once, by n doubling shifts; a pair of comparable elements is
+skipped, as their common up-set holds one of them.  One table per poset,
+``avoid[x]``, holds the maxima t of the directed subsets that miss the
+up-set of x; it costs another n^2 operations, fewer by the t above x, whose
+subsets all hold t.  Then ``x << y`` fails exactly when such a t
 lies above y, one AND of n-bit masks per query.  The approximants of each
 x are read off that table once per poset, into ``approximants[x]``, which
 kernels, continuity and the subposet scan share.  Every plane is built
@@ -44,8 +46,11 @@ def _refuting_planes(fp: FinitePoset):
     D, T = fp.directed_planes
     tops = [D & plane for plane in T]
     for x in range(fp.n):
-        missing = _none_of(fp.n, fp.up[x])
-        yield [top & missing for top in tops]
+        above = fp.up[x]
+        missing = _none_of(fp.n, above)
+        # a subset with maximum t holds t, so none misses an up-set holding t
+        yield [0 if above >> t & 1 else top & missing
+               for t, top in enumerate(tops)]
 
 
 def _avoid(fp: FinitePoset):

@@ -551,6 +551,26 @@ class TestExportDot:
         assert out == ""
         assert target.read_text().startswith("digraph poset {")
 
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path):
+        target = tmp_path / "boolean_3.dot"
+        code, text, _ = run_cli(["export-dot", "boolean_3", "--waybelow"])
+        assert code == 0
+        assert run_cli(["export-dot", "boolean_3", "--waybelow", "--out",
+                        str(target)]) == (0, "", "")
+        assert target.read_bytes() == text.encode()
+
+    @pytest.mark.parametrize("where, reason", [
+        ("empty", "No such file or directory"),
+        ("missing_dir", "No such file or directory"),
+        ("directory", "Is a directory")])
+    def test_unwritable_out_is_an_input_error(self, tmp_path, where, reason):
+        path = {"empty": "", "missing_dir": str(tmp_path / "no" / "x.dot"),
+                "directory": str(tmp_path)}[where]
+        code, out, err = run_cli(["export-dot", "diamond", "--out", path])
+        assert (code, out) == (65, "")
+        assert err == f"input error: cannot write {path!r}: {reason}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 def _chain_sum_tree(n):
     """A balanced disjoint_sum tree of chain_16 documents, n elements in

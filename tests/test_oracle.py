@@ -10,12 +10,14 @@ import pytest
 
 from posetkernel import (BOTTOM, OMEGA, FinitePoset, Inner,
                          build_finite_poset, closed_set, make_catalog)
-from posetkernel.catalog import finite_named, lift, punctured_closed_sets
+from posetkernel.catalog import (NAMED_FINITE_ROSTER, finite_named, lift,
+                                 punctured_closed_sets)
 from posetkernel.closedsets import FULL, INF_POINT
 from posetkernel.core import (FINITE_CAP, _bits, _none_of, _plane_members,
                               _subset_planes, induced_finite_poset)
 from posetkernel.errors import (NotApproximable, PosetError, ScopeUnsupported,
                                SizeLimit)
+from posetkernel.families import ExplicitFamily
 from posetkernel.kernel import kernel_of, retract_member
 from posetkernel.oracle import (bank_refute_waybelow, continuity_bruteforce,
                                 continuous_subposets_bruteforce,
@@ -53,7 +55,8 @@ class TestWaybelowBruteforce:
             waybelow_bruteforce(fp, 0, 0)
 
     def test_every_finite_directed_subset_has_its_max(self, diamond):
-        for mask, top in diamond.poset.directed_subset_masks:
+        for mask in diamond.poset.directed_subset_masks:
+            top = diamond.poset.max_of_mask(mask)
             members = [i for i in range(4) if (mask >> i) & 1]
             assert top in members
             assert all(diamond.poset.leq(m, top) for m in members)
@@ -296,6 +299,12 @@ def reference_directed(fp):
     return out
 
 
+def listed_pairs(fp):
+    """The directed-subset listing with the maximum of each mask, as the
+    (mask, maximum) pairs the references hold."""
+    return [(mask, fp.max_of_mask(mask)) for mask in fp.directed_subset_masks]
+
+
 def reference_refuters(fp, directed):
     """refs[x][y]: the directed subsets whose maximum dominates y and that
     contain no element above x."""
@@ -382,7 +391,7 @@ def kernel_or_error(fp, x):
 def assert_oracle_matches_reference(fp, directed):
     refs = reference_refuters(fp, directed)
     n = fp.n
-    assert fp.directed_subset_masks == directed
+    assert listed_pairs(fp) == directed
     assert [[waybelow_bruteforce(fp, x, y) for y in range(n)]
             for x in range(n)] == [[not refs[x][y] for y in range(n)]
                                    for x in range(n)]
@@ -487,7 +496,7 @@ class TestPlaneHelpers:
     def assert_matches(fp):
         D, T = reference_directed_planes(fp)
         assert fp.directed_planes == (D, T)
-        assert fp.directed_subset_masks == reference_directed_masks(D, T)
+        assert listed_pairs(fp) == reference_directed_masks(D, T)
 
     @pytest.mark.parametrize("n,p", [(n, p) for n in range(13, FINITE_CAP + 1)
                                      for p in (0.15, 0.3)])
@@ -505,8 +514,7 @@ class TestPlaneHelpers:
         keep = rng.getrandbits(1 << n)
         D, T = reference_directed_planes(fp)
         fp.__dict__["directed_planes"] = (D & keep, T)
-        assert fp.directed_subset_masks == reference_directed_masks(D & keep,
-                                                                    T)
+        assert listed_pairs(fp) == reference_directed_masks(D & keep, T)
 
     def test_cap_before_any_plane(self):
         # a 17-element plane is 2^17 bits, 16 KiB: the calls must raise
@@ -524,3 +532,54 @@ class TestPlaneHelpers:
             finally:
                 tracemalloc.stop()
             assert peak < 1 << 14
+
+
+# ---------------------------------------------------------------------------
+# The directed-subset listing reads the masks straight off ``D``, and the
+# finite bank finds the maximum of each family it keeps.  Both against the
+# per-maximum listing they replaced: the members of ``D & T[t]`` for each t,
+# zipped with t and sorted (``reference_directed_masks``).
+
+
+def reference_bank(P):
+    """The finite bank built from the (mask, maximum) pairs."""
+    pairs = reference_directed_masks(*reference_directed_planes(P.poset))
+    if len(pairs) > 2048:
+        pairs = random.Random(0xD1CE).sample(pairs, 2048)
+    return [ExplicitFamily(tuple(_bits(mask)), top, label="{" + ", ".join(
+                P.format_element(i) for i in _bits(mask)) + "}")
+            for mask, top in pairs]
+
+
+class TestDirectedListing:
+    @pytest.mark.parametrize("n", range(1, FINITE_CAP + 1))
+    def test_random_poset(self, n):
+        fp = shuffled_poset(random.Random(3000 + n), n, 0.5)
+        assert listed_pairs(fp) == reference_directed_masks(
+            *reference_directed_planes(fp))
+
+    def test_max_of_mask_without_a_maximum(self, diamond):
+        # b and c are incomparable; the empty mask has no member
+        assert diamond.poset.max_of_mask(0b0110) is None
+        assert diamond.poset.max_of_mask(0) is None
+        assert diamond.poset.max_of_mask(0b1110) == 3
+
+    @pytest.mark.parametrize("name", NAMED_FINITE_ROSTER
+                             + ("chain_12", "chain_16"))
+    def test_bank_matches_the_pairs(self, name):
+        # chain_12 and chain_16 have over 2048 directed subsets, so their
+        # banks are the fixed random sample of the listing
+        P = make_catalog(finite_named(name))
+        assert P.family_bank() == reference_bank(P)
+
+    def test_chain_16_listing_memory(self):
+        # 65,535 masks as ints; as (mask, maximum) tuples they took 6 MiB
+        fp = make_catalog(finite_named("chain_16")).poset
+        tracemalloc.start()
+        try:
+            listing = fp.directed_subset_masks
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(listing) == 65535
+        assert peak < 3.5 * 2**20
