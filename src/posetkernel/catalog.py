@@ -139,7 +139,7 @@ class OmegaPlusOnePresentation(PosetPresentation):
     def waybelow_family(self, x):
         if x is OMEGA:
             return self._naturals_chain()
-        return ExplicitFamily(tuple(range(x + 1)), x, label=f"naturals<= {x}")
+        return ExplicitFamily(range(x + 1), x, label=f"naturals<= {x}")
 
     @staticmethod
     def _naturals_chain():
@@ -169,9 +169,6 @@ class OmegaPlusOnePresentation(PosetPresentation):
         if n > 14:
             raise SizeLimit("omega truncation capped at 14")
         return list(range(n + 1)) + [OMEGA]
-
-    def interpolation_witness(self, x, y):
-        return x if x is not OMEGA else None
 
     def compact_below(self, x):
         # every natural is way-below itself; omega is not, but 0 is below it
@@ -374,9 +371,6 @@ class ClosedSetsPresentation(PosetPresentation):
                 for inf in (False, True) for mask in range(1 << (n + 1)))
         return [rep for rep in reps if self.contains(rep)]
 
-    def interpolation_witness(self, x, y):
-        return x
-
     def continuity_counterexample(self):
         return cs.INF_POINT
 
@@ -472,13 +466,9 @@ class _Combinator(PosetPresentation):
         self._parts_by_wrap = {part[2]: part for part in parts}
         comps = [comp for _, comp, _ in parts]
         self.name = f"{self.kind}({', '.join(c.name for c in comps)})"
-        self.is_finite_kind = all(c.is_finite_kind for c in comps)
-        self.certified_conditionally_complete = all(
-            c.certified_conditionally_complete for c in comps)
-        self.certified_interpolating = all(c.certified_interpolating
-                                           for c in comps)
-        self.certified_continuous = all(c.certified_continuous
-                                        for c in comps)
+        for flag in ("is_finite_kind", "certified_conditionally_complete",
+                     "certified_interpolating", "certified_continuous"):
+            setattr(self, flag, all(getattr(c, flag) for c in comps))
 
     def _part(self, x):
         """The part whose wrap x is, or None for an own point."""
@@ -577,8 +567,7 @@ class _Combinator(PosetPresentation):
                 codes[i] = code << shift | 1 << bit
         return codes
 
-    # An own point is its own approximant, kernel value, interpolant and
-    # compact element.
+    # An own point is its own approximant, kernel value and compact element.
 
     def waybelow_family(self, x):
         """A wrapped element's family is its component's, wrapped; an
@@ -605,13 +594,6 @@ class _Combinator(PosetPresentation):
         if v is None:
             return self.points[0] if self.points else None
         return part[2](v)
-
-    def interpolation_witness(self, x, y):
-        part = self._part(x)
-        if part is None:
-            return x
-        z = part[1].interpolation_witness(x.value, y.value)
-        return None if z is None else part[2](z)
 
     def compact_below(self, x):
         part = self._part(x)

@@ -117,6 +117,22 @@ def _mask(indices) -> int:
     return mask
 
 
+def _common(rows, mask):
+    """The bounds common to the members of ``mask`` (all when it is empty)."""
+    bounds = (1 << len(rows)) - 1
+    for i in _bits(mask):
+        bounds &= rows[i]
+    return bounds
+
+
+def _extremum(rows, mask):
+    """The member of ``mask`` whose row holds the whole mask, or None."""
+    for u in _bits(mask):
+        if not mask & ~rows[u]:
+            return u
+    return None
+
+
 # Subset planes: a set of subsets of {0..n-1} is one 2^n-bit int whose bit m
 # stands for the subset with element mask m, so a single big-int operation
 # acts on all 2^n subsets at once.
@@ -178,9 +194,9 @@ def _plane_members(plane):
 class FinitePoset:
     """An explicit finite order, stored as bitmask rows of the relation.
 
-    ``up[i]`` has bit j set iff element i is below element j.  The relation
-    is validated to be reflexive, antisymmetric and transitive at
-    construction time.
+    ``up[i]`` has bit j set iff element i is below element j, ``down[j]``
+    then bit i.  Both builders end here, where the relation is validated
+    once to be reflexive, antisymmetric and transitive.
     """
 
     __slots__ = ("n", "names", "up", "down", "__dict__")
@@ -199,6 +215,7 @@ class FinitePoset:
                 raise ValidationError("relation row mentions unknown elements")
             if not (up[i] >> i) & 1:
                 raise ValidationError("order must be reflexive")
+        down = [0] * n
         for i in range(n):
             for j in _bits(up[i]):
                 if i != j and (up[j] >> i) & 1:
@@ -207,13 +224,10 @@ class FinitePoset:
                         "each other")
                 if up[j] & ~up[i]:
                     raise ValidationError("order must be transitive")
+                down[j] |= 1 << i
         self.n = n
         self.names = names
         self.up = up
-        down = [0] * n
-        for i in range(n):
-            for j in _bits(up[i]):
-                down[j] |= 1 << i
         self.down = tuple(down)
 
     def leq(self, i, j) -> bool:
@@ -227,22 +241,10 @@ class FinitePoset:
 
     def lub_of_mask(self, mask):
         """Least upper bound of the elements in ``mask``, or None."""
-        ubs = (1 << self.n) - 1
-        for i in _bits(mask):
-            ubs &= self.up[i]
-        for u in _bits(ubs):
-            if ubs & ~self.up[u] == 0:
-                return u
-        return None
+        return _extremum(self.up, _common(self.up, mask))
 
     def glb_of_mask(self, mask):
-        lbs = (1 << self.n) - 1
-        for i in _bits(mask):
-            lbs &= self.down[i]
-        for v in _bits(lbs):
-            if lbs & ~self.down[v] == 0:
-                return v
-        return None
+        return _extremum(self.down, _common(self.down, mask))
 
     @cached_property
     def directed_planes(self):
@@ -287,10 +289,7 @@ class FinitePoset:
 
     def max_of_mask(self, mask):
         """The member of ``mask`` whose down-set holds ``mask``, or None."""
-        for t in _bits(mask):
-            if mask & ~self.down[t] == 0:
-                return t
-        return None
+        return _extremum(self.down, mask)
 
     def hasse_edges(self):
         """Cover pairs (i, j): the transitive reduction of the strict order."""
@@ -305,8 +304,9 @@ class FinitePoset:
 
 
 def build_finite_poset(names, covers) -> FinitePoset:
-    """Finite poset from labels and cover pairs; order is the
-    reflexive-transitive closure of the covers."""
+    """Finite poset from labels and cover pairs; the order is their
+    reflexive-transitive closure, taken in one Warshall pass, and cyclic
+    covers fail the antisymmetry check of ``FinitePoset``."""
     names = tuple(names)
     if len(set(names)) != len(names):
         raise DuplicateLabel("element labels must be distinct")
@@ -319,34 +319,18 @@ def build_finite_poset(names, covers) -> FinitePoset:
         if a == b:
             raise CycleDetected(f"cover ({a!r}, {b!r}) asserts {a!r} < {a!r}")
         up[index[a]] |= 1 << index[b]
-    changed = True
-    while changed:
-        changed = False
+    for k in range(n):
+        bit, row = 1 << k, up[k]
         for i in range(n):
-            acc = up[i]
-            for j in _bits(acc):
-                acc |= up[j]
-            if acc != up[i]:
-                up[i] = acc
-                changed = True
-    for i in range(n):
-        for j in _bits(up[i]):
-            if i != j and (up[j] >> i) & 1:
-                raise CycleDetected(
-                    f"covers induce a cycle through {names[i]!r} and {names[j]!r}")
+            if up[i] & bit:
+                up[i] |= row
     return FinitePoset(names, up)
 
 
 def induced_finite_poset(P, elems) -> FinitePoset:
     """The order of P restricted to ``elems``, as a FinitePoset whose index
     i is ``elems[i]`` and whose labels are the formatted elements."""
-    up = []
-    for x in elems:
-        row = 0
-        for j, y in enumerate(elems):
-            if P.leq(x, y):
-                row |= 1 << j
-        up.append(row)
+    up = [_mask(j for j, y in enumerate(elems) if P.leq(x, y)) for x in elems]
     return FinitePoset([P.format_element(e) for e in elems], up)
 
 
@@ -478,10 +462,6 @@ class PosetPresentation:
     def interesting_elements(self) -> list:
         return []
 
-    def interpolation_witness(self, x, y):
-        """An element z with x << z << y, when the kind has a closed form."""
-        return None
-
     def continuity_counterexample(self):
         """A certified witness that the poset is not continuous, if any."""
         return None
@@ -547,17 +527,13 @@ class FinitePosetPresentation(PosetPresentation):
         return NO_INFIMUM if v is None else v
 
     def lower_bound_exists(self, xs):
-        lbs = (1 << self.poset.n) - 1
-        for x in xs:
-            lbs &= self.poset.down[x]
-        return lbs != 0
+        return _common(self.poset.down, _mask(xs)) != 0
 
     def waybelow(self, x, y) -> bool:
         return self.poset.leq(x, y)
 
     def waybelow_family(self, x):
-        members = tuple(i for i in range(self.poset.n) if self.poset.leq(i, x))
-        return ExplicitFamily(members, x,
+        return ExplicitFamily(tuple(_bits(self.poset.down[x])), x,
                               label=f"down-set({self.poset.names[x]})")
 
     def _bank(self):
@@ -583,9 +559,6 @@ class FinitePosetPresentation(PosetPresentation):
 
     def interesting_elements(self):
         return list(range(self.poset.n))
-
-    def interpolation_witness(self, x, y):
-        return x
 
     def compact_below(self, x):
         return x
@@ -644,6 +617,11 @@ def is_directed(P: PosetPresentation, family) -> bool:
         raise EmptyFamily("directedness is defined for nonempty sets")
     for m in members:
         P.require(m)
+    return _directed(P, members)
+
+
+def _directed(P: PosetPresentation, members) -> bool:
+    """Every pair of ``members`` has an upper bound among them."""
     return all(any(P.leq(a, c) and P.leq(b, c) for c in members)
                for a in members for b in members)
 
@@ -744,7 +722,7 @@ def _lubless_pair(fp: FinitePoset):
     least upper bound, or None: then every bounded finite set has one, as
     {a, b, ...} has the upper bounds of {a ∨ b, ...}.  The least-element
     test runs once per distinct set of upper bounds."""
-    least = cache(lambda ubs: any(not ubs & ~fp.up[u] for u in _bits(ubs)))
+    least = cache(lambda ubs: _extremum(fp.up, ubs) is not None)
     for j in range(fp.n):
         for i in range(j):
             ubs = fp.up[i] & fp.up[j]
@@ -819,19 +797,27 @@ def _escaping_bound(P, xs, s, pool, codes, bound):
     return None
 
 
+def _interpolated(P, x, y, pool):
+    """Whether some z in ``pool`` (which holds x) has x << z << y, given
+    x << y: z = x first, which every catalog carrier's approximants pass."""
+    return P.waybelow(x, x) or any(P.waybelow(x, z) and P.waybelow(z, y)
+                                   for z in pool)
+
+
 def _interp_exhaustive(P, scope):
+    """Every way-below pair has an interpolant among the elements."""
     law = "interpolating"
     elems = P.elements()
     for x in elems:
         for y in elems:
-            if P.waybelow(x, y):
-                if not any(P.waybelow(x, z) and P.waybelow(z, y)
-                           for z in elems):
-                    return refuted(law, (x, y), "no interpolant", scope)
+            if P.waybelow(x, y) and not _interpolated(P, x, y, elems):
+                return refuted(law, (x, y), "no interpolant", scope)
     return verified(law, scope)
 
 
 def _interp_sampled(P, scope):
+    """Sampled way-below pairs of the pool have interpolants in the pool;
+    Verified only where ``certified_interpolating``."""
     law = "interpolating"
     pool, rng = scope_pool(P, scope)
     checked = 0
@@ -839,11 +825,7 @@ def _interp_sampled(P, scope):
         x, y = rng.choice(pool), rng.choice(pool)
         if not P.waybelow(x, y):
             continue
-        z = P.interpolation_witness(x, y)
-        good = z is not None and P.waybelow(x, z) and P.waybelow(z, y)
-        if not good:
-            good = any(P.waybelow(x, z) and P.waybelow(z, y) for z in pool)
-        if not good:
+        if not _interpolated(P, x, y, pool):
             return refuted(law, (x, y), "no interpolant found in scope",
                            scope, samples=checked)
         checked += 1

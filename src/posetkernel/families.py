@@ -26,11 +26,13 @@ from .values import Frozen, assign, set_field
 
 
 class ExplicitFamily(Frozen):
-    """A finite directed set with its supremum (= its maximum) declared."""
+    """A finite directed set with its supremum (= its maximum) declared.
+    ``members`` is any finite sequence: ω+1 gives a ``range``, so that the
+    family of a large natural is not listed."""
 
     __slots__ = _fields = ("members", "supremum", "label")
 
-    def __init__(self, members: tuple, supremum, label: str = ""):
+    def __init__(self, members, supremum, label: str = ""):
         if not members:
             raise EmptyFamily("explicit directed family must be nonempty")
         set_field(self, "members", members)

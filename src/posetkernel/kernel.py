@@ -24,8 +24,8 @@ from operator import and_
 
 from .core import (PosetPresentation, check_conditionally_complete,
                    check_continuity, check_interpolation, check_subposet,
-                   _bits, _mask, is_approximable, is_element, resolve_scope,
-                   scope_draw, scope_pool)
+                   _bits, _directed, _mask, is_approximable, is_element,
+                   resolve_scope, scope_draw, scope_pool)
 from .errors import (EmptyFamily, NoInfimumError, NotApproximable, PosetError,
                      PreconditionUnverified, ScopeUnsupported)
 from .families import ChainFamily, ExplicitFamily
@@ -159,7 +159,8 @@ def check_scott_continuity(P: PosetPresentation) -> CheckReport:
     A finite carrier's bank is every directed subset D.  D holds its
     maximum t, so the law at D reads: k(m) <= k(t) for each member m, and
     k(t) lies in the retract, so D fails where a pair {m, t} in it fails
-    (``_decided``), and the law is Verified.  A symbolic bank: Unrefuted."""
+    (``_decided``), and the law is Verified, scope exhaustive.  A symbolic
+    bank: Unrefuted, scope bank."""
     law = "scott-continuity"
     judge = lambda fam: _scott_at(P, fam)
     if resolve_scope(P).kind != "exhaustive":
@@ -177,7 +178,8 @@ def check_scott_continuity(P: PosetPresentation) -> CheckReport:
         holds = kt is not None and in_retract(P, kt)
         failing[t] = _mask(m for m in _bits(fp.down[t] & approx) if not (
             holds and m in kernel and P.leq(kernel[m], kt)))
-    return _decided(P, law, judge, failing, approx, approx, BANK, counted=True)
+    return _decided(P, law, judge, failing, approx, approx, EXHAUSTIVE,
+                    counted=True)
 
 
 def _scott_at(P: PosetPresentation, fam):
@@ -626,9 +628,7 @@ def _restriction_at(P, fam):
         return label, ("supremum of a family meeting the approximable part "
                        "is not approximable")
     if isinstance(fam, ExplicitFamily):
-        directed = all(any(P.leq(a, c) and P.leq(b, c) for c in inside)
-                       for a in inside for b in inside)
-        if not directed:
+        if not _directed(P, inside):
             return label, ("restriction to the approximable part is not "
                            "directed")
         s = P.finite_sup(tuple(inside))

@@ -7,6 +7,8 @@ from posetkernel import ClosedSetRep, make_catalog
 from posetkernel.catalog import (OmegaPlusOnePresentation, closed_sets,
                                  finite_named, finite_random, lift,
                                  omega_plus_one, punctured_closed_sets)
+from posetkernel.core import FinitePosetPresentation
+from posetkernel.families import ExplicitFamily
 
 settings.register_profile(
     "ci", derandomize=True, max_examples=100,
@@ -96,3 +98,25 @@ def corrupt_omega(families=None, **methods):
 
     return type("CorruptOmega", (base,),
                 {"waybelow_family": waybelow_family, **methods})()
+
+
+class CorruptFinite(FinitePosetPresentation):
+    """A finite poset whose approximant families are overridden: ``sups``
+    maps an element to the supremum its down-set family declares, or to
+    None for an element declared without approximants.  ``waybelow``, when
+    given, replaces the way-below relation: a function of two indices."""
+
+    def __init__(self, poset, sups, waybelow=None):
+        super().__init__(poset, name="corrupt")
+        self.sups = sups
+        if waybelow is not None:
+            self.waybelow = waybelow
+
+    def waybelow_family(self, x):
+        if x not in self.sups:
+            return super().waybelow_family(x)
+        if self.sups[x] is None:
+            return None
+        members = tuple(i for i in range(self.poset.n)
+                        if self.poset.leq(i, x))
+        return ExplicitFamily(members, self.sups[x], label="corrupt")

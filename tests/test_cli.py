@@ -53,6 +53,16 @@ class TestParseInput:
             cli.parse_input(
                 '{"kind":"finite","elements":["a"],"covers":[["a","a"]]}')
 
+    def test_cyclic_covers_name_the_first_pair_below_each_other(self,
+                                                                tmp_path):
+        path = tmp_path / "cycle.json"
+        path.write_text('{"kind":"finite","elements":["a","b","c"],'
+                        '"covers":[["a","b"],["b","c"],["c","a"]]}')
+        code, out, err = run_cli(["check", str(path)])
+        assert (code, out) == (65, "")
+        assert err == ("input error: 'a' and 'b' are mutually below each "
+                       "other\n")
+
     def test_bad_json_carries_line(self):
         with pytest.raises(ParseError) as err:
             cli.parse_input('{"kind": \n "nope", }')
@@ -293,7 +303,8 @@ class TestCheckCommand:
         # every one of the 2^14 - 1 directed subsets of the chain is scanned
         code, out, _ = run_cli(["check", "chain_14", "--law", "scott"])
         assert code == 0
-        assert out == "[scott-continuity] VERIFIED scope=bank samples=16383\n"
+        assert out == ("[scott-continuity] VERIFIED scope=exhaustive "
+                       "samples=16383\n")
 
     def test_unexpected_exception_exits_70(self, monkeypatch):
         def boom(args):
@@ -358,6 +369,42 @@ class TestAnalyzeCommand:
         code, out, _ = run_cli(["analyze", "omega_plus_one", "kernel",
                                 "--element", "nat:4"])
         assert "kernel: 4" in out
+
+    @pytest.mark.parametrize("digits", ["5000000",
+                                        "99999999999999999999999"])
+    def test_a_large_natural_is_answered_at_once(self, digits, tmp_path):
+        # the approximants 0..n are a range, never listed
+        code, out, err = run_cli(["analyze", "omega_plus_one", "kernel",
+                                  "--element", f"nat:{digits}"])
+        assert (code, err) == (0, "")
+        assert out == (f"element: {digits}\napproximable: yes\n"
+                       f"kernel: {digits}\nin retract: yes\n")
+        path = tmp_path / "lift.json"
+        path.write_text('{"kind":"lift","inner":{"kind":"omega_plus_one"}}')
+        code, out, err = run_cli(["analyze", str(path), "retract",
+                                  "--elements",
+                                  json.dumps({"inner": f"nat:{digits}"})])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == f"in retract inner:{digits}: yes"
+
+    @pytest.mark.parametrize("doc, rules", [
+        ({"kind": "lift", "inner": {"kind": "closed_sets"}},
+         ["inner: for closed sets: if inf is in C then the natural part of "
+          "C must be infinite"]),
+        ({"kind": "disjoint_sum", "left": {"kind": "omega_plus_one"},
+          "right": {"kind": "punctured_closed_sets"}},
+         ["right: for closed sets: if inf is in C then the natural part of "
+          "C must be infinite (and nonempty overall)"]),
+    ], ids=["lift", "sum"])
+    def test_combinator_retract_rules_name_their_part(self, doc, rules,
+                                                       tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["analyze", str(path), "retract"])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "retract membership rule: x is approximable and fixed by the "
+            "kernel (sup of its approximants)", *rules]
 
     def test_finite_label_literal(self):
         code, out, _ = run_cli(["analyze", "diamond", "kernel",

@@ -37,11 +37,11 @@ from posetkernel.kernel import (adversarial_kernel, check_approximation_laws,
                                 is_approximable, kernel_of,
                                 quotient_structure, retract_member)
 from posetkernel.oracle import bank_refute_waybelow
-from posetkernel.reports import (BANK, DEFAULT_SEED, DEFAULT_SUBSET_SAMPLES,
+from posetkernel.reports import (DEFAULT_SEED, DEFAULT_SUBSET_SAMPLES,
                                  EXHAUSTIVE, Status, combine, refuted,
                                  sampled, unrefuted, verified)
 
-from conftest import corrupt_omega, random_presentation
+from conftest import CorruptFinite, corrupt_omega, random_presentation
 
 
 class TestKernelValues:
@@ -669,23 +669,23 @@ def reference_scott(P, bank):
             continue
         if P.waybelow_family(fam.supremum) is None:
             return refuted(law, fam.label, "supremum of an approximable "
-                           "directed family is not approximable", BANK,
+                           "directed family is not approximable", EXHAUSTIVE,
                            samples=checked)
         k_sup = kernel_of(P, fam.supremum)
         s = P.finite_sup(tuple(kernel_of(P, m) for m in members))
         if not is_element(s):
             return refuted(law, fam.label, "kernel image has no supremum",
-                           BANK, samples=checked)
+                           EXHAUSTIVE, samples=checked)
         if s != k_sup:
             return refuted(law, fam.label, f"k(sup) = "
                            f"{P.format_element(k_sup)} but sup of kernel "
-                           f"images = {P.format_element(s)}", BANK,
+                           f"images = {P.format_element(s)}", EXHAUSTIVE,
                            samples=checked)
         if not in_retract(P, s):
             return refuted(law, fam.label, "image supremum escapes the "
-                           "retract", BANK, samples=checked)
+                           "retract", EXHAUSTIVE, samples=checked)
         checked += 1
-    return verified(law, BANK, samples=checked)
+    return verified(law, EXHAUSTIVE, samples=checked)
 
 
 def reference_directed_restriction(P, bank):
@@ -731,25 +731,6 @@ def reference_restriction_nonempty(P, bank):
                 count += 1
                 break
     return verified(law, EXHAUSTIVE, samples=count)
-
-
-class CorruptFinite(FinitePosetPresentation):
-    """A finite poset whose approximant families are overridden: ``sups``
-    maps an element to the supremum its down-set family declares, or to
-    None for an element declared without approximants."""
-
-    def __init__(self, poset, sups):
-        super().__init__(poset, name="corrupt")
-        self.sups = sups
-
-    def waybelow_family(self, x):
-        if x not in self.sups:
-            return super().waybelow_family(x)
-        if self.sups[x] is None:
-            return None
-        members = tuple(i for i in range(self.poset.n)
-                        if self.poset.leq(i, x))
-        return ExplicitFamily(members, self.sups[x], label="corrupt")
 
 
 CORRUPTIONS = ("wrong-sup", "none", "not-below")
@@ -954,7 +935,8 @@ def reference_scott_scan(P):
         P, elems, fp, lambda fam: kernel._scott_at(P, fam),
         lambda mask, top: (None if mask & ~approx
                            else not mask & ~below[top]))
-    return reference_tally("scott-continuity", verdicts, BANK, counted=True)
+    return reference_tally("scott-continuity", verdicts, EXHAUSTIVE,
+                           counted=True)
 
 
 def reference_largest_retract_oracle(P):
@@ -1001,13 +983,13 @@ PLANE_SCAN_REFERENCE = {
 
 
 def _report_outcomes(check):
-    """(status, witness, reason, samples) of a report and of each of its
-    sub-reports, or the error it raised."""
+    """(status, scope, witness, reason, samples) of a report and of each of
+    its sub-reports, or the error it raised."""
     try:
         report = check()
     except PosetError as exc:
         return type(exc), str(exc)
-    return [(r.status, r.witness, r.reason, r.samples)
+    return [(r.status, r.scope, r.witness, r.reason, r.samples)
             for r in [report, *report.subreports]]
 
 
