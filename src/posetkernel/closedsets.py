@@ -22,6 +22,15 @@ sets.  Binary operations align both operands on one window, the common
 threshold plus the lcm of the periods, and work on it with ``|``, ``&`` and
 ``& ~``; that window is capped at ``MAX_WINDOW`` bits.  Inclusion takes no
 window when a side has a finite natural part.
+
+Each rep keeps the primes of its period.  A period a caller spells out is
+factored by trial division (once per period, in a bounded cache); the
+lcm window of a join or meet is never factored, since its primes are those
+of the operands' periods.  The least period divides out one prime at a
+time, and each trial is one shift: a word of length L is d-periodic (d
+dividing L) iff ``bits >> d == bits & ((1 << (L - d)) - 1)``.  The hash
+reads a word of at most 64 bits whole and a longer one through its low
+and high 64 bits and its length, so hashing costs the same at any period.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ class ClosedSetRep:
     """
 
     __slots__ = ("prefix_bits", "threshold", "period", "residue_bits",
-                 "infinity", "_hash")
+                 "infinity", "_primes", "_hash")
 
     def __init__(self, prefix=(), threshold=0, period=1, residues=(),
                  infinity=False):
@@ -66,7 +75,7 @@ class ClosedSetRep:
             raise ValidationError(
                 "infinite natural part requires the point at infinity")
         _normalize_into(self, prefix_bits, threshold, period, residue_bits,
-                        bool(infinity))
+                        bool(infinity), None)
 
     @property
     def prefix(self) -> frozenset:
@@ -141,39 +150,63 @@ def _tile(bits: int, period: int, width: int) -> int:
     return bits
 
 
-def _prime_factors(n: int):
+@lru_cache(maxsize=1 << 10)
+def _prime_factors(n: int) -> tuple:
+    """The distinct primes of ``n``, by trial division: only for periods a
+    caller spells out, which are at most ``MAX_LITERAL``."""
+    primes = []
     q = 2
     while q * q <= n:
         if n % q == 0:
-            yield q
+            primes.append(q)
             while n % q == 0:
                 n //= q
         q += 1
     if n > 1:
-        yield n
+        primes.append(n)
+    return tuple(primes)
 
 
-def _minimal_period(period: int, bits: int):
+def _minimal_period(period: int, bits: int, primes: tuple):
     """Least period of the cyclic word ``bits`` of length ``period``, with
-    the word cut to it.  The periods dividing ``period`` are the multiples of
-    the least one, so dividing out one prime at a time while the rotation by
-    the quotient fixes the word reaches it."""
-    for q in _prime_factors(period):
+    the word cut to it and the primes of that period; ``primes`` holds those
+    of ``period``.  The periods dividing ``period`` are the multiples of the
+    least one, so dividing out one prime at a time while the word repeats
+    with the quotient reaches it.  A word of length L repeats with d (d
+    dividing L) iff it equals itself shifted by d on the L - d bits both
+    cover."""
+    cut = False
+    for q in primes:
         while period % q == 0:
             d = period // q
-            mask = (1 << period) - 1
-            if (bits >> d) | ((bits << (period - d)) & mask) != bits:
+            if bits >> d != bits & ((1 << (period - d)) - 1):
                 break
-            period, bits = d, bits & ((1 << d) - 1)
-    return period, bits
+            period, bits, cut = d, bits & ((1 << d) - 1), True
+    if cut:
+        primes = tuple(q for q in primes if period % q == 0)
+    return period, bits, primes
+
+
+_WORD = (1 << 64) - 1
+
+
+def _digest(bits: int) -> tuple:
+    """A fixed-size stand-in, in the hash, for a word longer than 64 bits:
+    its low and high 64 bits and its length."""
+    n = bits.bit_length()
+    return bits & _WORD, bits >> (n - 64), n
 
 
 def _normalize_into(rep, prefix_bits, threshold, period, residue_bits,
-                    infinity):
+                    infinity, primes):
     """Store the canonical form of the given state in ``rep``: minimal
-    period, then minimal threshold; an empty tail collapses to period 1."""
+    period, then minimal threshold; an empty tail collapses to period 1.
+    ``primes`` are the primes of ``period``, or None to factor it."""
     if residue_bits:
-        period, residue_bits = _minimal_period(period, residue_bits)
+        if primes is None:
+            primes = _prime_factors(period)
+        period, residue_bits, primes = _minimal_period(period, residue_bits,
+                                                       primes)
         # The threshold can drop to one past the highest natural where the
         # prefix disagrees with the periodic tail extended downwards.
         tail = _tile(residue_bits, period, threshold)
@@ -181,33 +214,49 @@ def _normalize_into(rep, prefix_bits, threshold, period, residue_bits,
                      ).bit_length()
         prefix_bits &= (1 << threshold) - 1
     else:
-        threshold, period = prefix_bits.bit_length(), 1
+        threshold, period, primes = prefix_bits.bit_length(), 1, ()
+    return _store(rep, prefix_bits, threshold, period, residue_bits,
+                  infinity, primes)
+
+
+def _store(rep, prefix_bits, threshold, period, residue_bits, infinity,
+           primes):
+    """Set the fields of ``rep`` to a state already in canonical form."""
     setter = object.__setattr__
     setter(rep, "prefix_bits", prefix_bits)
     setter(rep, "threshold", threshold)
     setter(rep, "period", period)
     setter(rep, "residue_bits", residue_bits)
     setter(rep, "infinity", infinity)
-    setter(rep, "_hash", hash((prefix_bits, threshold, period, residue_bits,
-                               infinity)))
+    setter(rep, "_primes", primes)
+    setter(rep, "_hash", hash((
+        prefix_bits if prefix_bits <= _WORD else _digest(prefix_bits),
+        threshold, period,
+        residue_bits if residue_bits <= _WORD else _digest(residue_bits),
+        infinity)))
     return rep
 
 
-def _from_bits(prefix_bits, threshold, period, residue_bits, infinity):
+def _from_bits(prefix_bits, threshold, period, residue_bits, infinity,
+               primes=None):
     """Canonical rep of already valid state, without the validating
-    constructor: the one path for results computed here."""
+    constructor: the one path for results computed here.  ``primes`` are
+    the primes of ``period``, or None to factor it."""
     return _normalize_into(object.__new__(ClosedSetRep), prefix_bits,
-                           threshold, period, residue_bits, infinity)
+                           threshold, period, residue_bits, infinity, primes)
 
 
 def closedset_normalize(rep: ClosedSetRep) -> ClosedSetRep:
     """Canonical form of a representation; idempotent by construction."""
     return _from_bits(rep.prefix_bits, rep.threshold, rep.period,
-                      rep.residue_bits, rep.infinity)
+                      rep.residue_bits, rep.infinity, rep._primes)
 
 
 def _naturals_below(rep: ClosedSetRep, width: int) -> int:
     """The natural members of ``rep`` below ``width``, as bits."""
+    if not rep.residue_bits:
+        bits = rep.prefix_bits
+        return bits if rep.threshold <= width else bits & ((1 << width) - 1)
     tail = _tile(rep.residue_bits, rep.period, width)
     tail &= ~((1 << rep.threshold) - 1)
     return (rep.prefix_bits | tail) & ((1 << width) - 1)
@@ -245,18 +294,30 @@ def closedset_leq(a: ClosedSetRep, b: ClosedSetRep) -> bool:
     return not (pa & ~pb) and not (ra & ~rb)
 
 
+def _lcm_primes(a: ClosedSetRep, b: ClosedSetRep) -> tuple:
+    """The primes of lcm(a.period, b.period): those of either period."""
+    pa, pb = a._primes, b._primes
+    if pa == pb or not pb:
+        return pa
+    if not pa:
+        return pb
+    return tuple({*pa, *pb})
+
+
 @lru_cache(maxsize=1 << 16)
 def closedset_join(a: ClosedSetRep, b: ClosedSetRep) -> ClosedSetRep:
     """Union; closed because a finite union of closed sets is closed."""
     t, span, pa, ra, pb, rb = _aligned(a, b)
-    return _from_bits(pa | pb, t, span, ra | rb, a.infinity or b.infinity)
+    return _from_bits(pa | pb, t, span, ra | rb, a.infinity or b.infinity,
+                      _lcm_primes(a, b))
 
 
 @lru_cache(maxsize=1 << 16)
 def closedset_meet(a: ClosedSetRep, b: ClosedSetRep) -> ClosedSetRep:
     """Intersection; closed sets are stable under arbitrary intersections."""
     t, span, pa, ra, pb, rb = _aligned(a, b)
-    return _from_bits(pa & pb, t, span, ra & rb, a.infinity and b.infinity)
+    return _from_bits(pa & pb, t, span, ra & rb, a.infinity and b.infinity,
+                      _lcm_primes(a, b))
 
 
 def closed_set(naturals=(), infinity=False) -> ClosedSetRep:
@@ -317,11 +378,11 @@ def natural_closure(rep: ClosedSetRep) -> ClosedSetRep:
     part, i.e. the value of the approximation kernel on ``rep``.  For a
     finite natural part it is that part as a closed set without ∞.
     """
-    infinity = bool(rep.residue_bits)
-    if rep.infinity == infinity:
+    if rep.residue_bits or not rep.infinity:
         return rep
-    return _from_bits(rep.prefix_bits, rep.threshold, rep.period,
-                      rep.residue_bits, infinity)
+    # A finite natural part with ∞: dropping ∞ keeps the form canonical.
+    return _store(object.__new__(ClosedSetRep), rep.prefix_bits,
+                  rep.threshold, 1, 0, False, ())
 
 
 def format_closed_set(rep: ClosedSetRep) -> str:

@@ -18,6 +18,7 @@ does, so every chain carries two certificates:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import cached_property
 
 from .errors import EmptyFamily
@@ -28,7 +29,8 @@ from .values import Frozen, assign, set_field
 class ExplicitFamily(Frozen):
     """A finite directed set with its supremum (= its maximum) declared.
     ``members`` is any finite sequence: ω+1 gives a ``range``, so that the
-    family of a large natural is not listed."""
+    family of a large natural is not listed, and a lift or sum of it a
+    ``MappedMembers`` view of that range."""
 
     __slots__ = _fields = ("members", "supremum", "label")
 
@@ -78,9 +80,45 @@ class ChainFamily(Frozen):
 Family = ExplicitFamily | ChainFamily
 
 
+class MappedMembers(Sequence):
+    """The members of a finite family read through ``wrap`` one at a time,
+    so that wrapping a family lists none of it: a lift of ω+1 keeps the
+    ``range`` of a large natural's family.  Compared, hashed and printed as
+    the tuple it stands for."""
+
+    __slots__ = ("wrap", "base")
+
+    def __init__(self, wrap, base):
+        self.wrap = wrap
+        self.base = base
+
+    def __len__(self):
+        return len(self.base)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return MappedMembers(self.wrap, self.base[index])
+        return self.wrap(self.base[index])
+
+    def __iter__(self):
+        return map(self.wrap, self.base)
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, MappedMembers)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
 def map_family(fam: Family, wrap, *, dominates, label=None) -> Family:
     """Wrap every member, the supremum and (for a chain) the kernel-image
-    supremum of a family through ``wrap``.
+    supremum of a family through ``wrap``; the members of an explicit family
+    are wrapped as they are read.
 
     Used by the lift and disjoint-sum combinators to re-export the families
     of their components.  ``dominates(x, inner)`` is the chain's domination
@@ -89,7 +127,7 @@ def map_family(fam: Family, wrap, *, dominates, label=None) -> Family:
     """
     label = label or fam.label
     if isinstance(fam, ExplicitFamily):
-        return ExplicitFamily(tuple(wrap(m) for m in fam.members),
+        return ExplicitFamily(MappedMembers(wrap, fam.members),
                               wrap(fam.supremum), label=label)
     inner = fam.member_dominates
     return ChainFamily(

@@ -82,7 +82,11 @@ class CheckReport(Record):
 
 
 def render_witness(witness, render=str) -> str:
-    """Render a witness element or tuple of elements, never raising."""
+    """Render a witness element or tuple of elements, never raising.  No
+    carrier has strings for elements: a string is a family label, printed
+    as it is on every carrier."""
+    if isinstance(witness, str):
+        return witness
     if isinstance(witness, tuple):
         return "(" + ", ".join(render_witness(w, render) for w in witness) + ")"
     try:

@@ -3,6 +3,7 @@ invariant that no certified way-below rule is ever refuted by its bank."""
 
 import json
 import random
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -287,6 +288,31 @@ class TestWrappedFamilies:
         assert fam.members == (Inner(closed_set({1, 2})),)
         assert fam.supremum == Inner(closed_set({1, 2}))
         assert fam.label == "natural-part"
+
+    @pytest.mark.parametrize("build,wrap", [
+        (lambda: lift(omega_plus_one()), Inner),
+        (lambda: disjoint_sum(finite_named("chain_2"), omega_plus_one()),
+         Right)], ids=["lift", "sum"])
+    def test_a_large_natural_family_is_wrapped_unlisted(self, build, wrap):
+        """ω+1 holds the family of n as range(n + 1); its lift or sum wraps
+        that range as a view, building no member up front."""
+        C = make_catalog(build())
+        n = 10 ** 6
+        tracemalloc.start()
+        try:
+            fam = C.waybelow_family(wrap(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(fam.members) == n + 1
+        assert fam.members[0] == wrap(0) and fam.members[-1] == wrap(n)
+        assert fam.supremum == wrap(n)
+        assert peak < 64 * 1024
+        small = C.waybelow_family(wrap(2)).members
+        listed = (wrap(0), wrap(1), wrap(2))
+        assert small == listed and listed == small
+        assert hash(small) == hash(listed) and repr(small) == repr(listed)
+        assert small[1:] == listed[1:]
 
     def test_lifted_bank_labels(self, lifted_punctured):
         labels = [f.label for f in lifted_punctured.family_bank()]

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from posetkernel import ClosedSetRep, closed_set, periodic_set
 from posetkernel.closedsets import (EMPTY, EVENS, FULL, INF_POINT,
                                     MAX_LITERAL, ODDS, _aligned,
+                                    _minimal_period, _prime_factors,
                                     closedset_join,
                                     closedset_leq, closedset_meet,
                                     closedset_normalize,
@@ -19,8 +20,14 @@ from posetkernel.errors import ValidationError
 
 from conftest import closed_fields, closed_reps, compare_window, model_member
 
-PRIMES = [p for p in range(50, 251)
-          if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+PRIMES = [p for p in range(50, 251) if _is_prime(p)]
+# Periods whose lcm windows share primes or are prime powers.
+SHARED_PRIMES = [4, 6, 8, 9, 12, 14, 18, 25, 27, 49]
 
 
 class TestNormalization:
@@ -171,7 +178,15 @@ class TestAlgebra:
 
 
 def _assert_canonical(rep):
-    """Minimal period, then minimal threshold, checked by brute force."""
+    """Minimal period, then minimal threshold, checked by brute force, and
+    the primes the rep keeps are exactly those of its period."""
+    rest = rep.period
+    assert len(set(rep._primes)) == len(rep._primes)
+    for q in rep._primes:
+        assert _is_prime(q) and rest % q == 0
+        while rest % q == 0:
+            rest //= q
+    assert rest == 1
     prefix, residues = rep.prefix, rep.residues
     assert all(n < rep.threshold for n in prefix)
     if not residues:
@@ -205,6 +220,18 @@ def _check_against_model(fa, fb):
         assert (n in meet) == (in_a and in_b)
         included = included and (in_b or not in_a)
     assert closedset_leq(a, b) == included
+    for rep in (a, b, join, meet):
+        _check_closure(rep)
+
+
+def _check_closure(rep):
+    """The natural closure keeps the naturals, is canonical, and holds ∞
+    exactly when the natural part is infinite."""
+    closure = natural_closure(rep)
+    _assert_canonical(closure)
+    assert closure.infinity == bool(rep.residue_bits)
+    for n in range(compare_window(rep, closure)):
+        assert (n in closure) == (n in rep)
 
 
 class TestBitsetDifferential:
@@ -218,6 +245,26 @@ class TestBitsetDifferential:
            closed_fields(max_threshold=20, periods=PRIMES))
     def test_prime_periods_50_to_250(self, fa, fb):
         _check_against_model(fa, fb)
+
+    @settings(max_examples=60, deadline=None)
+    @given(closed_fields(max_threshold=20, periods=SHARED_PRIMES),
+           closed_fields(max_threshold=20, periods=SHARED_PRIMES))
+    def test_periods_sharing_primes(self, fa, fb):
+        """The lcm window's primes come from the operands; here they are
+        shared or repeated, so one prime is divided out more than once."""
+        _check_against_model(fa, fb)
+
+    @pytest.mark.parametrize("pa,pb", [(4, 8), (8, 12), (9, 27), (6, 14),
+                                       (18, 12), (25, 49), (27, 18)])
+    def test_results_collapse_through_shared_primes(self, pa, pb):
+        """Residues that repeat with a proper divisor of the lcm: the least
+        period drops through a prime the two periods share."""
+        for step in (1, 2, 3, 4, 6):
+            fa = ((), 0, pa, frozenset(range(0, pa, math.gcd(pa, step))),
+                  True)
+            fb = (frozenset({0, 2}), 3, pb,
+                  frozenset(range(1, pb, math.gcd(pb, step))), True)
+            _check_against_model(fa, fb)
 
     def test_large_coprime_join(self):
         """Periods 9973 and 9967: the join has the product as its period
@@ -261,6 +308,92 @@ def _windowed_leq(a, b):
         return False
     _, _, pa, ra, pb, rb = _aligned(a, b)
     return not (pa & ~pb) and not (ra & ~rb)
+
+
+def _rotation_fixes(bits, length, d):
+    """The word of that length equals its rotation by d."""
+    mask = (1 << length) - 1
+    return (bits >> d) | ((bits << (length - d)) & mask) == bits
+
+
+class TestLeastPeriod:
+    def test_one_shift_matches_the_rotation(self):
+        """For d dividing L, a word of length L is fixed by rotation by d
+        iff it equals its shift by d on the L - d bits both cover: every
+        word with L <= 12."""
+        for length in range(1, 13):
+            for d in range(1, length):
+                if length % d:
+                    continue
+                low = (1 << (length - d)) - 1
+                for bits in range(1 << length):
+                    assert (bits >> d == bits & low) == \
+                        _rotation_fixes(bits, length, d), (bits, length, d)
+
+    def test_least_period_of_every_short_word(self):
+        for length in range(1, 13):
+            primes = _prime_factors(length)
+            assert set(primes) == {q for q in range(2, length + 1)
+                                   if length % q == 0 and _is_prime(q)}
+            for bits in range(1 << length):
+                least = min(d for d in range(1, length + 1)
+                            if length % d == 0
+                            and (d == length
+                                 or _rotation_fixes(bits, length, d)))
+                period, word, kept = _minimal_period(length, bits, primes)
+                assert (period, word) == (least, bits & ((1 << least) - 1))
+                assert set(kept) == set(_prime_factors(least))
+
+
+class TestBoundedHash:
+    def _state(self, rep):
+        return (rep.prefix_bits, rep.threshold, rep.period, rep.residue_bits,
+                rep.infinity)
+
+    @given(closed_reps())
+    def test_short_words_keep_the_field_hash(self, rep):
+        assert hash(rep) == hash(self._state(rep))
+
+    @pytest.mark.parametrize("rep", [
+        periodic_set({63}, 64),
+        periodic_set({0, 63}, 64, prefix=set(range(0, 64, 3)), threshold=64),
+        closed_set({63}, infinity=True),
+    ])
+    def test_words_of_exactly_64_bits_keep_the_field_hash(self, rep):
+        assert max(rep.prefix_bits, rep.residue_bits).bit_length() == 64
+        assert hash(rep) == hash(self._state(rep))
+
+    @pytest.mark.parametrize("pa,pb", [(65, 5), (100, 4), (227, 229)])
+    def test_equal_long_reps_hash_equally(self, pa, pb):
+        """A join, the literal spelling its fields and the literal doubling
+        its period are one rep, with one hash, at words over 64 bits."""
+        rng = random.Random(pa)
+        a = periodic_set({r for r in range(pa) if rng.random() < 0.5} | {64},
+                         pa, prefix={n for n in range(90)
+                                     if rng.random() < 0.5}, threshold=90)
+        rep = closedset_join(a, periodic_set({0}, pb))
+        assert rep.residue_bits.bit_length() > 64
+        spellings = [ClosedSetRep(rep.prefix, rep.threshold, rep.period,
+                                  rep.residues, True), closedset_normalize(rep)]
+        if 2 * rep.period <= MAX_LITERAL:
+            spellings.append(ClosedSetRep(
+                rep.prefix, rep.threshold, 2 * rep.period,
+                {r + k * rep.period for r in rep.residues for k in (0, 1)},
+                True))
+        for other in spellings:
+            assert other == rep and hash(other) == hash(rep)
+
+    @pytest.mark.parametrize("high", [64, 70, 99])
+    def test_reps_differing_above_bit_64_are_unequal(self, high):
+        base = set(range(0, 64, 5)) | {99}
+        a = periodic_set(base, 100)
+        b = periodic_set(base ^ {high}, 100)
+        assert a.residue_bits & ((1 << 64) - 1) == \
+            b.residue_bits & ((1 << 64) - 1)
+        assert a != b and b != a
+        c = closed_set(base | {high + 1}, infinity=True)
+        d = closed_set(base | {high + 2}, infinity=True)
+        assert c != d
 
 
 class TestLeqWithoutAWindow:

@@ -1,5 +1,6 @@
-"""The benchmark harness still drives the library: one traced pass of the
-finite_oracle workload, run the way perfbench/run.py runs it.  The harness
+"""The benchmark harness still drives the library: one traced pass each of
+the finite_oracle and closedset_periods workloads, run the way
+perfbench/run.py runs them.  The harness
 wraps library names from outside (the `directed_subset_masks` cached
 property, the oracle functions), so a refactor that renames or reshapes
 them shows up here as a failed op or a missing count."""
@@ -32,6 +33,31 @@ def test_finite_oracle_traced_pass(tmp_path):
     # `workloads.directed_count` summed over its ops: a listing that drops
     # or repeats a subset moves this total
     assert result["totals"]["oracle.directed_subsets_found"] == 134326
+
+
+def test_closedset_periods_traced_pass(tmp_path):
+    """One traced pass of closedset_periods at seed 1.  Its counts are
+    pinned: a change that builds more reps, calls the cached ops more often
+    or walks a wider window moves one of them."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path
+                                               else ""))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"),
+         "--workload", "closedset_periods", "--seed", "1", "--trace"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "ready"
+    result = json.loads(lines[-1])
+    assert len(result["ops"]) == 114
+    assert [op for op in result["ops"] if op["failed"] or op["wrong"]] == []
+    totals = result["totals"]
+    assert (totals["closedsets.construct_calls"],
+            totals["closedsets.leq_calls"], totals["closedsets.join_calls"],
+            totals["closedsets.meet_calls"]) == (342, 570, 114, 114)
+    assert totals["closedsets.window_elems"] == 18_625_569
 
 
 def test_traced_check_reads_the_kernel_hook(tmp_path):

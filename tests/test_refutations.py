@@ -299,7 +299,7 @@ THROUGH_CHECK = {
                "reason=idempotence fails at k(x) = 1"),
     "scott": (sinking_chain,
               "[scott-continuity] REFUTED scope=exhaustive samples=3 "
-              "witness='{2}' reason=image supremum escapes the retract"),
+              "witness={2} reason=image supremum escapes the retract"),
     "eq": (lambda: CorruptFinite(chain(2), {1: 0}),
            "[waybelow-kernel-equivalence] REFUTED scope=exhaustive "
            "witness=(1, 1) reason=v << x is True but v << k(x) is False"),
