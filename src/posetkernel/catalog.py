@@ -649,7 +649,7 @@ class LiftPresentation(_Combinator):
     def _bank(self):
         """{⊥}, each lifted inner family, then one ⊥-and-anchor pair: two
         families per level.  Only a symbolic carrier's laws read it; a
-        finite lift is scanned over its directed subsets."""
+        finite lift's laws judge its own generators (``kernel._decided``)."""
         bank = [ExplicitFamily((BOTTOM,), BOTTOM, label="bottom-singleton")]
         for fam in self.inner.family_bank():
             explicit = isinstance(fam, ExplicitFamily)

@@ -272,10 +272,12 @@ def _aligned(a: ClosedSetRep, b: ClosedSetRep):
     if t + span > MAX_WINDOW:
         raise ValidationError(
             f"window {t} + lcm {span} exceeds the cap of {MAX_WINDOW} bits")
-    mask = (1 << span) - 1
-    return (t, span,
-            _naturals_below(a, t), _tile(a.residue_bits, a.period, span) & mask,
-            _naturals_below(b, t), _tile(b.residue_bits, b.period, span) & mask)
+    ra, rb = a.residue_bits, b.residue_bits
+    if a.period < span or b.period < span:  # tile only below the window
+        mask = (1 << span) - 1
+        ra = ra if a.period == span else _tile(ra, a.period, span) & mask
+        rb = rb if b.period == span else _tile(rb, b.period, span) & mask
+    return t, span, _naturals_below(a, t), ra, _naturals_below(b, t), rb
 
 
 @lru_cache(maxsize=1 << 16)

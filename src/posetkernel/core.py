@@ -97,9 +97,8 @@ class Right(_Wrap):
 # ---------------------------------------------------------------------------
 # Finite posets
 
-# The cap of every scan of the 2^n subsets of a finite poset (the oracle and
-# the finite family bank; ``_subset_planes`` enforces it), and of the size
-# of a finite catalog poset or document.  No law scans subsets.
+# The cap of the oracle's scans of the 2^n subsets of a finite poset (in
+# ``_subset_planes``), and of the size of a finite catalog poset or document.
 FINITE_CAP = 16
 
 
@@ -131,6 +130,21 @@ def _extremum(rows, mask):
         if not mask & ~rows[u]:
             return u
     return None
+
+
+def _generators(rows):
+    """``(mask, t)`` for the generators {m, t} ({t} when m = t) of the rows
+    ``(t, row)``, m in the row, ascending by mask.  A finite directed set is
+    its maximum t plus part of the down-set of t, so these decide a law that
+    fails at a directed set exactly when it fails at a generator in it."""
+    return sorted((1 << t | 1 << m, t) for t, row in rows for m in _bits(row))
+
+
+def _mask_family(P, elems, mask, top):
+    """The ``elems`` in ``mask``, sup ``elems[top]``, labelled ``{a, b}``."""
+    members = tuple(elems[i] for i in _bits(mask))
+    return ExplicitFamily(members, elems[top], label="{" + ", ".join(
+        map(P.format_element, members)) + "}")
 
 
 # Subset planes: a set of subsets of {0..n-1} is one 2^n-bit int whose bit m
@@ -284,12 +298,8 @@ class FinitePoset:
     def directed_subset_masks(self):
         """The masks of all directed subsets, ascending: the members of the
         plane ``D`` of ``directed_planes``, which has checked that each of
-        them has a maximum.  ``max_of_mask`` names it."""
+        them has a maximum.  No law and no family bank reads it."""
         return _plane_members(self.directed_planes[0])
-
-    def max_of_mask(self, mask):
-        """The member of ``mask`` whose down-set holds ``mask``, or None."""
-        return _extremum(self.down, mask)
 
     def hasse_edges(self):
         """Cover pairs (i, j): the transitive reduction of the strict order."""
@@ -529,26 +539,18 @@ class FinitePosetPresentation(PosetPresentation):
     def lower_bound_exists(self, xs):
         return _common(self.poset.down, _mask(xs)) != 0
 
-    def waybelow(self, x, y) -> bool:
-        return self.poset.leq(x, y)
+    waybelow = leq
 
     def waybelow_family(self, x):
         return ExplicitFamily(tuple(_bits(self.poset.down[x])), x,
                               label=f"down-set({self.poset.names[x]})")
 
     def _bank(self):
-        """Every directed subset, labelled by its element names, or a fixed
-        random 2048 of them when there are more; only a symbolic combinator
-        reads it.  The supremum of each family is its maximum, found only
-        for the families kept."""
-        fp = self.poset
-        masks = fp.directed_subset_masks
-        if len(masks) > 2048:
-            masks = random.Random(0xD1CE).sample(masks, 2048)
-        return [ExplicitFamily(tuple(_bits(mask)), fp.max_of_mask(mask),
-                               label="{" + ", ".join(map(
-                                   self.format_element, _bits(mask))) + "}")
-                for mask in masks]
+        """The generators {t} and {m, t}, m < t, of the directed subsets,
+        labelled by their element names; for each bank law they stand for
+        every directed subset.  Only a symbolic combinator reads it."""
+        return [_mask_family(self, range(self.poset.n), mask, t)
+                for mask, t in _generators(enumerate(self.poset.down))]
 
     @cached_property
     def certified_conditionally_complete(self):
@@ -557,8 +559,7 @@ class FinitePosetPresentation(PosetPresentation):
     def sample_elements(self, rng, count):
         return [rng.randrange(self.poset.n) for _ in range(count)]
 
-    def interesting_elements(self):
-        return list(range(self.poset.n))
+    interesting_elements = elements
 
     def compact_below(self, x):
         return x

@@ -24,8 +24,9 @@ from operator import and_
 
 from .core import (PosetPresentation, check_conditionally_complete,
                    check_continuity, check_interpolation, check_subposet,
-                   _bits, _directed, _mask, is_approximable, is_element,
-                   resolve_scope, scope_draw, scope_pool)
+                   _bits, _directed, _generators, _mask, _mask_family,
+                   is_approximable, is_element, resolve_scope, scope_draw,
+                   scope_pool)
 from .errors import (EmptyFamily, NoInfimumError, NotApproximable, PosetError,
                      PreconditionUnverified, ScopeUnsupported)
 from .families import ChainFamily, ExplicitFamily
@@ -136,8 +137,7 @@ def check_kernel_laws(P: PosetPresentation, scope: Scope | None = None,
     for x, y in pairs:
         if not P.leq(k(x), k(y)):
             return refuted(law, (x, y), "monotonicity fails", scope)
-    total = len(xs) + len(pairs)
-    return _finish(law, scope.kind == "exhaustive", total, scope)
+    return _finish(law, len(xs) + len(pairs), scope)
 
 
 def _chain_sup(P: PosetPresentation, chain: ChainFamily):
@@ -156,11 +156,11 @@ def check_scott_continuity(P: PosetPresentation) -> CheckReport:
     approximable part; the image supremum is asserted to lie in the
     retract.
 
-    A finite carrier's bank is every directed subset D.  D holds its
-    maximum t, so the law at D reads: k(m) <= k(t) for each member m, and
-    k(t) lies in the retract, so D fails where a pair {m, t} in it fails
-    (``_decided``), and the law is Verified, scope exhaustive.  A symbolic
-    bank: Unrefuted, scope bank."""
+    On a finite carrier the law ranges over every directed subset D.  D
+    holds its maximum t, so the law at D reads: k(m) <= k(t) for each
+    member m, and k(t) lies in the retract, so D fails where a generator
+    {m, t} in it fails (``_decided``): the law is Verified, scope exhaustive.
+    A symbolic bank: Unrefuted, scope bank."""
     law = "scott-continuity"
     judge = lambda fam: _scott_at(P, fam)
     if resolve_scope(P).kind != "exhaustive":
@@ -225,15 +225,12 @@ def _decided(P: PosetPresentation, law, judge, failing, tops, within, scope,
              counted=False):
     """A bank law on a finite carrier, over the directed subsets inside
     ``within`` with maximum in ``tops``.  One with maximum t fails when it
-    holds an m in ``failing[t]``, and then so does {m, t}, so ``judge``
-    refutes at the first such pair in mask order.  The subsets are counted:
+    holds an m in ``failing[t]``, and then so does {m, t}: ``judge`` refutes
+    at the first such generator (``_generators``).  The subsets are counted:
     all, or those before the refuting one when ``counted``."""
     elems, fp = P.elements(), P.poset
-    for mask, top in sorted((1 << t | 1 << m, t) for t, bad in failing.items()
-                            for m in _bits(bad)):
-        members = tuple(elems[i] for i in _bits(mask))
-        verdict = judge(ExplicitFamily(members, elems[top], label="{" + (
-            ", ".join(map(P.format_element, members))) + "}"))
+    for mask, top in _generators(failing.items()):
+        verdict = judge(_mask_family(P, elems, mask, top))
         if verdict and verdict is not True:
             return refuted(law, *verdict, scope, samples=_count_directed(
                 fp, tops, within, mask) if counted else 0)
@@ -289,7 +286,7 @@ def check_waybelow_kernel_equivalence(P: PosetPresentation,
             return refuted(law, (v, x),
                            f"v << x is {P.waybelow(v, x)} but v << k(x) is "
                            f"{not P.waybelow(v, x)}", scope)
-    return _finish(law, scope.kind == "exhaustive", len(pairs), scope)
+    return _finish(law, len(pairs), scope)
 
 
 def check_largest_retract(P: PosetPresentation,
@@ -513,7 +510,7 @@ def _check_inf_instance(P: PosetPresentation, A, scope: Scope, pool,
             return refuted(law, c,
                            "a retract lower bound escapes the kernel of "
                            "the infimum", scope)
-    return _finish(law, scope.kind == "exhaustive", len(pool), scope)
+    return _finish(law, len(pool), scope)
 
 
 def check_inf_preservation_sampled(P: PosetPresentation,
@@ -590,10 +587,9 @@ def check_approximation_laws(P: PosetPresentation,
     scope = resolve_scope(P, scope)
     pool = scope_pool(P, scope)[0]
     approx_pool = [x for x in pool if P.kernel_value(x) is not None]
-    complete = scope.kind == "exhaustive"
     restrict = lambda fam: _restriction_at(P, fam)
     meet = lambda fam: _meet_at(P, fam, approx_pool)
-    if complete:
+    if scope.kind == "exhaustive":
         _, fp, approx = _finite_part(P)
         full = (1 << fp.n) - 1
         outside = list(_bits(full & ~approx))
@@ -607,14 +603,14 @@ def check_approximation_laws(P: PosetPresentation,
         restricted = _tally("directed-restriction", map(restrict, bank), scope)
         met = _tally("restriction-nonempty", map(meet, bank), scope)
     subs = [restricted, met,
-            _law_double_approximation(P, approx_pool, scope, complete),
-            _law_retract_approximation(P, pool, scope, complete)]
+            _law_double_approximation(P, approx_pool, scope),
+            _law_retract_approximation(P, pool, scope)]
     return combine("approximation-laws", subs, scope)
 
 
-def _finish(law, complete, count, scope):
-    return verified(law, scope, samples=count) if complete \
-        else unrefuted(law, count, scope)
+def _finish(law, count, scope):
+    return verified(law, scope, samples=count) \
+        if scope.kind == "exhaustive" else unrefuted(law, count, scope)
 
 
 def _restriction_at(P, fam):
@@ -654,7 +650,7 @@ def _meet_at(P, fam, approx_pool):
     return None
 
 
-def _law_double_approximation(P, approx_pool, scope, complete):
+def _law_double_approximation(P, approx_pool, scope):
     law = "double-approximation"
     count = 0
     for x in approx_pool[:scope.count]:
@@ -662,7 +658,7 @@ def _law_double_approximation(P, approx_pool, scope, complete):
                    for m in P.waybelow_family(x).iter_members()):
             return refuted(law, x, "no approximable approximant", scope)
         count += 1
-    if not complete:
+    if scope.kind != "exhaustive":
         subset_scope = sampled(scope.seed, max(scope.count // 4, 32))
         agreement = check_subposet(
             P, subset_scope, lambda y: P.kernel_value(y) is not None)
@@ -671,10 +667,10 @@ def _law_double_approximation(P, approx_pool, scope, complete):
                            f"approximable-part way-below disagrees: "
                            f"{agreement.reason}", scope)
         count += agreement.samples
-    return _finish(law, complete, count, scope)
+    return _finish(law, count, scope)
 
 
-def _law_retract_approximation(P, pool, scope, complete):
+def _law_retract_approximation(P, pool, scope):
     law = "retract-approximation"
     count = 0
     for x in pool:
@@ -685,7 +681,7 @@ def _law_retract_approximation(P, pool, scope, complete):
             return refuted(law, x, "no approximant inside the retract",
                            scope)
         count += 1
-    return _finish(law, complete, count, scope)
+    return _finish(law, count, scope)
 
 
 # ---------------------------------------------------------------------------

@@ -251,19 +251,22 @@ class TestFamilyBanks:
         assert chain.supremum is OMEGA
         assert chain.generator(5) == 5
 
-    def test_finite_bank_is_all_directed_subsets(self, diamond):
+    def test_finite_bank_is_its_generators(self, diamond):
+        # the directed subsets of one or two members, in mask order: each
+        # {t} and each {m, t} with m < t
         from posetkernel.core import is_directed
 
         bank = diamond.family_bank()
-        masks = {frozenset(fam.members) for fam in bank}
-        expected = set()
+        expected = []
         for mask in range(1, 1 << 4):
             members = [i for i in range(4) if (mask >> i) & 1]
-            if all(any(diamond.leq(a, c) and diamond.leq(b, c)
-                       for c in members)
-                   for a in members for b in members):
-                expected.add(frozenset(members))
-        assert masks == expected
+            if len(members) <= 2 and all(
+                    any(diamond.leq(a, c) and diamond.leq(b, c)
+                        for c in members)
+                    for a in members for b in members):
+                expected.append(tuple(members))
+        assert [fam.members for fam in bank] == expected
+        assert len(bank) == 4 + 5  # the elements and the pairs m < t
         for fam in bank:
             assert fam.supremum in fam.members  # finite sup is the maximum
             assert is_directed(diamond, fam)

@@ -10,17 +10,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from posetkernel import (BOTTOM, NO_SUPREMUM, OMEGA, Inner,
+from posetkernel import (BOTTOM, NO_SUPREMUM, OMEGA, Inner, Left,
                          PosetPresentation, catalog, cli, closed_set, core,
                          kernel, make_catalog, oracle)
-from posetkernel.catalog import (closed_sets, disjoint_sum, finite_named,
+from posetkernel.catalog import (DisjointSumPresentation, closed_sets,
+                                 disjoint_sum, finite_named,
                                  finite_random, lift, named_finite_poset,
                                  omega_plus_one, punctured_closed_sets,
                                  standard_roster)
 from posetkernel.closedsets import EMPTY, EVENS, FULL, INF_POINT, ODDS
 from posetkernel.closedsets import closedset_join
 from posetkernel.core import (FinitePoset, FinitePosetPresentation, _bits,
-                              _mask, _none_of, induced_finite_poset,
+                              _extremum, _mask, _none_of, induced_finite_poset,
                               is_element, resolve_scope, sample_pool,
                               scope_pool)
 from posetkernel.errors import (EmptyFamily, ForeignElement, NoInfimumError,
@@ -605,13 +606,13 @@ class TestBankHonesty:
                         "retract-approximation": (Status.VERIFIED, 14)}
 
     def test_sampled_bank_reports_unrefuted(self):
-        # a symbolic sum reads the finite side's bank, a fixed 2048 of its
-        # 16383 directed subsets
+        # a symbolic sum reads the finite side's bank, the generators of
+        # its 16383 directed subsets: 14 singletons and 91 pairs
         P = make_catalog(disjoint_sum(finite_named("chain_14"),
                                       omega_plus_one()))
         finite = [f for f in P.family_bank() if isinstance(f, ExplicitFamily)
                   and f.label.startswith("{")]
-        assert len(finite) == 2048
+        assert len(finite) == 14 + 91
         scott = check_scott_continuity(P)
         assert scott.status is Status.UNREFUTED
         assert scott.samples == len(P.family_bank())
@@ -652,7 +653,7 @@ def _directed_bank(P):
     bank = []
     fp = induced_finite_poset(P, elems)
     for mask in fp.directed_subset_masks:
-        top = fp.max_of_mask(mask)
+        top = _extremum(fp.down, mask)
         members = tuple(elems[i] for i in _bits(mask))
         label = "{" + ", ".join(map(P.format_element, members)) + "}"
         bank.append(ExplicitFamily(members, elems[top], label=label))
@@ -834,6 +835,75 @@ class TestFiniteScanReference:
         assert subs["restriction-nonempty"].witness == ("{2}", 0)
 
 
+class TestGeneratorBank:
+    """A finite part's bank is the generators of its directed subsets, {t}
+    and {m, t} with m < t.  Every bank reader fails at a directed subset
+    exactly when it fails at a generator inside it, so held in a symbolic
+    sum against the bank of every directed subset (``_directed_bank``)
+    each reader gives the same status."""
+
+    PARTS = {
+        "roster": lambda: [make_catalog(finite_named(name))
+                           for name in catalog.NAMED_FINITE_ROSTER],
+        "chain_12": lambda: [make_catalog(finite_named("chain_12"))],
+        "random": lambda: [random_presentation(seed) for seed in range(90)],
+        "corrupt": lambda: [_corrupt(seed, how) for how in (*CORRUPTIONS,
+                                                            "mixed")
+                            for seed in range(15)],
+    }
+
+    @staticmethod
+    def statuses(S, part):
+        """The status, or the PosetError raised, of each reader of the bank
+        of the sum S whose left side is ``part``: Scott continuity, the two
+        restriction laws, the sampled cc and subposet laws, and the bank
+        refutation of each pair of the part's elements."""
+        def status(check):
+            try:
+                return check().status
+            except PosetError as exc:
+                return type(exc)
+
+        try:
+            subs = {s.law: s.status
+                    for s in check_approximation_laws(S).subreports}
+        except PosetError as exc:
+            subs = dict.fromkeys(("directed-restriction",
+                                  "restriction-nonempty"), type(exc))
+        elems = [Left(x) for x in part.elements()]
+        return {
+            "scott": status(lambda: check_scott_continuity(S)),
+            "directed-restriction": subs["directed-restriction"],
+            "restriction-nonempty": subs["restriction-nonempty"],
+            "cc": status(lambda: core.check_conditionally_complete(S)),
+            "subposet": status(lambda: core.check_subposet(
+                S, None, lambda y: S.kernel_value(y) is not None)),
+            "refute": [status(lambda: bank_refute_waybelow(S, x, y))
+                       for x in elems for y in elems],
+        }
+
+    @pytest.mark.parametrize("parts", PARTS)
+    def test_generators_read_as_every_directed_subset(self, parts):
+        omega = make_catalog(omega_plus_one())
+        seen = set()
+        for part, twin in zip(self.PARTS[parts](), self.PARTS[parts]()):
+            twin.__dict__["_family_bank"] = _directed_bank(twin)
+            new = self.statuses(DisjointSumPresentation(part, omega), part)
+            old = self.statuses(DisjointSumPresentation(twin, omega), twin)
+            assert new == old, part.name
+            seen.update(new["refute"], (v for k, v in new.items()
+                                        if k != "refute"))
+        if parts == "corrupt":
+            # the corrupt doubles reach the refuting and raising branches
+            assert {Status.REFUTED, PosetError} <= seen
+
+    def test_chain_16_bank_lists_no_directed_subset(self):
+        P = make_catalog(finite_named("chain_16"))
+        assert len(P.family_bank()) == 16 + 120
+        assert "directed_subset_masks" not in P.poset.__dict__
+        assert "directed_planes" not in P.poset.__dict__
+
+
 def _nested():
     from test_catalog import NESTED
     return NESTED
@@ -851,7 +921,7 @@ def reference_plane_scan(P, elems, fp, judge, decide):
     order: ``decide(mask, top)`` from per-element masks, the judge where it
     says False."""
     for mask in fp.directed_subset_masks:
-        top = fp.max_of_mask(mask)
+        top = _extremum(fp.down, mask)
         verdict = decide(mask, top)
         if verdict is False:
             members = tuple(elems[i] for i in _bits(mask))
@@ -967,8 +1037,8 @@ def reference_laws_scan(P):
     subs = [
         reference_tally("directed-restriction", restricted, EXHAUSTIVE),
         reference_tally("restriction-nonempty", met, EXHAUSTIVE),
-        kernel._law_double_approximation(P, approx_pool, EXHAUSTIVE, True),
-        kernel._law_retract_approximation(P, pool, EXHAUSTIVE, True),
+        kernel._law_double_approximation(P, approx_pool, EXHAUSTIVE),
+        kernel._law_retract_approximation(P, pool, EXHAUSTIVE),
     ]
     return combine("approximation-laws", subs, EXHAUSTIVE)
 
@@ -1071,7 +1141,8 @@ class TestPlaneScanReference:
                         for _ in range(2))
         bound = data.draw(st.integers(0, 1 << n))
         listed = [mask for mask in fp.directed_subset_masks
-                  if not mask & ~within and tops >> fp.max_of_mask(mask) & 1]
+                  if not mask & ~within
+                  and tops >> _extremum(fp.down, mask) & 1]
         assert kernel._count_directed(fp, tops, within) == len(listed)
         assert kernel._count_directed(fp, tops, within, bound) == sum(
             mask < bound for mask in listed)
@@ -1678,15 +1749,34 @@ class TestLayering:
     def test_the_pool_draw_has_one_home(self):
         """kernel.py takes its element pools and draws from
         ``core.scope_pool`` and ``core.scope_draw`` and never draws one
-        itself; besides that home, only the subposet law and the finite
-        bank's sample build their own rng."""
+        itself; besides that home, only the subposet law builds its own
+        rng.  No family bank is drawn."""
         assert "sample_pool" not in self.names(self.tree(kernel))
         builders = {node.name for module in (core, kernel)
                     for node in ast.walk(self.tree(module))
                     if isinstance(node, ast.FunctionDef)
                     and "Random" in self.names(node)}
-        assert builders == {"scope_draw", "scope_pool", "_subposet_sampled",
-                            "_bank"}
+        assert builders == {"scope_draw", "scope_pool", "_subposet_sampled"}
+
+    PLANES = {"directed_planes", "directed_subset_masks", "_subset_planes",
+              "_none_of", "_plane_members"}
+
+    def test_only_the_oracle_builds_subset_planes(self):
+        """No law path builds a 2^n subset plane: outside the oracle only
+        ``FinitePoset`` and the plane helpers of core name the planes."""
+        users = set()
+        for path in sorted(Path(core.__file__).parent.glob("*.py")):
+            if path.stem == "oracle":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for top in tree.body:
+                where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                if isinstance(top, (ast.Import, ast.ImportFrom)):
+                    where = f"{path.stem}.<import>"
+                if self.names(top) & self.PLANES:
+                    users.add(where)
+        assert users == {"core.FinitePoset", "core._subset_planes",
+                         "core._none_of", "core._plane_members"}
 
     @pytest.mark.parametrize("module", [kernel, core],
                              ids=["kernel", "core"])
