@@ -27,7 +27,9 @@ from .values import Frozen, assign, set_field
 
 
 class ExplicitFamily(Frozen):
-    """A finite directed set with its supremum (= its maximum) declared.
+    """A finite directed set with its supremum declared.  A finite directed
+    set holds its maximum, which is its supremum, so the supremum is one of
+    the members; the ``cc`` law refutes a family whose supremum is not.
     ``members`` is any finite sequence: ω+1 gives a ``range``, so that the
     family of a large natural is not listed, and a lift or sum of it a
     ``MappedMembers`` view of that range."""

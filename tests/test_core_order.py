@@ -330,9 +330,9 @@ class TestSampledCCRefutations:
          "declared supremum does not dominate a member"),
         ({"family_bank": _with_family(
             ExplicitFamily((0, 1), 5, label="loose"))}, "loose",
-         "declared supremum is not least"),
+         "declared supremum is not a member"),
     ], ids=["not-an-upper-bound", "not-least", "family-not-dominated",
-            "family-not-least"])
+            "family-not-a-member"])
     def test_refutes(self, methods, witness, reason):
         report = check_conditionally_complete(corrupt_omega(**methods))
         assert report.status is Status.REFUTED

@@ -77,6 +77,13 @@ def short_three():  # 3's approximants declare the supremum 2
     return corrupt_omega(families={3: ExplicitFamily((0, 1, 2), 2)})
 
 
+def short_bank():  # (0, 1) declared as ω, and ω the only element drawn
+    return corrupt_omega(
+        interesting_elements=lambda self: [OMEGA],
+        sample_elements=lambda self, rng, count: [OMEGA],
+        _bank=lambda self: [ExplicitFamily((0, 1), OMEGA, label="short")])
+
+
 def sinking_chain():  # k(2) = 1, k(1) = 0: deflating, not idempotent
     return CorruptFinite(chain(3), {2: 1, 1: 0})
 
@@ -120,10 +127,13 @@ REFUTATIONS = {
         lambda: check_conditionally_complete(corrupt_omega(
             _bank=lambda self: [ExplicitFamily((0, 5), 3, label="over")])),
         "over", "declared supremum does not dominate a member", 200),
-    "cc-bank-supremum-not-least": (
+    "cc-bank-supremum-not-a-member": (
         lambda: check_conditionally_complete(corrupt_omega(
             _bank=lambda self: [ExplicitFamily((0, 1), 5, label="loose")])),
-        "loose", "declared supremum is not least", 200),
+        "loose", "declared supremum is not a member", 200),
+    "cc-bank-supremum-unseen-bound": (
+        lambda: check_conditionally_complete(short_bank()),
+        "short", "declared supremum is not a member", 0),
     # core: interpolation
     "interpolation-exhaustive": (
         lambda: check_interpolation(no_interpolant()),
