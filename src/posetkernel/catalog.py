@@ -64,14 +64,14 @@ restriction ``export-dot --truncate`` draws: ω+1 and the closed sets cut
 their carriers.  Lift and sum forward every such hook through one base,
 ``_Combinator``, which holds their components as ``(tag, component, wrap)``
 parts: the targeted checks reach every combinator of the lattice, and the
-cuts and the element lists of the components are assembled up to
-``MAX_ELEMENTS`` elements.  It writes their order once, by the two rules
-above.  The closed sets also give ``kernel_value`` in the closed form
-above, and ``_Combinator`` wraps the value of a component.
-``order_codes`` gives each element of a list an int code whose bit
-inclusion is the order: the closed sets in closed form (their naturals on
-one window, and ∞), the combinators by a bit per part above their
-components' codes.
+cuts and the element lists of the components are assembled there.  It
+writes their order once, by the two rules above.  The closed sets also give
+``kernel_value`` in the closed form above, and ``_Combinator`` wraps the
+value of a component.  ``order_codes`` gives each element of a list an int
+code whose bit inclusion is the order: the closed sets in closed form
+(their naturals on one window, and ∞), the combinators by a bit per part
+above their components' codes.  Every list of elements a presentation
+holds is within one cap, ``MAX_ELEMENTS``.
 """
 
 from __future__ import annotations
@@ -87,13 +87,29 @@ from .closedsets import (ClosedSetRep, _from_bits, _naturals_below,
                          closedset_meet, format_closed_set, is_empty,
                          min_natural, natural_closure, natural_part_is_finite,
                          periodic_set, truncate_naturals)
-from .core import (BOTTOM, FINITE_CAP, NO_INFIMUM, NO_SUPREMUM, OMEGA,
+from .core import (BOTTOM, NO_INFIMUM, NO_SUPREMUM, OMEGA,
                    FinitePoset, FinitePosetPresentation, Inner, Left,
                    PosetPresentation, Right, _bits, build_finite_poset,
                    is_element)
 from .errors import PosetError, SizeLimit, UnknownName, ValidationError
 from .families import ChainFamily, ExplicitFamily, map_family
 from .values import Frozen, assign
+
+
+MAX_ELEMENTS = 512
+"""The one cap on the elements a presentation lists, checked once by
+``_check_size``: a finite document's labels, ``chain_k``, ``antichain_k``
+and a random poset, and the ω+1 and closed-set cuts (n + 2, and 2^(n+1)
+per ∞ flag) before they are built; a lift or sum's cut from its parts'
+cuts, each within the cap; and a lift or sum when it is built, its own
+points plus every element of its finite parts, finite or symbolic.  So a
+document loads within it or exits 65, before any law runs."""
+
+
+def _check_size(count, what):
+    """Refuse ``what``, which would list ``count`` elements, above the cap."""
+    if count > MAX_ELEMENTS:
+        raise SizeLimit(f"{what} is over the cap of {MAX_ELEMENTS} elements")
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +182,7 @@ class OmegaPlusOnePresentation(PosetPresentation):
 
     def truncation(self, n):
         """The chain {0..n, ω}."""
-        if n > 14:
-            raise SizeLimit("omega truncation capped at 14")
+        _check_size(n + 2, f"the {self.kind} truncation at {n}")
         return list(range(n + 1)) + [OMEGA]
 
     def compact_below(self, x):
@@ -365,8 +380,10 @@ class ClosedSetsPresentation(PosetPresentation):
 
     def truncation(self, n):
         """The closed sets over {0..n}, without ∞ and then with it."""
-        if n > 6:
-            raise SizeLimit("closed-set truncation capped at 6")
+        # 2^(n+1) sets per ∞ flag.  An exponent past the cap's bit length
+        # is over the cap already, so a huge n is refused without a huge int.
+        _check_size(2 << min(n + 1, MAX_ELEMENTS.bit_length()),
+                    f"the {self.kind} truncation at {n}")
         reps = (closed_set(_bits(mask), infinity=inf)
                 for inf in (False, True) for mask in range(1 << (n + 1)))
         return [rep for rep in reps if self.contains(rep)]
@@ -434,20 +451,6 @@ def parse_closed_set_literal(literal) -> ClosedSetRep:
 # Combinators: lift and disjoint sum over wrapped component elements
 
 
-MAX_ELEMENTS = 512
-"""Elements a lift or sum enumeration or truncation may hold.  The
-combinators add up their components' elements, so without a cap a wide sum
-document could ask for an unbounded order; two closed-set lattices cut at 6
-fit."""
-
-
-def _capped(elems, what):
-    if len(elems) > MAX_ELEMENTS:
-        raise SizeLimit(f"{what} capped at {MAX_ELEMENTS} elements, "
-                        f"this one has {len(elems)}")
-    return elems
-
-
 class _Combinator(PosetPresentation):
     """A poset built from components whose elements it wraps.
 
@@ -469,6 +472,13 @@ class _Combinator(PosetPresentation):
         for flag in ("is_finite_kind", "certified_conditionally_complete",
                      "certified_interpolating", "certified_continuous"):
             setattr(self, flag, all(getattr(c, flag) for c in comps))
+        # The own points and every element of the finite parts, nested
+        # ones included: the cap holds before any law runs.
+        self.listed = len(self.points) + sum(
+            c.listed if isinstance(c, _Combinator)
+            else len(c.elements()) if c.is_finite_kind else 0 for c in comps)
+        _check_size(self.listed,
+                    f"a {self.kind} listing {self.listed} elements")
 
     def _part(self, x):
         """The part whose wrap x is, or None for an own point."""
@@ -496,18 +506,19 @@ class _Combinator(PosetPresentation):
         return part[1].contains(x.value)
 
     def elements(self):
-        return _capped(list(self.points)
-                       + [wrap(e) for _, comp, wrap in self.parts
-                          for e in comp.elements()], "element enumeration")
+        return list(self.points) + [wrap(e) for _, comp, wrap in self.parts
+                                    for e in comp.elements()]
 
     def interesting_elements(self):
         return list(self.points) + [wrap(e) for _, comp, wrap in self.parts
                                     for e in comp.interesting_elements()]
 
     def truncation(self, n):
-        return _capped(list(self.points)
-                       + [wrap(e) for _, comp, wrap in self.parts
-                          for e in comp.truncation(n)], "truncation")
+        # each part's cut is within the cap already, so this list is short
+        elems = list(self.points) + [wrap(e) for _, comp, wrap in self.parts
+                                     for e in comp.truncation(n)]
+        _check_size(len(elems), f"the {self.kind} truncation at {n}")
+        return elems
 
     def leq(self, x, y) -> bool:
         part = self._parts_by_wrap.get(type(x))  # _part inline: a hot path
@@ -747,10 +758,9 @@ def named_finite_poset(name: str) -> FinitePoset:
         names, covers = _FIXED_NAMED[name]
     elif name == "boolean_3":
         names, covers = _boolean_3()
-    elif m := re.fullmatch(r"(chain|antichain)_(\d+)", name):
+    elif m := re.fullmatch(r"(chain|antichain)_([1-9]\d{0,8})", name):
         k = int(m.group(2))
-        if not 1 <= k <= FINITE_CAP:
-            raise SizeLimit(f"{m.group(1)} size must be 1..{FINITE_CAP}")
+        _check_size(k, name)
         names, covers = (_chain if m.group(1) == "chain" else _antichain)(k)
     else:
         raise UnknownName(f"no catalog poset named {name!r}")
@@ -760,8 +770,9 @@ def named_finite_poset(name: str) -> FinitePoset:
 def random_finite_poset(n: int, edge_prob: float, seed: int) -> FinitePoset:
     """Random order: a DAG by edge probability on a topological order,
     closed reflexively and transitively."""
-    if not 1 <= n <= FINITE_CAP:
-        raise SizeLimit(f"random poset size must be 1..{FINITE_CAP}")
+    if n < 1:
+        raise ValidationError("a random poset has at least one element")
+    _check_size(n, f"a random poset of {n} elements")
     rng = random.Random(seed)
     names = [f"x{i}" for i in range(n)]
     covers = [(names[i], names[j])
@@ -850,7 +861,8 @@ def spec_from_document(raw) -> CatalogSpec:
         {"kind": "lift", "inner": DOC}
         {"kind": "disjoint_sum", "left": DOC, "right": DOC}
 
-    Raises ValidationError for anything else."""
+    Raises ValidationError for anything else, and SizeLimit for a
+    ``finite`` document over ``MAX_ELEMENTS`` labels."""
     return _spec_from_document(raw, MAX_DOCUMENT_DEPTH)
 
 
@@ -879,9 +891,8 @@ def _finite_spec(elements, covers) -> CatalogSpec:
             or not all(isinstance(e, str) for e in elements)):
         raise ValidationError("'elements' must be a nonempty list of "
                               "label strings")
-    if len(elements) > FINITE_CAP:
-        raise ValidationError(f"'elements' lists at most {FINITE_CAP} "
-                              f"labels, got {len(elements)}")
+    _check_size(len(elements),
+                f"a finite document of {len(elements)} labels")
     if not isinstance(covers, list) or not all(
             isinstance(c, list) and len(c) == 2
             and all(isinstance(x, str) for x in c) for c in covers):

@@ -64,20 +64,26 @@ BOTTOM = _Named("bottom")  # the fresh least element added by the lift
 
 class _Wrap(Frozen):
     """One element of a component, tagged by the class that wraps it; two
-    wraps are equal only when their classes and values are."""
+    wraps are equal only when their classes and values are.  The hash takes
+    the class too, so that the parts of a sum hash apart, and is computed
+    once: a nested wrap reads its value's stored hash, not its depth."""
 
-    __slots__ = _fields = ("value",)
+    __slots__ = ("value", "_hash")
+    _fields = ("value",)
 
     def __init__(self, value):
         set_field(self, "value", value)
+        set_field(self, "_hash", hash((self.__class__.__name__, value)))
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
-            return self.value == other.value
+            return other._hash == self._hash and self.value == other.value
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.value,))
+        return self._hash
 
 
 class Inner(_Wrap):
@@ -97,8 +103,8 @@ class Right(_Wrap):
 # ---------------------------------------------------------------------------
 # Finite posets
 
-# The cap of the oracle's scans of the 2^n subsets of a finite poset (in
-# ``_subset_planes``), and of the size of a finite catalog poset or document.
+# The cap of the oracle's scans of the 2^n subsets of a finite poset, read
+# only by ``_subset_planes``; what a presentation lists is capped in catalog.
 FINITE_CAP = 16
 
 
@@ -734,12 +740,13 @@ def _lubless_pair(fp: FinitePoset):
 
 def _cc_sampled(P, scope):
     """Sampled subsets of the pool, each with its reported supremum held
-    against the pool's upper bounds of it, then the bank families.  The
-    upper bounds are found by order codes (``P.order_codes``) and each is
-    confirmed with ``leq`` before it refutes.  A finite directed family
-    holds its maximum, which is its supremum, so an explicit family is
-    refuted exactly: its declared supremum must dominate every member and
-    be one of them."""
+    against the pool's upper bounds of it (a subset reported without a
+    supremum must have none), then the bank families.  The upper bounds
+    are found by order codes (``P.order_codes``) and each is confirmed
+    with ``leq`` before it refutes.  A finite directed family holds its
+    maximum, which is its supremum, so an explicit family is refuted
+    exactly: its declared supremum must dominate every member and be one
+    of them."""
     law = "conditionally_complete"
     pool, rng = scope_pool(P, scope)
     codes = P.order_codes(pool)
@@ -751,20 +758,20 @@ def _cc_sampled(P, scope):
         picks = rng.sample(range(len(pool)), size)  # as rng.sample(pool, size)
         subset = tuple(pool[i] for i in picks)
         s = P.finite_sup(subset)
-        if is_element(s):
-            if not all(P.leq(a, s) for a in subset):
-                return refuted(law, subset,
-                               "reported supremum is not an upper bound",
-                               scope, samples=checked)
-            bound = reduce(or_, (codes[i] for i in picks))
-            for u, code in zip(pool, codes):
-                if (not bound & ~code and not P.leq(s, u)
-                        and all(P.leq(a, u) for a in subset)):
-                    return refuted(
-                        law, subset,
-                        f"supremum not least: {P.format_element(u)} is a "
-                        "smaller-incomparable upper bound", scope,
-                        samples=checked)
+        if is_element(s) and not all(P.leq(a, s) for a in subset):
+            return refuted(law, subset,
+                           "reported supremum is not an upper bound",
+                           scope, samples=checked)
+        bound = reduce(or_, (codes[i] for i in picks))
+        for u, code in zip(pool, codes):
+            if (bound & ~code or is_element(s) and P.leq(s, u)
+                    or not all(P.leq(a, u) for a in subset)):
+                continue
+            return refuted(law, subset, (
+                f"supremum not least: {P.format_element(u)} is a "
+                "smaller-incomparable upper bound" if is_element(s) else
+                "bounded-above subset without a least upper bound"),
+                scope, samples=checked)
         checked += 1
     for fam in P.family_bank():
         members = fam.sample_members()
@@ -886,7 +893,12 @@ def _subposet_sampled(P, scope, member):
     order codes (``P.order_codes``) of the pool, the bank suprema and the
     sampled bank members decide ``y <= supremum`` and whether a sampled
     member dominates x; ``leq`` and ``family_dominates`` confirm a family
-    before it refutes."""
+    before it refutes.  Explicit families with one supremum code and one
+    set of maximal member codes answer every pair alike, so only the first
+    of them in bank order is scanned.  That holds when the codes are
+    faithful to ``leq``; with codes that are not, a skipped family that
+    would have been confirmed and refuted is lost, though no false
+    refutation is made."""
     law = "subposet"
     rng = random.Random(scope.seed)
     pool = [e for e in P.interesting_elements() if member(e)]
@@ -903,8 +915,17 @@ def _subposet_sampled(P, scope, member):
         *(fam.sample_members() for fam in bank))))
     code = dict(zip(listed, P.order_codes(listed))).__getitem__
     pool_codes = list(map(code, pool))
-    coded_bank = [(fam, code(fam.supremum),
-                   list(map(code, fam.sample_members()))) for fam in bank]
+    coded_bank, seen = [], set()
+    for fam in bank:
+        sup = code(fam.supremum)
+        members = list(map(code, fam.sample_members()))
+        if isinstance(fam, ExplicitFamily):
+            key = sup, frozenset(m for m in members if not any(
+                m != d and not m & ~d for d in members))
+            if key in seen:
+                continue
+            seen.add(key)
+        coded_bank.append((fam, sup, members))
     dominated = {}  # (pool index, bank index) -> family_dominates
 
     def dominates(i, f):

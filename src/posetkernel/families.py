@@ -34,7 +34,8 @@ class ExplicitFamily(Frozen):
     family of a large natural is not listed, and a lift or sum of it a
     ``MappedMembers`` view of that range."""
 
-    __slots__ = _fields = ("members", "supremum", "label")
+    _fields = ("members", "supremum", "label")
+    __slots__ = _fields + ("_listed",)
 
     def __init__(self, members, supremum, label: str = ""):
         if not members:
@@ -44,7 +45,14 @@ class ExplicitFamily(Frozen):
         set_field(self, "label", label)
 
     def sample_members(self):
-        return list(self.members)
+        """Every member, listed on the first call and kept, as a chain
+        keeps its sampled members: a lift or sum reads its members through
+        ``wrap``, and the bank laws read each family several times."""
+        try:
+            return self._listed
+        except AttributeError:
+            set_field(self, "_listed", list(self.members))
+            return self._listed
 
     def iter_members(self):
         return iter(self.members)

@@ -22,7 +22,9 @@ lies above y, one AND of n-bit masks per query.  The approximants of each
 x are read off that table once per poset, into ``approximants[x]``, which
 kernels, continuity and the subposet scan share.  Every plane is built
 from ``core._subset_planes``, which raises SizeLimit above
-``core.FINITE_CAP`` elements.
+``core.FINITE_CAP`` elements.  That cap is the oracle's alone: a document
+may list up to ``catalog.MAX_ELEMENTS`` elements, which the laws decide
+without subset scans.
 
 For symbolic kinds, refutation scans the family bank.  A family refutes
 ``x << y`` when its supremum dominates y and no member dominates x: decided

@@ -5,8 +5,9 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from posetkernel import ClosedSetRep, make_catalog
 from posetkernel.catalog import (OmegaPlusOnePresentation, closed_sets,
-                                 finite_named, finite_random, lift,
-                                 omega_plus_one, punctured_closed_sets)
+                                 finite_explicit, finite_named,
+                                 finite_random, lift, omega_plus_one,
+                                 punctured_closed_sets)
 from posetkernel.core import FinitePosetPresentation
 from posetkernel.families import ExplicitFamily
 
@@ -14,6 +15,10 @@ settings.register_profile(
     "ci", derandomize=True, max_examples=100,
     suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("ci")
+
+# a, b below both of c, d: the pair {a, b} has no least upper bound
+BOWTIE = finite_explicit("abcd", [("a", "c"), ("a", "d"), ("b", "c"),
+                                  ("b", "d")])
 
 
 @st.composite

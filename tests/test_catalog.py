@@ -13,7 +13,8 @@ from hypothesis import given, strategies as st
 from posetkernel import (BOTTOM, NO_INFIMUM, NO_SUPREMUM, OMEGA, Inner, Left,
                          PosetPresentation, Right, cli, closed_set,
                          closedsets, least_upper_bound, make_catalog)
-from posetkernel.catalog import (MAX_DOCUMENT_DEPTH, DisjointSumPresentation,
+from posetkernel.catalog import (MAX_DOCUMENT_DEPTH, MAX_ELEMENTS,
+                                 DisjointSumPresentation,
                                  LiftPresentation, OmegaPlusOnePresentation,
                                  _Combinator, closed_sets, disjoint_sum,
                                  finite_explicit, finite_named, lift,
@@ -69,10 +70,21 @@ class TestNamedPosets:
             named_finite_poset("dodecahedron")
 
     def test_size_limit(self):
+        """Named and random posets stop at the one element cap."""
+        assert named_finite_poset(f"chain_{MAX_ELEMENTS}").n == MAX_ELEMENTS
+        assert random_finite_poset(MAX_ELEMENTS, 0.01, 0).n == MAX_ELEMENTS
+        for name in ("chain", "antichain"):
+            with pytest.raises(SizeLimit, match=f"^{name}_513 is over the "
+                                                "cap of 512 elements$"):
+                named_finite_poset(f"{name}_{MAX_ELEMENTS + 1}")
         with pytest.raises(SizeLimit):
-            named_finite_poset("chain_99")
-        with pytest.raises(SizeLimit):
-            random_finite_poset(40, 0.2, 0)
+            random_finite_poset(MAX_ELEMENTS + 1, 0.2, 0)
+
+    @pytest.mark.parametrize("name", ["chain_0", "antichain_0", "chain_07",
+                                      "chain_" + "9" * 5000])
+    def test_a_size_outside_the_names_is_unknown(self, name):
+        with pytest.raises(UnknownName):
+            named_finite_poset(name)
 
     def test_random_poset_deterministic(self):
         one = random_finite_poset(7, 0.35, 13)
@@ -316,6 +328,20 @@ class TestWrappedFamilies:
         assert small == listed and listed == small
         assert hash(small) == hash(listed) and repr(small) == repr(listed)
         assert small[1:] == listed[1:]
+
+    def test_a_wrapped_family_lists_its_members_once(self):
+        """The bank laws read each explicit family of a lift or sum several
+        times; its wrapped members are listed on the first read and kept,
+        so every law holds the same wrap objects."""
+        C = make_catalog(lift(disjoint_sum(finite_named("chain_3"),
+                                           omega_plus_one())))
+        explicit = [fam for fam in C.family_bank()
+                    if isinstance(fam, ExplicitFamily)]
+        assert explicit
+        for fam in explicit:
+            listed = fam.sample_members()
+            assert listed is fam.sample_members()
+            assert listed == list(fam.members)
 
     def test_lifted_bank_labels(self, lifted_punctured):
         labels = [f.label for f in lifted_punctured.family_bank()]

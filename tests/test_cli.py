@@ -24,7 +24,9 @@ from posetkernel.catalog import (DOCUMENT_FIELDS, MAX_DOCUMENT_DEPTH,
                                  standard_roster)
 from posetkernel.errors import ParseError, ValidationError
 from posetkernel.kernel import LAWS
-from posetkernel.reports import DEFAULT_PAIR_SAMPLES, DEFAULT_SEED
+from posetkernel.reports import DEFAULT_PAIR_SAMPLES, DEFAULT_SEED, sampled
+
+from conftest import BOWTIE
 
 
 def run_cli(argv):
@@ -192,20 +194,20 @@ class TestCheckCommand:
         assert code == 0
         assert "VERIFIED" in out
 
-    @pytest.mark.parametrize("n", [16, 17])
+    @pytest.mark.parametrize("n", [MAX_ELEMENTS, MAX_ELEMENTS + 1])
     def test_finite_documents_stop_at_the_cap(self, tmp_path, n):
         labels = [str(i) for i in range(n)]
         path = tmp_path / "chain.json"
         path.write_text(json.dumps({"kind": "finite", "elements": labels,
                                     "covers": list(zip(labels, labels[1:]))}))
         code, out, err = run_cli(["check", str(path), "--law", "all"])
-        if n == 16:
+        if n == MAX_ELEMENTS:
             assert (code, err) == (0, "")
             assert "] SKIPPED" not in out
         else:
             assert (code, out) == (65, "")
-            assert err == ("input error: 'elements' lists at most 16 labels, "
-                           "got 17\n")
+            assert err == ("error: a finite document of 513 labels is over "
+                           "the cap of 512 elements\n")
 
     def test_unknown_poset_name(self):
         code, _, err = run_cli(["check", "nonesuch"])
@@ -578,8 +580,18 @@ class TestExportDot:
         assert time.perf_counter() - start < 1
         assert code == 65
         assert out == ""
-        assert err == ("error: truncation capped at 512 elements, this one "
-                       "has 1024\n")
+        assert err == ("error: the disjoint_sum truncation at 6 is over the "
+                       "cap of 512 elements\n")
+
+    @pytest.mark.parametrize("poset", ["omega_plus_one", "closed_sets"])
+    def test_a_huge_truncation_is_refused_before_it_is_built(self, poset):
+        start = time.perf_counter()
+        code, out, err = run_cli(["export-dot", poset,
+                                  "--truncate", "1000000000"])
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (65, "")
+        assert err == (f"error: the {poset} truncation at 1000000000 is over "
+                       "the cap of 512 elements\n")
 
     def test_symbolic_without_truncate_fails(self):
         code, _, err = run_cli(["export-dot", "closed_sets"])
@@ -629,10 +641,12 @@ def _chain_sum_tree(n):
 
 
 class TestCombinatorElementCap:
-    """A lift or sum lists at most ``MAX_ELEMENTS`` elements, so a wide
-    document of finite parts is refused rather than checked at any width."""
+    """A lift or sum lists at most ``MAX_ELEMENTS`` elements: its own
+    points plus every element of its finite parts, whether it is finite or
+    symbolic.  It is refused when it is built, before any law runs."""
 
-    REASON = "element enumeration capped at 512 elements, this one has 1024"
+    REASON = ("a disjoint_sum listing 1024 elements is over the cap of 512 "
+              "elements")
 
     @pytest.fixture
     def wide(self, tmp_path):
@@ -640,35 +654,56 @@ class TestCombinatorElementCap:
         path.write_text(json.dumps(_chain_sum_tree(1024)))
         return str(path)
 
-    def test_check_skips_every_law(self, wide):
-        start = time.perf_counter()
-        code, out, err = run_cli(["check", wide, "--law", "all"])
-        assert time.perf_counter() - start < 2
-        assert (code, err) == (0, "")
-        assert out == "".join(f"[{law}] SKIPPED reason={self.REASON}\n"
-                              for law in LAWS)
-
-    def test_strict_counts_a_skipped_law_as_no_verification(self, wide):
-        """Skipped laws verify nothing, so with ``--strict`` they exit 2,
-        as an all-Unrefuted run does."""
-        code, out, err = run_cli(["check", wide, "--law", "all", "--strict"])
-        assert (code, err) == (2, "")
-        assert out.count("] SKIPPED reason=") == len(LAWS)
-
-    @pytest.mark.parametrize("argv", [["export-dot"],
+    @pytest.mark.parametrize("argv", [["check", "--law", "all"],
+                                      ["check", "--law", "all", "--strict"],
+                                      ["export-dot"],
                                       ["export-dot", "--waybelow"],
                                       ["analyze", "retract"]],
-                             ids=["export-dot", "export-dot-waybelow",
-                                  "analyze-retract"])
-    def test_export_and_analyze_exit_65(self, wide, argv):
+                             ids=["check", "check-strict", "export-dot",
+                                  "export-dot-waybelow", "analyze-retract"])
+    def test_a_wide_finite_tree_exits_65_at_load(self, wide, argv):
         assert run_cli([argv[0], wide, *argv[1:]]) == (
             65, "", f"error: {self.REASON}\n")
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "disjoint_sum", "left": _chain_sum_tree(1024),
+         "right": {"kind": "omega_plus_one"}},
+        {"kind": "disjoint_sum", "left": _chain_sum_tree(MAX_ELEMENTS),
+         "right": {"kind": "disjoint_sum",
+                   "left": _chain_sum_tree(MAX_ELEMENTS),
+                   "right": {"kind": "omega_plus_one"}}}],
+        ids=["finite-part", "symbolic-part"])
+    def test_a_symbolic_sum_counts_its_finite_parts(self, tmp_path, doc):
+        """Both sums are symbolic; the finite elements they list, in a
+        finite part or inside a symbolic one, come to 1024."""
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        result = run_cli(["check", str(path), "--law", "all"])
+        assert time.perf_counter() - start < 1
+        assert result == (65, "", f"error: {self.REASON}\n")
+
+    def test_strict_counts_a_skipped_law_as_no_verification(self, tmp_path):
+        """A skipped law verifies nothing, so with ``--strict`` it exits 2,
+        as an all-Unrefuted run does.  The bowtie is not conditionally
+        complete, so the subposet law of its sum with ω+1 has no retract
+        to check."""
+        path = tmp_path / "bowtie_sum.json"
+        path.write_text(json.dumps(spec_to_document(
+            disjoint_sum(BOWTIE, omega_plus_one()))))
+        code, out, err = run_cli(["check", str(path), "--law", "subposet",
+                                  "--strict"])
+        assert (code, err) == (2, "")
+        assert out == ("[subposet] SKIPPED reason=disjoint_sum(finite, "
+                       "omega_plus_one): conditional completeness and "
+                       "interpolation are neither certified nor "
+                       "exhaustively verifiable\n")
+
     def test_a_symbolic_sum_of_512_elements_checks_cc_quickly(self,
                                                               tmp_path):
-        """The sum of the 512-element tree and ω+1 is symbolic, so no cap
-        applies; the sampled cc law reads its bank of one family per
-        generator of the tree in well under a second."""
+        """The sum of the 512-element tree and ω+1 is symbolic; the sampled
+        cc law reads its bank of one family per generator of the tree in
+        well under a second."""
         path = tmp_path / "wide.json"
         path.write_text(json.dumps({
             "kind": "disjoint_sum", "left": _chain_sum_tree(MAX_ELEMENTS),
@@ -680,6 +715,18 @@ class TestCombinatorElementCap:
         assert out == ("[conditionally_complete] VERIFIED scope=sampled("
                        "seed=0xC0FFEE,count=500) samples=4558 reason="
                        "certified for the kind; probes consistent\n")
+
+    def test_a_wide_chain_sum_checks_subposet_quickly(self):
+        """``disjoint_sum(chain_256, omega_plus_one)`` has a bank of 32,896
+        families, one per generator of the chain; the subposet law scans
+        one family per supremum and maximal members, not every family for
+        every sampled pair."""
+        P = make_catalog(disjoint_sum(finite_named("chain_256"),
+                                      omega_plus_one()))
+        start = time.perf_counter()
+        report = LAWS["subposet"](P, sampled())
+        assert time.perf_counter() - start < 3
+        assert report.status.name == "UNREFUTED"
 
     def test_the_cap_admits_512_elements(self, tmp_path):
         path = tmp_path / "wide.json"

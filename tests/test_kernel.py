@@ -1743,22 +1743,38 @@ class TestLayering:
         return {getattr(leaf, "id", None) or getattr(leaf, "attr", None)
                 or getattr(leaf, "name", None) for leaf in ast.walk(node)}
 
+    @staticmethod
+    def owners(tree, where):
+        """``(scope, node)`` for every node under ``tree``: the dotted name
+        of the innermost function or class around it, from ``where``."""
+        for child in ast.iter_child_nodes(tree):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}"
+            yield inner, child
+            yield from TestLayering.owners(child, inner)
+
     def test_the_finite_order_and_the_cap_have_one_home(self):
-        """kernel.py reads a carrier's order as ``P.poset``, and a subset
-        scan stops at FINITE_CAP only in ``core._subset_planes``; no law
-        scans subsets."""
+        """kernel.py reads a carrier's order as ``P.poset``.  Every
+        SizeLimit that catalog.py raises comes from ``_check_size``, the
+        one cap on what a presentation lists.  In the package only
+        ``core._subset_planes`` reads FINITE_CAP, the cap of the oracle's
+        subset scans; a docstring may name it."""
         assert "induced_finite_poset" not in self.names(self.tree(kernel))
-        assert "FINITE_CAP" not in (self.names(self.tree(kernel))
-                                    | self.names(self.tree(oracle)))
-        users = set()
-        for top in self.tree(core).body:
-            scopes = ([(f"{top.name}.{getattr(node, 'name', '')}", node)
-                       for node in top.body]
-                      if isinstance(top, ast.ClassDef)
-                      else [(getattr(top, "name", "<module>"), top)])
-            users.update(where for where, node in scopes
-                         if "FINITE_CAP" in self.names(node))
-        assert users == {"<module>", "_subset_planes"}
+        raisers = {where for where, node in self.owners(self.tree(catalog),
+                                                        "catalog")
+                   if isinstance(node, ast.Raise)
+                   and "SizeLimit" in self.names(node)}
+        assert raisers == {"catalog._check_size"}
+        readers = set()
+        for path in sorted(Path(core.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            readers.update(
+                where for where, node in self.owners(tree, path.stem)
+                if isinstance(node, ast.Name) and node.id == "FINITE_CAP"
+                and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.alias) and node.name == "FINITE_CAP")
+        assert readers == {"core._subset_planes"}
 
     def test_the_pool_draw_has_one_home(self):
         """kernel.py takes its element pools and draws from

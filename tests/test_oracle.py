@@ -10,8 +10,8 @@ import pytest
 
 from posetkernel import (BOTTOM, OMEGA, FinitePoset, Inner,
                          build_finite_poset, closed_set, make_catalog)
-from posetkernel.catalog import (NAMED_FINITE_ROSTER, finite_named, lift,
-                                 punctured_closed_sets)
+from posetkernel.catalog import (MAX_ELEMENTS, NAMED_FINITE_ROSTER,
+                                 finite_named, lift, punctured_closed_sets)
 from posetkernel.closedsets import FULL, INF_POINT
 from posetkernel.core import (FINITE_CAP, _bits, _extremum, _none_of,
                               _plane_members, _subset_planes,
@@ -221,11 +221,16 @@ class TestTruncation:
         assert len(elems) == 7
         assert elems[-1] is OMEGA
 
-    def test_size_limits(self, closed, omega):
-        with pytest.raises(SizeLimit):
-            closed.truncation(7)
-        with pytest.raises(SizeLimit):
-            omega.truncation(15)
+    def test_size_limits(self, closed, punctured, omega):
+        """A cut is sized before it is built: 2^(n+2) closed sets (one
+        fewer punctured) and n + 2 points of ω+1, at most
+        ``MAX_ELEMENTS``."""
+        for P, n, size in ((closed, 7, MAX_ELEMENTS),
+                           (punctured, 7, MAX_ELEMENTS - 1),
+                           (omega, 510, MAX_ELEMENTS)):
+            assert len(P.truncation(n)) == size
+            with pytest.raises(SizeLimit, match="is over the cap of 512 "):
+                P.truncation(n + 1)
 
     def test_lift_forwards_the_inner_truncation(self, lifted_punctured,
                                                 punctured):

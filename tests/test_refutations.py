@@ -24,10 +24,10 @@ import pytest
 from posetkernel import OMEGA, cli, core, kernel, make_catalog, oracle
 from posetkernel.catalog import (OmegaPlusOnePresentation,
                                  build_finite_poset, closed_sets,
-                                 finite_explicit, finite_named,
+                                 disjoint_sum, finite_named,
                                  named_finite_poset, omega_plus_one)
 from posetkernel.closedsets import INF_POINT
-from posetkernel.core import (check_conditionally_complete,
+from posetkernel.core import (Left, check_conditionally_complete,
                               check_continuity, check_interpolation,
                               check_subposet, scope_pool)
 from posetkernel.families import ChainFamily, ExplicitFamily
@@ -39,13 +39,10 @@ from posetkernel.kernel import (adversarial_kernel, check_approximation_laws,
 from posetkernel.oracle import bank_refute_waybelow, continuity_bruteforce
 from posetkernel.reports import Status, sampled
 
-from conftest import CorruptFinite, corrupt_omega
+from conftest import BOWTIE, CorruptFinite, corrupt_omega
 
 # 0 < 1 < 2 below two maximal elements 3 and 4
 FORK = ("01234", [("0", "1"), ("1", "2"), ("2", "3"), ("2", "4")])
-# a, b below both of c, d: the pair {a, b} has no least upper bound
-BOWTIE = finite_explicit("abcd", [("a", "c"), ("a", "d"), ("b", "c"),
-                                  ("b", "d")])
 
 
 def chain(k):
@@ -123,6 +120,15 @@ REFUTATIONS = {
             corrupt_omega(finite_sup=lambda self, xs: OMEGA)),
         (8, 2, 19),
         "supremum not least: 19 is a smaller-incomparable upper bound", 0),
+    # the bowtie's {a, b} is bounded by c and d but has no supremum.  The
+    # law draws at most 200 subsets and at the default seed none of them is
+    # {a, b}; seed 1 was picked because its draw reaches the pair, so a
+    # change to the draw order may need another seed here
+    "cc-sampled-bounded-without-supremum": (
+        lambda: check_conditionally_complete(
+            make_catalog(disjoint_sum(BOWTIE, omega_plus_one())), sampled(1)),
+        (Left(1), Left(0)),
+        "bounded-above subset without a least upper bound", 7),
     "cc-bank-supremum-below-a-member": (
         lambda: check_conditionally_complete(corrupt_omega(
             _bank=lambda self: [ExplicitFamily((0, 5), 3, label="over")])),

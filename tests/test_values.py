@@ -6,10 +6,12 @@ immutability."""
 from __future__ import annotations
 
 import inspect
+import json
 import os
 import subprocess
 import sys
-from dataclasses import KW_ONLY, dataclass, field
+import tempfile
+from dataclasses import KW_ONLY, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from types import SimpleNamespace
@@ -144,6 +146,7 @@ LIBRARY = SimpleNamespace(
     QuotientStructure=kernel.QuotientStructure,
     CriterionResult=acceptance.CriterionResult)
 REFERENCE = SimpleNamespace(**{name: globals()[name] for name in NAMES})
+WRAPS = ("Inner", "Left", "Right")
 FROZEN = ("Inner", "Left", "Right", "CatalogSpec", "ExplicitFamily",
           "ChainFamily", "Scope")
 
@@ -205,13 +208,33 @@ def _hash(value):
         return str(exc)
 
 
+def _holds_wrap(value):
+    """Whether a frozen value, or a tuple, holds a wrap at any depth."""
+    if isinstance(value, core._Wrap):
+        return True
+    if isinstance(value, tuple):
+        return any(map(_holds_wrap, value))
+    return isinstance(value, families.ExplicitFamily | catalog.CatalogSpec) \
+        and any(_holds_wrap(getattr(value, f)) for f in value._fields)
+
+
 class TestValueSemantics:
     def test_equality_hash_and_repr(self):
+        """Each value prints and compares as its reference dataclass does.
+        It hashes as the reference does too, by identity, as its field
+        tuple or not at all, except a wrap: that hashes by its part.  A
+        frozen value holding a wrap hashes as the reference's field tuple
+        read off it, whose wraps are the library's."""
         ours, theirs = instances(LIBRARY), instances(REFERENCE)
         for a, ref_a in zip(ours, theirs):
             assert repr(a) == repr(ref_a)
             if type(ref_a).__hash__ is object.__hash__:  # by identity
                 assert type(a).__hash__ is object.__hash__
+            elif type(ref_a).__name__ in WRAPS:
+                assert hash(a) == hash((type(a).__name__, a.value)), repr(a)
+            elif _holds_wrap(a):
+                assert hash(a) == hash(tuple(
+                    getattr(a, f.name) for f in fields(ref_a))), repr(a)
             else:
                 assert _hash(a) == _hash(ref_a), repr(a)
             for b, ref_b in zip(ours, theirs):
@@ -219,15 +242,51 @@ class TestValueSemantics:
                 assert (a != b) == (ref_a != ref_b), (a, b)
             assert a != (getattr(a, "value", a),)
 
-    def test_wraps_keep_their_set_order(self):
-        values = [3, OMEGA, BOTTOM, EVENS, closed_set({1}), "a"]
-        for wrap in ("Inner", "Left", "Right"):
-            ours = {getattr(LIBRARY, wrap)(v): i for i, v in enumerate(values)}
-            theirs = {getattr(REFERENCE, wrap)(v): i
-                      for i, v in enumerate(values)}
-            assert [hash(k) for k in ours] == [hash(k) for k in theirs]
-            assert list(set(ours)) == [getattr(LIBRARY, wrap)(k.value)
-                                       for k in set(theirs)]
+    def test_wraps_hash_by_part_once(self):
+        """A wrap hashes as (its class name, its value), so the parts of a
+        sum hash apart, and the hash is taken once, when it is built: a
+        nested wrap reads its value's stored hash instead of walking the
+        nesting again."""
+        wraps = [getattr(LIBRARY, name) for name in WRAPS]
+        for v in (3, OMEGA, BOTTOM, EVENS, closed_set({1}), "a"):
+            assert len({hash(wrap(v)) for wrap in wraps}) == len(wraps)
+
+        class Counted:
+            hashed = 0
+
+            def __hash__(self):
+                Counted.hashed += 1
+                return 7
+
+        value = Counted()
+        nested = LIBRARY.Inner(LIBRARY.Left(value))
+        assert Counted.hashed == 1
+        again = LIBRARY.Inner(nested.value)
+        for _ in range(3):
+            assert hash(nested) == hash(again)
+            assert nested == again and nested == nested
+        assert Counted.hashed == 1
+
+    def test_no_output_depends_on_the_hash_seed(self):
+        """A wrap's hash takes its class name, whose hash changes with
+        ``PYTHONHASHSEED``, so what ``check`` prints must not depend on the
+        order of a set of wraps."""
+        doc = json.dumps(catalog.spec_to_document(catalog.disjoint_sum(
+            catalog.lift(catalog.finite_named("n5")),
+            catalog.disjoint_sum(catalog.omega_plus_one(),
+                                 catalog.lift(catalog.closed_sets())))))
+        script = ("import sys; from posetkernel.cli import main; "
+                  "sys.exit(main(['check', sys.argv[1], '--law', 'all']))")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sum.json"
+            path.write_text(doc)
+            outs = {subprocess.run(
+                [sys.executable, "-c", script, str(path)],
+                env={**os.environ, "PYTHONPATH": str(SRC),
+                     "PYTHONHASHSEED": seed},
+                capture_output=True, text=True).stdout
+                for seed in ("1", "2", "3")}
+        assert len(outs) == 1 and "[subposet]" in outs.pop()
 
     @pytest.mark.parametrize("name", NAMES)
     def test_signature_and_defaults(self, name):
