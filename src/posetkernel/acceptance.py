@@ -17,6 +17,10 @@ import time
 from functools import cache
 
 from . import cli
+# The matrix builds every carrier, so they load with it: a tool that wraps
+# the presentation classes after this import (perfbench/spans.py) sees
+# them all.
+from . import carriers  # noqa: F401
 from .catalog import (NAMED_FINITE_ROSTER, finite_named, finite_random,
                       make_catalog, spec_to_document, standard_roster)
 from .closedsets import EMPTY, EVENS, INF_POINT, ODDS, closed_set

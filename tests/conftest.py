@@ -4,8 +4,8 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from posetkernel import ClosedSetRep, make_catalog
-from posetkernel.catalog import (OmegaPlusOnePresentation, closed_sets,
-                                 finite_explicit, finite_named,
+from posetkernel.carriers import OmegaPlusOnePresentation
+from posetkernel.catalog import (closed_sets, finite_explicit, finite_named,
                                  finite_random, lift, omega_plus_one,
                                  punctured_closed_sets)
 from posetkernel.core import FinitePosetPresentation

@@ -13,10 +13,11 @@ from hypothesis import given, strategies as st
 from posetkernel import (BOTTOM, NO_INFIMUM, NO_SUPREMUM, OMEGA, Inner, Left,
                          PosetPresentation, Right, cli, closed_set,
                          closedsets, least_upper_bound, make_catalog)
+from posetkernel.carriers import (DisjointSumPresentation,
+                                  LiftPresentation, OmegaPlusOnePresentation,
+                                  _Combinator)
 from posetkernel.catalog import (MAX_DOCUMENT_DEPTH, MAX_ELEMENTS,
-                                 DisjointSumPresentation,
-                                 LiftPresentation, OmegaPlusOnePresentation,
-                                 _Combinator, closed_sets, disjoint_sum,
+                                 closed_sets, disjoint_sum,
                                  finite_explicit, finite_named, lift,
                                  named_finite_poset, omega_plus_one,
                                  punctured_closed_sets, random_finite_poset,

@@ -11,9 +11,9 @@ from posetkernel import (NO_INFIMUM, NO_SUPREMUM, OMEGA, build_finite_poset,
                          check_interpolation, check_subposet, closed_set,
                          greatest_lower_bound, is_directed, least_upper_bound,
                          leq, make_catalog, waybelow)
-from posetkernel.catalog import (OmegaPlusOnePresentation, finite_named,
-                                 named_finite_poset, random_finite_poset,
-                                 standard_roster)
+from posetkernel.carriers import OmegaPlusOnePresentation
+from posetkernel.catalog import (finite_named, named_finite_poset,
+                                 random_finite_poset, standard_roster)
 from posetkernel.closedsets import INF_POINT
 from posetkernel.core import (FinitePosetPresentation, induced_finite_poset,
                               resolve_scope)

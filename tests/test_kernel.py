@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from posetkernel import (BOTTOM, NO_SUPREMUM, OMEGA, Inner, Left,
-                         PosetPresentation, catalog, cli, closed_set, core,
-                         kernel, make_catalog, oracle)
-from posetkernel.catalog import (DisjointSumPresentation, closed_sets,
-                                 disjoint_sum, finite_named,
+                         PosetPresentation, carriers, catalog, cli,
+                         closed_set, core, kernel, make_catalog, oracle)
+from posetkernel.carriers import DisjointSumPresentation
+from posetkernel.catalog import (closed_sets, disjoint_sum, finite_named,
                                  finite_random, lift, named_finite_poset,
                                  omega_plus_one, punctured_closed_sets,
                                  standard_roster)
@@ -459,7 +459,7 @@ class TestQuotient:
         pairwise order codes agree): the classes {0} and {1} have distinct
         values that are each below the other."""
         def leq(self, x, y):
-            return catalog.OmegaPlusOnePresentation.leq(
+            return carriers.OmegaPlusOnePresentation.leq(
                 self, 0 if x == 1 else x, 0 if y == 1 else y)
 
         P = corrupt_omega(leq=leq)
@@ -1269,7 +1269,7 @@ def reference_inf_sampled(P, scope=None):
     return report
 
 
-class SupPlusNatural(catalog.ClosedSetsPresentation):
+class SupPlusNatural(carriers.ClosedSetsPresentation):
     """Closed sets whose reported supremum adds a natural: an upper bound,
     but not the least one."""
 
@@ -1277,7 +1277,7 @@ class SupPlusNatural(catalog.ClosedSetsPresentation):
         return closedset_join(super().finite_sup(xs), closed_set({30}))
 
 
-class KernelDropsALowerBound(catalog.ClosedSetsPresentation):
+class KernelDropsALowerBound(carriers.ClosedSetsPresentation):
     """Closed sets whose kernel sends {0, 1} to {1}, dropping the retract
     lower bound {0} of the instance ({0, 1, 2}, {0, 1, 3}) checked first."""
 
@@ -1321,9 +1321,9 @@ class TestPoolScanReference:
     @pytest.mark.parametrize("methods", [
         {"finite_sup": lambda self, xs: xs[0]},
         {"finite_sup": lambda self, xs: OMEGA},
-        {"family_bank": lambda self: catalog.OmegaPlusOnePresentation
+        {"family_bank": lambda self: carriers.OmegaPlusOnePresentation
          .family_bank(self) + [ExplicitFamily((0, 5), 3, label="over")]},
-        {"family_bank": lambda self: catalog.OmegaPlusOnePresentation
+        {"family_bank": lambda self: carriers.OmegaPlusOnePresentation
          .family_bank(self) + [ExplicitFamily((0, 1), 5, label="loose")]},
     ], ids=["not-an-upper-bound", "not-least", "family-not-dominated",
             "family-not-a-member"])
@@ -1433,7 +1433,7 @@ class TestSubposetCodesReference:
     def test_a_family_that_refutes_an_ambient_waybelow_pair(self):
         # a family declared to reach ω whose members stop at 2: it refutes
         # every way-below pair n << m with n above 2
-        P = corrupt_omega(family_bank=lambda self: catalog
+        P = corrupt_omega(family_bank=lambda self: carriers
                           .OmegaPlusOnePresentation.family_bank(self)
                           + [ExplicitFamily((0, 1, 2), OMEGA, label="short")])
         outcomes = self.assert_matches_reference(P)
@@ -1498,14 +1498,14 @@ class TestScopePool:
     def test_check_all_draws_each_pool_once(self, monkeypatch, capsys):
         fresh = random.Random(DEFAULT_SEED).getstate()
         draws = Counter()
-        draw = catalog.ClosedSetsPresentation.sample_elements
+        draw = carriers.ClosedSetsPresentation.sample_elements
 
         def spy(P, rng, count):
             draws[rng.getstate() == fresh, count] += 1
             return draw(P, rng, count)
 
-        monkeypatch.setattr(catalog.ClosedSetsPresentation, "sample_elements",
-                            spy)
+        monkeypatch.setattr(carriers.ClosedSetsPresentation,
+                            "sample_elements", spy)
         assert cli.main(["check", "closed_sets", "--law", "all"]) == 1
         capsys.readouterr()
         # one pool of 500, which the compact-element probe reads too, and the
@@ -1684,24 +1684,30 @@ class TestLayering:
     reach the closed-set lattice and the combinators only through
     presentation hooks, so a lift or a sum inherits every targeted check."""
 
-    CARRIERS = {name for name, obj in vars(catalog).items()
-                if isinstance(obj, type) and obj.__module__ == catalog.__name__
+    CARRIERS = {name for module in (catalog, carriers)
+                for name, obj in vars(module).items()
+                if isinstance(obj, type) and obj.__module__ == module.__name__
                 and issubclass(obj, PosetPresentation)}
 
     @staticmethod
     def tree(module):
         return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
 
+    @staticmethod
+    def imported(node):
+        """The last components of the module names an import statement
+        names, or the empty set for any other node."""
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            return set()
+        return {name.rsplit(".", 1)[-1] for name in names}
+
     def assert_imports_none_of(self, module, forbidden):
         for node in ast.walk(self.tree(module)):
-            if isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + [a.name for a in node.names]
-            elif isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            else:
-                continue
-            modules = {name.rsplit(".", 1)[-1] for name in names}
-            assert not modules & forbidden, ast.unparse(node)
+            assert not self.imported(node) & forbidden, ast.unparse(node)
 
     def test_kernel_imports_no_carrier_module(self):
         self.assert_imports_none_of(kernel, {"catalog", "closedsets"})
@@ -1754,15 +1760,32 @@ class TestLayering:
             yield inner, child
             yield from TestLayering.owners(child, inner)
 
+    FINITE_PATH = ("cli", "core", "kernel", "oracle", "families", "reports",
+                   "values", "errors", "catalog")
+
+    def test_the_finite_path_loads_no_symbolic_carrier(self):
+        """A finite answer compiles neither the closed-set algebra nor the
+        symbolic carriers: no module it loads imports ``closedsets`` or
+        ``carriers`` at module level, and the one function that imports
+        them is ``catalog.make_catalog``, for a symbolic spec."""
+        package = Path(core.__file__).parent
+        importers = {where for stem in self.FINITE_PATH
+                     for where, node in self.owners(
+                         ast.parse((package / f"{stem}.py").read_text(
+                             encoding="utf-8")), stem)
+                     if self.imported(node) & {"closedsets", "carriers"}}
+        assert importers == {"catalog.make_catalog"}
+
     def test_the_finite_order_and_the_cap_have_one_home(self):
         """kernel.py reads a carrier's order as ``P.poset``.  Every
-        SizeLimit that catalog.py raises comes from ``_check_size``, the
-        one cap on what a presentation lists.  In the package only
-        ``core._subset_planes`` reads FINITE_CAP, the cap of the oracle's
-        subset scans; a docstring may name it."""
+        SizeLimit that catalog.py and carriers.py raise comes from
+        ``_check_size``, the one cap on what a presentation lists.  In the
+        package only ``core._subset_planes`` reads FINITE_CAP, the cap of
+        the oracle's subset scans; a docstring may name it."""
         assert "induced_finite_poset" not in self.names(self.tree(kernel))
-        raisers = {where for where, node in self.owners(self.tree(catalog),
-                                                        "catalog")
+        raisers = {where for module in (catalog, carriers)
+                   for where, node in self.owners(
+                       self.tree(module), module.__name__.split(".")[-1])
                    if isinstance(node, ast.Raise)
                    and "SizeLimit" in self.names(node)}
         assert raisers == {"catalog._check_size"}

@@ -99,20 +99,33 @@ def test_traced_cc_tests_bounds_by_order_codes(tmp_path):
     assert totals["closedsets.leq_calls"] < 10_000
 
 
-def test_the_tracer_wraps_the_combinator_order_hooks(tmp_path):
-    """The tracer wraps the hooks it finds in ``vars()`` of each
-    presentation class; lift and sum inherit theirs from one base, so the
-    per-layer counts stay whole only while the names they resolve to on
-    both classes are the tracer's wrappers."""
+def test_the_tracer_wraps_every_library_carrier(tmp_path):
+    """``spans.install()`` wraps the hooks it finds in ``vars()`` of each
+    presentation class that exists when it runs, so every carrier must load
+    by then: after it, each ``PosetPresentation`` subclass of the library,
+    the lazily loaded symbolic carriers included, resolves its order hooks
+    to the wrapper, and lift and sum resolve the ones they inherit from
+    their one base."""
     script = """
 import spans
-from posetkernel.catalog import DisjointSumPresentation, LiftPresentation
 tracer = spans.install()
+import posetkernel.carriers
+from posetkernel.core import PosetPresentation
 wrapper = tracer.span("catalog.waybelow", len).__code__
-for cls in (LiftPresentation, DisjointSumPresentation):
-    for name in ("waybelow", "waybelow_family", "finite_sup", "finite_inf"):
-        assert getattr(cls, name).__code__ is wrapper, (cls.kind, name)
-print("wrapped")
+
+def subclasses(base):
+    for sub in base.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
+
+names = set()
+for cls in subclasses(PosetPresentation):
+    if cls.__module__.startswith("posetkernel."):
+        names.add(cls.__name__)
+        for name in ("waybelow", "waybelow_family", "finite_sup",
+                     "finite_inf"):
+            assert getattr(cls, name).__code__ is wrapper, (cls, name)
+print(sorted(names))
 """
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
@@ -123,4 +136,7 @@ print("wrapped")
                           env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "wrapped\n"
+    assert proc.stdout == (
+        "['ClosedSetsPresentation', 'DisjointSumPresentation', "
+        "'FinitePosetPresentation', 'LiftPresentation', "
+        "'OmegaPlusOnePresentation', '_Combinator']\n")

@@ -22,8 +22,8 @@ from pathlib import Path
 import pytest
 
 from posetkernel import OMEGA, cli, core, kernel, make_catalog, oracle
-from posetkernel.catalog import (OmegaPlusOnePresentation,
-                                 build_finite_poset, closed_sets,
+from posetkernel.carriers import OmegaPlusOnePresentation
+from posetkernel.catalog import (build_finite_poset, closed_sets,
                                  disjoint_sum, finite_named,
                                  named_finite_poset, omega_plus_one)
 from posetkernel.closedsets import INF_POINT
