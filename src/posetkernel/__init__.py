@@ -6,9 +6,11 @@ check: definitional brute force on finite carriers, bank-driven refutation
 on symbolic ones.  See the carriers module for the symbolic carriers and
 the proofs of their rules.
 
-The finite core loads with the package.  The closed-set algebra and the
-symbolic carriers load on first use: the names in ``_LAZY`` resolve from
-their home module on first access and are then kept in this module.
+The finite core loads with the package.  The closed-set algebra, the
+symbolic carriers, the quotient and the self-test fixture load on first
+use: the names in ``_LAZY`` resolve from their home module on first access
+and are then kept in this module.  The symbolic halves of the laws
+(``sampled_laws``) load when a check picks a sampled scope.
 """
 
 from .core import (BOTTOM, NO_INFIMUM, NO_SUPREMUM, OMEGA, FinitePoset,
@@ -23,13 +25,11 @@ from .catalog import (CatalogSpec, closed_sets, disjoint_sum,
                       punctured_closed_sets, random_finite_poset,
                       standard_roster)
 from .families import ChainFamily, ExplicitFamily
-from .kernel import (QuotientStructure, adversarial_kernel,
-                     check_approximation_laws, check_inf_preservation,
+from .kernel import (check_approximation_laws, check_inf_preservation,
                      check_inf_preservation_sampled, check_kernel_laws,
                      check_largest_retract, check_scott_continuity,
-                     check_waybelow_kernel_equivalence,
-                     in_retract, is_approximable, kernel_of,
-                     quotient_structure, retract_member)
+                     check_waybelow_kernel_equivalence, in_retract,
+                     is_approximable, kernel_of, retract_member)
 from .oracle import (bank_refute_waybelow, continuity_bruteforce,
                      kernel_bruteforce, largest_continuous_subposet_bruteforce,
                      waybelow_bruteforce)
@@ -44,6 +44,8 @@ _LAZY = {
     **dict.fromkeys(("ClosedSetsPresentation", "DisjointSumPresentation",
                      "LiftPresentation", "OmegaPlusOnePresentation"),
                     "carriers"),
+    **dict.fromkeys(("QuotientStructure", "quotient_structure"), "commands"),
+    "adversarial_kernel": "acceptance",
 }
 
 __all__ = [
@@ -57,11 +59,11 @@ __all__ = [
     "named_finite_poset", "omega_plus_one", "punctured_closed_sets",
     "random_finite_poset", "standard_roster",
     "ChainFamily", "ExplicitFamily",
-    "QuotientStructure", "adversarial_kernel", "check_approximation_laws",
-    "check_inf_preservation", "check_inf_preservation_sampled",
-    "check_kernel_laws", "check_largest_retract", "check_scott_continuity",
+    "check_approximation_laws", "check_inf_preservation",
+    "check_inf_preservation_sampled", "check_kernel_laws",
+    "check_largest_retract", "check_scott_continuity",
     "check_waybelow_kernel_equivalence", "in_retract", "is_approximable",
-    "kernel_of", "quotient_structure", "retract_member",
+    "kernel_of", "retract_member",
     "bank_refute_waybelow", "continuity_bruteforce", "kernel_bruteforce",
     "largest_continuous_subposet_bruteforce", "waybelow_bruteforce",
     "BANK", "EXHAUSTIVE", "CheckReport", "Scope", "Status", "sampled",

@@ -14,6 +14,7 @@ import contextlib
 import io
 import json
 import time
+from collections.abc import Callable
 from functools import cache
 
 from . import cli
@@ -24,12 +25,14 @@ from . import carriers  # noqa: F401
 from .catalog import (NAMED_FINITE_ROSTER, finite_named, finite_random,
                       make_catalog, spec_to_document, standard_roster)
 from .closedsets import EMPTY, EVENS, INF_POINT, ODDS, closed_set
-from .core import scope_pool
-from .kernel import (adversarial_kernel, check_approximation_laws,
-                     check_inf_preservation_sampled, check_kernel_laws,
-                     check_largest_retract, check_scott_continuity,
+from .commands import export_dot, quotient_structure
+from .core import PosetPresentation, scope_pool
+from .errors import ScopeUnsupported
+from .kernel import (check_approximation_laws, check_inf_preservation_sampled,
+                     check_kernel_laws, check_largest_retract,
+                     check_scott_continuity,
                      check_waybelow_kernel_equivalence, is_approximable,
-                     kernel_of, quotient_structure, retract_member)
+                     kernel_of, retract_member)
 from .oracle import (kernel_bruteforce, largest_continuous_subposet_bruteforce,
                      waybelow_bruteforce)
 from .reports import DEFAULT_SEED, Status, sampled
@@ -256,6 +259,20 @@ def criterion_8(quick: bool = False) -> str:
 # C9: harness sanity via the planted adversarial kernel
 
 
+def adversarial_kernel(P: PosetPresentation) -> Callable:
+    """Planted self-test fixture: the identity except that the first
+    interesting element below another is sent up to it, so deflation must
+    be refuted by check_kernel_laws."""
+    pool = P.interesting_elements()
+    pair = next(((a, b) for a in pool for b in pool
+                 if a != b and P.leq(a, b)), None)
+    if pair is None:
+        raise ScopeUnsupported(
+            f"{P.name} has no strictly comparable pair to corrupt")
+    src, dst = pair
+    return lambda x: dst if x == src else x
+
+
 def criterion_9(quick: bool = False) -> str:
     C = _roster()["closed_sets"]
     report = check_kernel_laws(C, kernel=adversarial_kernel(C))
@@ -286,12 +303,12 @@ def criterion_10(quick: bool = False) -> str:
         again = cli.parse_input(json.dumps(spec_to_document(spec)))
         assert again == spec, f"round-trip drift on {text}"
     P = _roster()["diamond"]
-    first = cli.export_dot(P, waybelow=True)
-    second = cli.export_dot(P, waybelow=True)
+    first = export_dot(P, waybelow=True)
+    second = export_dot(P, waybelow=True)
     assert first == second and first.encode() == second.encode()
     C = _roster()["closed_sets"]
-    t1 = cli.export_dot(C, truncate_n=1)
-    assert t1 == cli.export_dot(C, truncate_n=1)
+    t1 = export_dot(C, truncate_n=1)
+    assert t1 == export_dot(C, truncate_n=1)
     assert t1.count("[label=") == 8, "truncate 1 must have 8 nodes"
 
     code, _ = _run_cli(["check", "diamond", "--law", "all"])

@@ -20,7 +20,6 @@ stderr line).
 from __future__ import annotations
 
 import gc
-import json
 import os
 import re
 import sys
@@ -28,12 +27,11 @@ from types import SimpleNamespace
 
 from . import catalog as cat
 from .catalog import CatalogSpec, make_catalog
-from .core import PosetPresentation, induced_finite_poset
-from .errors import (NotApproximable, ParseError, PosetError,
-                     PreconditionUnverified, ScopeUnsupported, SizeLimit,
-                     UnknownName, ValidationError)
-from .kernel import (LAWS, in_retract, is_approximable, kernel_of,
-                     quotient_structure, retract_member)
+from .core import PosetPresentation
+from .errors import (ParseError, PosetError, PreconditionUnverified,
+                     ScopeUnsupported, SizeLimit, UnknownName, UsageError,
+                     ValidationError)
+from .kernel import LAWS
 from .reports import (DEFAULT_PAIR_SAMPLES, DEFAULT_SEED, CheckReport, Status,
                       sampled)
 
@@ -45,16 +43,14 @@ EXIT_PARSE = 65
 EXIT_SOFTWARE = 70
 
 
-class UsageError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Input documents
 
 
 def parse_input(text: str) -> CatalogSpec:
     """Parse and validate a poset document; errors carry positions."""
+    import json
+
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -83,18 +79,6 @@ def load_poset(arg: str) -> PosetPresentation:
     return make_catalog(parse_input(text))
 
 
-def parse_element_arg(P: PosetPresentation, text: str):
-    """Element literal from the command line: JSON when it parses, a bare
-    label string otherwise."""
-    try:
-        literal = json.loads(text)
-    except (json.JSONDecodeError, RecursionError):
-        literal = text
-    if isinstance(literal, (int, float)) and not isinstance(literal, bool):
-        literal = text  # labels like "3" stay strings
-    return P.parse_element(literal)
-
-
 # ---------------------------------------------------------------------------
 # Law registry
 
@@ -106,38 +90,6 @@ def run_law(P: PosetPresentation, law: str, scope) -> CheckReport:
         raise UsageError(f"unknown law {law!r} (choose from "
                          f"{', '.join(LAWS)} or all)") from None
     return check(P, scope)
-
-
-# ---------------------------------------------------------------------------
-# DOT export
-
-
-def export_dot(P: PosetPresentation, waybelow: bool = False,
-               truncate_n: int | None = None) -> str:
-    """Hasse diagram as GraphViz text; way-below pairs (minus the reflexive
-    ones) become dashed edges on request.  Node order follows the input
-    order, so the bytes are stable."""
-    if truncate_n is not None:
-        elems = P.truncation(truncate_n)
-    elif P.is_finite_kind:
-        elems = P.elements()
-    else:
-        raise ScopeUnsupported("symbolic kinds need --truncate <n> for "
-                               "diagram export")
-    fp = induced_finite_poset(P, elems)
-    lines = ["digraph poset {", "  rankdir=BT;"]
-    for i, name in enumerate(fp.names):
-        label = name.replace("\\", "\\\\").replace('"', '\\"')
-        lines.append(f'  n{i} [label="{label}"];')
-    for i, j in fp.hasse_edges():
-        lines.append(f"  n{i} -> n{j};")
-    if waybelow:
-        for i, x in enumerate(elems):
-            for j, y in enumerate(elems):
-                if i != j and P.waybelow(x, y):
-                    lines.append(f"  n{i} -> n{j} [style=dashed];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -166,70 +118,6 @@ def cmd_check(args) -> int:
         return EXIT_REFUTED
     if args.strict and not any(r.status is Status.VERIFIED for r in reports):
         return EXIT_STRICT_UNREFUTED  # a skipped law is no verification
-    return EXIT_OK
-
-
-def cmd_analyze(args) -> int:
-    # Every literal is parsed before anything is printed, so an input error
-    # (exit 65) leaves stdout empty.
-    P = load_poset(args.poset)
-    if args.what == "kernel":
-        if args.element is None:
-            raise UsageError("analyze kernel needs --element")
-        x = parse_element_arg(P, args.element)
-        print(f"element: {P.format_element(x)}")
-        if not is_approximable(P, x):
-            print("approximable: no")
-            print("kernel: undefined (the element has no approximants)")
-            print("in retract: no")
-            return EXIT_OK
-        k = kernel_of(P, x)
-        print("approximable: yes")
-        print(f"kernel: {P.format_element(k)}")
-        print(f"in retract: {'yes' if in_retract(P, x) else 'no'}")
-        return EXIT_OK
-    elems = [parse_element_arg(P, text) for text in args.elements or ()]
-    if args.what == "retract":
-        member = retract_member(P)
-        if P.is_finite_kind:
-            members = ", ".join(P.format_element(e) for e in P.elements()
-                                if member(e))
-            print(f"retract carrier: {{{members}}}")
-        else:
-            print("retract membership rule: x is approximable and fixed by "
-                  "the kernel (sup of its approximants)")
-            for rule in P.retract_rules():
-                print(rule)
-        for x in elems:
-            verdict = "yes" if in_retract(P, x) else "no"
-            print(f"in retract {P.format_element(x)}: {verdict}")
-        return EXIT_OK
-    if not elems:
-        raise UsageError("analyze quotient needs --elements")
-    try:
-        qs = quotient_structure(P, elems)
-    except NotApproximable as exc:
-        print(f"not approximable: {exc}")
-        return EXIT_OK
-    print(f"classes: {len(qs.classes)}")
-    for cls, value in zip(qs.classes, qs.kernel_values):
-        members = ", ".join(P.format_element(e) for e in cls)
-        print(f"  class {{{members}}} -> {P.format_element(value)}")
-    return EXIT_OK
-
-
-def cmd_export_dot(args) -> int:
-    P = load_poset(args.poset)
-    text = export_dot(P, waybelow=args.waybelow, truncate_n=args.truncate)
-    if args.out is None:
-        sys.stdout.write(text)
-        return EXIT_OK
-    try:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise ParseError(f"cannot write {args.out!r}: {exc.strerror}") \
-            from None
     return EXIT_OK
 
 
@@ -479,8 +367,11 @@ def _parse_command(command, words, extras) -> SimpleNamespace:
 def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        run = {"check": cmd_check, "analyze": cmd_analyze,
-               "export-dot": cmd_export_dot, "selftest": cmd_selftest}
+        run = {"check": cmd_check, "selftest": cmd_selftest}
+        if args.command not in run:  # analyze and export-dot
+            from . import commands
+            run = {"analyze": commands.cmd_analyze,
+                   "export-dot": commands.cmd_export_dot}
         return run[args.command](args)
     except _Help as text:
         print(text)

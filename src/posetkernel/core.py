@@ -12,16 +12,14 @@ checks report Unrefuted rather than Verified.
 from __future__ import annotations
 
 import random
-from functools import cache, cached_property, reduce
-from itertools import chain, compress
-from operator import or_
+from functools import cache, cached_property
+from itertools import compress
 
 from .errors import (CycleDetected, DuplicateLabel, EmptyFamily,
                      ForeignElement, PosetError, ScopeUnsupported, SizeLimit,
                      ValidationError)
 from .families import ExplicitFamily, Family
-from .reports import (DEFAULT_SUBSET_SAMPLES, EXHAUSTIVE, Scope, refuted,
-                      sampled, unrefuted, verified)
+from .reports import EXHAUSTIVE, Scope, refuted, sampled, verified
 from .values import Frozen, set_field
 
 # ---------------------------------------------------------------------------
@@ -738,59 +736,6 @@ def _lubless_pair(fp: FinitePoset):
     return None
 
 
-def _cc_sampled(P, scope):
-    """Sampled subsets of the pool, each with its reported supremum held
-    against the pool's upper bounds of it (a subset reported without a
-    supremum must have none), then the bank families.  The upper bounds
-    are found by order codes (``P.order_codes``) and each is confirmed
-    with ``leq`` before it refutes.  A finite directed family holds its
-    maximum, which is its supremum, so an explicit family is refuted
-    exactly: its declared supremum must dominate every member and be one
-    of them."""
-    law = "conditionally_complete"
-    pool, rng = scope_pool(P, scope)
-    codes = P.order_codes(pool)
-    checked = 0
-    for _ in range(min(scope.count, DEFAULT_SUBSET_SAMPLES)):
-        size = rng.randint(2, 4)
-        if len(pool) < size:
-            break
-        picks = rng.sample(range(len(pool)), size)  # as rng.sample(pool, size)
-        subset = tuple(pool[i] for i in picks)
-        s = P.finite_sup(subset)
-        if is_element(s) and not all(P.leq(a, s) for a in subset):
-            return refuted(law, subset,
-                           "reported supremum is not an upper bound",
-                           scope, samples=checked)
-        bound = reduce(or_, (codes[i] for i in picks))
-        for u, code in zip(pool, codes):
-            if (bound & ~code or is_element(s) and P.leq(s, u)
-                    or not all(P.leq(a, u) for a in subset)):
-                continue
-            return refuted(law, subset, (
-                f"supremum not least: {P.format_element(u)} is a "
-                "smaller-incomparable upper bound" if is_element(s) else
-                "bounded-above subset without a least upper bound"),
-                scope, samples=checked)
-        checked += 1
-    for fam in P.family_bank():
-        members = fam.sample_members()
-        if not all(P.leq(m, fam.supremum) for m in members):
-            return refuted(law, fam.label or fam,
-                           "declared supremum does not dominate a member",
-                           scope, samples=checked)
-        if isinstance(fam, ExplicitFamily) and fam.supremum not in members:
-            return refuted(law, fam.label or fam,
-                           "declared supremum is not a member", scope,
-                           samples=checked)
-        checked += 1
-    if P.certified_conditionally_complete:
-        return verified(law, scope,
-                        reason="certified for the kind; probes consistent",
-                        samples=checked)
-    return unrefuted(law, checked, scope)
-
-
 def _interpolated(P, x, y, pool):
     """Whether some z in ``pool`` (which holds x) has x << z << y, given
     x << y: z = x first, which every catalog carrier's approximants pass."""
@@ -807,27 +752,6 @@ def _interp_exhaustive(P, scope):
             if P.waybelow(x, y) and not _interpolated(P, x, y, elems):
                 return refuted(law, (x, y), "no interpolant", scope)
     return verified(law, scope)
-
-
-def _interp_sampled(P, scope):
-    """Sampled way-below pairs of the pool have interpolants in the pool;
-    Verified only where ``certified_interpolating``."""
-    law = "interpolating"
-    pool, rng = scope_pool(P, scope)
-    checked = 0
-    for _ in range(scope.count):
-        x, y = rng.choice(pool), rng.choice(pool)
-        if not P.waybelow(x, y):
-            continue
-        if not _interpolated(P, x, y, pool):
-            return refuted(law, (x, y), "no interpolant found in scope",
-                           scope, samples=checked)
-        checked += 1
-    if P.certified_interpolating:
-        return verified(law, scope,
-                        reason="certified closed-form witness; spot-checked",
-                        samples=checked)
-    return unrefuted(law, checked, scope)
 
 
 def _continuity_failure(P, x):
@@ -850,26 +774,6 @@ def _cont_exhaustive(P, scope):
     return verified(law, scope)
 
 
-def _cont_sampled(P, scope):
-    law = "continuous"
-    ce = P.continuity_counterexample()
-    if not P.certified_continuous:  # refuted at ce, whatever the count
-        why = ce is not None and _continuity_failure(P, ce)
-        if not why:
-            raise PosetError(f"{P.name} names no refuting counterexample; "
-                             "the catalog entry is corrupt")
-        return refuted(law, ce, why, scope, samples=1)
-    pool = [] if ce is None else [ce]
-    pool.extend(scope_pool(P, scope)[0])
-    pool = list(dict.fromkeys(pool))[:scope.count]
-    for i, x in enumerate(pool, 1):
-        why = _continuity_failure(P, x)
-        if why:
-            return refuted(law, x, why, scope, samples=i)
-    return verified(law, scope, reason="certified for the kind",
-                    samples=len(pool))
-
-
 def _subposet_exhaustive(P, scope, member):
     """Inside a finite subset way-below is the inherited order (a directed
     set holds its maximum), so that is what the ambient one must be."""
@@ -886,101 +790,23 @@ def _subposet_exhaustive(P, scope, member):
     return verified(law, scope)
 
 
-def _subposet_sampled(P, scope, member):
-    """Way-below pairs drawn inside the subset, probed against the bank
-    families that lie in it.  The pool is the subset's interesting elements,
-    then parent samples drawn one at a time that land in the subset.  The
-    order codes (``P.order_codes``) of the pool, the bank suprema and the
-    sampled bank members decide ``y <= supremum`` and whether a sampled
-    member dominates x; ``leq`` and ``family_dominates`` confirm a family
-    before it refutes.  Explicit families with one supremum code and one
-    set of maximal member codes answer every pair alike, so only the first
-    of them in bank order is scanned.  That holds when the codes are
-    faithful to ``leq``; with codes that are not, a skipped family that
-    would have been confirmed and refuted is lost, though no false
-    refutation is made."""
-    law = "subposet"
-    rng = random.Random(scope.seed)
-    pool = [e for e in P.interesting_elements() if member(e)]
-    wanted = len(pool) + scope.count
-    budget = scope.count * 8
-    while len(pool) < wanted and budget:
-        budget -= 1
-        pool.extend(e for e in P.sample_elements(rng, 1) if member(e))
-    pool = list(dict.fromkeys(pool))
-    bank = [fam for fam in P.family_bank() if member(fam.supremum)
-            and all(member(m) for m in fam.sample_members())]
-    listed = list(dict.fromkeys(chain(
-        pool, (fam.supremum for fam in bank),
-        *(fam.sample_members() for fam in bank))))
-    code = dict(zip(listed, P.order_codes(listed))).__getitem__
-    pool_codes = list(map(code, pool))
-    coded_bank, seen = [], set()
-    for fam in bank:
-        sup = code(fam.supremum)
-        members = list(map(code, fam.sample_members()))
-        if isinstance(fam, ExplicitFamily):
-            key = sup, frozenset(m for m in members if not any(
-                m != d and not m & ~d for d in members))
-            if key in seen:
-                continue
-            seen.add(key)
-        coded_bank.append((fam, sup, members))
-    dominated = {}  # (pool index, bank index) -> family_dominates
-
-    def dominates(i, f):
-        key = i, f
-        if key not in dominated:
-            fam, _, members = coded_bank[f]
-            cx = pool_codes[i]
-            dominated[key] = any(not cx & ~m for m in members) or (
-                not isinstance(fam, ExplicitFamily)
-                and bool(fam.member_dominates(pool[i])))
-        return dominated[key]
-
-    indices = range(len(pool))
-    confirmed = 0
-    for _ in range(scope.count):
-        if not pool:
-            break
-        i, j = rng.choice(indices), rng.choice(indices)  # as rng.choice(pool)
-        x, y = pool[i], pool[j]
-        cy = pool_codes[j]
-        ambient = P.waybelow(x, y)
-        for f, (fam, sup, _) in enumerate(coded_bank):
-            if cy & ~sup or dominates(i, f):
-                continue
-            if ambient:
-                if not P.leq(y, fam.supremum) or family_dominates(P, fam, x):
-                    continue
-                return refuted(
-                    law, (x, y),
-                    f"family {fam.label!r} inside the subset refutes an "
-                    "ambient way-below pair", scope, samples=confirmed)
-            confirmed += 1
-            break
-        else:
-            if ambient:
-                confirmed += 1
-    return unrefuted(law, confirmed, scope)
-
-
-def _axiom(exhaustive, sampled_check):
+def _axiom(exhaustive, sampled_name):
     """The checker ``(P, scope=None, *args)`` of one order axiom: the
-    exhaustive variant when ``resolve_scope`` exhausts P, the sampled one
-    otherwise.  The subposet law takes one argument, the membership
-    predicate of the subset."""
+    exhaustive variant when ``resolve_scope`` exhausts P, else the sampled
+    one, which loads with ``sampled_laws`` only then.  The subposet law
+    takes one argument, the membership predicate of the subset."""
 
     def check(P, scope=None, *args):
         scope = resolve_scope(P, scope)
         if scope.kind == "exhaustive":
             return exhaustive(P, scope, *args)
-        return sampled_check(P, scope, *args)
+        from . import sampled_laws
+        return getattr(sampled_laws, sampled_name)(P, scope, *args)
 
     return check
 
 
-check_conditionally_complete = _axiom(_cc_exhaustive, _cc_sampled)
-check_interpolation = _axiom(_interp_exhaustive, _interp_sampled)
-check_continuity = _axiom(_cont_exhaustive, _cont_sampled)
-check_subposet = _axiom(_subposet_exhaustive, _subposet_sampled)
+check_conditionally_complete = _axiom(_cc_exhaustive, "_cc_sampled")
+check_interpolation = _axiom(_interp_exhaustive, "_interp_sampled")
+check_continuity = _axiom(_cont_exhaustive, "_cont_sampled")
+check_subposet = _axiom(_subposet_exhaustive, "_subposet_sampled")

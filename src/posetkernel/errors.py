@@ -1,6 +1,12 @@
 """Exception types shared across the library."""
 
 
+class UsageError(Exception):
+    """The command line asks for what no command takes (exit 64).  It is
+    defined here, not in ``cli``, so that ``commands`` raises the class
+    that ``cli.main`` catches also when ``cli`` runs as ``__main__``."""
+
+
 class PosetError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -1,18 +1,20 @@
-"""The approximation kernel, its continuous retract, and the quotient.
+"""The approximation kernel, its continuous retract, and the law checkers.
 
 On the approximable part of a conditionally-complete interpolating poset,
 the map sending x to the supremum of its approximants is a kernel: it is
 deflationary, monotone, idempotent, and preserves directed suprema.  Its
 fixed points form the largest continuous subposet, and collapsing elements
-with equal kernel values yields a quotient order-isomorphic to that retract.
-Each of those claims has a checker here.  On finite carriers every check
-but ``inf`` is exhaustive (``inf`` samples the retract subsets it decides):
-a finite directed set is its maximum t plus a subset of the down-set of t,
-so the laws stated over all directed sets are decided from per-element
-masks, at any size.  On symbolic carriers the checks sample and scan the
-family bank and report honestly (Unrefuted, never Verified, unless a
-certified closed form stands behind the claim).  ``LAWS`` maps each
-``--law`` name to its checker.
+with equal kernel values yields a quotient order-isomorphic to that retract
+(``commands.quotient_structure``).  Each of those claims has a checker
+here.  On finite carriers every check but ``inf`` is exhaustive (``inf``
+samples the retract subsets it decides): a finite directed set is its
+maximum t plus a subset of the down-set of t, so the laws stated over all
+directed sets are decided from per-element masks, at any size.  On
+symbolic carriers the checks sample and scan the family bank and report
+honestly (Unrefuted, never Verified, unless a certified closed form stands
+behind the claim); the scope, bank and largest-retract laws keep those
+halves in ``sampled_laws``, which loads only for such a carrier.  ``LAWS``
+maps each ``--law`` name to its checker.
 """
 
 from __future__ import annotations
@@ -25,14 +27,12 @@ from operator import and_
 from .core import (PosetPresentation, check_conditionally_complete,
                    check_continuity, check_interpolation, check_subposet,
                    _bits, _directed, _generators, _mask, _mask_family,
-                   is_approximable, is_element, resolve_scope, scope_draw,
-                   scope_pool)
+                   is_approximable, is_element, resolve_scope, scope_pool)
 from .errors import (EmptyFamily, NoInfimumError, NotApproximable, PosetError,
-                     PreconditionUnverified, ScopeUnsupported)
-from .families import ChainFamily, ExplicitFamily
-from .reports import (BANK, EXHAUSTIVE, CheckReport, Scope, Status, combine,
+                     PreconditionUnverified)
+from .families import ExplicitFamily
+from .reports import (EXHAUSTIVE, CheckReport, Scope, Status, combine,
                       refuted, sampled, unrefuted, verified)
-from .values import Record, assign
 
 
 def kernel_of(P: PosetPresentation, x):
@@ -55,20 +55,6 @@ def in_retract(P: PosetPresentation, x) -> bool:
     fixed by the kernel."""
     P.require(x)
     return P.kernel_value(x) == x
-
-
-def adversarial_kernel(P: PosetPresentation) -> Callable:
-    """Planted self-test fixture: the identity except that the first
-    interesting element below another is sent up to it, so deflation must
-    be refuted by check_kernel_laws."""
-    pool = P.interesting_elements()
-    pair = next(((a, b) for a in pool for b in pool
-                 if a != b and P.leq(a, b)), None)
-    if pair is None:
-        raise ScopeUnsupported(
-            f"{P.name} has no strictly comparable pair to corrupt")
-    src, dst = pair
-    return lambda x: dst if x == src else x
 
 
 def retract_member(P: PosetPresentation) -> Callable[[object], bool]:
@@ -140,17 +126,6 @@ def check_kernel_laws(P: PosetPresentation, scope: Scope | None = None,
     return _finish(law, len(xs) + len(pairs), scope)
 
 
-def _chain_sup(P: PosetPresentation, chain: ChainFamily):
-    """The declared supremum of a symbolic chain, after probing that it
-    dominates the sampled members."""
-    for m in chain.sample_members():
-        if not P.leq(m, chain.supremum):
-            raise PosetError(
-                f"declared supremum of chain {chain.label!r} does not "
-                f"dominate a sampled member")
-    return chain.supremum
-
-
 def check_scott_continuity(P: PosetPresentation) -> CheckReport:
     """k(sup D) against sup k(D) for every bank family D inside the
     approximable part; the image supremum is asserted to lie in the
@@ -161,10 +136,9 @@ def check_scott_continuity(P: PosetPresentation) -> CheckReport:
     member m, and k(t) lies in the retract, so D fails where a generator
     {m, t} in it fails (``_decided``): the law is Verified, scope exhaustive.
     A symbolic bank: Unrefuted, scope bank."""
-    law = "scott-continuity"
-    judge = lambda fam: _scott_at(P, fam)
     if resolve_scope(P).kind != "exhaustive":
-        return _tally(law, map(judge, P.family_bank()), BANK, counted=True)
+        from .sampled_laws import _scott_bank
+        return _scott_bank(P)
     elems, fp, approx = _finite_part(P)
     kernel = {}  # index -> its kernel value, where it has one
     for i in _bits(approx):
@@ -178,33 +152,34 @@ def check_scott_continuity(P: PosetPresentation) -> CheckReport:
         holds = kt is not None and in_retract(P, kt)
         failing[t] = _mask(m for m in _bits(fp.down[t] & approx) if not (
             holds and m in kernel and P.leq(kernel[m], kt)))
-    return _decided(P, law, judge, failing, approx, approx, EXHAUSTIVE,
-                    counted=True)
+    return _decided(P, "scott-continuity", lambda fam: _scott_at(P, fam),
+                    failing, approx, approx, EXHAUSTIVE, counted=True)
+
+
+_UNAPPROXIMABLE_SUP = ("supremum of an approximable directed family is not "
+                      "approximable")
 
 
 def _scott_at(P: PosetPresentation, fam):
-    """The Scott-continuity verdict (see ``_tally``) at one bank family."""
+    """The Scott-continuity verdict (see ``_decided``) at an explicit
+    family; ``sampled_laws._scott_chain_at`` is the one at a chain."""
     members = fam.sample_members()
     if not all(P.kernel_value(m) is not None for m in members):
         return None
     label = fam.label or fam
-    explicit = isinstance(fam, ExplicitFamily)
-    d0 = fam.supremum if explicit else _chain_sup(P, fam)
-    if P.kernel_value(d0) is None:
-        return label, ("supremum of an approximable directed family is not "
-                       "approximable")
-    k_sup = kernel_of(P, d0)
-    if explicit:
-        s = P.finite_sup(tuple(kernel_of(P, m) for m in members))
-        if not is_element(s):
-            return label, "kernel image has no supremum"
-    else:
-        if not all(P.leq(kernel_of(P, m), k_sup) for m in members):
-            return label, "a kernel image escapes k(sup)"
-        s = fam.kernel_image_sup
+    if P.kernel_value(fam.supremum) is None:
+        return label, _UNAPPROXIMABLE_SUP
+    k_sup = kernel_of(P, fam.supremum)
+    s = P.finite_sup(tuple(kernel_of(P, m) for m in members))
+    if not is_element(s):
+        return label, "kernel image has no supremum"
+    return _image_verdict(P, label, k_sup, s, "sup of kernel images")
+
+
+def _image_verdict(P: PosetPresentation, label, k_sup, s, what):
+    """The Scott-continuity verdict once the kernel image of a family has
+    the supremum ``s``: it must be k(sup), in the retract."""
     if s != k_sup:
-        what = "sup of kernel images" if explicit \
-            else "certified image supremum"
         return label, (f"k(sup) = {P.format_element(k_sup)} but {what} = "
                        f"{P.format_element(s)}")
     if not in_retract(P, s):
@@ -251,20 +226,6 @@ def _count_directed(fp, tops, within, bound=None):
     return total
 
 
-def _tally(law, verdicts, scope, counted=False):
-    """A law over a symbolic bank from its verdicts, one per family: None
-    where it does not apply, True where it holds, else the refutation
-    ``(witness, reason)``, with the count so far when ``counted``."""
-    count = 0
-    for verdict in verdicts:
-        if verdict is True:
-            count += 1
-        elif verdict:
-            return refuted(law, *verdict, scope, samples=count if counted
-                           else 0)
-    return unrefuted(law, count, scope)
-
-
 def check_waybelow_kernel_equivalence(P: PosetPresentation,
                                       scope: Scope | None = None
                                       ) -> CheckReport:
@@ -305,147 +266,15 @@ def check_largest_retract(P: PosetPresentation,
     quantification over subposets of an infinite carrier is out of reach,
     so the overall status stays Unrefuted there.
     """
-    law = "largest-retract"
     scope = resolve_scope(P, scope)
-    if scope.kind == "exhaustive":
-        for x in P.elements():
-            if not in_retract(P, x):
-                return refuted(law, (x,), "a continuous subposet escapes "
-                               "the retract", scope)
-        return verified(law, scope)
-    witness = P.continuity_counterexample()
-    if witness is None:
-        subs = [_confirm_retract_continuity(P, scope)]
-    else:
-        subs = [_refute_candidate(P, witness),
-                _confirm_compact_elements(P, scope)]
-    return combine(law, subs, scope)
-
-
-def _refute_candidate(P: PosetPresentation, witness) -> CheckReport:
-    """The candidate R = Q ∪ {witness} is not a continuous subposet: inside
-    R the approximants of the witness have a supremum below it."""
-    law = "largest-retract:candidate-beyond-retract"
-    w = P.format_element(witness)
-    fam = P.waybelow_family(witness)
-    if fam is None:
-        return verified(law, BANK, reason=f"candidate refuted: {w} has no "
-                        "approximants at all, hence none inside R")
-    s = _sup_inside_retract(P, witness, fam)
-    if s is None:
-        raise PosetError(f"the approximants of {w} have no supremum inside "
-                         "R; the catalog entry is corrupt")
-    if s == witness:
-        return refuted(law, witness,
-                       f"candidate unexpectedly continuous at {w}", BANK)
-    return verified(
-        law, BANK,
-        reason=f"candidate refuted: sup of approximants of {w} inside R "
-               f"= {P.format_element(s)} != {w}")
-
-
-def _sup_inside_retract(P: PosetPresentation, x, fam):
-    """The supremum of the approximants of x inside R = Q ∪ {x}, from x's
-    approximant family: the join of its members in R, or a chain's certified
-    ``kernel_image_sup``; None when an explicit family has nothing to join
-    or no join."""
-    if not isinstance(fam, ExplicitFamily):
-        return fam.kernel_image_sup
-    members = tuple(m for m in fam.members if m == x or in_retract(P, m))
-    s = P.finite_sup(members) if members else None
-    return s if is_element(s) else None
-
-
-def _confirm_compact_elements(P: PosetPresentation,
-                              scope: Scope) -> CheckReport:
-    """The compact elements below sampled elements sit inside the retract
-    (on closed sets: the sublattice of finite sets)."""
-    law = "largest-retract:finite-sublattice"
-    count = 0
-    for x in scope_draw(P, scope)[0]:
-        c = P.compact_below(x)
-        if c is None:
-            continue
-        if not in_retract(P, c):
-            return refuted(law, c, "compact element escapes the retract",
-                           scope)
-        count += 1
-    return unrefuted(law, count, scope)
-
-
-def _confirm_retract_continuity(P: PosetPresentation,
-                                scope: Scope) -> CheckReport:
-    """Sampled retract elements are the suprema of their approximants
-    inside the retract (elements where that supremum is unknown are
-    skipped)."""
-    law = "largest-retract:retract-is-continuous"
-    count = 0
-    for x in scope_pool(P, scope)[0]:
+    if scope.kind != "exhaustive":
+        from .sampled_laws import _retract_sampled
+        return _retract_sampled(P, scope)
+    for x in P.elements():
         if not in_retract(P, x):
-            continue
-        s = _sup_inside_retract(P, x, P.waybelow_family(x))
-        if s is None:
-            continue
-        if s != x:
-            return refuted(law, x, f"sup of its approximants inside the "
-                           f"retract = {P.format_element(s)}", scope)
-        count += 1
-    return unrefuted(law, count, scope)
-
-
-# ---------------------------------------------------------------------------
-# Quotient by equal kernel values
-
-
-class QuotientStructure(Record):
-    """A finite sample of the approximable part, partitioned by kernel
-    value, with the induced bijection onto retract elements."""
-
-    _fields = ("presentation", "sample", "classes", "kernel_values")
-
-    def __init__(self, presentation: PosetPresentation, sample: tuple,
-                 classes: tuple, kernel_values: tuple):
-        assign(self, locals())
-        self._class_of = {x: i for i, cls in enumerate(classes) for x in cls}
-
-    def class_index_of(self, x) -> int:
-        try:
-            return self._class_of[x]
-        except KeyError:
-            raise NotApproximable("element not in the sampled carrier") \
-                from None
-
-    def image_of(self, x):
-        """f(class of x), which must equal the kernel value of x."""
-        return self.kernel_values[self.class_index_of(x)]
-
-
-def quotient_structure(P: PosetPresentation, sample) -> QuotientStructure:
-    """Partition a sample of approximable elements by kernel value."""
-    sample = tuple(dict.fromkeys(sample))
-    if not sample:
-        raise EmptyFamily("quotient needs a nonempty sample")
-    buckets = {}  # kernel value -> its class, in order of first appearance
-    for x in sample:
-        P.require(x)
-        value = P.kernel_value(x)
-        if value is None:
-            raise NotApproximable(
-                f"{P.format_element(x)} has no approximants")
-        buckets.setdefault(value, []).append(x)
-    classes = tuple(map(tuple, buckets.values()))
-    values = tuple(buckets)
-    for v in values:
-        if not in_retract(P, v):
-            raise PosetError("a class image escapes the retract")
-    # Equal order codes mean a <= b and b <= a; leq confirms before raising.
-    first = {}  # order code -> the first class value with it
-    for b, code in zip(values, P.order_codes(values)):
-        a = first.setdefault(code, b)
-        if a is not b and P.leq(a, b) and P.leq(b, a):
-            raise PosetError("transported order fails antisymmetry on "
-                             "distinct classes")
-    return QuotientStructure(P, sample, classes, values)
+            return refuted("largest-retract", (x,), "a continuous subposet "
+                           "escapes the retract", scope)
+    return verified("largest-retract", scope)
 
 
 # ---------------------------------------------------------------------------
@@ -587,21 +416,21 @@ def check_approximation_laws(P: PosetPresentation,
     scope = resolve_scope(P, scope)
     pool = scope_pool(P, scope)[0]
     approx_pool = [x for x in pool if P.kernel_value(x) is not None]
-    restrict = lambda fam: _restriction_at(P, fam)
-    meet = lambda fam: _meet_at(P, fam, approx_pool)
     if scope.kind == "exhaustive":
-        _, fp, approx = _finite_part(P)
+        elems, fp, approx = _finite_part(P)
         full = (1 << fp.n) - 1
         outside = list(_bits(full & ~approx))
-        restricted = _decided(P, "directed-restriction", restrict, {
-            t: fp.down[t] & approx for t in outside}, approx, full, scope)
-        met = _decided(P, "restriction-nonempty", meet, {
-            t: 1 << t for t in outside if fp.down[t] & approx}, approx, full,
-            scope)
+        tops = [t for t in outside if fp.down[t] & approx]
+        restricted = _decided(
+            P, "directed-restriction", lambda fam: _restriction_at(P, fam),
+            {t: fp.down[t] & approx for t in outside}, approx, full, scope)
+        met = _decided(
+            P, "restriction-nonempty",
+            _meet_judge(P, approx_pool, [elems[t] for t in tops]),
+            {t: 1 << t for t in tops}, approx, full, scope)
     else:
-        bank = P.family_bank()
-        restricted = _tally("directed-restriction", map(restrict, bank), scope)
-        met = _tally("restriction-nonempty", map(meet, bank), scope)
+        from .sampled_laws import _restriction_bank
+        restricted, met = _restriction_bank(P, approx_pool, scope)
     subs = [restricted, met,
             _law_double_approximation(P, approx_pool, scope),
             _law_retract_approximation(P, pool, scope)]
@@ -614,7 +443,7 @@ def _finish(law, count, scope):
 
 
 def _restriction_at(P, fam):
-    """The directed-restriction verdict (see ``_tally``) at one family."""
+    """The directed-restriction verdict (see ``_decided``) at one family."""
     members = fam.sample_members()
     inside = [m for m in members if P.kernel_value(m) is not None]
     if not inside:
@@ -637,11 +466,31 @@ def _restriction_at(P, fam):
     return True
 
 
-def _meet_at(P, fam, approx_pool):
-    """The restriction-nonempty verdict (see ``_tally``) at one family."""
+def _meet_judge(P, approx_pool, sups):
+    """``_meet_at`` as the judge of families whose suprema are among
+    ``sups``.  The order codes it reads, of the approximable pool and of
+    ``sups`` (``_coded``), are built once, when the first family is
+    judged."""
+
+    @cache
+    def coded():
+        codes = _coded(P, approx_pool, [sups])
+        return [(y, codes[y]) for y in approx_pool], codes
+
+    return lambda fam: _meet_at(P, fam, *coded())
+
+
+def _meet_at(P, fam, pool, codes):
+    """The restriction-nonempty verdict (see ``_decided``) at one family:
+    when its supremum lies above an element of the approximable pool, some
+    member must be approximable, and a refutation names the first such
+    element in pool order.  ``pool`` pairs each element with its order
+    code and ``codes`` holds the supremum's; an element whose code lies
+    below is confirmed with ``leq``."""
     members = fam.sample_members()
-    for y in approx_pool:
-        if P.leq(y, fam.supremum):
+    sup = codes[fam.supremum]
+    for y, code in pool:
+        if not code & ~sup and P.leq(y, fam.supremum):
             if not any(P.kernel_value(m) is not None for m in members):
                 return (fam.label or fam, y), (
                     "family dominates an approximable element but misses "

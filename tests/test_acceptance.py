@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from posetkernel import acceptance, core, kernel
+from posetkernel import acceptance, core, sampled_laws
 from posetkernel.acceptance import CRITERIA, _result
 
 TIME_BOUNDS = {
@@ -47,7 +47,7 @@ def test_the_criteria_share_one_roster(monkeypatch):
             draws[id(P), scope.count] += 1
         return draw(P, scope)
 
-    for module in (core, kernel):
+    for module in (core, sampled_laws):
         monkeypatch.setattr(module, "scope_draw", counted)
     acceptance._roster.cache_clear()
     for ident, _, fn in CRITERIA:

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from posetkernel import cli
+from posetkernel import cli, commands
 from posetkernel.catalog import (DOCUMENT_FIELDS, MAX_DOCUMENT_DEPTH,
                                  MAX_ELEMENTS, CatalogSpec, closed_sets,
                                  disjoint_sum, finite_explicit, finite_named,
@@ -126,7 +126,7 @@ class TestParseInput:
             cli.parse_input('{"kind":"lift","inner":' * 3000 + "}" * 3000)
         P = make_catalog(closed_sets())
         with pytest.raises(ValidationError):
-            cli.parse_element_arg(P, "[" * 3000 + "]" * 3000)
+            commands.parse_element_arg(P, "[" * 3000 + "]" * 3000)
 
     def test_shorthand_closed_set_literal(self):
         P = make_catalog(cli.cat.closed_sets())
@@ -500,7 +500,7 @@ class TestAnalyzeCommand:
                        "['period', 'prefix', 'threshold']\n")
         for field, value in (("residues", []), ("threshold", 0)):
             with pytest.raises(ValidationError, match=field):
-                cli.parse_element_arg(make_catalog(closed_sets()), json.dumps(
+                commands.parse_element_arg(make_catalog(closed_sets()), json.dumps(
                     {"finite": [], "infinity": True, field: value}))
 
 
@@ -798,7 +798,7 @@ class TestParsersRejectOnlyWithInputErrors:
     @given(text=st.text(max_size=20) | element_literals.map(json.dumps))
     def test_element_literals(self, P, text):
         try:
-            cli.parse_element_arg(P, text)
+            commands.parse_element_arg(P, text)
         except INPUT_ERRORS:
             pass
 

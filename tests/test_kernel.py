@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from posetkernel import (BOTTOM, NO_SUPREMUM, OMEGA, Inner, Left,
                          PosetPresentation, carriers, catalog, cli,
-                         closed_set, core, kernel, make_catalog, oracle)
+                         closed_set, commands, core, kernel, make_catalog,
+                         oracle, sampled_laws)
+from posetkernel.acceptance import adversarial_kernel
 from posetkernel.carriers import DisjointSumPresentation
 from posetkernel.catalog import (closed_sets, disjoint_sum, finite_named,
                                  finite_random, lift, named_finite_poset,
@@ -20,6 +22,7 @@ from posetkernel.catalog import (closed_sets, disjoint_sum, finite_named,
                                  standard_roster)
 from posetkernel.closedsets import EMPTY, EVENS, FULL, INF_POINT, ODDS
 from posetkernel.closedsets import closedset_join
+from posetkernel.commands import quotient_structure
 from posetkernel.core import (FinitePoset, FinitePosetPresentation, _bits,
                               _extremum, _mask, _none_of, induced_finite_poset,
                               is_element, resolve_scope, sample_pool,
@@ -29,14 +32,13 @@ from posetkernel.errors import (EmptyFamily, ForeignElement, NoInfimumError,
                                 PreconditionUnverified, ScopeUnsupported,
                                 SizeLimit)
 from posetkernel.families import ChainFamily, ExplicitFamily
-from posetkernel.kernel import (adversarial_kernel, check_approximation_laws,
+from posetkernel.kernel import (check_approximation_laws,
                                 check_inf_preservation,
                                 check_inf_preservation_sampled,
                                 check_kernel_laws,
                                 check_largest_retract, check_scott_continuity,
                                 check_waybelow_kernel_equivalence, in_retract,
-                                is_approximable, kernel_of,
-                                quotient_structure, retract_member)
+                                is_approximable, kernel_of, retract_member)
 from posetkernel.oracle import bank_refute_waybelow
 from posetkernel.reports import (DEFAULT_SEED, DEFAULT_SUBSET_SAMPLES,
                                  EXHAUSTIVE, Status, combine, refuted,
@@ -1031,7 +1033,7 @@ def reference_laws_scan(P):
         lambda mask, top: (bool(approx >> top & 1) if mask & approx
                            else None))
     met = reference_plane_scan(
-        P, elems, fp, lambda fam: kernel._meet_at(P, fam, approx_pool),
+        P, elems, fp, lambda fam: reference_meet_at(P, fam, approx_pool),
         lambda mask, top: (bool(mask & approx) if fp.down[top] & approx
                            else None))
     subs = [
@@ -1355,6 +1357,99 @@ class TestPoolScanReference:
                                            kernel._retract_pool(P, scope)))
 
 
+def reference_meet_at(P, fam, approx_pool):
+    """The restriction-nonempty verdict at one family by a ``leq`` scan of
+    the approximable pool for the first y below the supremum."""
+    members = fam.sample_members()
+    for y in approx_pool:
+        if P.leq(y, fam.supremum):
+            if not any(P.kernel_value(m) is not None for m in members):
+                return (fam.label or fam, y), (
+                    "family dominates an approximable element but misses "
+                    "the approximable part")
+            return True
+    return None
+
+
+def reference_restriction_nonempty_bank(P, scope):
+    """The restriction-nonempty sub-law over a symbolic bank, each family
+    judged by ``reference_meet_at``."""
+    law = "restriction-nonempty"
+    approx_pool = [x for x in scope_pool(P, scope)[0]
+                   if P.kernel_value(x) is not None]
+    count = 0
+    for fam in P.family_bank():
+        verdict = reference_meet_at(P, fam, approx_pool)
+        if verdict is True:
+            count += 1
+        elif verdict:
+            return refuted(law, *verdict, scope)
+    return unrefuted(law, count, scope)
+
+
+class TestMeetCodesReference:
+    """The restriction-nonempty sub-law finds the first approximable pool
+    element below a family's supremum by order codes and confirms it with
+    ``leq``; the ``leq`` scan, kept here, must give the same status,
+    witness, reason and samples."""
+
+    SCOPES = [sampled(seed, count) for seed in (0, 7)
+              for count in (3, 40, 500)]
+
+    @staticmethod
+    def assert_matches_reference(P, scope):
+        subs = {s.law: s for s in check_approximation_laws(
+            P, scope).subreports}
+        got = _outcome(lambda: subs["restriction-nonempty"])
+        assert got == _outcome(
+            lambda: reference_restriction_nonempty_bank(P, scope)), P.name
+        return got
+
+    @pytest.mark.parametrize("P", [P for P in standard_roster()
+                                   if not P.is_finite_kind],
+                             ids=lambda P: P.name)
+    def test_roster(self, P):
+        for scope in self.SCOPES:
+            assert self.assert_matches_reference(P, scope)[0] \
+                is Status.UNREFUTED
+
+    @pytest.mark.parametrize("spec", [
+        spec for spec in _nested() if not make_catalog(spec).is_finite_kind],
+        ids=lambda spec: make_catalog(spec).name)
+    def test_nested_documents(self, spec):
+        P = make_catalog(spec)
+        for scope in self.SCOPES:
+            self.assert_matches_reference(P, scope)
+
+    @staticmethod
+    def missing(**methods):
+        """ω+1 in which 0 has no approximants, with a bank of two families
+        of that one member: one with supremum 0, above no approximable
+        element, and one with supremum 5, above 1 to 5."""
+        return corrupt_omega(
+            kernel_value=lambda self, x: None if x == 0 else x,
+            _bank=lambda self: [ExplicitFamily((0,), 0, label="bottom"),
+                                ExplicitFamily((0,), 5, label="zero")],
+            **methods)
+
+    def test_a_family_that_misses_the_approximable_part(self):
+        """Refuted at the first approximable pool element below the
+        supremum."""
+        for scope in self.SCOPES:
+            status, witness, _, _ = self.assert_matches_reference(
+                self.missing(), scope)
+            assert status is Status.REFUTED
+            assert witness[0] == "zero" and 0 < witness[1] <= 5
+
+    def test_codes_that_relate_everything_change_nothing(self):
+        """Codes that put every element below every other leave each
+        decision to ``leq``, which finds the same first element."""
+        everything = {"order_codes": lambda self, xs: [0] * len(xs)}
+        for P in (corrupt_omega(**everything), self.missing(**everything)):
+            for scope in self.SCOPES:
+                self.assert_matches_reference(P, scope)
+
+
 def reference_subposet_sampled(P, scope, member):
     """The sampled subposet law with pairwise bank tests: ``leq`` against
     each family's supremum and ``family_dominates`` for every pair."""
@@ -1406,8 +1501,8 @@ class TestSubposetCodesReference:
         outcomes = []
         for scope in self.SCOPES:
             for name, member in members.items():
-                got = _outcome(lambda: core._subposet_sampled(P, scope,
-                                                              member))
+                got = _outcome(lambda: sampled_laws._subposet_sampled(
+                    P, scope, member))
                 want = _outcome(lambda: reference_subposet_sampled(
                     P, scope, member))
                 assert got == want, (P.name, scope, name)
@@ -1452,7 +1547,8 @@ class TestSubposetCodesReference:
         P = corrupt_omega(order_codes=lambda self, xs: [
             1 << i for i in range(len(xs))])
         for scope in self.SCOPES:
-            report = core._subposet_sampled(P, scope, lambda y: True)
+            report = sampled_laws._subposet_sampled(P, scope,
+                                                    lambda y: True)
             assert report.status is Status.UNREFUTED
 
 
@@ -1709,21 +1805,26 @@ class TestLayering:
         for node in ast.walk(self.tree(module)):
             assert not self.imported(node) & forbidden, ast.unparse(node)
 
-    def test_kernel_imports_no_carrier_module(self):
-        self.assert_imports_none_of(kernel, {"catalog", "closedsets"})
+    @pytest.mark.parametrize("module", [kernel, sampled_laws],
+                             ids=["kernel", "sampled_laws"])
+    def test_kernel_imports_no_carrier_module(self, module):
+        self.assert_imports_none_of(module, {"catalog", "closedsets"})
 
     def test_oracle_imports_no_carrier_module(self):
         self.assert_imports_none_of(oracle, {"catalog", "closedsets"})
 
-    @pytest.mark.parametrize("module", [kernel, core], ids=["kernel", "core"])
+    @pytest.mark.parametrize("module", [kernel, core, sampled_laws],
+                             ids=["kernel", "core", "sampled_laws"])
     def test_the_law_path_imports_no_oracle(self, module):
         """The laws decide finite carriers by theorems, not by the brute
         force, so the oracle stays an independent cross-check: only the
         acceptance matrix, the tests and the benchmark reach it."""
         self.assert_imports_none_of(module, {"oracle"})
 
-    @pytest.mark.parametrize("module", [kernel, cli, oracle],
-                             ids=["kernel", "cli", "oracle"])
+    @pytest.mark.parametrize("module", [kernel, cli, oracle, sampled_laws,
+                                        commands],
+                             ids=["kernel", "cli", "oracle", "sampled_laws",
+                                  "commands"])
     def test_no_kind_switch(self, module):
         """No ``.kind`` is compared against a document kind."""
         kinds = set(catalog.DOCUMENT_FIELDS)
@@ -1761,7 +1862,7 @@ class TestLayering:
             yield from TestLayering.owners(child, inner)
 
     FINITE_PATH = ("cli", "core", "kernel", "oracle", "families", "reports",
-                   "values", "errors", "catalog")
+                   "values", "errors", "catalog", "commands")
 
     def test_the_finite_path_loads_no_symbolic_carrier(self):
         """A finite answer compiles neither the closed-set algebra nor the
@@ -1775,6 +1876,28 @@ class TestLayering:
                              encoding="utf-8")), stem)
                      if self.imported(node) & {"closedsets", "carriers"}}
         assert importers == {"catalog.make_catalog"}
+
+    def test_the_symbolic_laws_and_the_commands_load_where_they_run(self):
+        """A finite ``check`` compiles neither the symbolic halves of the
+        laws nor the other commands: ``sampled_laws`` is imported only
+        inside the checkers that dispatch to it, once ``resolve_scope`` has
+        picked a sampled scope, and ``commands`` only inside ``cli.main``
+        for ``analyze`` and ``export-dot``, and by the acceptance matrix,
+        which ``selftest`` loads."""
+        package = Path(core.__file__).parent
+        importers = {}
+        for path in sorted(package.glob("*.py")):
+            for where, node in self.owners(ast.parse(path.read_text(
+                    encoding="utf-8")), path.stem):
+                for name in self.imported(node) & {"sampled_laws",
+                                                   "commands"}:
+                    importers.setdefault(name, set()).add(where)
+        assert importers == {
+            "sampled_laws": {"core._axiom.check",
+                             "kernel.check_scott_continuity",
+                             "kernel.check_largest_retract",
+                             "kernel.check_approximation_laws"},
+            "commands": {"cli.main", "acceptance"}}
 
     def test_the_finite_order_and_the_cap_have_one_home(self):
         """kernel.py reads a carrier's order as ``P.poset``.  Every
@@ -1800,12 +1923,13 @@ class TestLayering:
         assert readers == {"core._subset_planes"}
 
     def test_the_pool_draw_has_one_home(self):
-        """kernel.py takes its element pools and draws from
-        ``core.scope_pool`` and ``core.scope_draw`` and never draws one
-        itself; besides that home, only the subposet law builds its own
+        """kernel.py and sampled_laws.py take their element pools and draws
+        from ``core.scope_pool`` and ``core.scope_draw`` and never draw one
+        themselves; besides that home, only the subposet law builds its own
         rng.  No family bank is drawn."""
-        assert "sample_pool" not in self.names(self.tree(kernel))
-        builders = {node.name for module in (core, kernel)
+        for module in (kernel, sampled_laws):
+            assert "sample_pool" not in self.names(self.tree(module))
+        builders = {node.name for module in (core, kernel, sampled_laws)
                     for node in ast.walk(self.tree(module))
                     if isinstance(node, ast.FunctionDef)
                     and "Random" in self.names(node)}
@@ -1831,8 +1955,8 @@ class TestLayering:
         assert users == {"core.FinitePoset", "core._subset_planes",
                          "core._none_of", "core._plane_members"}
 
-    @pytest.mark.parametrize("module", [kernel, core],
-                             ids=["kernel", "core"])
+    @pytest.mark.parametrize("module", [kernel, core, sampled_laws],
+                             ids=["kernel", "core", "sampled_laws"])
     def test_kernel_values_come_from_the_hook(self, module):
         """Whether x is approximable, and its kernel value, are read from
         ``kernel_value``; no family is built to be compared with None."""
@@ -1844,8 +1968,10 @@ class TestLayering:
                                and c.value is None
                                for c in node.comparators), ast.unparse(node)
 
-    @pytest.mark.parametrize("module", [kernel, cli, oracle],
-                             ids=["kernel", "cli", "oracle"])
+    @pytest.mark.parametrize("module", [kernel, cli, oracle, sampled_laws,
+                                        commands],
+                             ids=["kernel", "cli", "oracle", "sampled_laws",
+                                  "commands"])
     def test_no_carrier_class_is_named(self, module):
         assert "ClosedSetsPresentation" in self.CARRIERS
         named = self.names(self.tree(module)) & self.CARRIERS

@@ -1,6 +1,7 @@
 """The package surface: ``__all__`` names every public name, and the
-closed-set algebra and the symbolic carriers load only when they are used,
-so a finite answer never compiles them."""
+closed-set algebra, the symbolic carriers, the symbolic halves of the laws,
+the analyze and export-dot commands and the JSON reader load only when
+they are used, so a finite ``check`` never compiles them."""
 
 from __future__ import annotations
 
@@ -14,15 +15,17 @@ from types import ModuleType
 import pytest
 
 import posetkernel
-from posetkernel import carriers, closedsets
+from posetkernel import acceptance, carriers, closedsets, commands
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-SYMBOLIC = ["posetkernel.carriers", "posetkernel.closedsets"]
+SYMBOLIC = ["posetkernel.carriers", "posetkernel.closedsets",
+            "posetkernel.sampled_laws"]
+WATCHED = ["json", "posetkernel.commands", *SYMBOLIC]
 
 # Runs the CLI in-process and prints, after its output, its exit code and
-# the symbolic modules it left loaded.
+# the watched modules it left loaded.
 LOADED = ("import sys; from posetkernel.cli import main; code = main(); "
-          f"print(code, sorted(set({SYMBOLIC!r}) & set(sys.modules)))")
+          f"print(code, sorted(set({WATCHED!r}) & set(sys.modules)))")
 
 
 def run_python(script, *argv, cwd=None):
@@ -39,12 +42,13 @@ FINITE_DOC = {"kind": "finite", "elements": ["a", "b", "c"],
 
 @pytest.mark.parametrize("argv, loaded", [
     (["check", "chain_2", "--law", "all"], []),
-    (["analyze", "diamond", "retract"], []),
-    (["export-dot", "finite.json"], []),
+    (["check", "finite.json", "--law", "all"], ["json"]),
+    (["analyze", "diamond", "retract"], ["posetkernel.commands"]),
+    (["export-dot", "finite.json"], ["json", "posetkernel.commands"]),
     (["check", "omega_plus_one", "--law", "cc"], SYMBOLIC),
     (["check", "closed_sets", "--law", "cc"], SYMBOLIC),
-], ids=["check-chain_2", "analyze-diamond", "export-dot-finite",
-        "check-omega_plus_one", "check-closed_sets"])
+], ids=["check-chain_2", "check-finite", "analyze-diamond",
+        "export-dot-finite", "check-omega_plus_one", "check-closed_sets"])
 def test_only_a_symbolic_answer_loads_the_carriers(argv, loaded, tmp_path):
     (tmp_path / "finite.json").write_text(json.dumps(FINITE_DOC),
                                           encoding="utf-8")
@@ -63,7 +67,8 @@ def test_every_public_name_resolves():
     bound = {name for name, value in vars(posetkernel).items()
              if not name.startswith("_") and not isinstance(value, ModuleType)}
     assert bound <= set(posetkernel.__all__)
-    homes = {"closedsets": closedsets, "carriers": carriers}
+    homes = {"closedsets": closedsets, "carriers": carriers,
+             "commands": commands, "acceptance": acceptance}
     assert set(posetkernel._LAZY.values()) == set(homes)
     for name, home in posetkernel._LAZY.items():
         assert name in posetkernel.__all__

@@ -140,3 +140,38 @@ print(sorted(names))
         "['ClosedSetsPresentation', 'DisjointSumPresentation', "
         "'FinitePosetPresentation', 'LiftPresentation', "
         "'OmegaPlusOnePresentation', '_Combinator']\n")
+
+
+def test_the_tracer_wraps_the_lazily_loaded_laws(tmp_path):
+    """The symbolic halves of the laws (``sampled_laws``) load after
+    ``spans.install()`` in a traced ``check``, and the analyze and
+    export-dot commands (``commands``) load with the acceptance matrix
+    that it imports.  Either way, every ``kernel_of`` and ``in_retract``
+    they bind is the tracer's wrapper, so the traced counts hold their
+    calls."""
+    script = """
+import sys
+import spans
+tracer = spans.install()
+import posetkernel.commands, posetkernel.sampled_laws
+wrapper = tracer.span("kernel.kernel_of", len).__code__
+bound = []
+for name in ("commands", "sampled_laws"):
+    module = sys.modules["posetkernel." + name]
+    for attr in ("kernel_of", "in_retract"):
+        assert getattr(module, attr).__code__ is wrapper, (name, attr)
+        bound.append(f"{name}.{attr}")
+print(bound)
+"""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(
+                   [str(ROOT / "perfbench"), str(ROOT / "src")]
+                   + ([path] if path else [])))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "['commands.kernel_of', 'commands.in_retract', "
+        "'sampled_laws.kernel_of', 'sampled_laws.in_retract']\n")

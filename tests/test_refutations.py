@@ -8,8 +8,8 @@ approximant families replaced) and ``CorruptFinite`` (a finite poset with
 approximant suprema or way-below replaced), both in conftest, and finite
 orders whose oracle table is planted.  ``test_every_refutation_site_runs``
 runs the whole table under ``sys.settrace`` and fails when a
-``refuted(...)`` call in ``core``, ``kernel`` or ``oracle`` never ran, so a
-new law or branch arrives with its case here.
+``refuted(...)`` call in ``core``, ``kernel``, ``sampled_laws`` or
+``oracle`` never ran, so a new law or branch arrives with its case here.
 """
 
 import ast
@@ -21,7 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from posetkernel import OMEGA, cli, core, kernel, make_catalog, oracle
+from posetkernel import (OMEGA, cli, core, kernel, make_catalog, oracle,
+                         sampled_laws)
+from posetkernel.acceptance import adversarial_kernel
 from posetkernel.carriers import OmegaPlusOnePresentation
 from posetkernel.catalog import (build_finite_poset, closed_sets,
                                  disjoint_sum, finite_named,
@@ -31,7 +33,7 @@ from posetkernel.core import (Left, check_conditionally_complete,
                               check_continuity, check_interpolation,
                               check_subposet, scope_pool)
 from posetkernel.families import ChainFamily, ExplicitFamily
-from posetkernel.kernel import (adversarial_kernel, check_approximation_laws,
+from posetkernel.kernel import (check_approximation_laws,
                                 check_inf_preservation, check_kernel_laws,
                                 check_largest_retract,
                                 check_scott_continuity,
@@ -357,7 +359,7 @@ def test_check_prints_the_refutation(law, monkeypatch):
 def refutation_sites():
     """(path, first line, last line) of each ``refuted(...)`` call in the
     checker modules."""
-    for module in (core, kernel, oracle):
+    for module in (core, kernel, sampled_laws, oracle):
         path = os.path.realpath(module.__file__)
         for node in ast.walk(ast.parse(Path(path).read_text("utf-8"))):
             if (isinstance(node, ast.Call)
@@ -397,7 +399,7 @@ def lines_run(calls, paths):
 
 def test_every_refutation_site_runs():
     sites = list(refutation_sites())
-    assert len({path for path, _, _ in sites}) == 3
+    assert len({path for path, _, _ in sites}) == 4
     ran = lines_run([check for check, *_ in REFUTATIONS.values()],
                     {path for path, _, _ in sites})
     missing = [f"{Path(path).name}:{first}" for path, first, last in sites

@@ -19,7 +19,8 @@ from typing import Callable
 
 import pytest
 
-from posetkernel import acceptance, catalog, core, families, kernel, reports
+from posetkernel import (acceptance, catalog, commands, core, families,
+                         reports)
 from posetkernel.closedsets import EVENS, closed_set
 from posetkernel.core import BOTTOM, OMEGA
 from posetkernel.errors import EmptyFamily
@@ -143,7 +144,7 @@ LIBRARY = SimpleNamespace(
     CatalogSpec=catalog.CatalogSpec, ExplicitFamily=families.ExplicitFamily,
     ChainFamily=families.ChainFamily, Scope=reports.Scope,
     CheckReport=reports.CheckReport,
-    QuotientStructure=kernel.QuotientStructure,
+    QuotientStructure=commands.QuotientStructure,
     CriterionResult=acceptance.CriterionResult)
 REFERENCE = SimpleNamespace(**{name: globals()[name] for name in NAMES})
 WRAPS = ("Inner", "Left", "Right")
