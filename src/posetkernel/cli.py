@@ -368,11 +368,13 @@ def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         run = {"check": cmd_check, "selftest": cmd_selftest}
-        if args.command not in run:  # analyze and export-dot
-            from . import commands
-            run = {"analyze": commands.cmd_analyze,
-                   "export-dot": commands.cmd_export_dot}
-        return run[args.command](args)
+        if args.command in run:
+            return run[args.command](args)
+        from . import commands  # analyze and export-dot
+        run = {"analyze": commands.cmd_analyze,
+               "export-dot": commands.cmd_export_dot}
+        run[args.command](load_poset(args.poset), args)
+        return EXIT_OK
     except _Help as text:
         print(text)
         return EXIT_OK

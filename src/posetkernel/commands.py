@@ -2,16 +2,16 @@
 element literals from the command line, the quotient by equal kernel
 values, and the DOT export.
 
-``cli.main`` imports this module for those two commands only, as
-``selftest`` imports the acceptance matrix, so a ``check`` never compiles
-it.
+``cli.main`` loads the poset for these two commands and imports this
+module for them only, as ``selftest`` imports the acceptance matrix, so a
+``check`` never compiles it.  Nothing here imports ``cli``: under ``python
+-m posetkernel.cli`` that would compile it a second time.
 """
 
 from __future__ import annotations
 
 import sys
 
-from .cli import EXIT_OK, load_poset
 from .core import PosetPresentation, induced_finite_poset
 from .errors import (EmptyFamily, NotApproximable, ParseError, PosetError,
                      ScopeUnsupported, UsageError)
@@ -124,10 +124,9 @@ def export_dot(P: PosetPresentation, waybelow: bool = False,
 # Commands
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(P: PosetPresentation, args) -> None:
     # Every literal is parsed before anything is printed, so an input error
     # (exit 65) leaves stdout empty.
-    P = load_poset(args.poset)
     if args.what == "kernel":
         if args.element is None:
             raise UsageError("analyze kernel needs --element")
@@ -137,12 +136,12 @@ def cmd_analyze(args) -> int:
             print("approximable: no")
             print("kernel: undefined (the element has no approximants)")
             print("in retract: no")
-            return EXIT_OK
+            return
         k = kernel_of(P, x)
         print("approximable: yes")
         print(f"kernel: {P.format_element(k)}")
         print(f"in retract: {'yes' if in_retract(P, x) else 'no'}")
-        return EXIT_OK
+        return
     elems = [parse_element_arg(P, text) for text in args.elements or ()]
     if args.what == "retract":
         member = retract_member(P)
@@ -158,31 +157,28 @@ def cmd_analyze(args) -> int:
         for x in elems:
             verdict = "yes" if in_retract(P, x) else "no"
             print(f"in retract {P.format_element(x)}: {verdict}")
-        return EXIT_OK
+        return
     if not elems:
         raise UsageError("analyze quotient needs --elements")
     try:
         qs = quotient_structure(P, elems)
     except NotApproximable as exc:
         print(f"not approximable: {exc}")
-        return EXIT_OK
+        return
     print(f"classes: {len(qs.classes)}")
     for cls, value in zip(qs.classes, qs.kernel_values):
         members = ", ".join(P.format_element(e) for e in cls)
         print(f"  class {{{members}}} -> {P.format_element(value)}")
-    return EXIT_OK
 
 
-def cmd_export_dot(args) -> int:
-    P = load_poset(args.poset)
+def cmd_export_dot(P: PosetPresentation, args) -> None:
     text = export_dot(P, waybelow=args.waybelow, truncate_n=args.truncate)
     if args.out is None:
         sys.stdout.write(text)
-        return EXIT_OK
+        return
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
         raise ParseError(f"cannot write {args.out!r}: {exc.strerror}") \
             from None
-    return EXIT_OK

@@ -791,17 +791,18 @@ def _subposet_exhaustive(P, scope, member):
 
 
 def _axiom(exhaustive, sampled_name):
-    """The checker ``(P, scope=None, *args)`` of one order axiom: the
-    exhaustive variant when ``resolve_scope`` exhausts P, else the sampled
-    one, which loads with ``sampled_laws`` only then.  The subposet law
-    takes one argument, the membership predicate of the subset."""
+    """The checker ``(P, scope=None, ...)`` of one law, and the one place
+    that picks its half: ``exhaustive`` when ``resolve_scope`` exhausts P,
+    else ``sampled_laws.<sampled_name>``, which loads only then.  Further
+    arguments go to either half: the subposet law takes the membership
+    predicate of the subset, the kernel laws the kernel to hold to them."""
 
-    def check(P, scope=None, *args):
+    def check(P, scope=None, *args, **kwargs):
         scope = resolve_scope(P, scope)
         if scope.kind == "exhaustive":
-            return exhaustive(P, scope, *args)
+            return exhaustive(P, scope, *args, **kwargs)
         from . import sampled_laws
-        return getattr(sampled_laws, sampled_name)(P, scope, *args)
+        return getattr(sampled_laws, sampled_name)(P, scope, *args, **kwargs)
 
     return check
 

@@ -2,9 +2,9 @@
 
 
 class UsageError(Exception):
-    """The command line asks for what no command takes (exit 64).  It is
-    defined here, not in ``cli``, so that ``commands`` raises the class
-    that ``cli.main`` catches also when ``cli`` runs as ``__main__``."""
+    """The command line asks for what no command takes (exit 64): raised
+    by the command-line reader of ``cli`` and by the commands of
+    ``commands``, and caught by ``cli.main``."""
 
 
 class PosetError(Exception):

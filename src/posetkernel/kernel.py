@@ -5,16 +5,15 @@ the map sending x to the supremum of its approximants is a kernel: it is
 deflationary, monotone, idempotent, and preserves directed suprema.  Its
 fixed points form the largest continuous subposet, and collapsing elements
 with equal kernel values yields a quotient order-isomorphic to that retract
-(``commands.quotient_structure``).  Each of those claims has a checker
-here.  On finite carriers every check but ``inf`` is exhaustive (``inf``
-samples the retract subsets it decides): a finite directed set is its
-maximum t plus a subset of the down-set of t, so the laws stated over all
-directed sets are decided from per-element masks, at any size.  On
-symbolic carriers the checks sample and scan the family bank and report
-honestly (Unrefuted, never Verified, unless a certified closed form stands
-behind the claim); the scope, bank and largest-retract laws keep those
-halves in ``sampled_laws``, which loads only for such a carrier.  ``LAWS``
-maps each ``--law`` name to its checker.
+(``commands.quotient_structure``).  Each of those claims has a checker,
+built by ``core._axiom`` from an exhaustive half here and a sampled half
+in ``sampled_laws``; the judges both halves share take the elements or
+pairs to judge.  The exhaustive halves decide finite carriers: a finite
+directed set is its maximum t plus a subset of the down-set of t, so the
+laws stated over all directed sets are decided from per-element masks, at
+any size, and Verified.  Only ``inf`` is checked here on every carrier,
+and it samples there too: it draws the retract subsets it decides.
+``LAWS`` maps each ``--law`` name to its checker.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from operator import and_
 
 from .core import (PosetPresentation, check_conditionally_complete,
                    check_continuity, check_interpolation, check_subposet,
-                   _bits, _directed, _generators, _mask, _mask_family,
+                   _axiom, _bits, _directed, _generators, _mask, _mask_family,
                    is_approximable, is_element, resolve_scope, scope_pool)
 from .errors import (EmptyFamily, NoInfimumError, NotApproximable, PosetError,
                      PreconditionUnverified)
@@ -86,30 +85,19 @@ def retract_member(P: PosetPresentation) -> Callable[[object], bool]:
 # Kernel-law checkers
 
 
-def check_kernel_laws(P: PosetPresentation, scope: Scope | None = None,
-                      kernel: Callable | None = None) -> CheckReport:
+def _kernel_exhaustive(P: PosetPresentation, scope: Scope,
+                       kernel: Callable | None = None) -> CheckReport:
     """Deflation, idempotence, and monotonicity of ``kernel`` (by default
-    the approximation kernel) on the approximable part."""
+    the approximation kernel) at every approximable element and pair."""
+    xs = [x for x in P.elements() if P.kernel_value(x) is not None]
+    return _kernel_laws(P, scope, kernel, xs,
+                        [(x, y) for x in xs for y in xs if P.leq(x, y)])
+
+
+def _kernel_laws(P, scope, kernel, xs, pairs):
+    """Deflation and idempotence at ``xs``, monotonicity at ``pairs``."""
     law = "kernel-laws"
     k = cache(kernel or (lambda x: kernel_of(P, x)))  # a raise is not kept
-    scope = resolve_scope(P, scope)
-    pool, rng = scope_pool(P, scope)
-    xs = [x for x in pool if P.kernel_value(x) is not None]
-    if scope.kind == "exhaustive":
-        pairs = [(x, y) for x in xs for y in xs if P.leq(x, y)]
-    else:
-        if not xs:
-            return unrefuted(law, 0, scope, "no approximable elements sampled")
-        approx, xs = xs, xs[:scope.count]
-        pairs = []
-        for _ in range(scope.count):
-            x, y = rng.choice(approx), rng.choice(approx)
-            if P.leq(x, y):
-                pairs.append((x, y))
-            else:
-                s = P.finite_sup((x, y))
-                if is_element(s) and P.kernel_value(s) is not None:
-                    pairs.append((x, s))
     for x in xs:
         kx = k(x)
         if not P.leq(kx, x):
@@ -126,19 +114,12 @@ def check_kernel_laws(P: PosetPresentation, scope: Scope | None = None,
     return _finish(law, len(xs) + len(pairs), scope)
 
 
-def check_scott_continuity(P: PosetPresentation) -> CheckReport:
-    """k(sup D) against sup k(D) for every bank family D inside the
-    approximable part; the image supremum is asserted to lie in the
-    retract.
-
-    On a finite carrier the law ranges over every directed subset D.  D
+def _scott_exhaustive(P: PosetPresentation, scope: Scope) -> CheckReport:
+    """k(sup D) against sup k(D) for every directed subset D inside the
+    approximable part, and the image supremum lies in the retract.  D
     holds its maximum t, so the law at D reads: k(m) <= k(t) for each
     member m, and k(t) lies in the retract, so D fails where a generator
-    {m, t} in it fails (``_decided``): the law is Verified, scope exhaustive.
-    A symbolic bank: Unrefuted, scope bank."""
-    if resolve_scope(P).kind != "exhaustive":
-        from .sampled_laws import _scott_bank
-        return _scott_bank(P)
+    {m, t} in it fails (``_decided``): the law is Verified."""
     elems, fp, approx = _finite_part(P)
     kernel = {}  # index -> its kernel value, where it has one
     for i in _bits(approx):
@@ -153,7 +134,7 @@ def check_scott_continuity(P: PosetPresentation) -> CheckReport:
         failing[t] = _mask(m for m in _bits(fp.down[t] & approx) if not (
             holds and m in kernel and P.leq(kernel[m], kt)))
     return _decided(P, "scott-continuity", lambda fam: _scott_at(P, fam),
-                    failing, approx, approx, EXHAUSTIVE, counted=True)
+                    failing, approx, approx, scope, counted=True)
 
 
 _UNAPPROXIMABLE_SUP = ("supremum of an approximable directed family is not "
@@ -226,21 +207,16 @@ def _count_directed(fp, tops, within, bound=None):
     return total
 
 
-def check_waybelow_kernel_equivalence(P: PosetPresentation,
-                                      scope: Scope | None = None
-                                      ) -> CheckReport:
-    """v << x iff v << k(x), for approximable x."""
+def _eq_exhaustive(P: PosetPresentation, scope: Scope) -> CheckReport:
+    """v << x iff v << k(x), for every v and every approximable x."""
+    elems = P.elements()
+    approx = [x for x in elems if P.kernel_value(x) is not None]
+    return _equivalence(P, scope, [(v, x) for v in elems for x in approx])
+
+
+def _equivalence(P, scope, pairs):
+    """The way-below kernel equivalence judged at the ``pairs`` (v, x)."""
     law = "waybelow-kernel-equivalence"
-    scope = resolve_scope(P, scope)
-    pool, rng = scope_pool(P, scope)
-    approx = [x for x in pool if P.kernel_value(x) is not None]
-    if scope.kind == "exhaustive":
-        pairs = [(v, x) for v in pool for x in approx]
-    else:
-        if not approx:
-            return unrefuted(law, 0, scope, "no approximable elements sampled")
-        pairs = [(rng.choice(pool), rng.choice(approx))
-                 for _ in range(scope.count)]
     k = cache(lambda x: kernel_of(P, x))  # a raise is not kept: it recurs
     for v, x in pairs:
         if P.waybelow(v, x) != P.waybelow(v, k(x)):
@@ -250,26 +226,13 @@ def check_waybelow_kernel_equivalence(P: PosetPresentation,
     return _finish(law, len(pairs), scope)
 
 
-def check_largest_retract(P: PosetPresentation,
-                          scope: Scope | None = None) -> CheckReport:
+def _retract_exhaustive(P: PosetPresentation, scope: Scope) -> CheckReport:
     """Every continuous subposet sits inside the retract.
 
-    Finite carriers: every subset of a finite poset is a continuous
-    subposet (its way-below is its order), so the law cross-checks the
-    presentation: it refutes at the singleton of the first element that a
-    declared approximant supremum leaves out of the retract.  A symbolic
-    carrier
-    with a certified non-continuity witness x (``continuity_counterexample``):
-    refute the targeted candidate Q ∪ {x} and sample-confirm that its
-    compact elements (``compact_below``) lie in the retract Q; any other
-    symbolic carrier: sample-confirm that Q is continuous.  Universal
-    quantification over subposets of an infinite carrier is out of reach,
-    so the overall status stays Unrefuted there.
-    """
-    scope = resolve_scope(P, scope)
-    if scope.kind != "exhaustive":
-        from .sampled_laws import _retract_sampled
-        return _retract_sampled(P, scope)
+    Every subset of a finite poset is a continuous subposet (its way-below
+    is its order), so the law cross-checks the presentation: it refutes at
+    the singleton of the first element that a declared approximant
+    supremum leaves out of the retract."""
     for x in P.elements():
         if not in_retract(P, x):
             return refuted("largest-retract", (x,), "a continuous subposet "
@@ -390,8 +353,7 @@ def check_inf_preservation_sampled(P: PosetPresentation,
 # Structure laws of the approximable part
 
 
-def check_approximation_laws(P: PosetPresentation,
-                             scope: Scope | None = None) -> CheckReport:
+def _laws_exhaustive(P: PosetPresentation, scope: Scope) -> CheckReport:
     """The structure laws of the approximable part, one sub-report each:
 
     directed-restriction
@@ -409,32 +371,24 @@ def check_approximation_laws(P: PosetPresentation,
 
     On a finite carrier a directed subset with maximum t outside the
     approximable part fails the first at a pair {m, t} with m inside and
-    the second at {t} (``_decided``), and the last two exhaust the
-    elements: all four can be Verified.  On a symbolic carrier the first
-    two scan the family bank and the last two sample.
+    the second at {t} (``_decided``), and the last two judge every
+    element: all four can be Verified.
     """
-    scope = resolve_scope(P, scope)
-    pool = scope_pool(P, scope)[0]
-    approx_pool = [x for x in pool if P.kernel_value(x) is not None]
-    if scope.kind == "exhaustive":
-        elems, fp, approx = _finite_part(P)
-        full = (1 << fp.n) - 1
-        outside = list(_bits(full & ~approx))
-        tops = [t for t in outside if fp.down[t] & approx]
-        restricted = _decided(
-            P, "directed-restriction", lambda fam: _restriction_at(P, fam),
-            {t: fp.down[t] & approx for t in outside}, approx, full, scope)
-        met = _decided(
-            P, "restriction-nonempty",
-            _meet_judge(P, approx_pool, [elems[t] for t in tops]),
-            {t: 1 << t for t in tops}, approx, full, scope)
-    else:
-        from .sampled_laws import _restriction_bank
-        restricted, met = _restriction_bank(P, approx_pool, scope)
-    subs = [restricted, met,
-            _law_double_approximation(P, approx_pool, scope),
-            _law_retract_approximation(P, pool, scope)]
-    return combine("approximation-laws", subs, scope)
+    elems, fp, approx = _finite_part(P)
+    approx_pool = [elems[i] for i in _bits(approx)]
+    full = (1 << fp.n) - 1
+    outside = list(_bits(full & ~approx))
+    tops = [t for t in outside if fp.down[t] & approx]
+    restricted = _decided(
+        P, "directed-restriction", lambda fam: _restriction_at(P, fam),
+        {t: fp.down[t] & approx for t in outside}, approx, full, scope)
+    met = _decided(
+        P, "restriction-nonempty",
+        _meet_judge(P, approx_pool, [elems[t] for t in tops]),
+        {t: 1 << t for t in tops}, approx, full, scope)
+    return combine("approximation-laws", [
+        restricted, met, _law_double_approximation(P, approx_pool, scope),
+        _law_retract_approximation(P, elems, scope)], scope)
 
 
 def _finish(law, count, scope):
@@ -499,27 +453,18 @@ def _meet_at(P, fam, pool, codes):
     return None
 
 
-def _law_double_approximation(P, approx_pool, scope):
+def _law_double_approximation(P, approx, scope):
+    """Every element of ``approx`` has an approximable approximant."""
     law = "double-approximation"
-    count = 0
-    for x in approx_pool[:scope.count]:
+    for x in approx:
         if not any(P.kernel_value(m) is not None and P.waybelow(m, x)
                    for m in P.waybelow_family(x).iter_members()):
             return refuted(law, x, "no approximable approximant", scope)
-        count += 1
-    if scope.kind != "exhaustive":
-        subset_scope = sampled(scope.seed, max(scope.count // 4, 32))
-        agreement = check_subposet(
-            P, subset_scope, lambda y: P.kernel_value(y) is not None)
-        if agreement.status is Status.REFUTED:
-            return refuted(law, agreement.witness,
-                           f"approximable-part way-below disagrees: "
-                           f"{agreement.reason}", scope)
-        count += agreement.samples
-    return _finish(law, count, scope)
+    return _finish(law, len(approx), scope)
 
 
 def _law_retract_approximation(P, pool, scope):
+    """Each retract element of ``pool`` has an approximant in the retract."""
     law = "retract-approximation"
     count = 0
     for x in pool:
@@ -536,13 +481,19 @@ def _law_retract_approximation(P, pool, scope):
 # ---------------------------------------------------------------------------
 # The law table
 
+check_kernel_laws = _axiom(_kernel_exhaustive, "_kernel_sampled")
+check_scott_continuity = _axiom(_scott_exhaustive, "_scott_bank")
+check_waybelow_kernel_equivalence = _axiom(_eq_exhaustive, "_eq_sampled")
+check_largest_retract = _axiom(_retract_exhaustive, "_retract_sampled")
+check_approximation_laws = _axiom(_laws_exhaustive, "_laws_sampled")
+
 LAWS = {
     "cc": check_conditionally_complete,
     "interpolation": check_interpolation,
     "continuity": check_continuity,
     "subposet": lambda P, scope: check_subposet(P, scope, retract_member(P)),
     "kernel": check_kernel_laws,
-    "scott": lambda P, scope: check_scott_continuity(P),
+    "scott": check_scott_continuity,
     "eq": check_waybelow_kernel_equivalence,
     "largest-retract": check_largest_retract,
     "laws": check_approximation_laws,

@@ -2,10 +2,10 @@
 checkers of ``core`` and ``kernel``.
 
 ``core.resolve_scope`` picks exhaustive checking for a finite carrier and a
-sampled scope for a symbolic one, and the checkers that have a symbolic
-half import this module only when it picks the sampled scope.  So a
-finite answer never compiles it.  Here the element pools come from
-``core.scope_pool`` and ``core.scope_draw``, the bank from
+sampled scope for a symbolic one, and ``core._axiom``, the one dispatcher
+of every law but ``inf``, imports this module only when it picks the
+sampled scope, so a finite answer never compiles it.  Here the element
+pools come from ``core.scope_pool`` and ``core.scope_draw``, the bank from
 ``family_bank()``, and every refutation names its witness; a clean run is
 Unrefuted, or Verified where a certified closed form stands behind it.
 """
@@ -21,10 +21,12 @@ from .core import (PosetPresentation, _continuity_failure, _interpolated,
                    family_dominates, is_element, scope_draw, scope_pool)
 from .errors import PosetError
 from .families import ChainFamily, ExplicitFamily
-from .kernel import (_UNAPPROXIMABLE_SUP, _image_verdict, _meet_judge,
+from .kernel import (_UNAPPROXIMABLE_SUP, _equivalence, _image_verdict,
+                     _kernel_laws, _law_double_approximation,
+                     _law_retract_approximation, _meet_judge,
                      _restriction_at, _scott_at, in_retract, kernel_of)
 from .reports import (BANK, DEFAULT_SUBSET_SAMPLES, CheckReport, Scope,
-                      combine, refuted, unrefuted, verified)
+                      Status, combine, refuted, sampled, unrefuted, verified)
 
 # ---------------------------------------------------------------------------
 # The order axioms of core
@@ -205,7 +207,40 @@ def _subposet_sampled(P, scope, member):
 
 
 # ---------------------------------------------------------------------------
-# The bank laws of kernel
+# The laws of kernel
+
+
+def _kernel_sampled(P, scope, kernel=None):
+    """``kernel.check_kernel_laws`` at the first ``scope.count``
+    approximable elements of the pool and at drawn pairs of them; an
+    unordered pair (x, y) is judged as (x, x ∨ y), or dropped."""
+    pool, rng = scope_pool(P, scope)
+    approx = [x for x in pool if P.kernel_value(x) is not None]
+    if not approx:
+        return unrefuted("kernel-laws", 0, scope,
+                         "no approximable elements sampled")
+    pairs = []
+    for _ in range(scope.count):
+        x, y = rng.choice(approx), rng.choice(approx)
+        if P.leq(x, y):
+            pairs.append((x, y))
+        else:
+            s = P.finite_sup((x, y))
+            if is_element(s) and P.kernel_value(s) is not None:
+                pairs.append((x, s))
+    return _kernel_laws(P, scope, kernel, approx[:scope.count], pairs)
+
+
+def _eq_sampled(P, scope):
+    """``kernel.check_waybelow_kernel_equivalence`` at ``scope.count``
+    drawn pairs (v, x) of the pool, x approximable."""
+    pool, rng = scope_pool(P, scope)
+    approx = [x for x in pool if P.kernel_value(x) is not None]
+    if not approx:
+        return unrefuted("waybelow-kernel-equivalence", 0, scope,
+                         "no approximable elements sampled")
+    return _equivalence(P, scope, [(rng.choice(pool), rng.choice(approx))
+                                   for _ in range(scope.count)])
 
 
 def _tally(law, verdicts, scope, counted=False):
@@ -222,9 +257,9 @@ def _tally(law, verdicts, scope, counted=False):
     return unrefuted(law, count, scope)
 
 
-def _scott_bank(P):
-    """``kernel.check_scott_continuity`` over a symbolic bank: Unrefuted,
-    scope bank."""
+def _scott_bank(P, scope):
+    """``kernel.check_scott_continuity`` over a symbolic bank, whatever the
+    sampled scope: Unrefuted, scope bank."""
     return _tally("scott-continuity", (
         _scott_at(P, fam) if isinstance(fam, ExplicitFamily)
         else _scott_chain_at(P, fam) for fam in P.family_bank()), BANK,
@@ -259,14 +294,38 @@ def _scott_chain_at(P: PosetPresentation, fam: ChainFamily):
                           "certified image supremum")
 
 
-def _restriction_bank(P, approx_pool, scope):
-    """The directed-restriction and restriction-nonempty sub-laws of
-    ``kernel.check_approximation_laws`` over a symbolic bank."""
+def _laws_sampled(P, scope):
+    """``kernel.check_approximation_laws`` on a symbolic carrier: the
+    directed-restriction and restriction-nonempty sub-laws over the bank,
+    the other two at the pool (``_double_sampled``)."""
+    pool = scope_pool(P, scope)[0]
+    approx = [x for x in pool if P.kernel_value(x) is not None]
     bank = P.family_bank()
-    meet = _meet_judge(P, approx_pool, [fam.supremum for fam in bank])
-    return (_tally("directed-restriction",
-                   (_restriction_at(P, fam) for fam in bank), scope),
-            _tally("restriction-nonempty", map(meet, bank), scope))
+    meet = _meet_judge(P, approx, [fam.supremum for fam in bank])
+    return combine("approximation-laws", [
+        _tally("directed-restriction",
+               (_restriction_at(P, fam) for fam in bank), scope),
+        _tally("restriction-nonempty", map(meet, bank), scope),
+        _double_sampled(P, approx, scope),
+        _law_retract_approximation(P, pool, scope)], scope)
+
+
+def _double_sampled(P, approx, scope):
+    """Double approximation at the first ``scope.count`` approximable
+    elements, then the approximable part's way-below held against the
+    ambient one (``_subposet_sampled``)."""
+    law = "double-approximation"
+    report = _law_double_approximation(P, approx[:scope.count], scope)
+    if report.status is Status.REFUTED:
+        return report
+    agreement = _subposet_sampled(
+        P, sampled(scope.seed, max(scope.count // 4, 32)),
+        lambda y: P.kernel_value(y) is not None)
+    if agreement.status is Status.REFUTED:
+        return refuted(law, agreement.witness,
+                       f"approximable-part way-below disagrees: "
+                       f"{agreement.reason}", scope)
+    return unrefuted(law, report.samples + agreement.samples, scope)
 
 
 def _retract_sampled(P, scope):

@@ -1880,10 +1880,10 @@ class TestLayering:
     def test_the_symbolic_laws_and_the_commands_load_where_they_run(self):
         """A finite ``check`` compiles neither the symbolic halves of the
         laws nor the other commands: ``sampled_laws`` is imported only
-        inside the checkers that dispatch to it, once ``resolve_scope`` has
-        picked a sampled scope, and ``commands`` only inside ``cli.main``
-        for ``analyze`` and ``export-dot``, and by the acceptance matrix,
-        which ``selftest`` loads."""
+        inside the one dispatcher, ``core._axiom``, once ``resolve_scope``
+        has picked a sampled scope, and ``commands`` only inside
+        ``cli.main`` for ``analyze`` and ``export-dot``, and by the
+        acceptance matrix, which ``selftest`` loads."""
         package = Path(core.__file__).parent
         importers = {}
         for path in sorted(package.glob("*.py")):
@@ -1893,11 +1893,26 @@ class TestLayering:
                                                    "commands"}:
                     importers.setdefault(name, set()).add(where)
         assert importers == {
-            "sampled_laws": {"core._axiom.check",
-                             "kernel.check_scott_continuity",
-                             "kernel.check_largest_retract",
-                             "kernel.check_approximation_laws"},
+            "sampled_laws": {"core._axiom.check"},
             "commands": {"cli.main", "acceptance"}}
+
+    def test_every_law_but_inf_is_dispatched_by_axiom(self):
+        """Each checker of ``LAWS`` but ``inf`` is built by ``core._axiom``,
+        the subposet law through the ``check_subposet`` its lambda calls
+        with the retract's membership predicate."""
+        built = core._axiom(None, None).__code__
+        assert {law for law, check in kernel.LAWS.items()
+                if check.__code__ is not built} == {"subposet", "inf"}
+        assert kernel.check_subposet.__code__ is built
+
+    def test_no_exhaustive_half_reads_a_sample_count(self):
+        """In kernel.py only ``check_inf_preservation_sampled``, which
+        samples finite carriers too, names an rng or reads a count."""
+        readers = {where for where, node in self.owners(self.tree(kernel),
+                                                        "kernel")
+                   if isinstance(node, ast.Name) and node.id == "rng"
+                   or isinstance(node, ast.Attribute) and node.attr == "count"}
+        assert readers == {"kernel.check_inf_preservation_sampled"}
 
     def test_the_finite_order_and_the_cap_have_one_home(self):
         """kernel.py reads a carrier's order as ``P.poset``.  Every

@@ -56,6 +56,27 @@ def test_only_a_symbolic_answer_loads_the_carriers(argv, loaded, tmp_path):
     assert out == f"0 {loaded}"
 
 
+# Runs the CLI as ``python -m posetkernel.cli`` does and prints its exit
+# code and whether a module ``posetkernel.cli`` was loaded beside
+# ``__main__``, which would compile cli.py a second time.
+AS_MAIN = ("import runpy, sys\n"
+           "try:\n"
+           "    runpy.run_module('posetkernel.cli', run_name='__main__',\n"
+           "                     alter_sys=True)\n"
+           "except SystemExit as exc:\n"
+           "    print(exc.code, 'posetkernel.cli' in sys.modules)")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "diamond", "retract"], ["export-dot", "finite.json"],
+], ids=["analyze-diamond", "export-dot-finite"])
+def test_the_cli_run_as_main_loads_no_second_copy(argv, tmp_path):
+    (tmp_path / "finite.json").write_text(json.dumps(FINITE_DOC),
+                                          encoding="utf-8")
+    out = run_python(AS_MAIN, *argv, cwd=tmp_path).splitlines()[-1]
+    assert out == "0 False"
+
+
 def test_every_public_name_resolves():
     """Each name of ``__all__`` resolves, ``dir`` lists them, every public
     name the package binds besides its submodules is listed, and a lazy

@@ -91,6 +91,10 @@ def foreign_approximant():  # 3's only declared approximant is 5
     return corrupt_omega(families={3: ExplicitFamily((5,), 3)})
 
 
+def unapproximated_top():  # chain_512 where nothing is way-below 511
+    return CorruptFinite(chain(512), {}, waybelow=lambda m, x: m <= x < 511)
+
+
 def continuous_counterexample():  # names 3, at which ω+1 is continuous
     return corrupt_omega(continuity_counterexample=lambda self: 3)
 
@@ -247,6 +251,12 @@ REFUTATIONS = {
         lambda: sub(check_approximation_laws(foreign_approximant()),
                     "double-approximation"),
         3, "no approximable approximant", 0),
+    # every approximable element is judged, the 512th too: a finite
+    # carrier is exhausted, however many elements it has
+    "laws-double-approximation-exhaustive": (
+        lambda: sub(check_approximation_laws(unapproximated_top()),
+                    "double-approximation"),
+        511, "no approximable approximant", 0),
     "laws-double-approximation-agreement": (
         lambda: sub(check_approximation_laws(
             corrupt_omega(waybelow=lambda self, x, y: True)),
