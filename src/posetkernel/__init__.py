@@ -3,8 +3,9 @@ continuous retracts on conditionally-complete interpolating posets.
 
 The library pairs every certified closed-form rule with an independent
 check: definitional brute force on finite carriers, bank-driven refutation
-on symbolic ones.  See the carriers module for the symbolic carriers and
-the proofs of their rules.
+on symbolic ones.  See the closedsets module for the closed sets and the
+carriers module for the other symbolic carriers, each with the proofs of
+its rules.
 
 The finite core loads with the package.  The closed-set algebra, the
 symbolic carriers, the quotient and the self-test fixture load on first
@@ -38,12 +39,12 @@ from .reports import (BANK, EXHAUSTIVE, CheckReport, Scope, Status, sampled)
 __version__ = "0.1.0"
 
 _LAZY = {
-    **dict.fromkeys(("ClosedSetRep", "closed_set", "closedset_join",
-                     "closedset_leq", "closedset_meet", "closedset_normalize",
-                     "format_closed_set", "periodic_set"), "closedsets"),
-    **dict.fromkeys(("ClosedSetsPresentation", "DisjointSumPresentation",
-                     "LiftPresentation", "OmegaPlusOnePresentation"),
-                    "carriers"),
+    **dict.fromkeys(("ClosedSetRep", "ClosedSetsPresentation", "closed_set",
+                     "closedset_join", "closedset_leq", "closedset_meet",
+                     "closedset_normalize", "format_closed_set",
+                     "periodic_set"), "closedsets"),
+    **dict.fromkeys(("DisjointSumPresentation", "LiftPresentation",
+                     "OmegaPlusOnePresentation"), "carriers"),
     **dict.fromkeys(("QuotientStructure", "quotient_structure"), "commands"),
     "adversarial_kernel": "acceptance",
 }

@@ -1,7 +1,8 @@
-"""The symbolic carriers: the ω+1 chain, closed subsets of N ∪ {∞}, and
-the lift / disjoint-sum combinators.  ``catalog.make_catalog`` imports this
-module on the first spec that names one of them, so a finite answer loads
-neither it nor the closed-set algebra.
+"""The symbolic carriers besides the closed sets: the ω+1 chain and the
+lift / disjoint-sum combinators.  ``catalog.make_catalog`` imports this
+module on the first spec that names one of them, so a finite answer never
+loads it; the closed sets live with their algebra in ``closedsets``, so
+neither ω+1 nor a lift or sum of finite parts loads that.
 
 Each kind ships *certified* closed-form rules for its order, suprema, and
 way-below relation.  Way-below is defined by a quantification over all
@@ -20,32 +21,6 @@ Certified rules and why they hold:
     supremum ω and no member dominating ω.  The poset is a complete chain,
     hence conditionally complete, continuous, and interpolating.
 
-Closed sets of N ∪ {∞} (closed iff finite or containing ∞), by inclusion
-    A << B  iff  A is finite, ∞ ∉ A, and A ⊆ B.
-    If so: any directed D with sup ⊇ B covers each natural of A by some
-    member, and directedness bounds those finitely many members inside D.
-    Conversely ∞ ∈ A is killed by the chain {0..n} (supremum N ∪ {∞} ⊇ B
-    for every B, no member contains ∞), and an infinite natural part is
-    impossible without ∞ (closedness).  Consequences:
-        approximants of C = the finite subsets of C ∩ N (always nonempty,
-        the empty set approximates everything), so the whole lattice is
-        approximable;
-        kernel value of C = closure of C ∩ N  (C ∩ N itself if finite,
-        else (C ∩ N) ∪ {∞});
-        retract membership: ∞ ∈ C implies C ∩ N infinite.
-    The lattice is complete but NOT continuous: the approximants of {∞}
-    are {∅}, whose supremum ∅ differs from {∞}.
-    Interpolation holds with witness A itself: A << A << B, because a
-    finite set without ∞ is way-below itself.
-
-Punctured closed sets (the same lattice with ∅ removed)
-    A << B additionally requires A nonempty (∅ is gone).  {∞} now has no
-    approximants at all, so the approximable part is a proper subset:
-    exactly the closed sets with a natural member.  Infima can fail:
-    {0} and {1} have no common lower bound.  Still conditionally complete
-    (suprema of nonempty families of nonempty sets are nonempty) and
-    interpolating (same witness).
-
 Lift (add a fresh bottom ⊥)
     ⊥ << everything (every directed set has a member, and ⊥ is below it);
     inner pairs keep the inner rule, because directed sets in the lift are
@@ -58,38 +33,28 @@ Disjoint sum
     bound), so order, suprema and way-below are all componentwise and cross
     pairs never relate.
 
-Carrier hooks: closed sets name their non-continuity witness {∞}, a compact
-element below each set, the evens/odds infimum instance and their retract
-rule (``continuity_counterexample``, ``compact_below``, ``inf_instances``,
-``retract_rules``).  The same holds for ``truncation``, the finite
-restriction ``export-dot --truncate`` draws: ω+1 and the closed sets cut
-their carriers.  Lift and sum forward every such hook through one base,
-``_Combinator``, which holds their components as ``(tag, component, wrap)``
-parts: the targeted checks reach every combinator of the lattice, and the
-cuts and the element lists of the components are assembled there.  It
-writes their order once, by the two rules above.  The closed sets also give
-``kernel_value`` in the closed form above, and ``_Combinator`` wraps the
-value of a component.  ``order_codes`` gives each element of a list an int
-code whose bit inclusion is the order: the closed sets in closed form
-(their naturals on one window, and ∞), the combinators by a bit per part
-above their components' codes.  Every list of elements a presentation
-holds is within the catalog's one cap, ``MAX_ELEMENTS``.
+Carrier hooks: a carrier may name its non-continuity witness, a compact
+element below each element, infimum instances and retract rules
+(``continuity_counterexample``, ``compact_below``, ``inf_instances``,
+``retract_rules``), as the closed sets do.  The same holds for
+``truncation``, the finite restriction ``export-dot --truncate`` draws:
+ω+1 and the closed sets cut their carriers.  Lift and sum forward every
+such hook through one base, ``_Combinator``, which holds their components
+as ``(tag, component, wrap)`` parts: the targeted checks reach every
+combinator of the lattice, and the cuts and the element lists of the
+components are assembled there.  It writes their order once, by the two
+rules above, and wraps the ``kernel_value`` of a component.
+``order_codes`` gives each element of a list an int code whose bit
+inclusion is the order: the combinators by a bit per part above their
+components' codes.  Every list of elements a presentation holds is within
+the catalog's one cap, ``MAX_ELEMENTS``.
 """
 
 from __future__ import annotations
 
-import math
-from functools import cached_property, reduce
-
-from . import closedsets as cs
-from .catalog import MAX_ELEMENTS, _check_size
-from .closedsets import (ClosedSetRep, _from_bits, _naturals_below,
-                         closed_set, closedset_join, closedset_leq,
-                         closedset_meet, format_closed_set, is_empty,
-                         min_natural, natural_closure, natural_part_is_finite,
-                         periodic_set, truncate_naturals)
+from .catalog import _check_size
 from .core import (BOTTOM, NO_INFIMUM, NO_SUPREMUM, OMEGA, Inner, Left,
-                   PosetPresentation, Right, _bits, is_element)
+                   PosetPresentation, Right, is_element)
 from .errors import ValidationError
 from .families import ChainFamily, ExplicitFamily, map_family
 
@@ -191,242 +156,6 @@ class OmegaPlusOnePresentation(PosetPresentation):
             return n
         raise ValidationError(
             f"expected 'omega' or 'nat:<k>', got {literal!r}")
-
-
-# ---------------------------------------------------------------------------
-# Closed subsets of N ∪ {∞}
-
-
-class ClosedSetsPresentation(PosetPresentation):
-    certified_conditionally_complete = True
-    certified_interpolating = True
-    certified_continuous = False
-
-    def __init__(self, punctured=False):
-        self.punctured = punctured
-        self.kind = "punctured_closed_sets" if punctured else "closed_sets"
-        self.name = self.kind
-
-    def contains(self, x) -> bool:
-        if not isinstance(x, ClosedSetRep):
-            return False
-        return not (self.punctured and is_empty(x))
-
-    def leq(self, x, y) -> bool:
-        return closedset_leq(x, y)
-
-    def order_codes(self, xs):
-        """In closed form: bit n of a code says whether the natural n is a
-        member, for n below one window w (the largest threshold plus the
-        lcm of the periods), and bit w whether ∞ is.  From the largest
-        threshold on, membership repeats with the lcm, so the window
-        decides inclusion.  Codes of more than ``MAX_WINDOW`` bits in all
-        fall back to the pairwise default."""
-        w = max((x.threshold for x in xs), default=0) + math.lcm(
-            *(x.period for x in xs))
-        if w * len(xs) > cs.MAX_WINDOW:
-            return super().order_codes(xs)
-        return [_naturals_below(x, w) | x.infinity << w for x in xs]
-
-    def finite_sup(self, xs):
-        return reduce(closedset_join, xs)
-
-    def finite_inf(self, xs):
-        acc = reduce(closedset_meet, xs)
-        if self.punctured and is_empty(acc):
-            return NO_INFIMUM
-        return acc
-
-    def lower_bound_exists(self, xs):
-        return self.finite_inf(xs) is not NO_INFIMUM
-
-    def waybelow(self, x, y) -> bool:
-        if self.punctured and is_empty(x):
-            return False
-        return (natural_part_is_finite(x) and not x.infinity
-                and closedset_leq(x, y))
-
-    def waybelow_family(self, x):
-        if self.punctured and min_natural(x) is None:
-            return None
-        sup = natural_closure(x)
-        if natural_part_is_finite(x):
-            return ExplicitFamily((sup,), sup, label="natural-part")
-        start = min_natural(x)
-        return ChainFamily(
-            lambda i: truncate_naturals(x, start + i),
-            sup,
-            label="finite-truncations",
-            member_dominates=lambda v: self.waybelow(v, x),
-            kernel_image_sup=sup,
-        )
-
-    def _kernel_value(self, x):
-        # the family's supremum in closed form; the suite holds the two
-        # against each other
-        if self.punctured and min_natural(x) is None:
-            return None
-        return natural_closure(x)
-
-    def _bank(self):
-        initial = ChainFamily(
-            lambda i: closed_set(range(i + 1)), cs.FULL,
-            label="initial-segments",
-            member_dominates=lambda v: self.waybelow(v, cs.FULL),
-            kernel_image_sup=cs.FULL)
-        evens = ChainFamily(
-            lambda i: closed_set(range(0, 2 * i + 1, 2)), cs.EVENS,
-            label="even-initial-segments",
-            member_dominates=lambda v: self.waybelow(v, cs.EVENS),
-            kernel_image_sup=cs.EVENS)
-        through_inf = ChainFamily(
-            lambda i: closed_set(range(i + 1), infinity=True), cs.FULL,
-            label="initial-segments-with-inf",
-            member_dominates=natural_part_is_finite,
-            kernel_image_sup=cs.FULL)
-        families = [
-            initial,
-            evens,
-            through_inf,
-            ExplicitFamily((closed_set({1}), closed_set({2}),
-                            closed_set({1, 2})),
-                           closed_set({1, 2}), label="join-closed-pair"),
-            ExplicitFamily((closed_set({0}), closed_set({0, 1}),
-                            closed_set({0, 1, 2})),
-                           closed_set({0, 1, 2}), label="three-chain"),
-            ExplicitFamily((cs.INF_POINT, closed_set({0}, True),
-                            closed_set({0, 1}, True)),
-                           closed_set({0, 1}, True),
-                           label="chain-through-inf"),
-            ExplicitFamily((cs.INF_POINT,), cs.INF_POINT,
-                           label="inf-singleton"),
-        ]
-        if not self.punctured:
-            families.append(ExplicitFamily(
-                (cs.EMPTY, closed_set({1}), closed_set({2}),
-                 closed_set({1, 2})),
-                closed_set({1, 2}), label="join-closed-with-bottom"))
-            families.append(ExplicitFamily((cs.EMPTY,), cs.EMPTY,
-                                           label="bottom-singleton"))
-        return families
-
-    @cached_property
-    def _sample_pool(self):
-        return self.interesting_elements()
-
-    def sample_elements(self, rng, count):
-        # Each set is built from the bits of the naturals drawn, which are
-        # valid by construction, so no literal is checked.
-        out = []
-        pool = self._sample_pool
-        for _ in range(count):
-            style = rng.random()
-            if style < 0.45:
-                nats = 0
-                for _ in range(rng.randint(0, 4)):
-                    nats |= 1 << rng.randrange(12)
-                rep = _from_bits(nats, 0, 1, 0, rng.random() < 0.35)
-            elif style < 0.85:
-                p = rng.randint(1, 4)
-                rs = sum(1 << q for q in range(p) if rng.random() < 0.5)
-                rs = rs or 1 << rng.randrange(p)
-                t = rng.randint(0, 4)
-                pref = sum(1 << m for m in range(t) if rng.random() < 0.4)
-                rep = _from_bits(pref, t, p, rs, True)
-            else:
-                rep = rng.choice(pool)
-            if self.punctured and is_empty(rep):
-                rep = _from_bits(1 << rng.randrange(8), 0, 1, 0, False)
-            out.append(rep)
-        return out
-
-    def interesting_elements(self):
-        base = [
-            cs.INF_POINT,
-            closed_set({0}),
-            closed_set({1}),
-            closed_set({5}),
-            closed_set({0, 1}),
-            closed_set({1, 3}),
-            closed_set({1, 3}, infinity=True),
-            closed_set({0}, infinity=True),
-            cs.FULL,
-            cs.EVENS,
-            cs.ODDS,
-            periodic_set({0}, 3),
-            periodic_set({2}, 3, prefix={0}, threshold=1),
-        ]
-        if not self.punctured:
-            base.insert(0, cs.EMPTY)
-        return base
-
-    def truncation(self, n):
-        """The closed sets over {0..n}, without ∞ and then with it."""
-        # 2^(n+1) sets per ∞ flag.  An exponent past the cap's bit length
-        # is over the cap already, so a huge n is refused without a huge int.
-        _check_size(2 << min(n + 1, MAX_ELEMENTS.bit_length()),
-                    f"the {self.kind} truncation at {n}")
-        reps = (closed_set(_bits(mask), infinity=inf)
-                for inf in (False, True) for mask in range(1 << (n + 1)))
-        return [rep for rep in reps if self.contains(rep)]
-
-    def continuity_counterexample(self):
-        return cs.INF_POINT
-
-    def compact_below(self, x):
-        finite_part = truncate_naturals(x, 15)
-        return finite_part if self.contains(finite_part) else None
-
-    def inf_instances(self):
-        # Their meet {∞} lies outside the retract; its kernel value is ∅.
-        return [] if self.punctured else [(cs.EVENS, cs.ODDS)]
-
-    def retract_rules(self):
-        return ["for closed sets: if inf is in C then the natural part of C "
-                "must be infinite"
-                + (" (and nonempty overall)" if self.punctured else "")]
-
-    def format_element(self, x) -> str:
-        return format_closed_set(x)
-
-    def parse_element(self, literal):
-        rep = parse_closed_set_literal(literal)
-        if self.punctured and is_empty(rep):
-            raise ValidationError(
-                "the punctured lattice does not contain the empty set")
-        return rep
-
-
-def parse_closed_set_literal(literal) -> ClosedSetRep:
-    """Closed-set literal: {"finite": [...], "infinity": b} or the full
-    prefix/threshold/period/residues/infinity form, not both."""
-    if not isinstance(literal, dict):
-        raise ValidationError(f"closed-set literal must be an object, "
-                              f"got {literal!r}")
-    extra = set(literal) - {"finite", "prefix", "threshold", "period",
-                            "residues", "infinity"}
-    if extra:
-        raise ValidationError(f"unknown closed-set fields {sorted(extra)}")
-    infinity = literal.get("infinity", False)
-    if not isinstance(infinity, bool):
-        raise ValidationError(f"'infinity' must be true or false, "
-                              f"got {infinity!r}")
-    if "finite" in literal:
-        mixed = set(literal) - {"finite", "infinity"}
-        if mixed:
-            raise ValidationError(f"'finite' cannot be combined with "
-                                  f"{sorted(mixed)}")
-        nats = literal["finite"]
-        if not isinstance(nats, list) or not all(
-                type(n) is int and n >= 0 for n in nats):
-            raise ValidationError("'finite' must be a list of naturals")
-        return closed_set(nats, infinity=infinity)
-    prefix = literal.get("prefix", [])
-    residues = literal.get("residues", [])
-    if not isinstance(prefix, list) or not isinstance(residues, list):
-        raise ValidationError("'prefix' and 'residues' must be lists")
-    return ClosedSetRep(prefix, literal.get("threshold", 0),
-                        literal.get("period", 1), residues, infinity)
 
 
 # ---------------------------------------------------------------------------

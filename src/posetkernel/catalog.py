@@ -3,10 +3,10 @@ the named and random finite posets.
 
 ``make_catalog`` builds the presentation a ``CatalogSpec`` describes.  The
 finite kinds are built here on ``core.FinitePosetPresentation``.  The
-symbolic carriers (ω+1, the closed sets, and the lift and disjoint-sum
-combinators) live in ``carriers``, with the proofs of their rules, and load
-on the first spec that names one: a finite answer never compiles them or
-the closed-set algebra.
+symbolic carriers live with the proofs of their rules: the closed sets in
+``closedsets``, beside their algebra, and ω+1 and the lift and disjoint-sum
+combinators in ``carriers``.  Each module loads on the first spec that
+needs it: a finite answer compiles neither.
 """
 
 from __future__ import annotations
@@ -254,8 +254,10 @@ def builtin_spec(name: str) -> CatalogSpec:
 
 
 def make_catalog(spec: CatalogSpec) -> PosetPresentation:
-    """Build the presentation described by the spec.  A symbolic kind
-    imports ``carriers`` here, so a finite one never loads it."""
+    """Build the presentation described by the spec.  A closed-set kind
+    imports ``closedsets`` here and any other symbolic kind ``carriers``,
+    so a finite one loads neither, and ω+1 or a lift or sum of finite
+    parts never loads the closed-set algebra."""
     if spec.kind == "finite_named":
         return FinitePosetPresentation(named_finite_poset(spec.name),
                                        name=spec.name)
@@ -266,13 +268,13 @@ def make_catalog(spec: CatalogSpec) -> PosetPresentation:
     if spec.kind == "finite_explicit":
         fp = build_finite_poset(spec.elements, spec.covers)
         return FinitePosetPresentation(fp, name="finite")
+    if spec.kind in ("closed_sets", "punctured_closed_sets"):
+        from .closedsets import ClosedSetsPresentation
+        return ClosedSetsPresentation(
+            punctured=spec.kind == "punctured_closed_sets")
     from . import carriers
     if spec.kind == "omega_plus_one":
         return carriers.OmegaPlusOnePresentation()
-    if spec.kind == "closed_sets":
-        return carriers.ClosedSetsPresentation(punctured=False)
-    if spec.kind == "punctured_closed_sets":
-        return carriers.ClosedSetsPresentation(punctured=True)
     if spec.kind == "lift":
         return carriers.LiftPresentation(make_catalog(spec.inner))
     if spec.kind == "disjoint_sum":

@@ -363,6 +363,16 @@ class TestAnalyzeCommand:
         assert "-> {}" in out
         assert "-> {1}" in out
 
+    def test_quotient_of_sets_whose_lcm_window_is_over_the_cap(self):
+        """The lcm of 65521 and 65519 is over ``MAX_WINDOW``, so the order
+        codes fall back to pairwise inclusion, which takes no window."""
+        code, out, err = run_cli([
+            "analyze", "closed_sets", "quotient", "--elements",
+            '{"period": 65521, "residues": [0], "infinity": true}',
+            '{"period": 65519, "residues": [0], "infinity": true}'])
+        assert (code, err) == (0, "")
+        assert "classes: 2" in out
+
     def test_omega_literals(self):
         code, out, _ = run_cli(["analyze", "omega_plus_one", "kernel",
                                 "--element", "omega"])

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from posetkernel import ClosedSetRep, closed_set, periodic_set
 from posetkernel.closedsets import (EMPTY, EVENS, FULL, INF_POINT,
-                                    MAX_LITERAL, ODDS, _aligned,
+                                    MAX_LITERAL, MAX_WINDOW, ODDS, _aligned,
                                     _minimal_period, _prime_factors,
                                     closedset_join,
                                     closedset_leq, closedset_meet,
@@ -281,10 +281,23 @@ class TestBitsetDifferential:
             assert (n in join) == (in_a or n % 9967 == 1)
 
     def test_window_cap(self):
+        """A join or meet whose lcm window is over ``MAX_WINDOW`` is
+        refused; inclusion takes no window, so it answers every pair."""
         a, b = periodic_set({0}, 65521), periodic_set({0}, 65519)
-        for op in (closedset_join, closedset_meet, closedset_leq):
-            with pytest.raises(ValidationError):
+        for op in (closedset_join, closedset_meet):
+            with pytest.raises(ValidationError, match="exceeds the cap"):
                 op(a, b)
+        assert not closedset_leq(a, b) and not closedset_leq(b, a)
+        # lcm(65534, 65532) = 65534 * 32766 is over the cap too
+        fa = ((), 0, 65534, frozenset({0}), True)
+        fb = ((), 0, 65532, frozenset(range(0, 65532, 2)) | {1}, True)
+        a, b = ClosedSetRep(*fa), ClosedSetRep(*fb)
+        assert math.lcm(a.period, b.period) > MAX_WINDOW
+        # every member of a below the lcm is in b, and 1 is in b, not in a
+        assert all(model_member(fb, n) for n in range(0, 65534 * 32766, 65534))
+        assert model_member(fb, 1) and not model_member(fa, 1)
+        assert closedset_leq(a, b) is True
+        assert closedset_leq(b, a) is False
 
 
 @st.composite
@@ -299,11 +312,17 @@ def _finite_fields(draw, max_threshold=40):
 
 _periodic_fields = closed_fields(max_period=64, max_threshold=40).filter(
     lambda fields: fields[3])
+# Coprime pairs, shared primes, the prime powers 4/8/16 and 9/27, equal
+# periods and period 1.
+MIXED_PERIODS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 18, 27, 35]
+_mixed_fields = closed_fields(max_threshold=12,
+                              periods=MIXED_PERIODS).filter(
+    lambda fields: fields[3])
 
 
 def _windowed_leq(a, b):
-    """Inclusion decided on the aligned window of both operands, the rule
-    that only two periodic operands still take."""
+    """Inclusion decided on the aligned window of both operands: the
+    reference for every branch of ``closedset_leq``."""
     if a.infinity and not b.infinity:
         return False
     _, _, pa, ra, pb, rb = _aligned(a, b)
@@ -343,6 +362,20 @@ class TestLeastPeriod:
                 period, word, kept = _minimal_period(length, bits, primes)
                 assert (period, word) == (least, bits & ((1 << least) - 1))
                 assert set(kept) == set(_prime_factors(least))
+
+    @settings(max_examples=300)
+    @given(_mixed_fields, _mixed_fields)
+    def test_joins_and_meets_equal_their_normal_form(self, fa, fb):
+        """A join or meet equals ``closedset_normalize`` of itself, which
+        runs the trial shifts: at coprime least periods, where the product
+        is taken as least without them, and at periods sharing a prime."""
+        a, b = ClosedSetRep(*fa), ClosedSetRep(*fb)
+        coprime = (min(a.period, b.period) > 1
+                   and math.gcd(a.period, b.period) == 1)
+        for rep in (closedset_join(a, b), closedset_meet(a, b)):
+            assert rep == closedset_normalize(rep)
+            if coprime:
+                assert rep.period == a.period * b.period
 
 
 class TestBoundedHash:
@@ -398,8 +431,9 @@ class TestBoundedHash:
 
 class TestLeqWithoutAWindow:
     """``closedset_leq`` compares a finite natural part with the members
-    of the other operand below its threshold, and never puts an infinite
-    natural part inside a finite one; both branches are held against the
+    of the other operand below its threshold, never puts an infinite
+    natural part inside a finite one, and decides two infinite ones
+    modulo the gcd of their periods; every branch is held against the
     pointwise model and the aligned window."""
 
     @staticmethod
@@ -424,6 +458,38 @@ class TestLeqWithoutAWindow:
     def test_finite_against_finite(self, fa, fb):
         self.check(fa, fb)
 
+    @settings(max_examples=300)
+    @given(_mixed_fields, _mixed_fields)
+    def test_periodic_against_periodic(self, fa, fb):
+        """Two infinite natural parts: residues folded modulo the gcd of
+        the periods."""
+        self.check(fa, fb)
+        self.check(fb, fa)
+
+    @pytest.mark.parametrize("pa, pb", [
+        (4, 9), (8, 27), (5, 7), (4, 6), (12, 18), (6, 35), (4, 8), (8, 16),
+        (4, 16), (9, 27), (6, 6), (16, 16), (1, 6), (1, 1)])
+    def test_periodic_pairs_by_period(self, pa, pb):
+        """Each kind of period pair, at densities that give both answers:
+        a subset of b's residues, spelled with a's period, is inside b."""
+        rng = random.Random(pa * 100 + pb)
+        for _ in range(40):
+            ra = frozenset(r for r in range(pa) if rng.random() < 0.3)
+            rb = frozenset(r for r in range(pb) if rng.random() < 0.7)
+            if rng.random() < 0.5 and rb:
+                g = math.gcd(pa, pb)
+                kept = {c for c in range(g)
+                        if all(s in rb for s in range(c, pb, g))}
+                ra = frozenset(r for r in ra if r % g in kept)
+            ra = ra or frozenset({0})
+            rb = rb or frozenset({0})
+            t = rng.randrange(6)
+            fa = (frozenset(n for n in range(t) if rng.random() < 0.5), t,
+                  pa, ra, True)
+            fb = ((), 0, pb, rb, True)
+            self.check(fa, fb)
+            self.check(fb, fa)
+
     @pytest.mark.parametrize("a, b, expected", [
         (closed_set({0, 2, 4}), EVENS, True),
         (closed_set({0, 2, 4}, True), EVENS, True),
@@ -438,6 +504,16 @@ class TestLeqWithoutAWindow:
         (EVENS, closed_set(range(40), True), False),
         (EVENS, closed_set(range(40)), False),
         (periodic_set({0}, 65521), closed_set({0}, True), False),
+        (EVENS, EVENS, True),
+        (EVENS, periodic_set({0, 2}, 4), True),
+        (periodic_set({0}, 4), periodic_set({0, 3}, 6), False),
+        (periodic_set({0}, 12), periodic_set({0, 3}, 6), True),
+        (periodic_set({0}, 8), periodic_set({0, 4}, 16), False),
+        (periodic_set({0}, 16), periodic_set({0, 1}, 8), True),
+        (periodic_set({0}, 27), periodic_set({0, 3, 6}, 9), True),
+        (periodic_set({0}, 5), periodic_set({0}, 7), False),
+        (FULL, ODDS, False),
+        (ODDS, FULL, True),
     ])
     def test_examples(self, a, b, expected):
         assert closedset_leq.__wrapped__(a, b) is expected

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from posetkernel import (BOTTOM, NO_SUPREMUM, OMEGA, Inner, Left,
                          PosetPresentation, carriers, catalog, cli,
-                         closed_set, commands, core, kernel, make_catalog,
-                         oracle, sampled_laws)
+                         closed_set, closedsets, commands, core, kernel,
+                         make_catalog, oracle, sampled_laws)
 from posetkernel.acceptance import adversarial_kernel
 from posetkernel.carriers import DisjointSumPresentation
 from posetkernel.catalog import (closed_sets, disjoint_sum, finite_named,
@@ -1271,7 +1271,7 @@ def reference_inf_sampled(P, scope=None):
     return report
 
 
-class SupPlusNatural(carriers.ClosedSetsPresentation):
+class SupPlusNatural(closedsets.ClosedSetsPresentation):
     """Closed sets whose reported supremum adds a natural: an upper bound,
     but not the least one."""
 
@@ -1279,7 +1279,7 @@ class SupPlusNatural(carriers.ClosedSetsPresentation):
         return closedset_join(super().finite_sup(xs), closed_set({30}))
 
 
-class KernelDropsALowerBound(carriers.ClosedSetsPresentation):
+class KernelDropsALowerBound(closedsets.ClosedSetsPresentation):
     """Closed sets whose kernel sends {0, 1} to {1}, dropping the retract
     lower bound {0} of the instance ({0, 1, 2}, {0, 1, 3}) checked first."""
 
@@ -1594,13 +1594,13 @@ class TestScopePool:
     def test_check_all_draws_each_pool_once(self, monkeypatch, capsys):
         fresh = random.Random(DEFAULT_SEED).getstate()
         draws = Counter()
-        draw = carriers.ClosedSetsPresentation.sample_elements
+        draw = closedsets.ClosedSetsPresentation.sample_elements
 
         def spy(P, rng, count):
             draws[rng.getstate() == fresh, count] += 1
             return draw(P, rng, count)
 
-        monkeypatch.setattr(carriers.ClosedSetsPresentation,
+        monkeypatch.setattr(closedsets.ClosedSetsPresentation,
                             "sample_elements", spy)
         assert cli.main(["check", "closed_sets", "--law", "all"]) == 1
         capsys.readouterr()
@@ -1780,7 +1780,7 @@ class TestLayering:
     reach the closed-set lattice and the combinators only through
     presentation hooks, so a lift or a sum inherits every targeted check."""
 
-    CARRIERS = {name for module in (catalog, carriers)
+    CARRIERS = {name for module in (catalog, carriers, closedsets)
                 for name, obj in vars(module).items()
                 if isinstance(obj, type) and obj.__module__ == module.__name__
                 and issubclass(obj, PosetPresentation)}
@@ -1916,12 +1916,13 @@ class TestLayering:
 
     def test_the_finite_order_and_the_cap_have_one_home(self):
         """kernel.py reads a carrier's order as ``P.poset``.  Every
-        SizeLimit that catalog.py and carriers.py raise comes from
-        ``_check_size``, the one cap on what a presentation lists.  In the
-        package only ``core._subset_planes`` reads FINITE_CAP, the cap of
-        the oracle's subset scans; a docstring may name it."""
+        SizeLimit that catalog.py, carriers.py and closedsets.py raise
+        comes from ``_check_size``, the one cap on what a presentation
+        lists.  In the package only ``core._subset_planes`` reads
+        FINITE_CAP, the cap of the oracle's subset scans; a docstring may
+        name it."""
         assert "induced_finite_poset" not in self.names(self.tree(kernel))
-        raisers = {where for module in (catalog, carriers)
+        raisers = {where for module in (catalog, carriers, closedsets)
                    for where, node in self.owners(
                        self.tree(module), module.__name__.split(".")[-1])
                    if isinstance(node, ast.Raise)

@@ -38,6 +38,8 @@ def run_python(script, *argv, cwd=None):
 
 FINITE_DOC = {"kind": "finite", "elements": ["a", "b", "c"],
               "covers": [["a", "b"], ["a", "c"]]}
+SUM_DOC = {"kind": "disjoint_sum", "left": FINITE_DOC,
+           "right": {"kind": "lift", "inner": FINITE_DOC}}
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -45,13 +47,21 @@ FINITE_DOC = {"kind": "finite", "elements": ["a", "b", "c"],
     (["check", "finite.json", "--law", "all"], ["json"]),
     (["analyze", "diamond", "retract"], ["posetkernel.commands"]),
     (["export-dot", "finite.json"], ["json", "posetkernel.commands"]),
-    (["check", "omega_plus_one", "--law", "cc"], SYMBOLIC),
-    (["check", "closed_sets", "--law", "cc"], SYMBOLIC),
+    (["check", "sum.json", "--law", "all"], ["json", "posetkernel.carriers"]),
+    (["check", "omega_plus_one", "--law", "cc"],
+     ["posetkernel.carriers", "posetkernel.sampled_laws"]),
+    (["check", "closed_sets", "--law", "cc"],
+     ["posetkernel.closedsets", "posetkernel.sampled_laws"]),
 ], ids=["check-chain_2", "check-finite", "analyze-diamond",
-        "export-dot-finite", "check-omega_plus_one", "check-closed_sets"])
+        "export-dot-finite", "check-finite-sum", "check-omega_plus_one",
+        "check-closed_sets"])
 def test_only_a_symbolic_answer_loads_the_carriers(argv, loaded, tmp_path):
+    """A lift or sum of finite parts loads ``carriers`` but not the
+    closed-set algebra, ω+1 loads no closed-set code either, and the closed
+    sets load ``closedsets`` alone, which holds their presentation."""
     (tmp_path / "finite.json").write_text(json.dumps(FINITE_DOC),
                                           encoding="utf-8")
+    (tmp_path / "sum.json").write_text(json.dumps(SUM_DOC), encoding="utf-8")
     out = run_python(LOADED, *argv, cwd=tmp_path).splitlines()[-1]
     assert out == f"0 {loaded}"
 
