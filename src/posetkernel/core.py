@@ -284,9 +284,11 @@ class FinitePoset:
             # the subsets holding i and some j > i with no common upper
             # bound.  A j comparable with i is skipped: the common up-set
             # then holds i or j, so the term misses every subset with both.
+            # An empty common up-set is missed by every subset holding j.
             row = 0
             for j in _bits(full & ~(up[i] | down[i]) & -(2 << i)):
-                row |= S[j] & none_of(up[i] & up[j])
+                common = up[i] & up[j]
+                row |= S[j] & none_of(common) if common else S[j]
             unbounded |= S[i] & row
         D = ((1 << (1 << n)) - 1) & ~unbounded
         T = tuple(S[t] & none_of(full & ~down[t]) for t in range(n))

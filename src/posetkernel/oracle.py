@@ -16,12 +16,15 @@ O(n^2) full-width ANDs and ORs, with the plane of each distinct common
 up-set built once, by n doubling shifts; a pair of comparable elements is
 skipped, as their common up-set holds one of them.  One table per poset,
 ``avoid[x]``, holds the maxima t of the directed subsets that miss the
-up-set of x; it costs another n^2 operations, fewer by the t above x, whose
-subsets all hold t.  Then ``x << y`` fails exactly when such a t
-lies above y, one AND of n-bit masks per query.  The approximants of each
-x are read off that table once per poset, into ``approximants[x]``, which
-kernels, continuity and the subposet scan share.  Every plane is built
-from ``core._subset_planes``, which raises SizeLimit above
+up-set of x.  Such a subset lies in the down-set of its maximum t, which
+misses the up-set of x exactly when t is not above x, so each row is the
+maxima of the directed subsets less an up-set.  A t is one when the family
+holds the singleton {t}, one slot of two planes; only a t without that
+witness costs a full-width AND.  Then ``x << y`` fails exactly when such a
+t lies above y, one AND of n-bit masks per query.  The approximants of
+each x are read off that table once per poset, into ``approximants[x]``,
+which kernels, continuity and the subposet scan share.  Every plane is
+built from ``core._subset_planes``, which raises SizeLimit above
 ``core.FINITE_CAP`` elements.  That cap is the oracle's alone: a document
 may list up to ``catalog.MAX_ELEMENTS`` elements, which the laws decide
 without subset scans.
@@ -42,34 +45,30 @@ from .errors import NotApproximable, PosetError, ScopeUnsupported
 from .reports import BANK, CheckReport, EXHAUSTIVE, refuted, unrefuted, verified
 
 
-def _refuting_planes(fp: FinitePoset):
-    """Row by row, ``[planes[x][t] for t]``: the directed subsets with
-    maximum t that contain no element above x, as subset planes."""
-    D, T = fp.directed_planes
-    tops = [D & plane for plane in T]
-    for x in range(fp.n):
-        above = fp.up[x]
-        missing = _none_of(fp.n, above)
-        # a subset with maximum t holds t, so none misses an up-set holding t
-        yield [0 if above >> t & 1 else top & missing
-               for t, top in enumerate(tops)]
+def _singletons(D, T):
+    """The mask of the t with {t} in ``D`` and ``T[t]``: one-slot ANDs."""
+    return _mask(t for t, top in enumerate(T)
+                 if D & 1 << (1 << t) and top & 1 << (1 << t))
 
 
 def _avoid(fp: FinitePoset):
     """``avoid[x]``: the mask of the maxima of the directed subsets that
-    contain no element above x.  Built once per poset."""
+    contain no element above x, which are those maxima not above x.  Built
+    once per poset."""
     table = fp.__dict__.get("_avoid")
     if table is None:
-        table = fp._avoid = tuple(_mask(t for t, plane in enumerate(row)
-                                        if plane)
-                                  for row in _refuting_planes(fp))
+        D, T = fp.directed_planes
+        alone = _singletons(D, T)
+        tops = alone | _mask(t for t in _bits(((1 << fp.n) - 1) & ~alone)
+                             if D & T[t])
+        table = fp._avoid = tuple(tops & ~up for up in fp.up)
     return table
 
 
 def waybelow_bruteforce(fp: FinitePoset, x: int, y: int) -> bool:
     """x << y by quantification over all directed subsets: none whose
     maximum dominates y misses the up-set of x."""
-    return _avoid(fp)[x] & fp.up[y] == 0
+    return (fp.__dict__.get("_avoid") or _avoid(fp))[x] & fp.up[y] == 0
 
 
 def _approximants(fp: FinitePoset):
@@ -77,8 +76,10 @@ def _approximants(fp: FinitePoset):
     ``avoid``.  Built once per poset."""
     table = fp.__dict__.get("_approximants")
     if table is None:
-        avoid = _avoid(fp)
-        table = fp._approximants = tuple(
+        avoid, full = _avoid(fp), (1 << fp.n) - 1
+        # with every avoid[v] = ~up[v], v << x iff up[x] <= up[v] iff v <= x
+        honest = all(row == full & ~up for row, up in zip(avoid, fp.up))
+        table = fp._approximants = fp.down if honest else tuple(
             _mask(v for v in range(fp.n) if avoid[v] & up == 0)
             for up in fp.up)
     return table
@@ -129,32 +130,43 @@ def continuous_subposets_bruteforce(fp: FinitePoset) -> list:
     inside R, so x << y fails inside R exactly when one of them with a
     maximum above y misses the up-set of x; and way-below inside R being
     the inherited one, the approximants of x inside R are its approximants
-    that lie in R."""
+    that lie in R.  A refuting subset with maximum t holds t, so when {t}
+    refutes, the R holding one are those holding t; only the t without that
+    witness build a refuting plane, ``D & T[t]`` for t not above x, and
+    take its upward closure."""
     n = fp.n
-    refuting = list(_refuting_planes(fp))
+    D, T = fp.directed_planes
     S = _subset_planes(n)
+    alone = _singletons(D, T)
     avoid = _avoid(fp)
     approximants = _approximants(fp)
     none_of = cache(lambda mask: _none_of(n, mask))
     failing = 0
     for x in range(n):
+        outside = ((1 << n) - 1) & ~fp.up[x]
         # not (x << y): R holding x and y needs a refuting directed subset
-        # inside it with a maximum above y
+        # inside it with a maximum above y; {y} is one wherever it refutes
         for y in range(n):
-            if avoid[x] & fp.up[y]:
-                refuters = 0
-                for t in _bits(fp.up[y]):
-                    refuters |= refuting[x][t]
-                failing |= S[x] & S[y] & ~_supersets(n, refuters)
+            witnessed = fp.up[y] & alone & outside
+            if avoid[x] & fp.up[y] and not witnessed >> y & 1:
+                term = S[x] & S[y] & none_of(witnessed)
+                refuting = 0
+                for t in _bits(fp.up[y] & outside & ~alone):
+                    refuting |= T[t]
+                if refuting:
+                    term &= ~_supersets(n, D & refuting)
+                failing |= term
         # x is the least upper bound in R of its approximants in R: it has
-        # one, each lies below x, and each u in R not above x misses one
+        # one, each lies below x, and each u in R not above x misses one;
+        # the first and the last hold in every R when x is one of them
         approx = approximants[x]
-        failing |= S[x] & none_of(approx)
         for v in _bits(approx & ~fp.down[x]):
             failing |= S[x] & S[v]
-        for u in _bits(((1 << n) - 1) & ~fp.up[x]):
-            failing |= S[x] & S[u] & none_of(approx & ~fp.down[u])
-    return _plane_members(_none_of(n, 0) & ~failing)
+        if not approx >> x & 1:
+            failing |= S[x] & none_of(approx)
+            for u in _bits(outside):
+                failing |= S[x] & S[u] & none_of(approx & ~fp.down[u])
+    return _plane_members(((1 << (1 << n)) - 1) & ~failing)
 
 
 def largest_continuous_subposet_bruteforce(fp: FinitePoset) -> frozenset:

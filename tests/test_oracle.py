@@ -20,7 +20,9 @@ from posetkernel.errors import (NotApproximable, PosetError, ScopeUnsupported,
                                SizeLimit)
 from posetkernel.families import ExplicitFamily
 from posetkernel.kernel import kernel_of, retract_member
-from posetkernel.oracle import (bank_refute_waybelow, continuity_bruteforce,
+from posetkernel import oracle
+from posetkernel.oracle import (_avoid, _singletons, bank_refute_waybelow,
+                                continuity_bruteforce,
                                 continuous_subposets_bruteforce,
                                 kernel_bruteforce,
                                 largest_continuous_subposet_bruteforce,
@@ -410,6 +412,24 @@ def assert_oracle_matches_reference(fp, directed):
             reference_subposets(fp, refs)
 
 
+def singleton_slots(n):
+    """The plane of the singletons {0}, ..., {n-1}."""
+    return sum(1 << (1 << t) for t in range(n))
+
+
+def thin(fp, keep):
+    """Feed the oracle the directed family of ``fp`` cut down to the
+    subsets in the plane ``keep``."""
+    D, T = FinitePoset(fp.names, fp.up).directed_planes
+    fp.__dict__["directed_planes"] = (D & keep, T)
+
+
+def thinned_pairs(fp, keep):
+    """The (mask, maximum) pairs the references hold for ``thin(fp, keep)``."""
+    return [(mask, top) for mask, top in reference_directed(fp)
+            if keep >> mask & 1]
+
+
 class TestPairwiseReference:
     CASES = [(n, p, seed) for seed, n in enumerate((1, 2, 3, 4, 5, 6, 7, 8,
                                                     8, 9, 10, 11, 12, 12))
@@ -436,11 +456,108 @@ class TestPairwiseReference:
         rng = random.Random(1000 + seed)
         fp = shuffled_poset(rng, n, 0.4)
         keep = rng.getrandbits(1 << n)
-        D, T = FinitePoset(fp.names, fp.up).directed_planes
-        fp.__dict__["directed_planes"] = (D & keep, T)
-        directed = [(mask, top) for mask, top in reference_directed(fp)
-                    if keep >> mask & 1]
-        assert_oracle_matches_reference(fp, directed)
+        thin(fp, keep)
+        assert_oracle_matches_reference(fp, thinned_pairs(fp, keep))
+
+
+# ---------------------------------------------------------------------------
+# The oracle reads each ``avoid`` row from the singletons {t} first and from
+# the planes only for the t whose singleton the family lacks.  Both branches
+# against the pairwise reference: a family without any singleton runs only
+# the planes, the honest family only the singletons.
+
+
+class TestSingletonWitnesses:
+    @pytest.mark.parametrize("n,seed", [
+        (n, seed) for n in range(2, REFERENCE_SUBSETS_CAP + 1)
+        for seed in range(2)])
+    def test_without_singletons(self, n, seed):
+        fp = shuffled_poset(random.Random(4000 + seed), n, 0.4)
+        keep = ((1 << (1 << n)) - 1) & ~singleton_slots(n)
+        thin(fp, keep)
+        assert _singletons(*fp.directed_planes) == 0
+        assert_oracle_matches_reference(fp, thinned_pairs(fp, keep))
+
+    @pytest.mark.parametrize("n,seed", [
+        (n, seed) for n in range(2, REFERENCE_SUBSETS_CAP + 1)
+        for seed in range(2)])
+    def test_whole_family(self, n, seed):
+        fp = shuffled_poset(random.Random(4000 + seed), n, 0.4)
+        assert _singletons(*fp.directed_planes) == (1 << n) - 1
+        assert_oracle_matches_reference(fp, reference_directed(fp))
+
+
+def reference_avoid(fp):
+    """Each ``avoid`` row as the plane form builds it: t is in row x when
+    some directed subset with maximum t misses the up-set of x."""
+    D, T = fp.directed_planes
+    rows = []
+    for x in range(fp.n):
+        missing = D & reference_none_of(fp.n, fp.up[x])
+        rows.append(sum(1 << t for t in range(fp.n) if missing & T[t]))
+    return tuple(rows)
+
+
+class TestAvoidAgainstPlaneRows:
+    @pytest.mark.parametrize("n", range(1, FINITE_CAP + 1))
+    def test_random_poset(self, n):
+        rng = random.Random(5000 + n)
+        fp = shuffled_poset(rng, n, 0.3)
+        assert _avoid(fp) == reference_avoid(fp)
+        full = (1 << (1 << n)) - 1
+        for keep in (rng.getrandbits(1 << n), full & ~singleton_slots(n),
+                     rng.getrandbits(1 << n) | singleton_slots(n)):
+            thinned = FinitePoset(fp.names, fp.up)
+            thin(thinned, keep)
+            assert _avoid(thinned) == reference_avoid(thinned)
+
+    @pytest.mark.parametrize("name", ("chain_16", "antichain_16"))
+    def test_extremes(self, name):
+        fp = make_catalog(finite_named(name)).poset
+        assert _avoid(fp) == reference_avoid(fp)
+
+
+class OneSlotPlane(int):
+    """A subset plane that takes part only in ANDs with a single slot."""
+
+    def __and__(self, other):
+        if other.bit_count() > 1:
+            raise AssertionError("a full-width AND of the directed planes ran")
+        return int(self) & other
+
+    __rand__ = __and__
+
+
+class TestNoPlanePathOnHonestPosets:
+    """On an honest poset every singleton is in the family, so the oracle
+    answers without a ``none_of`` plane, an upward closure, or an AND of
+    the directed planes wider than one slot."""
+
+    @staticmethod
+    def posets():
+        names = NAMED_FINITE_ROSTER + ("chain_16", "antichain_16")
+        yield from (make_catalog(finite_named(name)).poset for name in names)
+        for seed, n in enumerate((6, 9, 10, 12, 14, FINITE_CAP)):
+            yield shuffled_poset(random.Random(6000 + seed), n, 0.3)
+
+    def test_planes_are_never_reached(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a full-width plane path ran")
+
+        monkeypatch.setattr(oracle, "_none_of", forbidden)
+        monkeypatch.setattr(oracle, "_supersets", forbidden)
+        for fp in self.posets():
+            D, T = fp.directed_planes
+            fp.__dict__["directed_planes"] = (
+                OneSlotPlane(D), tuple(map(OneSlotPlane, T)))
+            assert _avoid(fp) == tuple(((1 << fp.n) - 1) & ~up
+                                       for up in fp.up)
+            assert [kernel_bruteforce(fp, x) for x in range(fp.n)] == \
+                list(range(fp.n))
+            assert continuity_bruteforce(fp).status is Status.VERIFIED
+            if fp.n <= REFERENCE_SUBSETS_CAP:
+                assert continuous_subposets_bruteforce(fp) == \
+                    list(range(1 << fp.n))
 
 
 # ---------------------------------------------------------------------------
