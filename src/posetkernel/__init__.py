@@ -14,12 +14,12 @@ and are then kept in this module.  The symbolic halves of the laws
 (``sampled_laws``) load when a check picks a sampled scope.
 """
 
-from .core import (BOTTOM, NO_INFIMUM, NO_SUPREMUM, OMEGA, FinitePoset,
-                   FinitePosetPresentation, Inner, Left, PosetPresentation,
-                   Right, build_finite_poset, check_conditionally_complete,
-                   check_continuity, check_interpolation, check_subposet,
-                   greatest_lower_bound, is_directed, is_element,
-                   least_upper_bound, leq, waybelow)
+from .core import (BOTTOM, NO_INFIMUM, NO_LOWER_BOUND, NO_SUPREMUM, OMEGA,
+                   FinitePoset, FinitePosetPresentation, Inner, Left,
+                   PosetPresentation, Right, build_finite_poset,
+                   check_conditionally_complete, check_continuity,
+                   check_interpolation, check_subposet, greatest_lower_bound,
+                   is_directed, is_element, least_upper_bound, leq, waybelow)
 from .catalog import (CatalogSpec, closed_sets, disjoint_sum,
                       finite_explicit, finite_named, finite_random, lift,
                       make_catalog, named_finite_poset, omega_plus_one,
@@ -50,9 +50,10 @@ _LAZY = {
 }
 
 __all__ = [
-    "BOTTOM", "NO_INFIMUM", "NO_SUPREMUM", "OMEGA", "FinitePoset",
-    "FinitePosetPresentation", "Inner", "Left", "PosetPresentation", "Right",
-    "build_finite_poset", "check_conditionally_complete", "check_continuity",
+    "BOTTOM", "NO_INFIMUM", "NO_LOWER_BOUND", "NO_SUPREMUM", "OMEGA",
+    "FinitePoset", "FinitePosetPresentation", "Inner", "Left",
+    "PosetPresentation", "Right", "build_finite_poset",
+    "check_conditionally_complete", "check_continuity",
     "check_interpolation", "check_subposet", "greatest_lower_bound",
     "is_directed", "is_element", "least_upper_bound", "leq", "waybelow",
     "CatalogSpec", "closed_sets", "disjoint_sum", "finite_explicit",

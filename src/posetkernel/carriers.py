@@ -33,27 +33,27 @@ Disjoint sum
     bound), so order, suprema and way-below are all componentwise and cross
     pairs never relate.
 
-Carrier hooks: a carrier may name its non-continuity witness, a compact
-element below each element, infimum instances and retract rules
-(``continuity_counterexample``, ``compact_below``, ``inf_instances``,
-``retract_rules``), as the closed sets do.  The same holds for
-``truncation``, the finite restriction ``export-dot --truncate`` draws:
-ω+1 and the closed sets cut their carriers.  Lift and sum forward every
-such hook through one base, ``_Combinator``, which holds their components
-as ``(tag, component, wrap)`` parts: the targeted checks reach every
-combinator of the lattice, and the cuts and the element lists of the
-components are assembled there.  It writes their order once, by the two
-rules above, and wraps the ``kernel_value`` of a component.
-``order_codes`` gives each element of a list an int code whose bit
-inclusion is the order: the combinators by a bit per part above their
-components' codes.  Every list of elements a presentation holds is within
-the catalog's one cap, ``MAX_ELEMENTS``.
+Carrier hooks: every carrier names its non-continuity witness, or None
+when it is certified continuous (``continuity_counterexample``); a carrier
+may name a compact element below each element, infimum instances and
+retract rules (``compact_below``, ``inf_instances``, ``retract_rules``), as
+the closed sets do.  The same holds for ``truncation``, the finite
+restriction ``export-dot --truncate`` draws: ω+1 and the closed sets cut
+their carriers.  Lift and sum forward every such hook through one base,
+``_Combinator``, which holds their components as ``(tag, component,
+wrap)`` parts: the targeted checks reach every combinator of the lattice,
+and the cuts and the element lists of the components are assembled
+there.  It writes their order once, by the two rules above, and wraps the
+``kernel_value`` of a component.  ``order_codes`` gives each element of a
+list an int code whose bit inclusion is the order: the combinators by a
+bit per part above their components' codes.  Every list of elements a
+presentation holds is within the catalog's one cap, ``MAX_ELEMENTS``.
 """
 
 from __future__ import annotations
 
 from .catalog import _check_size
-from .core import (BOTTOM, NO_INFIMUM, NO_SUPREMUM, OMEGA, Inner, Left,
+from .core import (BOTTOM, NO_LOWER_BOUND, NO_SUPREMUM, OMEGA, Inner, Left,
                    PosetPresentation, Right, is_element)
 from .errors import ValidationError
 from .families import ChainFamily, ExplicitFamily, map_family
@@ -68,7 +68,6 @@ class OmegaPlusOnePresentation(PosetPresentation):
     name = "omega_plus_one"
     certified_conditionally_complete = True
     certified_interpolating = True
-    certified_continuous = True
 
     def contains(self, x) -> bool:
         return x is OMEGA or (type(x) is int and x >= 0)
@@ -88,9 +87,6 @@ class OmegaPlusOnePresentation(PosetPresentation):
     def finite_inf(self, xs):
         nats = [x for x in xs if x is not OMEGA]
         return min(nats) if nats else OMEGA
-
-    def lower_bound_exists(self, xs):
-        return True
 
     def waybelow(self, x, y) -> bool:
         if x is OMEGA:
@@ -132,6 +128,9 @@ class OmegaPlusOnePresentation(PosetPresentation):
         _check_size(n + 2, f"the {self.kind} truncation at {n}")
         return list(range(n + 1)) + [OMEGA]
 
+    def continuity_counterexample(self):
+        return None  # every element is the supremum of its approximants
+
     def compact_below(self, x):
         # every natural is way-below itself; omega is not, but 0 is below it
         return 0 if x is OMEGA else x
@@ -169,8 +168,11 @@ class _Combinator(PosetPresentation):
     ``points`` the combinator's own elements, each printed and parsed as
     its name.  Every hook is written here once, the order by one rule: an
     own point (the lift's ⊥) is the least element, and two elements relate
-    only in one part, as the component relates their values.  The
-    subclasses keep only their banks and their sampling."""
+    only in one part, as the component relates their values.  A tuple
+    across parts has no lower bound; a tuple within one part whose
+    component answers ``NO_LOWER_BOUND`` has the least own point as its
+    infimum, when there is one.  The subclasses keep only their banks and
+    their sampling."""
 
     points = ()
     literal_error: str
@@ -181,7 +183,7 @@ class _Combinator(PosetPresentation):
         comps = [comp for _, comp, _ in parts]
         self.name = f"{self.kind}({', '.join(c.name for c in comps)})"
         for flag in ("is_finite_kind", "certified_conditionally_complete",
-                     "certified_interpolating", "certified_continuous"):
+                     "certified_interpolating"):
             setattr(self, flag, all(getattr(c, flag) for c in comps))
         # The own points and every element of the finite parts, nested
         # ones included: the cap holds before any law runs.
@@ -260,21 +262,15 @@ class _Combinator(PosetPresentation):
                 return x
         side = self._same_side(xs)
         if side is None:
-            return NO_INFIMUM
+            return NO_LOWER_BOUND
         comp, vals, wrap = side
         g = comp.finite_inf(vals)
         if is_element(g):
             return wrap(g)
         # No lower bound at all in the component leaves only the own points.
-        if self.points and not comp.lower_bound_exists(vals):
+        if self.points and g is NO_LOWER_BOUND:
             return self.points[0]
         return g
-
-    def lower_bound_exists(self, xs):
-        if self.points:
-            return True
-        side = self._same_side(xs)
-        return side is not None and side[0].lower_bound_exists(side[1])
 
     def order_codes(self, xs):
         """Part k's elements carry bit k, with their component's codes

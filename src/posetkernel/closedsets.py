@@ -100,7 +100,7 @@ import math
 from functools import cached_property, lru_cache, reduce
 
 from .catalog import MAX_ELEMENTS, _check_size
-from .core import NO_INFIMUM, PosetPresentation, _bits
+from .core import NO_LOWER_BOUND, PosetPresentation, _bits
 from .errors import ValidationError
 from .families import ChainFamily, ExplicitFamily
 
@@ -506,7 +506,6 @@ def format_closed_set(rep: ClosedSetRep) -> str:
 class ClosedSetsPresentation(PosetPresentation):
     certified_conditionally_complete = True
     certified_interpolating = True
-    certified_continuous = False
 
     def __init__(self, punctured=False):
         self.punctured = punctured
@@ -541,11 +540,8 @@ class ClosedSetsPresentation(PosetPresentation):
     def finite_inf(self, xs):
         acc = reduce(closedset_meet, xs)
         if self.punctured and is_empty(acc):
-            return NO_INFIMUM
+            return NO_LOWER_BOUND
         return acc
-
-    def lower_bound_exists(self, xs):
-        return self.finite_inf(xs) is not NO_INFIMUM
 
     def waybelow(self, x, y) -> bool:
         if self.punctured and is_empty(x):

@@ -46,10 +46,11 @@ class _Outcome(_Named):
 
 NO_SUPREMUM = _Outcome("NoSupremum")
 NO_INFIMUM = _Outcome("NoInfimum")
+NO_LOWER_BOUND = _Outcome("NoLowerBound")
 
 
 def is_element(value) -> bool:
-    """False for the NoSupremum / NoInfimum outcomes."""
+    """False for the NoSupremum / NoInfimum / NoLowerBound outcomes."""
     return not isinstance(value, _Outcome)
 
 
@@ -261,9 +262,6 @@ class FinitePoset:
         """Least upper bound of the elements in ``mask``, or None."""
         return _extremum(self.up, _common(self.up, mask))
 
-    def glb_of_mask(self, mask):
-        return _extremum(self.down, _common(self.down, mask))
-
     @cached_property
     def directed_planes(self):
         """``(D, T)`` as subset planes.  ``D`` holds the directed subsets:
@@ -368,8 +366,6 @@ class PosetPresentation:
     is_finite_kind = False
     certified_conditionally_complete = False
     certified_interpolating = False
-    # False exactly when continuity_counterexample() names a refuting point
-    certified_continuous: bool
 
     # -- carrier -------------------------------------------------------
 
@@ -416,9 +412,9 @@ class PosetPresentation:
         raise NotImplementedError
 
     def finite_inf(self, xs):
-        raise NotImplementedError
-
-    def lower_bound_exists(self, xs) -> bool:
+        """The infimum of the nonempty tuple ``xs``; ``NO_INFIMUM`` when
+        lower bounds exist but none is greatest; ``NO_LOWER_BOUND`` when
+        there is no lower bound at all."""
         raise NotImplementedError
 
     # -- way-below -----------------------------------------------------
@@ -479,8 +475,9 @@ class PosetPresentation:
         return []
 
     def continuity_counterexample(self):
-        """A certified witness that the poset is not continuous, if any."""
-        return None
+        """A certified point where the poset fails continuity, or None when
+        the poset is certified continuous.  Every carrier states one."""
+        raise NotImplementedError
 
     def compact_below(self, x):
         """An element below x and way-below itself, if the kind has one."""
@@ -519,7 +516,6 @@ class FinitePosetPresentation(PosetPresentation):
     kind = "finite"
     is_finite_kind = True
     certified_interpolating = True
-    certified_continuous = True
 
     def __init__(self, poset: FinitePoset, name="finite"):
         self.poset = poset
@@ -539,11 +535,12 @@ class FinitePosetPresentation(PosetPresentation):
         return NO_SUPREMUM if u is None else u
 
     def finite_inf(self, xs):
-        v = self.poset.glb_of_mask(_mask(xs))
+        down = self.poset.down
+        lower = _common(down, _mask(xs))
+        if not lower:
+            return NO_LOWER_BOUND
+        v = _extremum(down, lower)
         return NO_INFIMUM if v is None else v
-
-    def lower_bound_exists(self, xs):
-        return _common(self.poset.down, _mask(xs)) != 0
 
     waybelow = leq
 
@@ -566,6 +563,9 @@ class FinitePosetPresentation(PosetPresentation):
         return [rng.randrange(self.poset.n) for _ in range(count)]
 
     interesting_elements = elements
+
+    def continuity_counterexample(self):
+        return None  # a finite poset is continuous: way-below is its order
 
     def compact_below(self, x):
         return x

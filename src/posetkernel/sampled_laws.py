@@ -110,15 +110,13 @@ def _interp_sampled(P, scope):
 def _cont_sampled(P, scope):
     law = "continuous"
     ce = P.continuity_counterexample()
-    if not P.certified_continuous:  # refuted at ce, whatever the count
-        why = ce is not None and _continuity_failure(P, ce)
+    if ce is not None:  # refuted at ce, whatever the count
+        why = _continuity_failure(P, ce)
         if not why:
             raise PosetError(f"{P.name} names no refuting counterexample; "
                              "the catalog entry is corrupt")
         return refuted(law, ce, why, scope, samples=1)
-    pool = [] if ce is None else [ce]
-    pool.extend(scope_pool(P, scope)[0])
-    pool = list(dict.fromkeys(pool))[:scope.count]
+    pool = scope_pool(P, scope)[0][:scope.count]
     for i, x in enumerate(pool, 1):
         why = _continuity_failure(P, x)
         if why:

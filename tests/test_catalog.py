@@ -5,14 +5,16 @@ import json
 import random
 import tracemalloc
 from functools import partial
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from posetkernel import (BOTTOM, NO_INFIMUM, NO_SUPREMUM, OMEGA, Inner, Left,
-                         PosetPresentation, Right, cli, closed_set,
-                         closedsets, least_upper_bound, make_catalog)
+from posetkernel import (BOTTOM, NO_INFIMUM, NO_LOWER_BOUND, NO_SUPREMUM,
+                         OMEGA, Inner, Left, PosetPresentation, Right, cli,
+                         closed_set, closedsets, least_upper_bound,
+                         make_catalog)
 from posetkernel.carriers import (DisjointSumPresentation,
                                   LiftPresentation, OmegaPlusOnePresentation,
                                   _Combinator)
@@ -34,7 +36,7 @@ from posetkernel.kernel import (LAWS, check_approximation_laws,
 from posetkernel.oracle import bank_refute_waybelow
 from posetkernel.reports import Status
 
-from conftest import closed_reps, corrupt_omega
+from conftest import closed_reps, corrupt_omega, random_presentation
 
 ROOT = Path(__file__).resolve().parents[1]
 BOWTIE = finite_explicit(["a", "b", "c", "d"],
@@ -392,8 +394,7 @@ class TestOneForwardingPath:
                 "retract_rules", "format_element", "parse_element",
                 "_kernel_value", "_wrap_family",
                 "order_codes", "leq", "waybelow", "finite_sup", "finite_inf",
-                "lower_bound_exists", "waybelow_family",
-                "_same_side"} <= set(self.FORWARDED)
+                "waybelow_family", "_same_side"} <= set(self.FORWARDED)
 
     @pytest.mark.parametrize("cls", [LiftPresentation,
                                      DisjointSumPresentation],
@@ -402,24 +403,25 @@ class TestOneForwardingPath:
         assert set(vars(cls)).isdisjoint(self.FORWARDED)
 
     def test_flags_combine_over_the_parts(self):
-        # continuous exactly when every part is
+        # continuous exactly when every part is; else a part's witness
         omega = make_catalog(omega_plus_one())
         closed = make_catalog(closed_sets())
-        assert DisjointSumPresentation(omega, omega).certified_continuous \
-            is True
-        assert DisjointSumPresentation(omega, closed).certified_continuous \
-            is False
-        assert DisjointSumPresentation(closed, omega).certified_continuous \
-            is False
-        assert LiftPresentation(omega).certified_continuous is True
-        assert LiftPresentation(closed).certified_continuous is False
+        assert DisjointSumPresentation(
+            omega, omega).continuity_counterexample() is None
+        assert DisjointSumPresentation(
+            omega, closed).continuity_counterexample() == Right(INF_POINT)
+        assert DisjointSumPresentation(
+            closed, omega).continuity_counterexample() == Left(INF_POINT)
+        assert LiftPresentation(omega).continuity_counterexample() is None
+        assert LiftPresentation(
+            closed).continuity_counterexample() == Inner(INF_POINT)
         assert LiftPresentation(closed).name == "lift(closed_sets)"
 
 
 class TestCarrierInvariants:
     """What the checks take for granted of every carrier, so that each of
     them decides: an approximable element among the interesting ones, and a
-    refuting counterexample exactly on the kinds certified non-continuous."""
+    stated continuity counterexample that refutes continuity where named."""
 
     CARRIERS = standard_roster() + [make_catalog(spec) for spec in NESTED]
 
@@ -428,9 +430,8 @@ class TestCarrierInvariants:
         assert any(is_approximable(P, x) for x in P.interesting_elements())
 
     @pytest.mark.parametrize("P", CARRIERS, ids=lambda P: P.name)
-    def test_a_counterexample_exactly_when_not_certified_continuous(self, P):
+    def test_a_named_counterexample_refutes_continuity(self, P):
         ce = P.continuity_counterexample()
-        assert P.certified_continuous is (ce is None)
         if ce is not None:
             assert _continuity_failure(P, ce)
 
@@ -703,24 +704,13 @@ def reference_finite_inf(P, xs):
         g = _reference(P.inner, "finite_inf")(vals)
         if is_element(g):
             return Inner(g)
-        return (NO_INFIMUM if _reference(P.inner, "lower_bound_exists")(vals)
-                else BOTTOM)
+        return BOTTOM if g is NO_LOWER_BOUND else g
     side = _reference_same_side(P, xs)
     if side is None:
-        return NO_INFIMUM
+        return NO_LOWER_BOUND
     comp, vals, wrap = side
     g = _reference(comp, "finite_inf")(vals)
     return wrap(g) if is_element(g) else g
-
-
-def reference_lower_bound_exists(P, xs):
-    if isinstance(P, LiftPresentation):
-        return True
-    side = _reference_same_side(P, xs)
-    if side is None:
-        return False
-    comp, vals, _ = side
-    return _reference(comp, "lower_bound_exists")(vals)
 
 
 def reference_waybelow_family(P, x):
@@ -739,7 +729,6 @@ def reference_waybelow_family(P, x):
 REFERENCE_HOOKS = {
     "leq": reference_leq, "waybelow": reference_waybelow,
     "finite_sup": reference_finite_sup, "finite_inf": reference_finite_inf,
-    "lower_bound_exists": reference_lower_bound_exists,
     "waybelow_family": reference_waybelow_family,
 }
 
@@ -781,8 +770,6 @@ class TestCombinatorOrderReference:
                 assert P.waybelow(*t) is reference_waybelow(P, *t)
             assert P.finite_sup(t) == reference_finite_sup(P, t)
             assert P.finite_inf(t) == reference_finite_inf(P, t)
-            assert (P.lower_bound_exists(t)
-                    is reference_lower_bound_exists(P, t))
 
     def test_the_pools_reach_every_case_of_the_rule(self):
         """Bottom, cross-part pairs, a punctured component with an element
@@ -807,5 +794,47 @@ class TestCombinatorOrderReference:
         assert Left(INF_POINT) in ys and Right(EMPTY) in ys
         assert reference_waybelow_family(summed, Left(INF_POINT)) is None
         assert not reference_leq(summed, Right(EMPTY), Left(INF_POINT))
-        assert not reference_lower_bound_exists(
-            summed, (Left(closed_set({0})), Left(closed_set({1}))))
+        assert reference_finite_inf(
+            summed, (Left(closed_set({0})), Left(closed_set({1})))) \
+            is NO_LOWER_BOUND
+
+
+def brute_force_inf(P, xs):
+    """The infimum of ``xs`` by a scan of ``elements()`` with ``leq``."""
+    elems = P.elements()
+    lower = [z for z in elems if all(P.leq(z, x) for x in xs)]
+    if not lower:
+        return NO_LOWER_BOUND
+    greatest = [g for g in lower if all(P.leq(z, g) for z in lower)]
+    return greatest[0] if greatest else NO_INFIMUM
+
+
+class TestThreeInfimumOutcomes:
+    """``finite_inf`` answers the infimum, ``NO_INFIMUM`` (lower bounds but
+    no greatest one) or ``NO_LOWER_BOUND`` (none at all), as a scan of a
+    finite carrier's elements finds them, on every tuple of 1 to 3
+    elements."""
+
+    CARRIERS = ([make_catalog(spec) for spec in (
+        BOWTIE, finite_named("antichain_3"), finite_named("fence_4"),
+        finite_named("n5"), lift(F2), lift(lift(lift(F2))),
+        lift(disjoint_sum(finite_named("chain_2"), finite_named("chain_2"))),
+        disjoint_sum(BOWTIE, lift(BOWTIE)))]
+        + [random_presentation(seed) for seed in range(30)])
+
+    @pytest.mark.parametrize("P", CARRIERS,
+                             ids=lambda P: f"{P.name}-{len(P.elements())}")
+    def test_finite_inf_against_the_scan(self, P):
+        elems = P.elements()
+        for k in (1, 2, 3):
+            for xs in product(elems, repeat=k):
+                got, want = P.finite_inf(xs), brute_force_inf(P, xs)
+                same = got == want if is_element(want) else got is want
+                assert same, [P.format_element(x) for x in xs]
+
+    def test_the_bowtie_reaches_every_outcome(self):
+        P = make_catalog(BOWTIE)
+        a, b, c, d = (P.parse_element(v) for v in "abcd")
+        assert P.finite_inf((a, b)) is NO_LOWER_BOUND
+        assert P.finite_inf((c, d)) is NO_INFIMUM
+        assert P.finite_inf((c, a)) == a
