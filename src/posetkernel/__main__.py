@@ -1,0 +1,6 @@
+"""``python -m posetkernel``: the ``posetkernel`` console script."""
+
+from .cli import console_entry
+
+if __name__ == "__main__":
+    console_entry()

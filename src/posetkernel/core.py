@@ -12,8 +12,9 @@ checks report Unrefuted rather than Verified.
 from __future__ import annotations
 
 import random
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import compress
+from operator import or_
 
 from .errors import (CycleDetected, DuplicateLabel, EmptyFamily,
                      ForeignElement, PosetError, ScopeUnsupported, SizeLimit,
@@ -190,24 +191,11 @@ def _none_of(n, mask):
     return plane
 
 
-@cache
-def _byte_bits():
-    """For each byte value, the positions of its set bits."""
-    return tuple(tuple(b for b in range(8) if value >> b & 1)
-                 for value in range(256))
-
-
 def _plane_members(plane):
-    """The element masks of the subsets in a plane, ascending.  A plane with
-    at most one member in four slots is read a byte at a time, skipping the
-    zero bytes; a denser one slot by slot, which costs less per member."""
-    if plane.bit_count() * 4 > plane.bit_length():
-        flags = bin(plane)[:1:-1].encode().translate(_BIT_FLAGS)
-        return list(compress(range(len(flags)), flags))
-    data = plane.to_bytes((plane.bit_length() + 7) // 8, "little")
-    bits = _byte_bits()
-    return [k << 3 | b for k in compress(range(len(data)), data)
-            for b in bits[data[k]]]
+    """The element masks of the subsets in a plane, ascending, read slot by
+    slot off its binary digits."""
+    flags = bin(plane)[:1:-1].encode().translate(_BIT_FLAGS)
+    return list(compress(range(len(flags)), flags))
 
 
 class FinitePoset:
@@ -290,10 +278,7 @@ class FinitePoset:
             unbounded |= S[i] & row
         D = ((1 << (1 << n)) - 1) & ~unbounded
         T = tuple(S[t] & none_of(full & ~down[t]) for t in range(n))
-        topless = D
-        for plane in T:
-            topless &= ~plane
-        if topless:
+        if D & ~reduce(or_, T, 0):
             raise PosetError("a directed subset has no maximum; the order "
                              "is corrupt")
         return D, T
@@ -302,8 +287,24 @@ class FinitePoset:
     def directed_subset_masks(self):
         """The masks of all directed subsets, ascending: the members of the
         plane ``D`` of ``directed_planes``, which has checked that each of
-        them has a maximum.  No law and no family bank reads it."""
-        return _plane_members(self.directed_planes[0])
+        them has a maximum.  A ``D`` with at most one member in four slots
+        that is the union of the planes ``T[t]`` is listed from the maxima,
+        each t with every subset of the rest of its down-set, and sorted
+        once; any other is read off the plane.  No law and no family bank
+        reads it."""
+        D, T = self.directed_planes
+        if D.bit_count() * 4 > D.bit_length() or D != reduce(or_, T, 0):
+            return _plane_members(D)
+        masks = []
+        for t, below in enumerate(self.down):
+            subsets, rest = [1 << t], below & ~(1 << t)
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                subsets += [m | bit for m in subsets]
+            masks += subsets
+        masks.sort()
+        return masks
 
     def hasse_edges(self):
         """Cover pairs (i, j): the transitive reduction of the strict order."""
@@ -383,9 +384,10 @@ class PosetPresentation:
 
     def truncation(self, n) -> list:
         """The elements of a finite, order-embedded restriction of the
-        carrier at cut n.  The order transfers both ways; way-below only
-        from the carrier into the restriction, which lacks the unbounded
-        families that refute way-below pairs here."""
+        carrier at cut n; a finite carrier's cut is the whole carrier.  The
+        order transfers both ways; way-below only from the carrier into the
+        restriction, which lacks the unbounded families that refute
+        way-below pairs here."""
         raise ScopeUnsupported(f"no truncation for kind {self.kind!r}")
 
     @cached_property
@@ -529,6 +531,9 @@ class FinitePosetPresentation(PosetPresentation):
 
     def leq(self, x, y) -> bool:
         return self.poset.leq(x, y)
+
+    def truncation(self, n):
+        return self.elements()
 
     def finite_sup(self, xs):
         u = self.poset.lub_of_mask(_mask(xs))

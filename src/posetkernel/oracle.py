@@ -14,16 +14,21 @@ on all 2^n subsets.  The directed subsets come out of one term per pair of
 elements, the subsets that hold both and miss the pair's common up-set:
 O(n^2) full-width ANDs and ORs, with the plane of each distinct common
 up-set built once, by n doubling shifts; a pair of comparable elements is
-skipped, as their common up-set holds one of them.  One table per poset,
-``avoid[x]``, holds the maxima t of the directed subsets that miss the
-up-set of x.  Such a subset lies in the down-set of its maximum t, which
-misses the up-set of x exactly when t is not above x, so each row is the
-maxima of the directed subsets less an up-set.  A t is one when the family
-holds the singleton {t}, one slot of two planes; only a t without that
-witness costs a full-width AND.  Then ``x << y`` fails exactly when such a
-t lies above y, one AND of n-bit masks per query.  The approximants of
-each x are read off that table once per poset, into ``approximants[x]``,
-which kernels, continuity and the subposet scan share.  Every plane is
+skipped, as their common up-set holds one of them.  Once that plane is
+checked to be the union of the planes of the subsets with maximum t,
+``FinitePoset.directed_subset_masks`` lists a sparse one from the maxima,
+each t with every subset of the rest of its down-set; a dense or a thinned
+family is read off the plane.  One table per poset, ``avoid[x]``, holds the
+maxima t of the directed subsets that miss the up-set of x.  Such a subset
+lies in the down-set of its maximum t, which misses the up-set of x
+exactly when t is not above x, so each row is the maxima of the directed
+subsets less an up-set.  A t is one when the family holds the singleton
+{t}, one slot of two planes; only a t without that witness costs a
+full-width AND.  Then ``x << y`` fails exactly when such a t lies above y,
+one AND of n-bit masks per query.  The approximants of each x are read off
+that table once per poset, into ``approximants[x]``, which kernels,
+continuity and the subposet scan share, and their least upper bound once,
+into ``suprema[x]``, which kernels and continuity share.  Every plane is
 built from ``core._subset_planes``, which raises SizeLimit above
 ``core.FINITE_CAP`` elements.  That cap is the oracle's alone: a document
 may list up to ``catalog.MAX_ELEMENTS`` elements, which the laws decide
@@ -37,10 +42,11 @@ chains.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
+from operator import or_
 
-from .core import (FinitePoset, PosetPresentation, _bits, _mask, _none_of,
-                   _plane_members, _subset_planes, family_dominates)
+from .core import (NO_SUPREMUM, FinitePoset, PosetPresentation, _bits, _mask,
+                   _none_of, _plane_members, _subset_planes, family_dominates)
 from .errors import NotApproximable, PosetError, ScopeUnsupported
 from .reports import BANK, CheckReport, EXHAUSTIVE, refuted, unrefuted, verified
 
@@ -85,13 +91,32 @@ def _approximants(fp: FinitePoset):
     return table
 
 
+def _suprema(fp: FinitePoset):
+    """``suprema[x]``: the least upper bound of the approximants of x, None
+    when x has none, ``NO_SUPREMUM`` when they have no least upper bound.
+    Built once per poset.  Approximants that hold x and lie in its down-set
+    have x as their maximum, so an honest poset runs no bound search."""
+    table = fp.__dict__.get("_suprema")
+    if table is None:
+        def supremum(x, mask):
+            if mask >> x & 1 and not mask & ~fp.down[x]:
+                return x
+            if not mask:
+                return None
+            u = fp.lub_of_mask(mask)
+            return NO_SUPREMUM if u is None else u
+
+        table = fp._suprema = tuple(map(supremum, range(fp.n),
+                                        _approximants(fp)))
+    return table
+
+
 def kernel_bruteforce(fp: FinitePoset, x: int) -> int:
     """Least upper bound of the definitional approximants of x."""
-    mask = _approximants(fp)[x]
-    if not mask:
-        raise NotApproximable(f"{fp.names[x]!r} has no approximants")
-    u = fp.lub_of_mask(mask)
+    u = _suprema(fp)[x]
     if u is None:
+        raise NotApproximable(f"{fp.names[x]!r} has no approximants")
+    if u is NO_SUPREMUM:
         raise PosetError("approximant set of a finite element has no "
                          "least upper bound; the order is corrupt")
     return u
@@ -100,12 +125,11 @@ def kernel_bruteforce(fp: FinitePoset, x: int) -> int:
 def continuity_bruteforce(fp: FinitePoset) -> CheckReport:
     """Verified iff every element is the supremum of its approximants."""
     law = "continuous"
-    for x, mask in enumerate(_approximants(fp)):
-        if not mask:
+    for x, u in enumerate(_suprema(fp)):
+        if u is None:
             return refuted(law, fp.names[x], "no approximants", EXHAUSTIVE)
-        u = fp.lub_of_mask(mask)
         if u != x:
-            found = "none" if u is None else fp.names[u]
+            found = "none" if u is NO_SUPREMUM else fp.names[u]
             return refuted(law, fp.names[x],
                            f"sup of approximants = {found}", EXHAUSTIVE)
     return verified(law, EXHAUSTIVE)
@@ -176,9 +200,7 @@ def largest_continuous_subposet_bruteforce(fp: FinitePoset) -> frozenset:
     subsets passes itself; that union is numerically the largest mask, so
     it passes iff it is the last one enumerated."""
     passing = continuous_subposets_bruteforce(fp)
-    union = 0
-    for R in passing:
-        union |= R
+    union = reduce(or_, passing, 0)
     if passing[-1] != union:
         raise PosetError("expected a unique maximal continuous subposet; "
                          "the union of the passing subsets does not pass")

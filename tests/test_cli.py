@@ -558,18 +558,43 @@ class TestExportDot:
         assert code == 0
         assert out.count("[label=") == 2
 
-    def test_truncate_rejects_finite_kinds(self):
-        code, out, err = run_cli(["export-dot", "diamond", "--waybelow",
-                                  "--truncate", "2"])
-        assert code == 65
-        assert out == ""
-        assert err == "error: no truncation for kind 'finite'\n"
+    def test_truncate_draws_a_finite_kind_whole(self):
+        whole = run_cli(["export-dot", "diamond", "--waybelow"])
+        assert whole[0] == 0
+        assert run_cli(["export-dot", "diamond", "--waybelow",
+                        "--truncate", "2"]) == whole
+
+    def test_a_sum_with_a_finite_part_is_cut(self, tmp_path):
+        # the finite part whole, ω+1 at 2
+        path = tmp_path / "sum.json"
+        path.write_text(json.dumps({
+            "kind": "disjoint_sum",
+            "left": {"kind": "finite", "elements": ["0", "1"],
+                     "covers": [["0", "1"]]},
+            "right": {"kind": "omega_plus_one"}}))
+        assert run_cli(["export-dot", str(path), "--truncate", "2"]) == (
+            0,
+            "digraph poset {\n"
+            "  rankdir=BT;\n"
+            '  n0 [label="left:0"];\n'
+            '  n1 [label="left:1"];\n'
+            '  n2 [label="right:0"];\n'
+            '  n3 [label="right:1"];\n'
+            '  n4 [label="right:2"];\n'
+            '  n5 [label="right:omega"];\n'
+            "  n0 -> n1;\n"
+            "  n2 -> n3;\n"
+            "  n3 -> n4;\n"
+            "  n4 -> n5;\n"
+            "}\n",
+            "")
 
     @pytest.mark.parametrize("doc, code, nodes, err", [
         # bottom and the 8 closed sets over {0, 1}
         ('{"kind":"lift","inner":{"kind":"closed_sets"}}', 0, 9, ""),
-        ('{"kind":"lift","inner":{"kind":"finite","elements":["a"]}}', 65, 0,
-         "error: no truncation for kind 'finite'\n")],
+        # bottom and the whole finite inner carrier
+        ('{"kind":"lift","inner":{"kind":"finite","elements":["a"]}}', 0, 2,
+         "")],
         ids=["lift_closed_sets", "lift_finite"])
     def test_lift_forwards_its_truncation(self, tmp_path, doc, code, nodes,
                                           err):
@@ -1011,7 +1036,9 @@ class TestMainExits:
         table, never 70, and prints no traceback.  It runs in a fresh
         directory, as ``--out`` may write a file."""
         argv = [command, "diamond", *rest]
-        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as patch:
+            patch.chdir(tmp)
             code, out, err = run_cli(argv)
         assert code in (0, 1, 2, 64, 65), (argv, err)
         assert "Traceback" not in out + err
@@ -1029,22 +1056,36 @@ class TestConsoleEntry:
     """``console_entry`` is the process: the stdout bytes and exit code of
     in-process ``main``, and a frozen heap at exit."""
 
-    @pytest.mark.parametrize("argv, code", [
+    ARGV = pytest.mark.parametrize("argv, code", [
         (["check", "diamond", "--law", "all"], 0),
         (["check", "closed_sets", "--law", "continuity"], 1),
         (["frobnicate"], 64),
         (["check", "<directory>"], 65),
     ], ids=["diamond", "closed_sets", "frobnicate", "unreadable"])
-    def test_the_process_answers_as_main(self, tmp_path, argv, code):
+
+    @staticmethod
+    def run(tmp_path, python_argv, argv):
+        """The process for ``argv`` and the in-process ``main`` answer."""
         argv = [str(tmp_path) if word == "<directory>" else word
                 for word in argv]
         env = {**os.environ, "PYTHONPATH": str(SRC)}
-        proc = subprocess.run([sys.executable, "-c", ATEXIT_PROBE, *argv],
+        proc = subprocess.run([sys.executable, *python_argv, *argv],
                               env=env, capture_output=True, timeout=60)
-        expected = run_cli(argv)
+        return proc, run_cli(argv)
+
+    @ARGV
+    def test_the_process_answers_as_main(self, tmp_path, argv, code):
+        proc, expected = self.run(tmp_path, ["-c", ATEXIT_PROBE], argv)
         assert (proc.returncode, proc.stdout.decode()) == expected[:2]
         assert expected[0] == code
         assert proc.stderr.decode() == expected[2] + "frozen True\n"
+
+    @ARGV
+    def test_python_m_runs_the_console_script(self, tmp_path, argv, code):
+        proc, expected = self.run(tmp_path, ["-m", "posetkernel"], argv)
+        assert (proc.returncode, proc.stdout.decode(),
+                proc.stderr.decode()) == expected
+        assert expected[0] == code
 
     def test_main_leaves_gc_alone(self):
         """Only the process entry freezes the heap; ``main`` runs in-process

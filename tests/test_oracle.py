@@ -4,11 +4,10 @@ and the soundness boundaries of truncation and bank refutation."""
 import random
 import time
 import tracemalloc
-from itertools import compress
 
 import pytest
 
-from posetkernel import (BOTTOM, OMEGA, FinitePoset, Inner,
+from posetkernel import (BOTTOM, NO_SUPREMUM, OMEGA, FinitePoset, Inner,
                          build_finite_poset, closed_set, make_catalog)
 from posetkernel.catalog import (MAX_ELEMENTS, NAMED_FINITE_ROSTER,
                                  finite_named, lift, punctured_closed_sets)
@@ -20,8 +19,9 @@ from posetkernel.errors import (NotApproximable, PosetError, ScopeUnsupported,
                                SizeLimit)
 from posetkernel.families import ExplicitFamily
 from posetkernel.kernel import kernel_of, retract_member
-from posetkernel import oracle
-from posetkernel.oracle import (_avoid, _singletons, bank_refute_waybelow,
+from posetkernel import core, oracle
+from posetkernel.oracle import (_approximants, _avoid, _singletons, _suprema,
+                                bank_refute_waybelow,
                                 continuity_bruteforce,
                                 continuous_subposets_bruteforce,
                                 kernel_bruteforce,
@@ -245,11 +245,9 @@ class TestTruncation:
                 assert fp.leq(i, j) == lifted_punctured.leq(x, y)
         assert fp.leq(0, len(elems) - 1)
 
-    def test_unsupported_kind(self, diamond):
-        # a finite carrier has no cut; export-dot names its kind
-        with pytest.raises(ScopeUnsupported,
-                           match="^no truncation for kind 'finite'$"):
-            diamond.truncation(2)
+    def test_a_finite_carrier_is_its_own_cut(self, diamond):
+        for n in (0, 2, MAX_ELEMENTS + 1):
+            assert diamond.truncation(n) == diamond.elements()
 
 
 class TestAgreementSweep:
@@ -531,7 +529,8 @@ class OneSlotPlane(int):
 class TestNoPlanePathOnHonestPosets:
     """On an honest poset every singleton is in the family, so the oracle
     answers without a ``none_of`` plane, an upward closure, or an AND of
-    the directed planes wider than one slot."""
+    the directed planes wider than one slot; and a sparse family is listed
+    from its maxima, without reading the plane."""
 
     @staticmethod
     def posets():
@@ -546,10 +545,16 @@ class TestNoPlanePathOnHonestPosets:
 
         monkeypatch.setattr(oracle, "_none_of", forbidden)
         monkeypatch.setattr(oracle, "_supersets", forbidden)
+        monkeypatch.setattr(core, "_plane_members", forbidden)
+        listed = 0
         for fp in self.posets():
             D, T = fp.directed_planes
             fp.__dict__["directed_planes"] = (
                 OneSlotPlane(D), tuple(map(OneSlotPlane, T)))
+            if D.bit_count() * 4 <= D.bit_length():
+                assert fp.directed_subset_masks == \
+                    reference_plane_members(D)
+                listed += 1
             assert _avoid(fp) == tuple(((1 << fp.n) - 1) & ~up
                                        for up in fp.up)
             assert [kernel_bruteforce(fp, x) for x in range(fp.n)] == \
@@ -558,17 +563,15 @@ class TestNoPlanePathOnHonestPosets:
             if fp.n <= REFERENCE_SUBSETS_CAP:
                 assert continuous_subposets_bruteforce(fp) == \
                     list(range(1 << fp.n))
+        assert listed == 4  # antichain_16 and the shuffled 10, 12 and 14
 
 
 # ---------------------------------------------------------------------------
 # The subset-plane helpers against their earlier, plainer forms: the
 # complement of the union of the element planes for ``_none_of``, a
-# slot-by-slot read of the binary digits for ``_plane_members``, and every
+# digit-by-digit scan of the binary form for ``_plane_members``, and every
 # pair term built afresh for ``directed_planes``.  They reach n = 16, where
 # the pairwise reference above would be too slow.
-
-_REFERENCE_FLAGS = bytes.maketrans(b"01", bytes((0, 1)))
-
 
 def reference_none_of(n, mask):
     planes = _subset_planes(n)
@@ -579,8 +582,8 @@ def reference_none_of(n, mask):
 
 
 def reference_plane_members(plane):
-    flags = bin(plane)[:1:-1].encode().translate(_REFERENCE_FLAGS)
-    return list(compress(range(len(flags)), flags))
+    return [m for m, digit in enumerate(reversed(bin(plane)[2:]))
+            if digit == "1"]
 
 
 def reference_directed_planes(fp):
@@ -640,6 +643,16 @@ class TestPlaneHelpers:
         fp.__dict__["directed_planes"] = (D & keep, T)
         assert listed_pairs(fp) == reference_directed_masks(D & keep, T)
 
+    def test_a_directed_subset_without_a_maximum(self):
+        # a <= b <= c <= a without transitivity: {a, b, c} is directed, and
+        # no member's down-set holds it
+        fp = FinitePoset.__new__(FinitePoset)
+        fp.n, fp.names = 3, ("a", "b", "c")
+        fp.up, fp.down = (0b011, 0b110, 0b101), (0b101, 0b011, 0b110)
+        with pytest.raises(PosetError, match="a directed subset has no "
+                                             "maximum"):
+            fp.directed_planes
+
     def test_cap_before_any_plane(self):
         # a 17-element plane is 2^17 bits, 16 KiB: the calls must raise
         # having allocated less than that
@@ -659,11 +672,140 @@ class TestPlaneHelpers:
 
 
 # ---------------------------------------------------------------------------
-# The directed-subset listing reads the masks straight off ``D``, and the
-# finite bank is the generators of the directed subsets, read off the
-# down-sets.  Both against the per-maximum listing: the members of
-# ``D & T[t]`` for each t, zipped with t and sorted
-# (``reference_directed_masks``).
+# ``directed_subset_masks`` lists a sparse family that is the union of the
+# ``T[t]`` from the maxima, and reads a dense or a thinned family off the
+# plane.  Each branch against the per-maximum reference, with the plane
+# reads counted.
+
+
+class TestListingBranches:
+    @staticmethod
+    def plane_reads(monkeypatch, fp):
+        """Check the listing of ``fp``; return how often it read a plane."""
+        reads = []
+
+        def counted(plane):
+            reads.append(plane)
+            return _plane_members(plane)
+
+        monkeypatch.setattr(core, "_plane_members", counted)
+        assert listed_pairs(fp) == reference_directed_masks(
+            *fp.directed_planes)
+        return len(reads)
+
+    @staticmethod
+    def poset(case):
+        """A named poset, or a shuffled one for (n, p)."""
+        if isinstance(case, str):
+            return make_catalog(finite_named(case)).poset
+        n, p = case
+        return shuffled_poset(random.Random(n), n, p)
+
+    @staticmethod
+    def sparse(fp):
+        D = fp.directed_planes[0]
+        return D.bit_count() * 4 <= D.bit_length()
+
+    @pytest.mark.parametrize("case", ["antichain_16"] + [
+        (n, p) for n in range(13, FINITE_CAP + 1) for p in (0.1, 0.15)])
+    def test_sparse_from_maxima(self, monkeypatch, case):
+        fp = self.poset(case)
+        assert self.sparse(fp)
+        assert self.plane_reads(monkeypatch, fp) == 0
+
+    @pytest.mark.parametrize("case", ["chain_16"] + [
+        (n, p) for n in range(13, FINITE_CAP + 1) for p in (0.5, 0.7)])
+    def test_dense_off_the_plane(self, monkeypatch, case):
+        fp = self.poset(case)
+        assert not self.sparse(fp)
+        assert self.plane_reads(monkeypatch, fp) == 1
+
+    @pytest.mark.parametrize("n", range(13, FINITE_CAP + 1))
+    def test_thinned_off_the_plane(self, monkeypatch, n):
+        rng = random.Random(7000 + n)
+        fp = shuffled_poset(rng, n, 0.15)
+        D = fp.directed_planes[0]
+        thin(fp, rng.getrandbits(1 << n))
+        assert self.sparse(fp) and fp.directed_planes[0] != D
+        assert self.plane_reads(monkeypatch, fp) == 1
+
+
+# ---------------------------------------------------------------------------
+# The suprema table: one least upper bound search per element, skipped for
+# approximants that hold the element and lie below it.  Against
+# ``lub_of_mask`` over each approximant set.
+
+
+def reference_suprema(fp):
+    out = []
+    for mask in _approximants(fp):
+        u = fp.lub_of_mask(mask)
+        out.append(None if not mask else NO_SUPREMUM if u is None else u)
+    return tuple(out)
+
+
+class TestSupremaTable:
+    @pytest.mark.parametrize("n,seed", [
+        (n, seed) for n in range(1, REFERENCE_SUBSETS_CAP + 1)
+        for seed in range(2)])
+    def test_families(self, n, seed):
+        rng = random.Random(8000 + seed)
+        fp = shuffled_poset(rng, n, 0.3)
+        assert _suprema(fp) == reference_suprema(fp) == tuple(range(n))
+        full = (1 << (1 << n)) - 1
+        for keep in (rng.getrandbits(1 << n), full & ~singleton_slots(n), 0):
+            thinned = FinitePoset(fp.names, fp.up)
+            thin(thinned, keep)
+            assert _suprema(thinned) == reference_suprema(thinned)
+
+    def test_an_empty_family_has_no_least_upper_bound(self):
+        # every element is way-below every other, and the antichain's
+        # elements have no common upper bound
+        fp = make_catalog(finite_named("antichain_3")).poset
+        thin(fp, 0)
+        assert _suprema(fp) == (NO_SUPREMUM,) * 3
+        with pytest.raises(PosetError, match="no least upper bound"):
+            kernel_bruteforce(fp, 0)
+        assert continuity_bruteforce(fp) == refuted(
+            "continuous", fp.names[0], "sup of approximants = none",
+            EXHAUSTIVE)
+
+    def test_any_approximant_table(self):
+        # an honest order holds each element among its approximants; these
+        # tables need not, and between them reach every outcome
+        outcomes = set()
+        for seed in range(20):
+            rng = random.Random(9000 + seed)
+            fp = shuffled_poset(rng, rng.randrange(1, 9), 0.3)
+            fp.__dict__["_approximants"] = tuple(
+                rng.choice((0, down, rng.getrandbits(fp.n)))
+                for down in fp.down)
+            expected = reference_suprema(fp)
+            assert _suprema(fp) == expected
+            assert [kernel_or_error(fp, x) for x in range(fp.n)] == [
+                "no approximants" if u is None else
+                "no least upper bound" if u is NO_SUPREMUM else u
+                for u in expected]
+            wrong = next((x for x, u in enumerate(expected) if u != x), None)
+            report = continuity_bruteforce(fp)
+            if wrong is None:
+                assert report.status is Status.VERIFIED
+            else:
+                u = expected[wrong]
+                assert (report.witness, report.reason) == (
+                    fp.names[wrong], "no approximants" if u is None else
+                    "sup of approximants = "
+                    + ("none" if u is NO_SUPREMUM else fp.names[u]))
+            outcomes |= {u if u is None or u is NO_SUPREMUM else int
+                         for u in expected}
+        assert outcomes == {None, NO_SUPREMUM, int}
+
+
+# ---------------------------------------------------------------------------
+# The directed-subset listing against the per-maximum reference: the members
+# of ``D & T[t]`` for each t, zipped with t and sorted
+# (``reference_directed_masks``); and the finite bank is the generators of
+# the directed subsets, read off the down-sets, against the same pairs.
 
 
 def reference_bank(P):

@@ -20,7 +20,10 @@ from posetkernel import acceptance, carriers, closedsets, commands
 SRC = Path(__file__).resolve().parents[1] / "src"
 SYMBOLIC = ["posetkernel.carriers", "posetkernel.closedsets",
             "posetkernel.sampled_laws"]
-WATCHED = ["json", "posetkernel.commands", *SYMBOLIC]
+# ``posetkernel.__main__`` is for ``python -m posetkernel`` alone: the
+# console script never loads it.
+WATCHED = ["json", "posetkernel.__main__", "posetkernel.commands",
+           *SYMBOLIC]
 
 # Runs the CLI in-process and prints, after its output, its exit code and
 # the watched modules it left loaded.
