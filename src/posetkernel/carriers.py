@@ -39,7 +39,7 @@ may name a compact element below each element, infimum instances and
 retract rules (``compact_below``, ``inf_instances``, ``retract_rules``), as
 the closed sets do.  The same holds for ``truncation``, the finite
 restriction ``export-dot --truncate`` draws: ω+1 and the closed sets cut
-their carriers.  Lift and sum forward every such hook through one base,
+their carriers, and a finite carrier is its own cut, whatever n.  Lift and sum forward every such hook through one base,
 ``_Combinator``, which holds their components as ``(tag, component,
 wrap)`` parts: the targeted checks reach every combinator of the lattice,
 and the cuts and the element lists of the components are assembled

@@ -286,14 +286,17 @@ class FinitePoset:
     @cached_property
     def directed_subset_masks(self):
         """The masks of all directed subsets, ascending: the members of the
-        plane ``D`` of ``directed_planes``, which has checked that each of
-        them has a maximum.  A ``D`` with at most one member in four slots
-        that is the union of the planes ``T[t]`` is listed from the maxima,
+        plane ``D`` of ``directed_planes``, which has checked that D lies in
+        the union of the disjoint planes ``T[t]``, of 2^(|down[t]| - 1)
+        members each.  A ``D`` of that many members is that union; if it
+        also fills at most one slot in three, it is listed from the maxima,
         each t with every subset of the rest of its down-set, and sorted
-        once; any other is read off the plane.  No law and no family bank
+        once.  Any other is read off the plane.  No law and no family bank
         reads it."""
-        D, T = self.directed_planes
-        if D.bit_count() * 4 > D.bit_length() or D != reduce(or_, T, 0):
+        D = self.directed_planes[0]
+        size = D.bit_count()
+        if (size * 3 > D.bit_length()
+                or size != sum(1 << (d.bit_count() - 1) for d in self.down)):
             return _plane_members(D)
         masks = []
         for t, below in enumerate(self.down):

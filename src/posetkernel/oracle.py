@@ -14,9 +14,10 @@ on all 2^n subsets.  The directed subsets come out of one term per pair of
 elements, the subsets that hold both and miss the pair's common up-set:
 O(n^2) full-width ANDs and ORs, with the plane of each distinct common
 up-set built once, by n doubling shifts; a pair of comparable elements is
-skipped, as their common up-set holds one of them.  Once that plane is
-checked to be the union of the planes of the subsets with maximum t,
-``FinitePoset.directed_subset_masks`` lists a sparse one from the maxima,
+skipped, as their common up-set holds one of them.  That plane lies in
+the union of the planes of the subsets with maximum t; once it is counted
+as large as that union, ``FinitePoset.directed_subset_masks`` lists a
+sparse one from the maxima,
 each t with every subset of the rest of its down-set; a dense or a thinned
 family is read off the plane.  One table per poset, ``avoid[x]``, holds the
 maxima t of the directed subsets that miss the up-set of x.  Such a subset

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from posetkernel import cli, commands
+from posetkernel.carriers import OmegaPlusOnePresentation
 from posetkernel.catalog import (DOCUMENT_FIELDS, MAX_DOCUMENT_DEPTH,
                                  MAX_ELEMENTS, CatalogSpec, closed_sets,
                                  disjoint_sum, finite_explicit, finite_named,
@@ -563,6 +564,12 @@ class TestExportDot:
         assert whole[0] == 0
         assert run_cli(["export-dot", "diamond", "--waybelow",
                         "--truncate", "2"]) == whole
+
+    def test_a_kind_without_a_cut_refuses_truncate(self, monkeypatch):
+        # every catalog kind has a cut, so take away that of ω+1
+        monkeypatch.delattr(OmegaPlusOnePresentation, "truncation")
+        assert run_cli(["export-dot", "omega_plus_one", "--truncate", "2"]) \
+            == (65, "", "error: no truncation for kind 'omega_plus_one'\n")
 
     def test_a_sum_with_a_finite_part_is_cut(self, tmp_path):
         # the finite part whole, ω+1 at 2
