@@ -257,31 +257,55 @@ class FinitePoset:
         members.  ``T[t]`` holds the subsets whose maximum is t: they
         contain t and lie inside its down-set.
 
+        ``D`` grows by one step per element b, taken in ascending order of
+        up-set size, so after every element above it.  For X inside the
+        elements taken so far, none of which lies below b, X + {b} is
+        directed iff X is empty, or X is directed and meets the up-set of
+        b: b bounds no pair, and a member z0 >= b gives each x in X a
+        bound z >= z0 >= b.  So the step adds b to the empty subset and to
+        each directed subset that meets the strict up-set of b, by one
+        shift.  The two facts the proof uses, every strict upper bound of b
+        taken before b and transitivity at b, are checked on the n-bit rows
+        of every element, with reflexivity, before any plane is built.
+        ``T[t]`` is the empty subset doubled over the rest of the down-set
+        of t, then shifted by 2^t to add t: a shift commutes with the
+        doubling, and the doubling runs on planes no wider than its result.
+
         Every finite directed set contains its own maximum, which is
-        therefore its supremum; the maximum is computed and checked here
-        rather than assumed.
+        therefore its supremum; that ``D`` lies in the union of the ``T[t]``
+        is checked here rather than assumed, which also refuses a ``down``
+        that is not the transpose of ``up``.
         """
         n, up, down = self.n, self.up, self.down
         S = _subset_planes(n)
-        full = (1 << n) - 1
-        none_of = cache(lambda mask: _none_of(n, mask))
-        unbounded = 1  # the empty subset
-        for i in range(n):
-            # the subsets holding i and some j > i with no common upper
-            # bound.  A j comparable with i is skipped: the common up-set
-            # then holds i or j, so the term misses every subset with both.
-            # An empty common up-set is missed by every subset holding j.
-            row = 0
-            for j in _bits(full & ~(up[i] | down[i]) & -(2 << i)):
-                common = up[i] & up[j]
-                row |= S[j] & none_of(common) if common else S[j]
-            unbounded |= S[i] & row
-        D = ((1 << (1 << n)) - 1) & ~unbounded
-        T = tuple(S[t] & none_of(full & ~down[t]) for t in range(n))
+        order = sorted(range(n), key=lambda b: up[b].bit_count())
+        taken = 0
+        for b in order:
+            row = up[b]
+            strict = row & ~(1 << b)
+            bounds = 0  # the up-sets of the strict upper bounds of b
+            for a in _bits(strict):
+                bounds |= up[a]
+            if not row >> b & 1 or strict & ~taken or bounds & ~row:
+                raise PosetError(f"the relation at {self.names[b]!r} is not "
+                                 "a partial order; the order is corrupt")
+            taken |= 1 << b
+        D = 0
+        for b in order:
+            meets = 0
+            for a in _bits(up[b] & ~(1 << b)):
+                meets |= S[a]
+            D |= (1 | (D & meets)) << (1 << b)
+        T = []
+        for t, below in enumerate(down):
+            plane = 1
+            for b in _bits(below & ~(1 << t)):
+                plane |= plane << (1 << b)
+            T.append(plane << (1 << t))
         if D & ~reduce(or_, T, 0):
             raise PosetError("a directed subset has no maximum; the order "
                              "is corrupt")
-        return D, T
+        return D, tuple(T)
 
     @cached_property
     def directed_subset_masks(self):

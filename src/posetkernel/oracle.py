@@ -10,14 +10,16 @@ as a meta-test by the suite, not assumed here.
 The enumeration runs on subset planes (``FinitePoset.directed_planes``): a
 set of subsets is one 2^n-bit int, bit m standing for the subset with
 element mask m, so one big-int operation of 2^n / word machine words acts
-on all 2^n subsets.  The directed subsets come out of one term per pair of
-elements, the subsets that hold both and miss the pair's common up-set:
-O(n^2) full-width ANDs and ORs, with the plane of each distinct common
-up-set built once, by n doubling shifts; a pair of comparable elements is
-skipped, as their common up-set holds one of them.  That plane lies in
-the union of the planes of the subsets with maximum t; once it is counted
-as large as that union, ``FinitePoset.directed_subset_masks`` lists a
-sparse one from the maxima,
+on all 2^n subsets.  The directed subsets come out of one step per element
+b, taken after every element above it: b joins the empty subset and each
+directed subset so far that meets its strict up-set, by one shift.  That
+up-set's plane is an OR of one element plane per strict upper bound, so
+the build takes O(n + comparable pairs) full-width operations, once the
+rows of every element are checked to be those of a partial order.  The
+directed plane lies in the union of the planes of the subsets with
+maximum t, each the empty subset doubled over the rest of the down-set
+of t and shifted to add t; once it is counted as large as that union,
+``FinitePoset.directed_subset_masks`` lists a sparse one from the maxima,
 each t with every subset of the rest of its down-set; a dense or a thinned
 family is read off the plane.  One table per poset, ``avoid[x]``, holds the
 maxima t of the directed subsets that miss the up-set of x.  Such a subset
@@ -75,7 +77,11 @@ def _avoid(fp: FinitePoset):
 def waybelow_bruteforce(fp: FinitePoset, x: int, y: int) -> bool:
     """x << y by quantification over all directed subsets: none whose
     maximum dominates y misses the up-set of x."""
-    return (fp.__dict__.get("_avoid") or _avoid(fp))[x] & fp.up[y] == 0
+    try:
+        avoid = fp._avoid
+    except AttributeError:
+        avoid = _avoid(fp)
+    return avoid[x] & fp.up[y] == 0
 
 
 def _approximants(fp: FinitePoset):

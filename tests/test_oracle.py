@@ -529,8 +529,9 @@ class OneSlotPlane(int):
 class TestNoPlanePathOnHonestPosets:
     """On an honest poset every singleton is in the family, so the oracle
     answers without a ``none_of`` plane, an upward closure, or an AND of
-    the directed planes wider than one slot; and a sparse family is listed
-    from its maxima, without reading the plane."""
+    the directed planes wider than one slot; the directed planes are built
+    without a ``none_of`` plane; and a sparse family is listed from its
+    maxima, without reading the plane."""
 
     @staticmethod
     def posets():
@@ -543,6 +544,7 @@ class TestNoPlanePathOnHonestPosets:
         def forbidden(*args):
             raise AssertionError("a full-width plane path ran")
 
+        monkeypatch.setattr(core, "_none_of", forbidden)
         monkeypatch.setattr(oracle, "_none_of", forbidden)
         monkeypatch.setattr(oracle, "_supersets", forbidden)
         monkeypatch.setattr(core, "_plane_members", forbidden)
@@ -569,9 +571,10 @@ class TestNoPlanePathOnHonestPosets:
 # ---------------------------------------------------------------------------
 # The subset-plane helpers against their earlier, plainer forms: the
 # complement of the union of the element planes for ``_none_of``, a
-# digit-by-digit scan of the binary form for ``_plane_members``, and every
-# pair term built afresh for ``directed_planes``.  They reach n = 16, where
-# the pairwise reference above would be too slow.
+# digit-by-digit scan of the binary form for ``_plane_members``, and the
+# pair form for ``directed_planes``, which removes from all subsets every
+# one holding a pair of elements and missing their common up-set.  They
+# reach n = 16, where the pairwise reference above would be too slow.
 
 def reference_none_of(n, mask):
     planes = _subset_planes(n)
@@ -625,9 +628,12 @@ class TestPlaneHelpers:
         assert fp.directed_planes == (D, T)
         assert listed_pairs(fp) == reference_directed_masks(D, T)
 
-    @pytest.mark.parametrize("n,p", [(n, p) for n in range(13, FINITE_CAP + 1)
-                                     for p in (0.15, 0.3)])
+    @pytest.mark.parametrize("n,p", [
+        (n, p) for n in range(FINITE_CAP + 1) for p in (0.1, 0.3, 0.6)] + [
+        (n, 0.15) for n in range(13, FINITE_CAP + 1)])
     def test_random_poset(self, n, p):
+        # labels not in a linear extension, so the build's own order is
+        # not the index order
         self.assert_matches(shuffled_poset(random.Random(n), n, p))
 
     @pytest.mark.parametrize("name", ("chain_16", "antichain_16"))
@@ -643,12 +649,78 @@ class TestPlaneHelpers:
         fp.__dict__["directed_planes"] = (D & keep, T)
         assert listed_pairs(fp) == reference_directed_masks(D & keep, T)
 
-    def test_a_directed_subset_without_a_maximum(self):
+    # Relations built past ``FinitePoset.__init__``: the build refuses any
+    # that is not a partial order.
+
+    @staticmethod
+    def corrupt(names, up, down=None):
+        """A FinitePoset of the rows ``up`` and ``down``, the transpose of
+        ``up`` unless given, with no check of the order."""
+        n = len(names)
+        fp = FinitePoset.__new__(FinitePoset)
+        fp.n, fp.names, fp.up = n, tuple(names), tuple(up)
+        fp.down = tuple(down) if down is not None else tuple(
+            sum(1 << i for i in range(n) if up[i] >> j & 1)
+            for j in range(n))
+        return fp
+
+    NOT_AN_ORDER = "is not a partial order; the order is corrupt"
+
+    def test_a_cycle_is_refused_by_the_rows(self):
         # a <= b <= c <= a without transitivity: {a, b, c} is directed, and
         # no member's down-set holds it
-        fp = FinitePoset.__new__(FinitePoset)
-        fp.n, fp.names = 3, ("a", "b", "c")
-        fp.up, fp.down = (0b011, 0b110, 0b101), (0b101, 0b011, 0b110)
+        fp = self.corrupt("abc", (0b011, 0b110, 0b101))
+        with pytest.raises(PosetError, match=self.NOT_AN_ORDER):
+            fp.directed_planes
+
+    def test_elements_mutually_below_each_other(self):
+        # a transitive relation whose up-sets tie: neither is taken first
+        fp = self.corrupt("ab", (0b11, 0b11))
+        with pytest.raises(PosetError, match="'a' " + self.NOT_AN_ORDER):
+            fp.directed_planes
+
+    def test_an_irreflexive_row(self):
+        # a < b with a not below itself, b taken first: the strict up-set
+        # of a is taken and transitive, and its row lacks a
+        fp = self.corrupt("ba", (0b01, 0b01))
+        with pytest.raises(PosetError, match="'a' " + self.NOT_AN_ORDER):
+            fp.directed_planes
+
+    @pytest.mark.parametrize("names", ("abc", "bac"))
+    def test_an_intransitive_chain_before_any_plane(self, names):
+        # a < b < c without a < c.  The pair form answers it, listing {a},
+        # {b}, {c}, {a, b} and {b, c}; with b taken before a, only the
+        # transitivity check of a's row refuses it.
+        a, b, c = (names.index(x) for x in "abc")
+        up = [0] * 3
+        up[a], up[b], up[c] = 1 << a | 1 << b, 1 << b | 1 << c, 1 << c
+        fp = self.corrupt(names, up)
+        D, T = reference_directed_planes(fp)
+        assert [mask for mask, _ in reference_directed_masks(D, T)] == sorted(
+            sum(1 << i for i in subset) for subset in
+            ({a}, {b}, {c}, {a, b}, {b, c}))
+        with pytest.raises(PosetError, match=f"{names[a]!r} "
+                                             + self.NOT_AN_ORDER):
+            fp.directed_planes
+        # the same three beside 13 isolated elements, all taken before a
+        # and b: refused having allocated less than a 2^15-bit plane
+        n = FINITE_CAP
+        fp = self.corrupt(names + "".join(map(chr, range(100, 100 + n - 3))),
+                          up + [1 << i for i in range(3, n)])
+        _subset_planes(n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(PosetError, match=self.NOT_AN_ORDER):
+                fp.directed_planes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 12
+
+    def test_a_down_set_that_is_not_the_transpose(self):
+        # the order a < b, with a missing from the down-set of b: {a, b} is
+        # directed, and no T[t] holds it
+        fp = self.corrupt("ab", (0b11, 0b10), down=(0b01, 0b10))
         with pytest.raises(PosetError, match="a directed subset has no "
                                              "maximum"):
             fp.directed_planes
