@@ -96,18 +96,18 @@ def export_dot(P: PosetPresentation, waybelow: bool = False,
                truncate_n: int | None = None) -> str:
     """Hasse diagram as GraphViz text; way-below pairs (minus the reflexive
     ones) become dashed edges on request.  Node order follows the input
-    order, so the bytes are stable."""
-    if truncate_n is not None:
+    order, so the bytes are stable; a finite carrier is drawn whole."""
+    if P.is_finite_kind:
+        elems, fp = P.elements(), P.poset
+    elif truncate_n is not None:
         elems = P.truncation(truncate_n)
-    elif P.is_finite_kind:
-        elems = P.elements()
+        fp = induced_finite_poset(P, elems)
     else:
         raise ScopeUnsupported("symbolic kinds need --truncate <n> for "
                                "diagram export")
-    fp = induced_finite_poset(P, elems)
     lines = ["digraph poset {", "  rankdir=BT;"]
-    for i, name in enumerate(fp.names):
-        label = name.replace("\\", "\\\\").replace('"', '\\"')
+    for i, x in enumerate(elems):
+        label = P.format_element(x).replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{label}"];')
     for i, j in fp.hasse_edges():
         lines.append(f"  n{i} -> n{j};")

@@ -420,8 +420,17 @@ class PosetPresentation:
     @cached_property
     def poset(self) -> FinitePoset:
         """The order of a finite carrier, index i standing for
-        ``elements()[i]``; every finite law reads this one copy."""
+        ``elements()[i]``; the finite laws read it through ``finite_view``."""
         return induced_finite_poset(self, self.elements())
+
+    @cached_property
+    def finite_view(self):
+        """``(elements(), poset, approx)``, approx the mask of the elements
+        whose ``kernel_value`` is not None: the one view every exhaustive
+        law reads, built without the oracle.  Callers must not change it."""
+        elems = self.elements()
+        return elems, self.poset, _mask(
+            i for i, e in enumerate(elems) if self.kernel_value(e) is not None)
 
     # -- order ---------------------------------------------------------
 
@@ -695,12 +704,6 @@ def family_dominates(P: PosetPresentation, fam, x) -> bool:
 # ---------------------------------------------------------------------------
 # Axiom checks
 
-def sample_pool(P: PosetPresentation, rng, count) -> list:
-    """Deterministic element pool: the kind's interesting elements first,
-    then random samples, de-duplicated."""
-    return _pool(P, P.sample_elements(rng, count))
-
-
 def _pool(P: PosetPresentation, draw) -> list:
     return list(dict.fromkeys([*P.interesting_elements(), *draw]))
 
@@ -708,8 +711,8 @@ def _pool(P: PosetPresentation, draw) -> list:
 def scope_draw(P: PosetPresentation, scope: Scope):
     """The draw behind a sampled scope, made once per presentation and
     (seed, count): ``P.sample_elements(Random(seed), count)`` as drawn,
-    repeats included, its pool (``sample_pool``) and the state the draw left
-    the rng in.  Callers must not change the lists."""
+    repeats included, its pool (the interesting elements, then the draw,
+    de-duplicated) and the rng state after it.  Do not change the lists."""
     key = scope.seed, scope.count
     if key not in P._scope_pools:
         rng = random.Random(scope.seed)
@@ -720,10 +723,11 @@ def scope_draw(P: PosetPresentation, scope: Scope):
 
 def scope_pool(P: PosetPresentation, scope: Scope):
     """The elements a law over ``scope`` reads, and the rng it draws on
-    with.  Exhaustive: every element, no rng.  Sampled: a copy of the pool
-    of ``scope_draw`` and a fresh rng in the state that draw left it in."""
+    with.  Exhaustive: a copy of the elements of ``finite_view``, no rng.
+    Sampled: a copy of the pool of ``scope_draw``, and a fresh rng in the
+    state that draw left it in."""
     if scope.kind == "exhaustive":
-        return P.elements(), None
+        return list(P.finite_view[0]), None
     _, pool, state = scope_draw(P, scope)
     rng = random.Random()
     rng.setstate(state)
@@ -746,9 +750,9 @@ def resolve_scope(P: PosetPresentation, scope: Scope | None = None) -> Scope:
 
 def _cc_exhaustive(P, scope):
     law = "conditionally_complete"
-    pair = _lubless_pair(P.poset)
+    elems, fp, _ = P.finite_view
+    pair = _lubless_pair(fp)
     if pair is not None:
-        elems = P.elements()
         return refuted(law, tuple(elems[i] for i in pair),
                        "bounded-above subset without a least upper bound",
                        scope)
@@ -780,7 +784,7 @@ def _interpolated(P, x, y, pool):
 def _interp_exhaustive(P, scope):
     """Every way-below pair has an interpolant among the elements."""
     law = "interpolating"
-    elems = P.elements()
+    elems = P.finite_view[0]
     for x in elems:
         for y in elems:
             if P.waybelow(x, y) and not _interpolated(P, x, y, elems):
@@ -801,7 +805,7 @@ def _continuity_failure(P, x):
 
 def _cont_exhaustive(P, scope):
     law = "continuous"
-    for x in P.elements():
+    for x in P.finite_view[0]:
         why = _continuity_failure(P, x)
         if why:
             return refuted(law, x, why, scope)
@@ -812,7 +816,7 @@ def _subposet_exhaustive(P, scope, member):
     """Inside a finite subset way-below is the inherited order (a directed
     set holds its maximum), so that is what the ambient one must be."""
     law = "subposet"
-    elems, fp = P.elements(), P.poset
+    elems, fp, _ = P.finite_view
     inside = [i for i, e in enumerate(elems) if member(e)]
     for i in inside:
         for j in inside:

@@ -8,11 +8,12 @@ with equal kernel values yields a quotient order-isomorphic to that retract
 (``commands.quotient_structure``).  Each of those claims has a checker,
 built by ``core._axiom`` from an exhaustive half here and a sampled half
 in ``sampled_laws``; the judges both halves share take the elements or
-pairs to judge.  The exhaustive halves decide finite carriers: a finite
-directed set is its maximum t plus a subset of the down-set of t, so the
-laws stated over all directed sets are decided from per-element masks, at
-any size, and Verified.  Only ``inf`` is checked here on every carrier,
-and it samples there too: it draws the retract subsets it decides.
+pairs to judge.  The exhaustive halves decide finite carriers, read
+through ``P.finite_view``: a finite directed set is its maximum t plus a
+subset of the down-set of t, so the laws stated over all directed sets
+are decided from per-element masks, at any size, and Verified.  Only
+``inf`` is checked here on every carrier, and it samples there too: it
+draws the retract subsets it decides.
 ``LAWS`` maps each ``--law`` name to its checker.
 """
 
@@ -74,10 +75,10 @@ def retract_member(P: PosetPresentation) -> Callable[[object], bool]:
         if report.status is not Status.VERIFIED:
             raise PreconditionUnverified(
                 f"{P.name} failed exhaustive interpolation: {report.reason}")
-        for x in P.elements():
-            if P.kernel_value(x) is None:
-                raise PreconditionUnverified(
-                    f"{P.name} has an element without approximants")
+        _, fp, approx = P.finite_view
+        if approx != (1 << fp.n) - 1:
+            raise PreconditionUnverified(
+                f"{P.name} has an element without approximants")
     return lambda x: in_retract(P, x)
 
 
@@ -89,9 +90,10 @@ def _kernel_exhaustive(P: PosetPresentation, scope: Scope,
                        kernel: Callable | None = None) -> CheckReport:
     """Deflation, idempotence, and monotonicity of ``kernel`` (by default
     the approximation kernel) at every approximable element and pair."""
-    xs = [x for x in P.elements() if P.kernel_value(x) is not None]
-    return _kernel_laws(P, scope, kernel, xs,
-                        [(x, y) for x in xs for y in xs if P.leq(x, y)])
+    elems, fp, approx = P.finite_view
+    return _kernel_laws(P, scope, kernel, [elems[i] for i in _bits(approx)],
+                        [(elems[i], elems[j]) for i in _bits(approx)
+                         for j in _bits(fp.up[i] & approx)])
 
 
 def _kernel_laws(P, scope, kernel, xs, pairs):
@@ -120,7 +122,7 @@ def _scott_exhaustive(P: PosetPresentation, scope: Scope) -> CheckReport:
     holds its maximum t, so the law at D reads: k(m) <= k(t) for each
     member m, and k(t) lies in the retract, so D fails where a generator
     {m, t} in it fails (``_decided``): the law is Verified."""
-    elems, fp, approx = _finite_part(P)
+    elems, fp, approx = P.finite_view
     kernel = {}  # index -> its kernel value, where it has one
     for i in _bits(approx):
         try:
@@ -168,15 +170,6 @@ def _image_verdict(P: PosetPresentation, label, k_sup, s, what):
     return True
 
 
-def _finite_part(P: PosetPresentation):
-    """The elements of a finite carrier, their order, and the mask of the
-    approximable ones."""
-    elems = P.elements()
-    approx = _mask(i for i, e in enumerate(elems)
-                   if P.kernel_value(e) is not None)
-    return elems, P.poset, approx
-
-
 def _decided(P: PosetPresentation, law, judge, failing, tops, within, scope,
              counted=False):
     """A bank law on a finite carrier, over the directed subsets inside
@@ -184,7 +177,7 @@ def _decided(P: PosetPresentation, law, judge, failing, tops, within, scope,
     holds an m in ``failing[t]``, and then so does {m, t}: ``judge`` refutes
     at the first such generator (``_generators``).  The subsets are counted:
     all, or those before the refuting one when ``counted``."""
-    elems, fp = P.elements(), P.poset
+    elems, fp, _ = P.finite_view
     for mask, top in _generators(failing.items()):
         verdict = judge(_mask_family(P, elems, mask, top))
         if verdict and verdict is not True:
@@ -209,9 +202,9 @@ def _count_directed(fp, tops, within, bound=None):
 
 def _eq_exhaustive(P: PosetPresentation, scope: Scope) -> CheckReport:
     """v << x iff v << k(x), for every v and every approximable x."""
-    elems = P.elements()
-    approx = [x for x in elems if P.kernel_value(x) is not None]
-    return _equivalence(P, scope, [(v, x) for v in elems for x in approx])
+    elems, _, approx = P.finite_view
+    return _equivalence(P, scope, [(v, elems[i]) for v in elems
+                                   for i in _bits(approx)])
 
 
 def _equivalence(P, scope, pairs):
@@ -233,7 +226,7 @@ def _retract_exhaustive(P: PosetPresentation, scope: Scope) -> CheckReport:
     is its order), so the law cross-checks the presentation: it refutes at
     the singleton of the first element that a declared approximant
     supremum leaves out of the retract."""
-    for x in P.elements():
+    for x in P.finite_view[0]:
         if not in_retract(P, x):
             return refuted("largest-retract", (x,), "a continuous subposet "
                            "escapes the retract", scope)
@@ -374,7 +367,7 @@ def _laws_exhaustive(P: PosetPresentation, scope: Scope) -> CheckReport:
     the second at {t} (``_decided``), and the last two judge every
     element: all four can be Verified.
     """
-    elems, fp, approx = _finite_part(P)
+    elems, fp, approx = P.finite_view
     approx_pool = [elems[i] for i in _bits(approx)]
     full = (1 << fp.n) - 1
     outside = list(_bits(full & ~approx))

@@ -27,14 +27,14 @@ from posetkernel.catalog import (MAX_DOCUMENT_DEPTH, MAX_ELEMENTS,
 from posetkernel.closedsets import (EMPTY, EVENS, FULL, INF_POINT,
                                     periodic_set)
 from posetkernel.core import (_continuity_failure, induced_finite_poset,
-                              is_element, sample_pool)
+                              is_element, scope_pool)
 from posetkernel.errors import SizeLimit, UnknownName
 from posetkernel.families import ChainFamily, ExplicitFamily
 from posetkernel.kernel import (LAWS, check_approximation_laws,
                                 check_scott_continuity, in_retract,
                                 is_approximable, kernel_of)
 from posetkernel.oracle import bank_refute_waybelow
-from posetkernel.reports import Status
+from posetkernel.reports import Status, sampled
 
 from conftest import closed_reps, corrupt_omega, random_presentation
 
@@ -524,7 +524,7 @@ class TestOrderCodes:
     @pytest.mark.parametrize("P", CARRIERS, ids=lambda P: P.name[:60])
     def test_on_the_sample_pools(self, P):
         self.assert_decides_the_order(
-            P, sample_pool(P, random.Random(11), 100))
+            P, scope_pool(P, sampled(11, 100))[0])
 
     @given(st.lists(closed_reps(), max_size=10))
     def test_on_closed_sets(self, xs):
@@ -751,8 +751,8 @@ class TestCombinatorOrderReference:
 
     @staticmethod
     def pool(P, seed):
-        return P.interesting_elements() + sample_pool(
-            P, random.Random(seed), 60)
+        return P.interesting_elements() + scope_pool(
+            P, sampled(seed, 60))[0]
 
     @pytest.mark.parametrize("P", CARRIERS, ids=lambda P: P.name[:60])
     @pytest.mark.parametrize("seed", [0, 7])

@@ -25,8 +25,7 @@ from posetkernel.closedsets import closedset_join
 from posetkernel.commands import quotient_structure
 from posetkernel.core import (FinitePoset, FinitePosetPresentation, _bits,
                               _extremum, _mask, _none_of, induced_finite_poset,
-                              is_element, resolve_scope, sample_pool,
-                              scope_pool)
+                              _pool, is_element, resolve_scope, scope_pool)
 from posetkernel.errors import (EmptyFamily, ForeignElement, NoInfimumError,
                                 NotApproximable, PosetError,
                                 PreconditionUnverified, ScopeUnsupported,
@@ -82,7 +81,7 @@ class TestKernelValues:
     def test_kernel_postconditions_sampled(self):
         rng = random.Random(0xC0FFEE)
         for P in standard_roster():
-            for x in sample_pool(P, rng, 60):
+            for x in _pool(P, P.sample_elements(rng, 60)):
                 if not is_approximable(P, x):
                     continue
                 k = kernel_of(P, x)
@@ -94,7 +93,7 @@ class TestKernelValues:
         # sampled consequence of v << x iff v << k(x)
         rng = random.Random(1)
         for P in standard_roster():
-            pool = sample_pool(P, rng, 40)
+            pool = _pool(P, P.sample_elements(rng, 40))
             for x in pool[:20]:
                 if not is_approximable(P, x):
                     continue
@@ -116,15 +115,13 @@ class TestRetract:
         assert [x for x in diamond.elements() if member(x)] == [0, 1, 2, 3]
 
     def test_omega_retract_is_everything(self, omega):
-        rng = random.Random(2)
         member = retract_member(omega)
-        for x in sample_pool(omega, rng, 50):
+        for x in scope_pool(omega, sampled(2, 50))[0]:
             assert member(x)
 
     def test_closed_retract_rule_matches_dossier(self, closed):
         # dossier rule: inf in C implies the natural part is infinite
-        rng = random.Random(3)
-        for C in sample_pool(closed, rng, 120):
+        for C in scope_pool(closed, sampled(3, 120))[0]:
             expected = (not C.infinity) or bool(C.residues)
             assert in_retract(closed, C) == expected
 
@@ -153,8 +150,8 @@ class TestRetract:
         # each sampled retract element is the supremum of its approximants
         # and has an approximant inside the retract
         member = retract_member(closed)
-        rng = random.Random(0xC0FFEE)
-        inside = [x for x in sample_pool(closed, rng, 120) if member(x)]
+        inside = [x for x in scope_pool(closed, sampled(0xC0FFEE, 120))[0]
+                  if member(x)]
         assert len(inside) > 20
         for x in inside:
             assert kernel_of(closed, x) == x
@@ -366,7 +363,7 @@ class TestLargestRetract:
                              ids=["n5", "omega_plus_one"])
     def test_compact_below_is_below_and_compact(self, spec):
         P = make_catalog(spec)
-        for x in sample_pool(P, random.Random(0), 40):
+        for x in scope_pool(P, sampled(0, 40))[0]:
             c = P.compact_below(x)
             assert P.leq(c, x) and P.waybelow(c, c)
 
@@ -447,7 +444,7 @@ class TestQuotient:
     def test_image_matches_kernel_everywhere(self):
         rng = random.Random(8)
         for P in standard_roster():
-            pool = [x for x in sample_pool(P, rng, 60)
+            pool = [x for x in _pool(P, P.sample_elements(rng, 60))
                     if is_approximable(P, x)]
             if not pool:
                 continue
@@ -476,8 +473,7 @@ class TestQuotient:
             qs.image_of(ODDS)
 
     def test_transported_order_reflects(self, closed):
-        rng = random.Random(9)
-        pool = [x for x in sample_pool(closed, rng, 60)]
+        pool = scope_pool(closed, sampled(9, 60))[0]
         qs = quotient_structure(closed, pool)
         values = qs.kernel_values
         for i, a in enumerate(values):
@@ -492,8 +488,7 @@ class TestInfPreservation:
         report = check_inf_preservation(closed, (EVENS, ODDS))
         assert report.status is Status.UNREFUTED
         # the only retract lower bound of both is the empty set
-        rng = random.Random(10)
-        for c in sample_pool(closed, rng, 200):
+        for c in scope_pool(closed, sampled(10, 200))[0]:
             if in_retract(closed, c) and closed.leq(c, EVENS) \
                     and closed.leq(c, ODDS):
                 assert c == EMPTY
@@ -574,8 +569,7 @@ class TestApproximationLaws:
     def test_lift_makes_laws_vacuous_or_true(self, lifted_punctured):
         report = check_approximation_laws(lifted_punctured)
         assert report.status is not Status.REFUTED
-        rng = random.Random(12)
-        for x in sample_pool(lifted_punctured, rng, 40):
+        for x in scope_pool(lifted_punctured, sampled(12, 40))[0]:
             assert is_approximable(lifted_punctured, x)
 
     def test_retract_witness_for_compact_elements(self, closed):
@@ -720,7 +714,7 @@ def reference_restriction_nonempty(P, bank):
     """The per-family restriction-nonempty loop, against the pool that
     ``check_approximation_laws`` draws for an exhaustive scope."""
     law = "restriction-nonempty"
-    pool = sample_pool(P, random.Random(EXHAUSTIVE.seed), EXHAUSTIVE.count)
+    pool = scope_pool(P, sampled(EXHAUSTIVE.seed, EXHAUSTIVE.count))[0]
     approx_pool = [x for x in pool if P.waybelow_family(x) is not None]
     count = 0
     for fam in bank:
@@ -915,7 +909,9 @@ def _nested():
 # The plane-scan law paths that the per-element masks replaced: the finite
 # laws over directed sets listed every directed subset, conditional
 # completeness scanned subset planes, and the subposet and largest-retract
-# laws asked the brute-force oracle.  Kept as the reference.
+# laws asked the brute-force oracle.  Kept as the reference, with the pair
+# loops of eq, kernel, interpolation and continuity that read the elements
+# and their order pair by pair from the carrier's hooks.
 
 
 def reference_plane_scan(P, elems, fp, judge, decide):
@@ -988,8 +984,16 @@ def reference_subposet_oracle(P):
     return verified(law, EXHAUSTIVE)
 
 
+def reference_finite_part(P):
+    """The elements, their order and the mask of the approximable ones,
+    read off the carrier's hooks."""
+    elems = P.elements()
+    return elems, P.poset, _mask(i for i, e in enumerate(elems)
+                                 if P.kernel_value(e) is not None)
+
+
 def reference_scott_scan(P):
-    elems, fp, approx = kernel._finite_part(P)
+    elems, fp, approx = reference_finite_part(P)
     index = {e: i for i, e in enumerate(elems)}
     values = {}
     for i in _bits(approx):
@@ -1027,7 +1031,7 @@ def reference_largest_retract_oracle(P):
 def reference_laws_scan(P):
     pool = P.elements()
     approx_pool = [x for x in pool if P.kernel_value(x) is not None]
-    elems, fp, approx = kernel._finite_part(P)
+    elems, fp, approx = reference_finite_part(P)
     restricted = reference_plane_scan(
         P, elems, fp, lambda fam: kernel._restriction_at(P, fam),
         lambda mask, top: (bool(approx >> top & 1) if mask & approx
@@ -1045,8 +1049,44 @@ def reference_laws_scan(P):
     return combine("approximation-laws", subs, EXHAUSTIVE)
 
 
+def reference_eq_pairs(P):
+    elems = P.elements()
+    approx = [x for x in elems if P.kernel_value(x) is not None]
+    return kernel._equivalence(P, EXHAUSTIVE,
+                               [(v, x) for v in elems for x in approx])
+
+
+def reference_kernel_pairs(P):
+    xs = [x for x in P.elements() if P.kernel_value(x) is not None]
+    return kernel._kernel_laws(P, EXHAUSTIVE, None, xs,
+                               [(x, y) for x in xs for y in xs
+                                if P.leq(x, y)])
+
+
+def reference_interpolation_pairs(P):
+    elems = P.elements()
+    for x in elems:
+        for y in elems:
+            if P.waybelow(x, y) and not core._interpolated(P, x, y, elems):
+                return refuted("interpolating", (x, y), "no interpolant",
+                               EXHAUSTIVE)
+    return verified("interpolating", EXHAUSTIVE)
+
+
+def reference_continuity_pairs(P):
+    for x in P.elements():
+        why = core._continuity_failure(P, x)
+        if why:
+            return refuted("continuous", x, why, EXHAUSTIVE)
+    return verified("continuous", EXHAUSTIVE)
+
+
 PLANE_SCAN_REFERENCE = {
     "cc": reference_cc_scan,
+    "eq": reference_eq_pairs,
+    "kernel": reference_kernel_pairs,
+    "interpolation": reference_interpolation_pairs,
+    "continuity": reference_continuity_pairs,
     "subposet": reference_subposet_oracle,
     "scott": reference_scott_scan,
     "largest-retract": reference_largest_retract_oracle,
@@ -1066,8 +1106,9 @@ def _report_outcomes(check):
 
 
 class TestPlaneScanReference:
-    """The five finite laws decided from per-element masks give the status,
-    witness, reason and samples of the plane scans they replaced."""
+    """The nine finite laws that read ``finite_view`` give the status,
+    witness, reason and samples of the plane scans and pair loops that
+    read the carrier's hooks."""
 
     RANDOM = [finite_random(4 + seed % 7, (0.2, 0.35, 0.5)[seed % 3], seed)
               for seed in range(30)]
@@ -1131,6 +1172,24 @@ class TestPlaneScanReference:
             refuting += refuted_here
         assert refuting >= 10
 
+    def test_a_waybelow_without_interpolants(self):
+        """A finite poset whose way-below is its strict order: a cover
+        x < y has no z with x << z << y, so interpolation refutes at the
+        first cover in pair order, as the pair loop does."""
+        class Strict(FinitePosetPresentation):
+            def waybelow(self, x, y):
+                return x != y and self.poset.leq(x, y)
+
+        refuting = 0
+        for seed in range(12):
+            fp = catalog.random_finite_poset(3 + seed % 6, 0.4, seed)
+            outcomes = self.assert_matches_reference(Strict(fp))
+            refuted_here = outcomes["interpolation"][0][0] is Status.REFUTED
+            assert refuted_here is any(row != 1 << i
+                                       for i, row in enumerate(fp.up))
+            refuting += refuted_here
+        assert refuting >= 10
+
     @settings(max_examples=200)
     @given(st.integers(1, 9), st.floats(0.1, 0.7), st.integers(0, 10**6),
            st.data())
@@ -1157,7 +1216,7 @@ def reference_cc_sampled(P, scope):
     law = "conditionally_complete"
     scope = resolve_scope(P, scope)
     rng = random.Random(scope.seed)
-    pool = sample_pool(P, rng, scope.count)
+    pool = _pool(P, P.sample_elements(rng, scope.count))
     checked = 0
     for _ in range(min(scope.count, DEFAULT_SUBSET_SAMPLES)):
         size = rng.randint(2, 4)
@@ -1239,7 +1298,8 @@ def reference_inf_sampled(P, scope=None):
     outer = scope or sampled()
     instances = list(P.inf_instances())
     rng = random.Random(outer.seed)
-    pool = [x for x in sample_pool(P, rng, 200) if in_retract(P, x)]
+    pool = [x for x in _pool(P, P.sample_elements(rng, 200))
+            if in_retract(P, x)]
     want = max(10, outer.count // 10)
     while len(instances) < want and len(pool) >= 2:
         size = rng.randint(2, min(3, len(pool)))
@@ -1247,7 +1307,8 @@ def reference_inf_sampled(P, scope=None):
     inner = resolve_scope(P, scope)
     lower_bounds = [x for x in (
         P.elements() if inner.kind == "exhaustive"
-        else sample_pool(P, random.Random(inner.seed), inner.count))
+        else _pool(P, P.sample_elements(random.Random(inner.seed),
+                                        inner.count)))
         if in_retract(P, x)]
     parts = []
     skipped = 0
@@ -1625,6 +1686,8 @@ class TestScopePool:
         for cls in {type(P), FinitePosetPresentation}:
             monkeypatch.setattr(cls, "sample_elements", never)
         assert scope_pool(P, EXHAUSTIVE) == (P.elements(), None)
+        scope_pool(P, EXHAUSTIVE)[0].clear()  # a copy: the view keeps it
+        assert P.finite_view[0] == P.elements()
         # the laws that read the pool of a finite carrier draw nothing
         for law in ("kernel", "eq", "laws"):
             assert kernel.LAWS[law](P, None).status is Status.VERIFIED
@@ -1632,26 +1695,27 @@ class TestScopePool:
     def test_cc_draws_no_pool_for_the_bank(self, monkeypatch):
         """A finite directed family holds its supremum, so the sampled cc
         law decides each of the 142 bank families of a sum with a finite
-        part without drawing a probe pool."""
-        calls = []
-        draw = core.sample_pool
+        part without drawing a probe pool: the carrier draws once, the
+        scope's pool of 500."""
+        draws = []
+        draw = DisjointSumPresentation.sample_elements
 
-        def spy(*args):
-            calls.append(args)
-            return draw(*args)
+        def spy(self, rng, count):
+            draws.append(count)
+            return draw(self, rng, count)
 
-        monkeypatch.setattr(core, "sample_pool", spy)
+        monkeypatch.setattr(DisjointSumPresentation, "sample_elements", spy)
         P = make_catalog(disjoint_sum(finite_named("chain_16"),
                                       omega_plus_one()))
         report = core.check_conditionally_complete(P)
         assert report.status is Status.VERIFIED
-        assert len(P.family_bank()) == 142 and calls == []
+        assert len(P.family_bank()) == 142 and draws == [500]
 
     def test_callers_cannot_change_the_memo(self):
         P = make_catalog(closed_sets())
         scope = sampled(7, 50)
         rng = random.Random(7)
-        expected = sample_pool(P, rng, 50), rng.getstate()
+        expected = _pool(P, P.sample_elements(rng, 50)), rng.getstate()
         pool, rng = scope_pool(P, scope)
         assert (pool, rng.getstate()) == expected
         pool.clear()
@@ -1915,12 +1979,12 @@ class TestLayering:
         assert readers == {"kernel.check_inf_preservation_sampled"}
 
     def test_the_finite_order_and_the_cap_have_one_home(self):
-        """kernel.py reads a carrier's order as ``P.poset``.  Every
-        SizeLimit that catalog.py, carriers.py and closedsets.py raise
-        comes from ``_check_size``, the one cap on what a presentation
-        lists.  In the package only ``core._subset_planes`` reads
-        FINITE_CAP, the cap of the oracle's subset scans; a docstring may
-        name it."""
+        """kernel.py reads a carrier's order through ``P.finite_view``
+        and never builds one.  Every SizeLimit that catalog.py,
+        carriers.py and closedsets.py raise comes from ``_check_size``, the
+        one cap on what a presentation lists.  In the package only
+        ``core._subset_planes`` reads FINITE_CAP, the cap of the oracle's
+        subset scans; a docstring may name it."""
         assert "induced_finite_poset" not in self.names(self.tree(kernel))
         raisers = {where for module in (catalog, carriers, closedsets)
                    for where, node in self.owners(
@@ -1941,15 +2005,55 @@ class TestLayering:
     def test_the_pool_draw_has_one_home(self):
         """kernel.py and sampled_laws.py take their element pools and draws
         from ``core.scope_pool`` and ``core.scope_draw`` and never draw one
-        themselves; besides that home, only the subposet law builds its own
-        rng.  No family bank is drawn."""
-        for module in (kernel, sampled_laws):
-            assert "sample_pool" not in self.names(self.tree(module))
+        themselves: only ``scope_draw`` builds a pool (``core._pool``).
+        Besides that home, only the subposet law builds its own rng.  No
+        family bank is drawn."""
+        pool_builders = {
+            where for module in (core, kernel, sampled_laws)
+            for where, node in self.owners(
+                self.tree(module), module.__name__.split(".")[-1])
+            if isinstance(node, ast.Call) and "_pool" in self.names(node.func)}
+        assert pool_builders == {"core.scope_draw"}
         builders = {node.name for module in (core, kernel, sampled_laws)
                     for node in ast.walk(self.tree(module))
                     if isinstance(node, ast.FunctionDef)
                     and "Random" in self.names(node)}
         assert builders == {"scope_draw", "scope_pool", "_subposet_sampled"}
+
+    def test_the_finite_view_is_the_one_read_path(self):
+        """Each exhaustive half in core.py and kernel.py, ``_decided`` and
+        ``retract_member`` read a finite carrier through ``finite_view``.
+        Outside the finite carrier's own class, only
+        ``PosetPresentation.finite_view`` and ``poset`` call ``.elements()``
+        or read ``.poset`` there.  No function of the package is named
+        ``_finite_part`` or ``sample_pool``."""
+        readers, viewers, halves = set(), set(), set()
+        for module in (core, kernel):
+            for where, node in self.owners(self.tree(module),
+                                           module.__name__.split(".")[-1]):
+                if (isinstance(node, ast.Attribute) and node.attr == "poset"
+                        or isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "elements"):
+                    readers.add(where)
+                if isinstance(node, ast.Attribute) \
+                        and node.attr == "finite_view":
+                    viewers.add(where)
+                if isinstance(node, ast.FunctionDef) and (
+                        node.name.endswith("_exhaustive")
+                        or node.name in ("_decided", "retract_member")):
+                    halves.add(where)
+        assert {where for where in readers if not where.startswith(
+            "core.FinitePosetPresentation.")} == {
+            "core.PosetPresentation.poset",
+            "core.PosetPresentation.finite_view"}
+        assert len(halves) == 11 and halves <= viewers
+        defined = {node.name
+                   for path in Path(core.__file__).parent.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text(
+                       encoding="utf-8")))
+                   if isinstance(node, ast.FunctionDef)}
+        assert not defined & {"_finite_part", "sample_pool"}
 
     PLANES = {"directed_planes", "directed_subset_masks", "_subset_planes",
               "_none_of", "_plane_members"}
